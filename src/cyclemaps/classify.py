@@ -30,15 +30,9 @@ from typing import Optional
 
 import numpy as np
 
-from .dmap import MapParams, choi
+from .dmap import MapParams, choi, choi_structure
 from .errors import ParameterError, PreconditionError
-from .matlin import (
-    DEFAULT_PSD_TOL,
-    kron,
-    matrix_unit,
-    min_eigenvalue,
-    partial_transpose,
-)
+from .matlin import DEFAULT_PSD_TOL, min_eigenvalue, partial_transpose
 from .perm import cycle_decompose, fixed_points, is_involution, is_single_cycle
 
 # Boundary cases a == threshold are resolved inclusively at this tolerance.
@@ -181,15 +175,18 @@ def _adversarial_amplitudes(p: MapParams) -> np.ndarray:
     n = p.n
     cycles = cycle_decompose(p.sigma).cycles
     rows = [np.ones(n)]
+    exponent = np.empty(n)
+    for cycle in cycles:
+        length = len(cycle)
+        cur = cycle[0]
+        for s in range(1, length + 1):
+            cur = p.sigma(cur)
+            exponent[cur - 1] = length - s
+    # S is scale-invariant: scaling by lam^-max keeps cycles longer than
+    # ~38 from overflowing at lam = 1e8 (entries that underflow become 0)
+    exponent -= exponent.max()
     for lam in _LAMBDA_GRID:
-        alpha = np.empty(n)
-        for cycle in cycles:
-            length = len(cycle)
-            cur = cycle[0]
-            for s in range(1, length + 1):
-                cur = p.sigma(cur)
-                alpha[cur - 1] = lam ** (length - s)
-        rows.append(alpha)
+        rows.append(lam**exponent)
     if all(ci > 0 for ci in p.c):
         alpha = np.empty(n)
         for cycle in cycles:
@@ -295,10 +292,14 @@ def positivity_verdict(p: MapParams, evidence: Optional[PositivityEvidence] = No
 
 def cp_verdict(p: MapParams, psd_tol: float = DEFAULT_PSD_TOL) -> Verdict:
     """Complete positivity: closed-form cutoff when cycles are long enough,
-    entrywise test at sigma = id, Choi PSD check (decisive) otherwise."""
+    entrywise test at sigma = id, Choi PSD check (decisive) otherwise.
+
+    The Choi minimum eigenvalue comes from the structured form: the least of
+    the n x n core's eigenvalues, the weights c_i at non-fixed i, and 0 when
+    the Choi matrix has a kernel."""
     n, a = p.n, p.a
     dec = cycle_decompose(p.sigma)
-    choi_min = min_eigenvalue(choi(p).matrix)
+    choi_min = choi_structure(p).min_eigenvalue()
     ev = {"a": a, "l_min": dec.l_min, "choi_min_eigenvalue": choi_min}
     if dec.l_min >= 2:
         status = YES if a >= n - BOUNDARY_TOL else NO
@@ -377,28 +378,33 @@ def decompose_involution(p: MapParams) -> DecomposabilityCertificate:
                 f"requires c[{i}]*c[{si}] >= 1 for the 2-cycle ({i}, {si}) (got {product})"
             )
 
-    fixed_set = set(fixed)
+    # the residual check below needs the dense Choi matrix; its size guard
+    # fires before P and the Q blocks are allocated
+    c_matrix = choi(p).matrix
+    # P lives on span{|ii>}: a - 1 (+ c_i at fixed points) on the diagonal,
+    # -1 between |ii> and |jj> unless j = sigma(i); each Q block has 4 entries
+    img = np.asarray(p.sigma.images) - 1
+    c = np.asarray(p.c)
+    idx = np.arange(n)
+    block = -np.ones((n, n), dtype=complex)
+    block[idx, img] = 0.0
+    block[idx, idx] = np.where(img == idx, p.a + c, p.a) - 1.0
+    ii = idx * (n + 1)
     P = np.zeros((n * n, n * n), dtype=complex)
-    for i in range(1, n + 1):
-        coeff = p.a + p.c[i - 1] - 1.0 if i in fixed_set else p.a - 1.0
-        P += coeff * kron(matrix_unit(n, i, i), matrix_unit(n, i, i))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j and p.sigma(i) != j:
-                P -= kron(matrix_unit(n, i, j), matrix_unit(n, i, j))
+    P[np.ix_(ii, ii)] = block
 
     q_blocks = []
     for i, si in pairs:
-        q = (
-            p.c[si - 1] * kron(matrix_unit(n, i, i), matrix_unit(n, si, si))
-            + p.c[i - 1] * kron(matrix_unit(n, si, si), matrix_unit(n, i, i))
-            - kron(matrix_unit(n, i, si), matrix_unit(n, i, si))
-            - kron(matrix_unit(n, si, i), matrix_unit(n, si, i))
-        )
+        u, v = i - 1, si - 1
+        q = np.zeros((n * n, n * n), dtype=complex)
+        q[u * n + v, u * n + v] = p.c[si - 1]
+        q[v * n + u, v * n + u] = p.c[i - 1]
+        q[u * n + u, v * n + v] = -1.0
+        q[v * n + v, u * n + u] = -1.0
         q_blocks.append(((i, si), q))
 
     total = P + sum((q for _, q in q_blocks), start=np.zeros_like(P))
-    residual = float(np.max(np.abs(total - choi(p).matrix)))
+    residual = float(np.max(np.abs(total - c_matrix)))
     p_min = min_eigenvalue(P)
     q_pt_mins = tuple(float(min_eigenvalue(partial_transpose(q, n, n))) for _, q in q_blocks)
 

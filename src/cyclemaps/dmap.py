@@ -9,16 +9,20 @@ The family implemented here is parameterized by a permutation sigma of
 Theta acts on the diagonal of X through the n x n matrix
 D = a*I + sum_i c_i E_{sigma(i), i} and subtracts X wholesale, which makes the
 whole family tractable: positivity, complete positivity and the finer
-structure all reduce to statements about (n, sigma, a, c).
+structure all reduce to statements about (n, sigma, a, c).  The same D
+determines the Choi matrix exactly (see :class:`ChoiStructure`), so every
+spectral quantity of it is computed from n x n data; the dense n^2 x n^2
+matrix is assembled only when a caller asks for the matrix itself.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ParameterError
-from .matlin import matrix_unit
+from .matlin import MAX_DIM
 from .perm import Permutation, identity
 
 _REL_TOL = 1e-12
@@ -104,8 +108,7 @@ def d_matrix(p: MapParams) -> np.ndarray:
     diagonal of Delta(X): Delta(X) = diag((x_11, ..., x_nn) . D).
     """
     d = p.a * np.eye(p.n, dtype=complex)
-    for i in range(1, p.n + 1):
-        d += p.c[i - 1] * matrix_unit(p.n, p.sigma(i), i)
+    d[np.asarray(p.sigma.images) - 1, np.arange(p.n)] += p.c
     return d
 
 
@@ -123,14 +126,91 @@ class ChoiMatrix:
     transposed_composition: bool
 
 
+@dataclass(frozen=True, eq=False)
+class ChoiStructure:
+    """The Choi matrix of Theta held as the n x n data that determine it.
+
+    Entry D[i, k] of ``weights`` = :func:`d_matrix` is the diagonal entry of
+    the Choi matrix at |ik>: a at k = i, plus c_{sigma^-1(i)} at
+    k = sigma^-1(i).  With Omega = sum_i |ii> and F the swap,
+
+        Choi(Theta)   = diag(D) - |Omega><Omega|,
+        Choi(T.Theta) = diag(D) - F.
+
+    Hence Choi(Theta) acts on span{|ii>} as the ``core``
+    K = diag(a + c_i [sigma(i) = i]) - J, and every |ik> with k != i is an
+    eigenvector with eigenvalue D[i, k]: c_{sigma^-1(i)} at k = sigma^-1(i),
+    0 elsewhere (Choi, Linear Algebra Appl. 10, 1975).  Choi(T.Theta) splits
+    into 1x1 blocks D[i, i] - 1 on |ii> and 2x2 blocks [[D[i, k], -1],
+    [-1, D[k, i]]] on {|ik>, |ki>}.  Every spectral quantity therefore costs
+    one n x n eigensolve or less; :meth:`dense` builds the n^2 x n^2 matrix.
+    """
+
+    n: int
+    weights: np.ndarray
+    core: np.ndarray
+
+    @cached_property
+    def core_eigenvalues(self) -> np.ndarray:
+        return np.linalg.eigvalsh(self.core)
+
+    def _spectrum_parts(self, compose_transpose: bool) -> tuple[np.ndarray, ...]:
+        d = self.weights
+        if not compose_transpose:
+            return self.core_eigenvalues, d[~np.eye(self.n, dtype=bool)]
+        i, k = np.triu_indices(self.n, 1)
+        dik, dki = d[i, k], d[k, i]
+        hi = (dik + dki + np.sqrt((dik - dki) ** 2 + 4.0)) / 2.0
+        # the smaller root as det / hi: no cancellation when dik + dki is large
+        return np.diagonal(d) - 1.0, (dik * dki - 1.0) / hi, hi
+
+    def eigenvalues(self, compose_transpose: bool = False) -> np.ndarray:
+        """All n^2 eigenvalues of Choi(Theta) (or Choi(T.Theta)), ascending."""
+        return np.sort(np.concatenate(self._spectrum_parts(compose_transpose)))
+
+    def min_eigenvalue(self, compose_transpose: bool = False) -> float:
+        return float(min(part.min() for part in self._spectrum_parts(compose_transpose) if part.size))
+
+    @property
+    def negative_norm(self) -> float:
+        """||C^-||: the largest magnitude among negative eigenvalues of Choi(Theta), else 0."""
+        return max(0.0, -self.min_eigenvalue())
+
+    @property
+    def trace(self) -> float:
+        return float(self.weights.sum() - self.n)
+
+    def dense(self, compose_transpose: bool = False) -> np.ndarray:
+        """The n^2 x n^2 matrix itself, indexed |ik> -> i*n + k."""
+        n = self.n
+        if n * n > MAX_DIM:
+            raise ParameterError(
+                f"n = {n} is too large for the dense Choi matrix: {n * n} x {n * n} "
+                f"complex entries need {16 * n**4:,} bytes (edge length limit {MAX_DIM})"
+            )
+        out = np.zeros((n * n, n * n), dtype=complex)
+        idx = np.arange(n * n)
+        out[idx, idx] = self.weights.ravel()
+        if compose_transpose:
+            i, k = np.divmod(idx, n)
+            out[idx, k * n + i] -= 1.0
+        else:
+            ii = idx[:: n + 1]
+            out[np.ix_(ii, ii)] -= 1.0
+        return out
+
+
+def choi_structure(p: MapParams) -> ChoiStructure:
+    """The structured form of the Choi matrix of Theta: O(n^2) to build."""
+    weights = d_matrix(p).real
+    core = np.diag(np.diagonal(weights)) - 1.0
+    return ChoiStructure(n=p.n, weights=weights, core=core)
+
+
 def choi(p: MapParams, compose_transpose: bool = False) -> ChoiMatrix:
-    """Assemble the Choi matrix of Theta (or of transposition-then-Theta)."""
-    n = p.n
-    out = np.zeros((n * n, n * n), dtype=complex)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            block = theta_apply(p, matrix_unit(n, i, j))
-            if compose_transpose:
-                block = block.T
-            out[(i - 1) * n : i * n, (j - 1) * n : j * n] = block
-    return ChoiMatrix(n=n, matrix=out, transposed_composition=compose_transpose)
+    """Assemble the dense Choi matrix of Theta (or of transposition-then-Theta).
+
+    Raises ParameterError before allocating when n^2 exceeds ``MAX_DIM``.
+    """
+    matrix = choi_structure(p).dense(compose_transpose)
+    return ChoiMatrix(n=p.n, matrix=matrix, transposed_composition=compose_transpose)

@@ -145,6 +145,16 @@ def negative_part(m: np.ndarray) -> tuple[np.ndarray, float]:
     return part, float(-w[0])
 
 
+def numerical_rank(m: np.ndarray, rtol: float = 1e-8) -> int:
+    """Number of singular values above ``rtol`` times the largest (0 for an empty or zero matrix)."""
+    if m.size == 0:
+        return 0
+    s = np.linalg.svd(m, compute_uv=False)
+    if s[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(s > rtol * s[0]))
+
+
 def matrix_to_json(m: np.ndarray) -> dict:
     """Serialize to the interchange form {rows, cols, entries=[[re, im], ...]}."""
     m = _as_matrix(m)

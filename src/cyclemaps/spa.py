@@ -3,9 +3,13 @@ with white noise until it turns PSD, and certify separability at a = n - 1.
 
 For W = C / Tr(C) the noisy family is W(lam) = (1 - lam)/n^2 * I + lam * W.
 The first PSD point is lam* = 1 / (1 + n^2 ||W^-||), equivalently
-SPA = (||C^-|| I + C) / (Tr(C) + n^2 ||C^-||).  ||C^-|| always comes from the
-full spectral split here; claimed closed-form values (such as ||C^-|| = 1 at
-a = n - 1) are asserted against it in the tests, never assumed.
+SPA = (||C^-|| I + C) / (Tr(C) + n^2 ||C^-||).  ||C^-|| and Tr(C) come from
+the structured Choi matrix (:class:`cyclemaps.dmap.ChoiStructure`): the
+negative eigenvalues of C are those of its n x n core, so one n x n
+eigensolve gives lam* exactly, and the n^2 x n^2 SPA matrix is assembled only
+when it is read.  Claimed closed-form values (such as ||C^-|| = 1 at
+a = n - 1) are asserted in the tests against a dense eigensolve, never
+assumed.
 
 At a = n - 1 with every cycle of sigma of length >= 2 the SPA is separable
 outright: n^2 * SPA splits into the two-level blocks sigma_ij plus weighted
@@ -15,18 +19,18 @@ diagonal product terms, and each sigma_ij factors through a 4 x 4 seed R as
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .classify import NO, YES, positivity_verdict
-from .dmap import MapParams, choi
+from .dmap import ChoiStructure, MapParams, choi, choi_structure
 from .errors import ParameterError, PreconditionError
 from .matlin import (
     DEFAULT_PSD_TOL,
     kron,
     matrix_unit,
     min_eigenvalue,
-    negative_part,
     partial_transpose,
     require_hermitian,
 )
@@ -35,13 +39,21 @@ from .perm import cycle_decompose
 
 @dataclass(frozen=True)
 class SpaState:
-    """The SPA density matrix with the mixing data that produced it."""
+    """The mixing data of the SPA; the density matrix is built on first access."""
 
-    matrix: np.ndarray
+    structure: ChoiStructure
     lambda_star: float
     w_minus_norm: float
     trace_choi: float
     positivity_warning: bool
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """SPA = (||C^-|| I + C) / (Tr(C) + n^2 ||C^-||), dense n^2 x n^2."""
+        n2 = self.structure.n ** 2
+        neg_norm = self.structure.negative_norm
+        c = self.structure.dense()
+        return (neg_norm * np.eye(n2, dtype=complex) + c) / (self.trace_choi + n2 * neg_norm)
 
 
 @dataclass(frozen=True)
@@ -102,15 +114,13 @@ def pair_block(n: int, i: int, j: int) -> np.ndarray:
 
 def spa_state(p: MapParams) -> SpaState:
     """Compute the SPA of the map's witness direction from the Choi spectrum."""
-    c = choi(p).matrix
-    trace = float(np.trace(c).real)
-    _, neg_norm = negative_part(c)
-    w_minus_norm = neg_norm / trace
+    structure = choi_structure(p)
+    trace = structure.trace
+    w_minus_norm = structure.negative_norm / trace
     lambda_star = 1.0 / (1.0 + p.n**2 * w_minus_norm)
-    matrix = (neg_norm * np.eye(p.n**2, dtype=complex) + c) / (trace + p.n**2 * neg_norm)
     warning = positivity_verdict(p).status == NO
     return SpaState(
-        matrix=matrix,
+        structure=structure,
         lambda_star=lambda_star,
         w_minus_norm=w_minus_norm,
         trace_choi=trace,

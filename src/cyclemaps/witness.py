@@ -16,17 +16,28 @@ Two zero-expectation families are generated here:
 
 Stacked as vectors of length n^2, their numerical rank decides the
 certificate: rank n^2 certifies optimality.
+
+Nothing here needs the dense n^2 x n^2 witness.  With n W = diag(D) - F
+(:class:`cyclemaps.dmap.ChoiStructure`), a product vector x (x) y has the
+expectation (|x|^2 . D . |y|^2 - |<x, y>|^2) / n, evaluated for all
+generators in one batched product.  The basis pairs are distinct standard
+basis vectors, so the span rank is their number plus the rank of the phase
+vectors restricted to the coordinates no basis pair covers (at most 2n of
+them).  The minimum eigenvalue of W, which decides the PSD warning, comes
+from the closed form of its 1x1 and 2x2 blocks (Lewenstein et al., PRA 62,
+052310, 2000).  The certificate builds W itself only when it is read.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .classify import BOUNDARY_TOL, NO, positivity_verdict
-from .dmap import MapParams, choi
+from .dmap import MapParams, choi, choi_structure
 from .errors import ParameterError
-from .matlin import DEFAULT_PSD_TOL, min_eigenvalue, require_hermitian
+from .matlin import DEFAULT_PSD_TOL, numerical_rank, require_hermitian
 from .perm import cycle_decompose
 
 
@@ -45,9 +56,10 @@ class ProductVector:
 
 @dataclass(frozen=True)
 class OptimalityCertificate:
-    """Witness, generating product vectors, their expectations and the rank."""
+    """Generating product vectors, their expectations and the rank; the
+    witness matrix is built on first access."""
 
-    witness: np.ndarray
+    params: MapParams
     generators: tuple[ProductVector, ...]
     expectations: np.ndarray
     span_rank: int
@@ -55,6 +67,10 @@ class OptimalityCertificate:
     theorem_applies: bool
     note: str
     warnings: tuple[str, ...]
+
+    @cached_property
+    def witness(self) -> np.ndarray:
+        return witness(self.params)
 
 
 def witness(p: MapParams) -> np.ndarray:
@@ -92,14 +108,28 @@ def _deterministic_phases(n: int) -> list[np.ndarray]:
     return rows
 
 
-def _stack_rank(vectors: list[np.ndarray], rtol: float = 1e-8) -> int:
-    if not vectors:
-        return 0
-    stack = np.asarray(vectors)
-    s = np.linalg.svd(stack, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > rtol * s[0]))
+def _stack(gens) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Left factors, right factors and the basis-pair flags of ``gens`` as arrays."""
+    return (
+        np.array([g.left for g in gens]),
+        np.array([g.right for g in gens]),
+        np.array([g.family == "basis" for g in gens], dtype=bool),
+    )
+
+
+def _span_rank(lefts: np.ndarray, rights: np.ndarray, basis: np.ndarray, rtol: float = 1e-8) -> int:
+    """Numerical rank of the stacked vectors lefts[m] (x) rights[m].
+
+    The rows flagged in ``basis`` are distinct standard basis vectors, one
+    rank each; the other rows add only the rank of their restriction to the
+    coordinates those leave uncovered.
+    """
+    n = lefts.shape[1]
+    covered = np.zeros((n, n), dtype=bool)
+    covered[np.argmax(np.abs(lefts[basis]), axis=1), np.argmax(np.abs(rights[basis]), axis=1)] = True
+    i, k = np.nonzero(~covered)
+    rest = ~basis
+    return int(np.count_nonzero(covered)) + numerical_rank(lefts[rest][:, i] * rights[rest][:, k], rtol)
 
 
 def spanning_generators(
@@ -143,7 +173,7 @@ def spanning_generators(
     if phases_used < phase_budget:
         rng = np.random.Generator(np.random.Philox(key=seed))
         while phases_used < phase_budget:
-            if _stack_rank([g.vector for g in gens]) == n * n:
+            if _span_rank(*_stack(gens)) == n * n:
                 break
             thetas = rng.uniform(0.0, 2.0 * np.pi, size=n)
             xi = phase_vector(n, thetas)
@@ -181,10 +211,13 @@ def certify_optimality(
     expectation is an internal bug and raises; outside it the same machinery
     runs and the verdict simply reports what the numbers show.
     """
-    w = witness(p)
+    n = p.n
+    structure = choi_structure(p)
     gens = tuple(spanning_generators(p, phase_budget=phase_budget, seed=seed))
-    vectors = [g.vector for g in gens]
-    expectations = np.array([float(np.real(v.conj() @ (w @ v))) for v in vectors])
+    lefts, rights, basis = _stack(gens)
+    diagonal = np.sum((np.abs(lefts) ** 2 @ structure.weights) * np.abs(rights) ** 2, axis=1)
+    overlap = np.abs(np.sum(lefts.conj() * rights, axis=1)) ** 2
+    expectations = (diagonal - overlap) / n
     passing = np.abs(expectations) <= expectation_tol
 
     theorem_applies = _uniform_family_theorem(p)
@@ -195,13 +228,13 @@ def certify_optimality(
             f"{expectations[worst]:.3e} nonzero inside the certified family"
         )
 
-    span_rank = _stack_rank([v for v, ok in zip(vectors, passing) if ok], rtol=rank_rtol)
-    optimal = span_rank == p.n * p.n
+    span_rank = _span_rank(lefts[passing], rights[passing], basis[passing], rtol=rank_rtol)
+    optimal = span_rank == n * n
 
     warnings: list[str] = []
     if positivity_verdict(p).status == NO:
         warnings.append("the underlying map is not positive, so this matrix is not a witness")
-    if min_eigenvalue(w) >= -DEFAULT_PSD_TOL:
+    if structure.min_eigenvalue(compose_transpose=True) / n >= -DEFAULT_PSD_TOL:
         warnings.append("the matrix is PSD and detects no entanglement")
 
     if optimal and theorem_applies:
@@ -212,7 +245,7 @@ def certify_optimality(
         note = "spanning property not established: zero-expectation span is rank deficient"
 
     return OptimalityCertificate(
-        witness=w,
+        params=p,
         generators=gens,
         expectations=expectations,
         span_rank=span_rank,

@@ -1,0 +1,257 @@
+"""The structured Choi core against dense oracles built here.
+
+The oracles are the plain definitions: the Choi matrix assembled block by
+block from ``theta_apply`` on matrix units, the witness expectations as dense
+quadratic forms, the span rank as an SVD of the stacked n^2-vectors, and the
+involution split summed from ``kron`` products of matrix units.
+"""
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from cyclemaps import (
+    MapParams,
+    ParameterError,
+    Permutation,
+    certify_optimality,
+    choi,
+    choi_structure,
+    classify_map,
+    cp_verdict,
+    decompose_involution,
+    delta_n,
+    identity,
+    kron,
+    matrix_unit,
+    min_eigenvalue,
+    negative_part,
+    spa_state,
+    spanning_generators,
+    tau,
+    theta_apply,
+    witness,
+)
+from cyclemaps.cli import main
+
+TOL = 1e-12
+
+
+def dense_choi(p: MapParams, compose_transpose: bool = False) -> np.ndarray:
+    n = p.n
+    out = np.zeros((n * n, n * n), dtype=complex)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            block = theta_apply(p, matrix_unit(n, i, j))
+            if compose_transpose:
+                block = block.T
+            out[(i - 1) * n : i * n, (j - 1) * n : j * n] = block
+    return out
+
+
+def stack_rank(vectors, rtol: float = 1e-8) -> int:
+    if not vectors:
+        return 0
+    s = np.linalg.svd(np.asarray(vectors), compute_uv=False)
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(s > rtol * s[0]))
+
+
+def kron_split(p: MapParams):
+    """P and the Q blocks of the involution split, summed from kron products."""
+    n = p.n
+    e = lambda i, j: matrix_unit(n, i, j)
+    fixed = {i for i in range(1, n + 1) if p.sigma(i) == i}
+    P = np.zeros((n * n, n * n), dtype=complex)
+    for i in range(1, n + 1):
+        coeff = p.a + p.c[i - 1] - 1.0 if i in fixed else p.a - 1.0
+        P += coeff * kron(e(i, i), e(i, i))
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i != j and p.sigma(i) != j:
+                P -= kron(e(i, j), e(i, j))
+    qs = []
+    for i in range(1, n + 1):
+        si = p.sigma(i)
+        if i < si:
+            qs.append(
+                p.c[si - 1] * kron(e(i, i), e(si, si))
+                + p.c[i - 1] * kron(e(si, si), e(i, i))
+                - kron(e(i, si), e(i, si))
+                - kron(e(si, i), e(si, i))
+            )
+    return P, qs
+
+
+@st.composite
+def permutations(draw, n: int) -> Permutation:
+    """Any permutation, an involution, or one with fixed points next to a cycle."""
+    order = draw(st.permutations(range(1, n + 1)))
+    kind = draw(st.sampled_from(("any", "involution", "fixed_points")))
+    images = list(range(1, n + 1))
+    if kind == "any":
+        images = list(order)
+    elif kind == "involution":
+        for t in range(draw(st.integers(0, n // 2))):
+            i, j = order[2 * t], order[2 * t + 1]
+            images[i - 1], images[j - 1] = j, i
+    else:
+        cycle = order[draw(st.integers(1, n)) :]
+        for pos, i in enumerate(cycle):
+            images[i - 1] = cycle[(pos + 1) % len(cycle)]
+    return Permutation(tuple(images))
+
+
+@st.composite
+def maps(draw) -> MapParams:
+    n = draw(st.integers(1, 6))
+    sigma = draw(permutations(n))
+    a = draw(st.floats(0.05, 2.0 * n + 1.0))
+    c = draw(st.lists(st.floats(0.05, 5.0), min_size=n, max_size=n))
+    assume(n * (a - 1.0) + sum(c) > 0.0)  # the SPA normalizes by Tr C
+    return MapParams(n, sigma, a, tuple(c))
+
+
+def check_against_dense(p: MapParams) -> None:
+    n = p.n
+    s = choi_structure(p)
+    c = dense_choi(p)
+    ct = dense_choi(p, compose_transpose=True)
+    assert np.max(np.abs(s.eigenvalues() - np.linalg.eigvalsh(c))) <= TOL
+    assert np.max(np.abs(s.eigenvalues(True) - np.linalg.eigvalsh(ct))) <= TOL
+    assert cp_verdict(p).evidence["choi_min_eigenvalue"] == pytest.approx(min_eigenvalue(c), abs=TOL)
+
+    trace = float(np.trace(c).real)
+    _, neg = negative_part(c)
+    state = spa_state(p)
+    assert state.trace_choi == pytest.approx(trace, abs=TOL)
+    assert state.w_minus_norm == pytest.approx(neg / trace, abs=TOL)
+    assert state.lambda_star == pytest.approx(1.0 / (1.0 + n * n * neg / trace), abs=TOL)
+    spa = (neg * np.eye(n * n) + c) / (trace + n * n * neg)
+    assert np.max(np.abs(state.matrix - spa)) <= TOL
+
+    w = ct / n
+    assert s.min_eigenvalue(compose_transpose=True) / n == pytest.approx(min_eigenvalue(w), abs=TOL)
+    cert = certify_optimality(p)
+    vectors = [g.vector for g in cert.generators]
+    dense_expectations = np.array([float(np.real(v.conj() @ (w @ v))) for v in vectors])
+    assert np.max(np.abs(cert.expectations - dense_expectations)) <= TOL
+    passing = np.abs(cert.expectations) <= 1e-9
+    assert cert.span_rank == stack_rank([v for v, ok in zip(vectors, passing) if ok])
+    psd = min_eigenvalue(w) >= -1e-9
+    assert any("PSD" in warning for warning in cert.warnings) == psd
+    assert np.array_equal(cert.witness, witness(p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(maps())
+def test_structure_matches_dense_oracle(p):
+    check_against_dense(p)
+
+
+def test_structure_matches_dense_oracle_weight_free_map():
+    for n in (2, 3, 5):
+        check_against_dense(delta_n(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 20])
+def test_choi_equals_theta_apply_assembly_entry_for_entry(n):
+    rng = np.random.default_rng(n)
+    for sigma in (tau(n, 1), identity(n), Permutation(tuple(int(i) + 1 for i in rng.permutation(n)))):
+        p = MapParams(n, sigma, float(rng.uniform(0.1, n + 1.0)), tuple(rng.uniform(0.1, 3.0, size=n)))
+        for compose_transpose in (False, True):
+            got = choi(p, compose_transpose).matrix
+            want = dense_choi(p, compose_transpose)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_involution_split_equals_kron_oracle(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(3):
+        order = [int(i) + 1 for i in rng.permutation(n)]
+        images = list(range(1, n + 1))
+        for t in range(int(rng.integers(0, n // 2 + 1))):
+            i, j = order[2 * t], order[2 * t + 1]
+            images[i - 1], images[j - 1] = j, i
+        sigma = Permutation(tuple(images))
+        # c >= 1 everywhere meets both weight preconditions
+        p = MapParams(n, sigma, float(rng.uniform(n - 1.0, n + 1.0)), tuple(rng.uniform(1.0, 3.0, size=n)))
+        cert = decompose_involution(p)
+        P, qs = kron_split(p)
+        assert np.array_equal(cert.P, P)
+        assert len(cert.q_blocks) == len(qs)
+        for (_, q), want in zip(cert.q_blocks, qs):
+            assert np.array_equal(q, want)
+
+
+def _phase_count(gens) -> int:
+    return sum(g.family == "phase" for g in gens)
+
+
+def test_random_phase_loop_uses_the_same_rank_as_the_dense_stack():
+    # 2-cycles leave antisymmetric directions that symmetric phase vectors
+    # never reach: the loop runs to its budget, as the dense rank says.
+    p = MapParams(4, tau(4, 2), 3.0, (1.0,) * 4)
+    det = _phase_count(spanning_generators(p))
+    gens = spanning_generators(p, phase_budget=det + 5, seed=7)
+    assert _phase_count(gens) == det + 5
+    assert stack_rank([g.vector for g in gens]) < 16
+    # Long cycles: the deterministic phases already span, so no random ones.
+    p = MapParams(4, tau(4, 1), 3.0, (1.0,) * 4)
+    det = _phase_count(spanning_generators(p))
+    gens = spanning_generators(p, phase_budget=det + 5, seed=7)
+    assert _phase_count(gens) == det
+    assert stack_rank([g.vector for g in gens]) == 16
+
+
+def large_map(n: int = 64, c0: float = 0.7) -> MapParams:
+    """The certified family a = n - c on one n-cycle (not an involution)."""
+    return MapParams(n, tau(n, 1), n - c0, (c0,) * n)
+
+
+def test_scalar_answers_run_past_the_dense_size_limit():
+    p = large_map()
+    n, c0 = p.n, p.c[0]
+    report = classify_map(p, samples=0)
+    assert report.completely_positive.status == "no"
+    assert report.atomic.status == "yes"
+    assert report.completely_positive.evidence["choi_min_eigenvalue"] == pytest.approx(p.a - n, abs=1e-9)
+    trace = n * p.a + n * c0 - n
+    assert spa_state(p).lambda_star == pytest.approx(trace / (trace + n * n * c0), rel=1e-12)
+    cert = certify_optimality(p)
+    assert cert.span_rank == n * n and cert.optimal
+
+
+def test_choi_size_guard_names_n_and_bytes():
+    with pytest.raises(ParameterError, match=r"n = 64 .*268,435,456 bytes"):
+        choi(large_map())
+    with pytest.raises(ParameterError, match="n = 64"):
+        spa_state(large_map()).matrix
+
+
+def _write_map(tmp_path, p: MapParams) -> str:
+    path = tmp_path / "map.json"
+    images = ",".join(str(i) for i in p.sigma.images)
+    path.write_text(f'{{"n": {p.n}, "sigma": "images:{images}", "a": {p.a}, "c": {list(p.c)}}}')
+    return str(path)
+
+
+@pytest.mark.parametrize("sub", ["spa", "witness"])
+def test_cli_dense_reports_exit_2_past_the_size_limit(tmp_path, capsys, sub):
+    rc = main([sub, "--map", _write_map(tmp_path, large_map()), "--out", str(tmp_path / "out.json")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: n = 64") and "Traceback" not in err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_cli_classify_runs_past_the_size_limit(tmp_path, capsys):
+    # a 64-cycle also exercises the sampler's adversarial family, whose
+    # geometric weights would overflow without rescaling
+    out = tmp_path / "out.json"
+    rc = main(["classify", "--map", _write_map(tmp_path, large_map()), "--samples", "200", "--out", str(out)])
+    assert rc == 0
+    assert '"atomic"' in out.read_text()
