@@ -7,14 +7,16 @@ sampling is always reported as evidence; it never upgrades a verdict to "yes"
 on its own where a decisive criterion exists, and where no criterion applies
 the status stays "unknown" with the measured worst-case data attached.
 
-The decisive criteria implemented here:
+The decisive criteria implemented here, each written once:
 
 * a >= max(n-1, n - geomean(c)) makes the map positive for every sigma, and
   that bound is sharp when sigma is one full n-cycle;
-* with every cycle of sigma of length >= 2, complete positivity, 2-positivity
-  and a >= n coincide (the Choi spectrum is known in closed form);
-* at sigma = id the map is an entrywise multiplier, so positivity and complete
-  positivity both reduce to one n x n PSD test;
+* the map is completely positive exactly when its Choi matrix is PSD, which
+  comes down to the n x n core K = diag(a + c_i [sigma(i) = i]) - J being
+  PSD; with every cycle of sigma of length >= 2 that is a >= n, and
+  2-positivity coincides with it;
+* at sigma = id the map is an entrywise multiplier, so positivity reduces to
+  one n x n PSD test (the same matrix as K);
 * on the uniform family a = n - c, positivity holds exactly for c <= n/l_max;
 * a positive, not completely positive map whose cycles all have length >= 3 is
   atomic (no split into a 2-positive part plus a transposed 2-positive part);
@@ -268,6 +270,11 @@ def _evidence_dict(p: MapParams, evidence: Optional[PositivityEvidence]) -> dict
     return out
 
 
+def on_uniform_family(p: MapParams) -> bool:
+    """Uniform weights c with a = n - c (to within BOUNDARY_TOL)."""
+    return p.uniform_c and abs(p.a - (p.n - p.c[0])) <= BOUNDARY_TOL
+
+
 def positivity_verdict(p: MapParams, evidence: Optional[PositivityEvidence] = None) -> Verdict:
     """Decide positivity where a criterion exists; otherwise unknown with evidence."""
     n, a = p.n, p.a
@@ -282,7 +289,7 @@ def positivity_verdict(p: MapParams, evidence: Optional[PositivityEvidence] = No
         ev["schur_min_eigenvalue"] = min_eigenvalue(schur_matrix(p))
         status = YES if ev["schur_min_eigenvalue"] >= -DEFAULT_PSD_TOL else NO
         return Verdict(status, "entrywise-multiplier matrix PSD test (sigma = id)", ev)
-    if p.uniform_c and abs(a - (n - p.c[0])) <= BOUNDARY_TOL:
+    if on_uniform_family(p):
         l_max = cycle_decompose(p.sigma).l_max
         ev["cycle_bound"] = n / l_max
         status = YES if p.c[0] <= n / l_max + BOUNDARY_TOL else NO
@@ -291,23 +298,16 @@ def positivity_verdict(p: MapParams, evidence: Optional[PositivityEvidence] = No
 
 
 def cp_verdict(p: MapParams, psd_tol: float = DEFAULT_PSD_TOL) -> Verdict:
-    """Complete positivity: closed-form cutoff when cycles are long enough,
-    entrywise test at sigma = id, Choi PSD check (decisive) otherwise.
+    """Complete positivity: the Choi matrix is PSD (Choi, Linear Algebra
+    Appl. 10, 1975).
 
-    The Choi minimum eigenvalue comes from the structured form: the least of
-    the n x n core's eigenvalues, the weights c_i at non-fixed i, and 0 when
-    the Choi matrix has a kernel."""
-    n, a = p.n, p.a
-    dec = cycle_decompose(p.sigma)
+    Its minimum eigenvalue comes from the structured form: the least of the
+    n x n core's eigenvalues, the weights c_i at non-fixed i, and 0 when the
+    Choi matrix has a kernel.  The weights are non-negative, so the core
+    decides; with every cycle of length >= 2 the core is a*I - J and the
+    test reads a >= n."""
     choi_min = choi_structure(p).min_eigenvalue()
-    ev = {"a": a, "l_min": dec.l_min, "choi_min_eigenvalue": choi_min}
-    if dec.l_min >= 2:
-        status = YES if a >= n - BOUNDARY_TOL else NO
-        return Verdict(status, "a >= n cutoff (every cycle of sigma has length >= 2)", ev)
-    if p.sigma.is_identity():
-        ev["schur_min_eigenvalue"] = min_eigenvalue(schur_matrix(p))
-        status = YES if ev["schur_min_eigenvalue"] >= -psd_tol else NO
-        return Verdict(status, "entrywise-multiplier matrix PSD test (sigma = id)", ev)
+    ev = {"a": p.a, "l_min": cycle_decompose(p.sigma).l_min, "choi_min_eigenvalue": choi_min}
     status = YES if choi_min >= -psd_tol else NO
     return Verdict(status, "Choi matrix PSD (numeric eigenvalue check)", ev)
 
@@ -336,20 +336,22 @@ def two_positive_verdict(
     )
 
 
-def _involution_split_applies(p: MapParams) -> bool:
+def _involution_split_failure(p: MapParams) -> Optional[str]:
+    """The first violated precondition of the involution split, or None."""
+    n = p.n
     if not is_involution(p.sigma):
-        return False
-    if p.a < p.n - 1 - BOUNDARY_TOL:
-        return False
-    fixed = fixed_points(p.sigma)
-    for i in fixed:
+        return "sigma is not an involution: sigma(sigma(i)) != i for some i"
+    if p.a < n - 1 - BOUNDARY_TOL:
+        return f"requires a >= n - 1 = {n - 1} (got a = {p.a})"
+    for i in sorted(fixed_points(p.sigma)):
         if p.c[i - 1] < 1.0 - BOUNDARY_TOL:
-            return False
-    for i in range(1, p.n + 1):
+            return f"requires c[{i}] >= 1 at the fixed point {i} (got c[{i}] = {p.c[i - 1]})"
+    for i in range(1, n + 1):
         si = p.sigma(i)
-        if i < si and p.c[i - 1] * p.c[si - 1] < 1.0 - BOUNDARY_TOL:
-            return False
-    return True
+        product = p.c[i - 1] * p.c[si - 1]
+        if i < si and product < 1.0 - BOUNDARY_TOL:
+            return f"requires c[{i}]*c[{si}] >= 1 for the 2-cycle ({i}, {si}) (got {product})"
+    return None
 
 
 def decompose_involution(p: MapParams) -> DecomposabilityCertificate:
@@ -359,24 +361,11 @@ def decompose_involution(p: MapParams) -> DecomposabilityCertificate:
     Preconditions (each failure is reported by name): sigma an involution,
     a >= n-1, c_i >= 1 at fixed points, c_i * c_sigma(i) >= 1 on 2-cycles.
     """
+    failure = _involution_split_failure(p)
+    if failure is not None:
+        raise PreconditionError(failure)
     n = p.n
-    if not is_involution(p.sigma):
-        raise PreconditionError("sigma is not an involution: sigma(sigma(i)) != i for some i")
-    if p.a < n - 1 - BOUNDARY_TOL:
-        raise PreconditionError(f"requires a >= n - 1 = {n - 1} (got a = {p.a})")
-    fixed = sorted(fixed_points(p.sigma))
-    for i in fixed:
-        if p.c[i - 1] < 1.0 - BOUNDARY_TOL:
-            raise PreconditionError(
-                f"requires c[{i}] >= 1 at the fixed point {i} (got c[{i}] = {p.c[i - 1]})"
-            )
     pairs = [(i, p.sigma(i)) for i in range(1, n + 1) if i < p.sigma(i)]
-    for i, si in pairs:
-        product = p.c[i - 1] * p.c[si - 1]
-        if product < 1.0 - BOUNDARY_TOL:
-            raise PreconditionError(
-                f"requires c[{i}]*c[{si}] >= 1 for the 2-cycle ({i}, {si}) (got {product})"
-            )
 
     # the residual check below needs the dense Choi matrix; its size guard
     # fires before P and the Q blocks are allocated
@@ -423,11 +412,19 @@ def decompose_involution(p: MapParams) -> DecomposabilityCertificate:
     return cert
 
 
-def atomic_verdict(p: MapParams, psd_tol: float = DEFAULT_PSD_TOL) -> Verdict:
-    """Atomicity: positive, not completely positive, every cycle length >= 3
-    gives yes; complete positivity or a decomposability certificate gives no."""
-    pos = positivity_verdict(p)
-    cp = cp_verdict(p, psd_tol)
+def atomic_verdict(
+    p: MapParams,
+    pos: Optional[Verdict] = None,
+    cp: Optional[Verdict] = None,
+    psd_tol: float = DEFAULT_PSD_TOL,
+) -> Verdict:
+    """Atomicity: complete positivity or the involution split gives no;
+    positive, not completely positive with every cycle of length >= 3 gives
+    yes.  ``pos`` and ``cp`` are computed here unless the caller has them."""
+    if pos is None:
+        pos = positivity_verdict(p)
+    if cp is None:
+        cp = cp_verdict(p, psd_tol)
     dec = cycle_decompose(p.sigma)
     ev = {"l_min": dec.l_min, "positive": pos.status, "completely_positive": cp.status}
     if cp.status == YES:
@@ -436,7 +433,7 @@ def atomic_verdict(p: MapParams, psd_tol: float = DEFAULT_PSD_TOL) -> Verdict:
         return Verdict(
             YES, "positive, not completely positive, every cycle of length >= 3", ev
         )
-    if _involution_split_applies(p):
+    if _involution_split_failure(p) is None:
         return Verdict(NO, "decomposable by the involution splitting", ev)
     return Verdict(UNKNOWN, "no atomicity criterion applies", ev)
 
@@ -449,7 +446,7 @@ def atomic_uniform_c(p: MapParams) -> Verdict:
             f"requires uniform weights: c ranges over [{min(p.c)}, {max(p.c)}]"
         )
     c0 = p.c[0]
-    if abs(p.a - (n - c0)) > BOUNDARY_TOL:
+    if not on_uniform_family(p):
         raise ParameterError(f"requires a = n - c (got a = {p.a}, n - c = {n - c0})")
     dec = cycle_decompose(p.sigma)
     ev = {"c": c0, "l_min": dec.l_min, "l_max": dec.l_max, "cycle_bound": n / dec.l_max}
@@ -477,13 +474,14 @@ def classify_map(
     two = two_positive_verdict(p, cp=cp, psd_tol=psd_tol)
     if pos.status == UNKNOWN and cp.status == YES:
         pos = Verdict(YES, "implied by complete positivity", pos.evidence)
+    atomic = atomic_verdict(p, pos=pos, cp=cp)
 
     decomposition = None
     if cp.status == YES:
         decomposable = Verdict(
             YES, "completely positive (trivial split with no transposed part)", {}
         )
-    elif _involution_split_applies(p):
+    elif _involution_split_failure(p) is None:
         decomposition = decompose_involution(p)
         decomposable = Verdict(
             YES,
@@ -493,27 +491,10 @@ def classify_map(
                 "p_min_eigenvalue": decomposition.p_min_eigenvalue,
             },
         )
+    elif atomic.status == YES:
+        decomposable = Verdict(NO, "atomic maps are not decomposable", {})
     else:
-        decomposable = None
-
-    dec = cycle_decompose(p.sigma)
-    atomic_ev = {"l_min": dec.l_min, "positive": pos.status, "completely_positive": cp.status}
-    if cp.status == YES:
-        atomic = Verdict(NO, "completely positive maps are not atomic", atomic_ev)
-    elif decomposable is not None and decomposable.status == YES:
-        atomic = Verdict(NO, "decomposable by the involution splitting", atomic_ev)
-    elif dec.l_min >= 3 and pos.status == YES and cp.status == NO:
-        atomic = Verdict(
-            YES, "positive, not completely positive, every cycle of length >= 3", atomic_ev
-        )
-    else:
-        atomic = Verdict(UNKNOWN, "no atomicity criterion applies", atomic_ev)
-
-    if decomposable is None:
-        if atomic.status == YES:
-            decomposable = Verdict(NO, "atomic maps are not decomposable", {})
-        else:
-            decomposable = Verdict(UNKNOWN, "no decomposability criterion applies", {})
+        decomposable = Verdict(UNKNOWN, "no decomposability criterion applies", {})
 
     _check_closure(pos, two, cp, atomic, decomposable)
     return ClassificationReport(

@@ -227,6 +227,8 @@ def run(config: RunConfig) -> int:
     """Execute one subcommand; returns the process exit code."""
     # input phase: unreadable or malformed inputs exit 1
     try:
+        if not (np.isfinite(config.tol) and config.tol >= 0.0):
+            raise ParameterError(f"--tol must be finite and >= 0 (got {config.tol})")
         raw_map = _load_json_file(config.map_path, "map")
         params = parse_map_json(raw_map)
         state = None

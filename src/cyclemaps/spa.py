@@ -23,8 +23,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .classify import NO, YES, positivity_verdict
-from .dmap import ChoiStructure, MapParams, choi, choi_structure
+from .classify import BOUNDARY_TOL, NO, YES, positivity_verdict
+from .dmap import ChoiStructure, MapParams, choi_structure
 from .errors import ParameterError, PreconditionError
 from .matlin import (
     DEFAULT_PSD_TOL,
@@ -112,10 +112,22 @@ def pair_block(n: int, i: int, j: int) -> np.ndarray:
     )
 
 
-def spa_state(p: MapParams) -> SpaState:
-    """Compute the SPA of the map's witness direction from the Choi spectrum."""
-    structure = choi_structure(p)
+def _positive_trace(structure: ChoiStructure) -> float:
+    """Tr C, by which the SPA normalizes; a non-positive trace has no SPA."""
     trace = structure.trace
+    if not trace > 0.0:
+        raise PreconditionError(
+            f"the SPA normalizes by Tr C = n(a - 1) + sum(c), which must be positive (got {trace})"
+        )
+    return trace
+
+
+def spa_state(p: MapParams) -> SpaState:
+    """Compute the SPA of the map's witness direction from the Choi spectrum.
+
+    Raises PreconditionError when Tr C = n(a - 1) + sum(c) <= 0."""
+    structure = choi_structure(p)
+    trace = _positive_trace(structure)
     w_minus_norm = structure.negative_norm / trace
     lambda_star = 1.0 / (1.0 + p.n**2 * w_minus_norm)
     warning = positivity_verdict(p).status == NO
@@ -132,20 +144,21 @@ def spa_interpolation(p: MapParams, lam: float) -> np.ndarray:
     """The noisy family W(lam) = (1 - lam)/n^2 * I + lam * C/Tr(C)."""
     if not 0.0 <= lam <= 1.0:
         raise ParameterError(f"lam must lie in [0, 1] (got {lam})")
-    c = choi(p).matrix
-    trace = float(np.trace(c).real)
-    return (1.0 - lam) / p.n**2 * np.eye(p.n**2, dtype=complex) + lam * c / trace
+    structure = choi_structure(p)
+    trace = _positive_trace(structure)
+    return (1.0 - lam) / p.n**2 * np.eye(p.n**2, dtype=complex) + lam * structure.dense() / trace
 
 
 def separable_decomposition(p: MapParams) -> SeparableDecomposition:
     """Write the SPA at a = n - 1 as an explicit convex mix of separable terms.
 
-    Preconditions: a = n - 1 (within 1e-12), every cycle of sigma of length
-    >= 2, and positivity established by a decisive criterion.  Each two-level
-    term is verified in place against its (D (x) D) R (D (x) D)* factorization.
+    Preconditions: a = n - 1 (within BOUNDARY_TOL, as every boundary), every
+    cycle of sigma of length >= 2, and positivity established by a decisive
+    criterion.  Each two-level term is verified in place against its
+    (D (x) D) R (D (x) D)* factorization.
     """
     n = p.n
-    if abs(p.a - (n - 1.0)) > 1e-12:
+    if abs(p.a - (n - 1.0)) > BOUNDARY_TOL:
         raise PreconditionError(f"requires a = n - 1 = {n - 1} (got a = {p.a})")
     l_min = cycle_decompose(p.sigma).l_min
     if l_min < 2:

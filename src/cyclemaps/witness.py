@@ -34,11 +34,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .classify import BOUNDARY_TOL, NO, positivity_verdict
+from .classify import NO, YES, atomic_uniform_c, on_uniform_family, positivity_verdict
 from .dmap import MapParams, choi, choi_structure
 from .errors import ParameterError
 from .matlin import DEFAULT_PSD_TOL, numerical_rank, require_hermitian
-from .perm import cycle_decompose
 
 
 @dataclass(frozen=True)
@@ -184,16 +183,9 @@ def spanning_generators(
 
 def _uniform_family_theorem(p: MapParams) -> bool:
     """True inside the certified family: uniform c with a = n - c, and either
-    c = 0 (any n >= 2) or every cycle of length >= 3 with 0 < c <= n/l_max."""
-    if not p.uniform_c:
-        return False
-    c0 = p.c[0]
-    if abs(p.a - (p.n - c0)) > BOUNDARY_TOL:
-        return False
-    if c0 == 0.0:
-        return p.n >= 2
-    dec = cycle_decompose(p.sigma)
-    return dec.l_min >= 3 and c0 <= p.n / dec.l_max + BOUNDARY_TOL
+    c = 0 (the map n*diag(X) - X) or the family's atomicity criterion holds
+    (every cycle of length >= 3 with 0 < c <= n/l_max)."""
+    return on_uniform_family(p) and (p.c[0] == 0.0 or atomic_uniform_c(p).status == YES)
 
 
 def certify_optimality(

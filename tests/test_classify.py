@@ -14,6 +14,7 @@ from cyclemaps import (
     atomic_uniform_c,
     atomic_verdict,
     choi,
+    choi_structure,
     classify_map,
     cp_verdict,
     decompose_involution,
@@ -209,9 +210,13 @@ def test_cp_verdict_cutoff(flagship):
 
 
 def test_cp_verdict_identity_branch():
-    v = cp_verdict(MapParams(3, identity(3), 3.0, (1.0, 1.0, 1.0)))
+    p = MapParams(3, identity(3), 3.0, (1.0, 1.0, 1.0))
+    v = cp_verdict(p)
     assert v.status == "yes"
-    assert v.evidence["schur_min_eigenvalue"] == pytest.approx(1.0, abs=1e-12)
+    # at sigma = id the Choi core is the entrywise-multiplier matrix
+    core_min = choi_structure(p).core_eigenvalues[0]
+    assert core_min == pytest.approx(1.0, abs=1e-12)
+    assert core_min == pytest.approx(min_eigenvalue(schur_matrix(p)), abs=1e-12)
 
 
 def test_cp_verdict_mixed_cycles_uses_choi():

@@ -186,6 +186,32 @@ def test_malformed_map_exits_one(tmp_path, capsys, mutate):
     assert "error" in err
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_invalid_tol_exits_one(tmp_path, capsys, tol):
+    # --tol decides the complete-positivity verdict, so a negative or
+    # non-finite value would report wrong verdicts instead of failing
+    path = write_json(tmp_path, "map.json", {"n": 3, "sigma": "tau:3:1", "a": 3.0, "c": [1.0] * 3})
+    rc, out, err = run_cli(capsys, "classify", "--map", path, "--tol", tol)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: --tol must be finite and >= 0")
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        {"n": 1, "sigma": "id:1", "a": 0.5, "c": [0.5]},
+        {"n": 2, "sigma": "tau:2:1", "a": 0.05, "c": [0.05, 0.05]},
+    ],
+)
+def test_spa_non_positive_trace_exits_two(tmp_path, capsys, m):
+    path = write_json(tmp_path, "map.json", m)
+    rc, out, err = run_cli(capsys, "spa", "--map", path)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Tr C" in err and "Traceback" not in err
+
+
 def test_unreadable_and_unparsable_files(tmp_path, capsys):
     rc, _, err = run_cli(capsys, "classify", "--map", str(tmp_path / "missing.json"))
     assert rc == 1

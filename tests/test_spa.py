@@ -8,6 +8,7 @@ from cyclemaps import (
     Permutation,
     PreconditionError,
     choi,
+    identity,
     is_psd,
     kron,
     maximally_entangled_state,
@@ -15,6 +16,7 @@ from cyclemaps import (
     pair_block,
     pair_embedding,
     partial_transpose,
+    positivity_verdict,
     ppt_check,
     r_matrix,
     separable_decomposition,
@@ -146,6 +148,37 @@ def test_separable_decomposition_preconditions():
     with pytest.raises(PreconditionError) as err:
         separable_decomposition(MapParams(4, tau(4, 2), 3.0, (0.5, 0.6, 0.7, 0.8)))
     assert "positivity" in str(err.value)
+
+
+NON_POSITIVE_TRACE = [
+    # Tr C = n(a - 1) + sum(c) = 0
+    MapParams(1, identity(1), 0.5, (0.5,)),
+    # Tr C = -1.8
+    MapParams(2, tau(2, 1), 0.05, (0.05, 0.05)),
+]
+
+
+@pytest.mark.parametrize("p", NON_POSITIVE_TRACE)
+def test_spa_requires_positive_trace(p):
+    with pytest.raises(PreconditionError, match=r"Tr C = n\(a - 1\) \+ sum\(c\)"):
+        spa_state(p)
+    with pytest.raises(PreconditionError, match="Tr C"):
+        spa_interpolation(p, 0.5)
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+@pytest.mark.parametrize("offset", [-5e-10, 5e-10])
+def test_separable_decomposition_accepts_a_within_boundary_tol(n, offset):
+    p = MapParams(n, tau(n, 1), n - 1.0 + offset, (1.0,) * n)
+    assert positivity_verdict(p).status == "yes"
+    dec = separable_decomposition(p)
+    assert dec.residual <= 1e-10
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_separable_decomposition_rejects_a_past_boundary_tol(n):
+    with pytest.raises(PreconditionError, match="a = n - 1"):
+        separable_decomposition(MapParams(n, tau(n, 1), n - 1.0 + 1e-8, (1.0,) * n))
 
 
 def test_ppt_check_detects_entanglement():

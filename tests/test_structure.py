@@ -7,13 +7,14 @@ involution split summed from ``kron`` products of matrix units.
 """
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclemaps import (
     MapParams,
     ParameterError,
     Permutation,
+    PreconditionError,
     certify_optimality,
     choi,
     choi_structure,
@@ -109,7 +110,6 @@ def maps(draw) -> MapParams:
     sigma = draw(permutations(n))
     a = draw(st.floats(0.05, 2.0 * n + 1.0))
     c = draw(st.lists(st.floats(0.05, 5.0), min_size=n, max_size=n))
-    assume(n * (a - 1.0) + sum(c) > 0.0)  # the SPA normalizes by Tr C
     return MapParams(n, sigma, a, tuple(c))
 
 
@@ -124,12 +124,26 @@ def check_against_dense(p: MapParams) -> None:
 
     trace = float(np.trace(c).real)
     _, neg = negative_part(c)
-    state = spa_state(p)
-    assert state.trace_choi == pytest.approx(trace, abs=TOL)
-    assert state.w_minus_norm == pytest.approx(neg / trace, abs=TOL)
-    assert state.lambda_star == pytest.approx(1.0 / (1.0 + n * n * neg / trace), abs=TOL)
-    spa = (neg * np.eye(n * n) + c) / (trace + n * n * neg)
-    assert np.max(np.abs(state.matrix - spa)) <= TOL
+    assert s.trace == pytest.approx(trace, abs=TOL)
+    assert s.negative_norm == pytest.approx(neg, abs=TOL)
+    if s.trace <= 0.0:
+        with pytest.raises(PreconditionError, match="Tr C"):
+            spa_state(p)
+    else:
+        # w, lambda* and the SPA divide by Tr C, so an error TOL in Tr C and
+        # ||C^-|| propagates to first order as below; it is <= 2 TOL in w
+        # whenever Tr C >= 1 and w <= 1
+        state = spa_state(p)
+        assert state.trace_choi == s.trace
+        w_minus = neg / trace
+        dw = TOL * (1.0 + abs(w_minus)) / abs(trace)
+        lam = 1.0 / (1.0 + n * n * w_minus)
+        assert state.w_minus_norm == pytest.approx(w_minus, abs=dw)
+        assert state.lambda_star == pytest.approx(lam, abs=n * n * lam * lam * dw)
+        norm = trace + n * n * neg
+        spa = (neg * np.eye(n * n) + c) / norm
+        bound = TOL * (1.0 + (1.0 + n * n) * np.abs(spa)) / abs(norm)
+        assert np.all(np.abs(state.matrix - spa) <= bound)
 
     w = ct / n
     assert s.min_eigenvalue(compose_transpose=True) / n == pytest.approx(min_eigenvalue(w), abs=TOL)
@@ -146,6 +160,10 @@ def check_against_dense(p: MapParams) -> None:
 
 @settings(max_examples=200, deadline=None)
 @given(maps())
+# Tr C = 0.01875 at w ~ 164: one ulp of Tr C moves w by 1.9e-12
+@example(MapParams(4, identity(4), 0.0625, (1.625, 1.03125, 1.05, 0.0625)))
+# Tr C = 0: no SPA
+@example(MapParams(1, identity(1), 0.5, (0.5,)))
 def test_structure_matches_dense_oracle(p):
     check_against_dense(p)
 
