@@ -203,32 +203,22 @@ def _adversarial_amplitudes(p: MapParams) -> np.ndarray:
     return np.asarray(rows)
 
 
-def verify_positivity_numeric(
-    p: MapParams,
-    samples: int = 2000,
-    tol: float = S_ORACLE_TOL,
-    seed: int = 0,
-    include_adversarial: bool = True,
-) -> PositivityEvidence:
+def verify_positivity_numeric(p: MapParams, samples: int = 2000, seed: int = 0) -> PositivityEvidence:
     """Sample S(xi) = sum_i |x_i|^2 / (a |x_i|^2 + c_i |x_sigma(i)|^2) and the
     spectra of Theta(xi xi*) over random unit vectors plus the structured
     adversarial families.
 
-    Counter-based (Philox) seeding keeps runs reproducible for a given seed.
+    Counter-based (Philox) seeding keeps runs reproducible for a given seed,
+    which must lie in Philox's key range 0 <= seed < 2**128.
     """
     if samples < 0:
         raise ParameterError(f"samples must be >= 0 (got {samples})")
+    if not 0 <= seed < 2**128:
+        raise ParameterError(f"seed must satisfy 0 <= seed < 2**128 (got {seed})")
     n = p.n
     rng = np.random.Generator(np.random.Philox(key=seed))
-    blocks: list[np.ndarray] = []
-    if samples > 0:
-        z = rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n))
-        blocks.append(z)
-    if include_adversarial:
-        blocks.append(np.sqrt(_adversarial_amplitudes(p)).astype(complex))
-    if not blocks:
-        raise ParameterError("nothing to sample: samples = 0 and adversarial families disabled")
-    zs = np.concatenate(blocks, axis=0)
+    z = rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n))
+    zs = np.concatenate([z, np.sqrt(_adversarial_amplitudes(p)).astype(complex)], axis=0)
     zs = zs / np.linalg.norm(zs, axis=1, keepdims=True)
 
     amps = np.abs(zs) ** 2
@@ -250,7 +240,7 @@ def verify_positivity_numeric(
         worst_vector=zs[worst].copy(),
         min_theta_eig=min_eig,
         num_vectors=int(zs.shape[0]),
-        tol=float(tol),
+        tol=S_ORACLE_TOL,
     )
 
 
@@ -465,7 +455,11 @@ def classify_map(
     psd_tol: float = DEFAULT_PSD_TOL,
     seed: int = 0,
 ) -> ClassificationReport:
-    """Produce all five verdicts, with sampling evidence and cross-checked closure."""
+    """Produce all five verdicts, with sampling evidence and cross-checked closure.
+
+    ``samples = 0`` skips the sampler; a negative count raises ParameterError."""
+    if samples < 0:
+        raise ParameterError(f"samples must be >= 0 (got {samples})")
     evidence = (
         verify_positivity_numeric(p, samples=samples, seed=seed) if samples > 0 else None
     )

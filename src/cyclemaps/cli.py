@@ -201,7 +201,7 @@ def _run_witness(config: RunConfig, params: MapParams, state: Optional[np.ndarra
         "min_eigenvalue": min_eigenvalue(w),
     }
     if config.certify:
-        cert = certify_optimality(params, seed=config.seed)
+        cert = certify_optimality(params)
         result["certificate"] = {
             "span_rank": cert.span_rank,
             "optimal": cert.optimal,
@@ -229,6 +229,10 @@ def run(config: RunConfig) -> int:
     try:
         if not (np.isfinite(config.tol) and config.tol >= 0.0):
             raise ParameterError(f"--tol must be finite and >= 0 (got {config.tol})")
+        if config.samples < 0:
+            raise ParameterError(f"--samples must be >= 0 (got {config.samples})")
+        if not 0 <= config.seed < 2**128:
+            raise ParameterError(f"--seed must satisfy 0 <= seed < 2**128 (got {config.seed})")
         raw_map = _load_json_file(config.map_path, "map")
         params = parse_map_json(raw_map)
         state = None
@@ -291,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--map", required=True, help="path to the map-parameter JSON file")
     common.add_argument("--samples", type=int, default=2000, help="sampling budget (default 2000)")
     common.add_argument("--tol", type=float, default=1e-9, help="PSD/eigenvalue tolerance (default 1e-9)")
-    common.add_argument("--seed", type=int, default=0, help="seed for all randomness (default 0)")
+    common.add_argument("--seed", type=int, default=0, help="seed for the classify sampler (default 0)")
     common.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
 
     sub.add_parser("classify", parents=[common], help="all five verdicts with certificates")

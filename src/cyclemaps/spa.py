@@ -26,14 +26,7 @@ import numpy as np
 from .classify import BOUNDARY_TOL, NO, YES, positivity_verdict
 from .dmap import ChoiStructure, MapParams, choi_structure
 from .errors import ParameterError, PreconditionError
-from .matlin import (
-    DEFAULT_PSD_TOL,
-    kron,
-    matrix_unit,
-    min_eigenvalue,
-    partial_transpose,
-    require_hermitian,
-)
+from .matlin import DEFAULT_PSD_TOL, min_eigenvalue, partial_transpose, require_hermitian
 from .perm import cycle_decompose
 
 
@@ -86,32 +79,6 @@ def r_matrix() -> np.ndarray:
     return r
 
 
-def pair_embedding(n: int, i: int, j: int) -> np.ndarray:
-    """The n x 2 isometry sending the 2-level basis onto coordinates i, j."""
-    if i == j:
-        raise ParameterError(f"pair embedding needs two distinct indices (got i = j = {i})")
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ParameterError(f"pair indices ({i}, {j}) outside {{1, ..., {n}}}")
-    d = np.zeros((n, 2), dtype=complex)
-    d[i - 1, 0] = 1.0
-    d[j - 1, 1] = 1.0
-    return d
-
-
-def pair_block(n: int, i: int, j: int) -> np.ndarray:
-    """The two-level block sigma_ij = E_ii(x)E_ii + E_jj(x)E_jj + E_ii(x)E_jj
-    + E_jj(x)E_ii - E_ij(x)E_ij - E_ji(x)E_ji, separable and PPT."""
-    e = lambda a, b: matrix_unit(n, a, b)
-    return (
-        kron(e(i, i), e(i, i))
-        + kron(e(j, j), e(j, j))
-        + kron(e(i, i), e(j, j))
-        + kron(e(j, j), e(i, i))
-        - kron(e(i, j), e(i, j))
-        - kron(e(j, i), e(j, i))
-    )
-
-
 def _positive_trace(structure: ChoiStructure) -> float:
     """Tr C, by which the SPA normalizes; a non-positive trace has no SPA."""
     trace = structure.trace
@@ -154,8 +121,10 @@ def separable_decomposition(p: MapParams) -> SeparableDecomposition:
 
     Preconditions: a = n - 1 (within BOUNDARY_TOL, as every boundary), every
     cycle of sigma of length >= 2, and positivity established by a decisive
-    criterion.  Each two-level term is verified in place against its
-    (D (x) D) R (D (x) D)* factorization.
+    criterion.  Each two-level term sigma_ij is built as its factorization
+    (D_ij (x) D_ij) R (D_ij (x) D_ij)*, with D_ij the n x 2 isometry onto
+    coordinates i, j: R written onto |ii>, |ij>, |ji>, |jj>.  Each diagonal
+    term is one unit entry at |i, sigma^(-1)(i)>.
     """
     n = p.n
     if abs(p.a - (n - 1.0)) > BOUNDARY_TOL:
@@ -177,28 +146,17 @@ def separable_decomposition(p: MapParams) -> SeparableDecomposition:
     r = r_matrix()
     inv = p.sigma.inverse()
     terms: list[SpaTerm] = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            block = pair_block(n, i, j)
-            d = pair_embedding(n, i, j)
-            dd = kron(d, d)
-            factored = dd @ r @ dd.conj().T
-            if float(np.max(np.abs(block - factored))) > 1e-12:
-                raise RuntimeError(
-                    f"internal consistency failure: sigma_{i}{j} does not match its R factorization"
-                )
-            terms.append(SpaTerm(kind="pair", indices=(i, j), weight=normalization, matrix=block))
-    for i in range(1, n + 1):
-        j = inv(i)
-        diag = kron(matrix_unit(n, i, i), matrix_unit(n, j, j))
-        terms.append(
-            SpaTerm(
-                kind="diagonal",
-                indices=(i, j),
-                weight=p.c[j - 1] * normalization,
-                matrix=diag,
-            )
-        )
+    for i in range(n):
+        for j in range(i + 1, n):
+            block = np.zeros((n * n, n * n), dtype=complex)
+            coords = [i * n + i, i * n + j, j * n + i, j * n + j]
+            block[np.ix_(coords, coords)] = r
+            terms.append(SpaTerm("pair", (i + 1, j + 1), normalization, block))
+    for i in range(n):
+        j = inv(i + 1) - 1
+        diag = np.zeros((n * n, n * n), dtype=complex)
+        diag[i * n + j, i * n + j] = 1.0
+        terms.append(SpaTerm("diagonal", (i + 1, j + 1), p.c[j] * normalization, diag))
 
     total = sum((t.weight * t.matrix for t in terms), start=np.zeros_like(state.matrix))
     residual = float(np.max(np.abs(total - state.matrix)))

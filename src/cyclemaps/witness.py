@@ -17,6 +17,12 @@ Two zero-expectation families are generated here:
 Stacked as vectors of length n^2, their numerical rank decides the
 certificate: rank n^2 certifies optimality.
 
+A fixed set of phases suffices.  Every phase vector shares the one
+expectation above, whatever its phases, so the phase vectors pass or fail
+together; and every xi (x) xi lies in the symmetric tensors, a space of
+dimension n(n+1)/2 that the deterministic phases already span.  No further
+phase vector, random or not, can raise the span rank.
+
 Nothing here needs the dense n^2 x n^2 witness.  With n W = diag(D) - F
 (:class:`cyclemaps.dmap.ChoiStructure`), a product vector x (x) y has the
 expectation (|x|^2 . D . |y|^2 - |<x, y>|^2) / n, evaluated for all
@@ -38,6 +44,9 @@ from .classify import NO, YES, atomic_uniform_c, on_uniform_family, positivity_v
 from .dmap import MapParams, choi, choi_structure
 from .errors import ParameterError
 from .matlin import DEFAULT_PSD_TOL, numerical_rank, require_hermitian
+
+# A generator's expectation <W zeta, zeta> counts as zero within this bound.
+EXPECTATION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -116,7 +125,7 @@ def _stack(gens) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
-def _span_rank(lefts: np.ndarray, rights: np.ndarray, basis: np.ndarray, rtol: float = 1e-8) -> int:
+def _span_rank(lefts: np.ndarray, rights: np.ndarray, basis: np.ndarray) -> int:
     """Numerical rank of the stacked vectors lefts[m] (x) rights[m].
 
     The rows flagged in ``basis`` are distinct standard basis vectors, one
@@ -128,31 +137,20 @@ def _span_rank(lefts: np.ndarray, rights: np.ndarray, basis: np.ndarray, rtol: f
     covered[np.argmax(np.abs(lefts[basis]), axis=1), np.argmax(np.abs(rights[basis]), axis=1)] = True
     i, k = np.nonzero(~covered)
     rest = ~basis
-    return int(np.count_nonzero(covered)) + numerical_rank(lefts[rest][:, i] * rights[rest][:, k], rtol)
+    return int(np.count_nonzero(covered)) + numerical_rank(lefts[rest][:, i] * rights[rest][:, k])
 
 
-def spanning_generators(
-    p: MapParams, phase_budget: int | None = None, seed: int = 0
-) -> list[ProductVector]:
+def spanning_generators(p: MapParams) -> list[ProductVector]:
     """The candidate zero-expectation product vectors for the witness of p.
 
     The deterministic phase family is emitted first, then the basis pairs
-    e_i (x) e_j with j not in {i, sigma^(-1)(i)}.  If the stack still falls
-    short of full rank and ``phase_budget`` leaves room, uniformly random
-    phase vectors are appended (seeded, counter-based).
+    e_i (x) e_j with j not in {i, sigma^(-1)(i)}.  The phase vectors share
+    one expectation and already span the symmetric tensors, where every
+    xi (x) xi lies, so no other phase vector could add to the span.
     """
     n = p.n
-    det_phases = _deterministic_phases(n)
-    minimum_budget = n * (n + 1) // 2
-    if phase_budget is None:
-        phase_budget = len(det_phases)
-    if phase_budget < minimum_budget:
-        raise ParameterError(
-            f"phase_budget must be >= n(n+1)/2 = {minimum_budget} (got {phase_budget})"
-        )
-
     gens: list[ProductVector] = []
-    for thetas in det_phases[:phase_budget]:
+    for thetas in _deterministic_phases(n):
         xi = phase_vector(n, thetas)
         gens.append(ProductVector(left=xi, right=xi.copy(), family="phase"))
 
@@ -167,17 +165,6 @@ def spanning_generators(
             left[i - 1] = 1.0
             right[j - 1] = 1.0
             gens.append(ProductVector(left=left, right=right, family="basis"))
-
-    phases_used = min(len(det_phases), phase_budget)
-    if phases_used < phase_budget:
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        while phases_used < phase_budget:
-            if _span_rank(*_stack(gens)) == n * n:
-                break
-            thetas = rng.uniform(0.0, 2.0 * np.pi, size=n)
-            xi = phase_vector(n, thetas)
-            gens.append(ProductVector(left=xi, right=xi.copy(), family="phase"))
-            phases_used += 1
     return gens
 
 
@@ -188,29 +175,23 @@ def _uniform_family_theorem(p: MapParams) -> bool:
     return on_uniform_family(p) and (p.c[0] == 0.0 or atomic_uniform_c(p).status == YES)
 
 
-def certify_optimality(
-    p: MapParams,
-    expectation_tol: float = 1e-9,
-    rank_rtol: float = 1e-8,
-    phase_budget: int | None = None,
-    seed: int = 0,
-) -> OptimalityCertificate:
+def certify_optimality(p: MapParams) -> OptimalityCertificate:
     """Check the spanning property of the witness of p.
 
     Every generator's expectation <W zeta, zeta> is recorded; those within
-    ``expectation_tol`` of zero enter the rank computation, and rank n^2 means
+    ``EXPECTATION_TOL`` of zero enter the rank computation, and rank n^2 means
     the witness is optimal.  Inside the certified uniform family a nonzero
     expectation is an internal bug and raises; outside it the same machinery
     runs and the verdict simply reports what the numbers show.
     """
     n = p.n
     structure = choi_structure(p)
-    gens = tuple(spanning_generators(p, phase_budget=phase_budget, seed=seed))
+    gens = tuple(spanning_generators(p))
     lefts, rights, basis = _stack(gens)
     diagonal = np.sum((np.abs(lefts) ** 2 @ structure.weights) * np.abs(rights) ** 2, axis=1)
     overlap = np.abs(np.sum(lefts.conj() * rights, axis=1)) ** 2
     expectations = (diagonal - overlap) / n
-    passing = np.abs(expectations) <= expectation_tol
+    passing = np.abs(expectations) <= EXPECTATION_TOL
 
     theorem_applies = _uniform_family_theorem(p)
     if theorem_applies and not bool(np.all(passing)):
@@ -220,7 +201,7 @@ def certify_optimality(
             f"{expectations[worst]:.3e} nonzero inside the certified family"
         )
 
-    span_rank = _span_rank(lefts[passing], rights[passing], basis[passing], rtol=rank_rtol)
+    span_rank = _span_rank(lefts[passing], rights[passing], basis[passing])
     optimal = span_rank == n * n
 
     warnings: list[str] = []

@@ -150,10 +150,24 @@ def test_oracle_is_deterministic(flagship):
 def test_oracle_input_validation(flagship):
     with pytest.raises(ParameterError):
         verify_positivity_numeric(flagship, samples=-1)
-    with pytest.raises(ParameterError):
-        verify_positivity_numeric(flagship, samples=0, include_adversarial=False)
     ev = verify_positivity_numeric(flagship, samples=0)
     assert ev.num_vectors == 7  # adversarial rows only
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128])
+def test_oracle_rejects_a_seed_outside_the_philox_key_range(flagship, seed):
+    with pytest.raises(ParameterError, match="seed"):
+        verify_positivity_numeric(flagship, samples=10, seed=seed)
+
+
+def test_oracle_accepts_the_largest_philox_key(flagship):
+    ev = verify_positivity_numeric(flagship, samples=10, seed=2**128 - 1)
+    assert ev.num_vectors == 17
+
+
+def test_classify_map_rejects_negative_samples(flagship):
+    with pytest.raises(ParameterError, match="samples"):
+        classify_map(flagship, samples=-5)
 
 
 def test_positivity_verdict_threshold_and_converse(flagship):

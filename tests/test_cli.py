@@ -197,6 +197,23 @@ def test_invalid_tol_exits_one(tmp_path, capsys, tol):
     assert err.startswith("error: --tol must be finite and >= 0")
 
 
+@pytest.mark.parametrize("seed", [str(-1), str(2**128)])
+def test_seed_outside_the_philox_key_range_exits_one(tmp_path, capsys, seed):
+    path = write_json(tmp_path, "map.json", FLAGSHIP)
+    rc, out, err = run_cli(capsys, "classify", "--map", path, "--seed", seed)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: --seed must satisfy 0 <= seed < 2**128")
+
+
+def test_negative_samples_exits_one(tmp_path, capsys):
+    path = write_json(tmp_path, "map.json", FLAGSHIP)
+    rc, out, err = run_cli(capsys, "classify", "--map", path, "--samples", "-5")
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: --samples must be >= 0")
+
+
 @pytest.mark.parametrize(
     "m",
     [

@@ -11,10 +11,9 @@ from cyclemaps import (
     identity,
     is_psd,
     kron,
+    matrix_unit,
     maximally_entangled_state,
     min_eigenvalue,
-    pair_block,
-    pair_embedding,
     partial_transpose,
     positivity_verdict,
     ppt_check,
@@ -33,25 +32,32 @@ def test_r_matrix_and_its_partial_transpose():
     assert_allclose(np.linalg.eigvalsh(rt), [0.0, 1.0, 1.0, 2.0], atol=1e-12)
 
 
-def test_pair_embedding_shape_and_validation():
-    d = pair_embedding(4, 2, 4)
-    assert d.shape == (4, 2)
-    assert d[1, 0] == 1.0 and d[3, 1] == 1.0
-    with pytest.raises(ParameterError):
-        pair_embedding(4, 2, 2)
-    with pytest.raises(ParameterError):
-        pair_embedding(4, 0, 2)
+def six_kron_pair_block(n: int, i: int, j: int) -> np.ndarray:
+    """sigma_ij = E_ii(x)E_ii + E_jj(x)E_jj + E_ii(x)E_jj + E_jj(x)E_ii
+    - E_ij(x)E_ij - E_ji(x)E_ji, summed from kron products of matrix units."""
+    e = lambda a, b: matrix_unit(n, a, b)
+    return (
+        kron(e(i, i), e(i, i))
+        + kron(e(j, j), e(j, j))
+        + kron(e(i, i), e(j, j))
+        + kron(e(j, j), e(i, i))
+        - kron(e(i, j), e(i, j))
+        - kron(e(j, i), e(j, i))
+    )
 
 
 @pytest.mark.parametrize("n,i,j", [(3, 1, 2), (3, 2, 3), (5, 1, 4)])
 def test_pair_block_factors_through_r(n, i, j):
-    block = pair_block(n, i, j)
-    d = pair_embedding(n, i, j)
-    dd = kron(d, d)
-    assert_allclose(block, dd @ r_matrix() @ dd.conj().T, atol=1e-13)
-    assert is_psd(block)
-    ok, pt_min = ppt_check(block, n, n)
-    assert ok and pt_min >= -1e-12
+    # every pair term of the decomposition, sigma_ij among them, is the
+    # six-kron block, PSD and PPT
+    p = MapParams(n, tau(n, 1), n - 1.0, (1.0,) * n)
+    pairs = {t.indices: t.matrix for t in separable_decomposition(p).terms if t.kind == "pair"}
+    assert (i, j) in pairs and len(pairs) == n * (n - 1) // 2
+    for (k, l), block in pairs.items():
+        assert np.array_equal(block, six_kron_pair_block(n, k, l))
+        assert is_psd(block)
+        ok, pt_min = ppt_check(block, n, n)
+        assert ok and pt_min >= -1e-12
 
 
 def test_spa_state_flagship(flagship):

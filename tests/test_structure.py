@@ -205,24 +205,28 @@ def test_involution_split_equals_kron_oracle(n):
             assert np.array_equal(q, want)
 
 
-def _phase_count(gens) -> int:
-    return sum(g.family == "phase" for g in gens)
-
-
-def test_random_phase_loop_uses_the_same_rank_as_the_dense_stack():
-    # 2-cycles leave antisymmetric directions that symmetric phase vectors
-    # never reach: the loop runs to its budget, as the dense rank says.
-    p = MapParams(4, tau(4, 2), 3.0, (1.0,) * 4)
-    det = _phase_count(spanning_generators(p))
-    gens = spanning_generators(p, phase_budget=det + 5, seed=7)
-    assert _phase_count(gens) == det + 5
-    assert stack_rank([g.vector for g in gens]) < 16
-    # Long cycles: the deterministic phases already span, so no random ones.
-    p = MapParams(4, tau(4, 1), 3.0, (1.0,) * 4)
-    det = _phase_count(spanning_generators(p))
-    gens = spanning_generators(p, phase_budget=det + 5, seed=7)
-    assert _phase_count(gens) == det
-    assert stack_rank([g.vector for g in gens]) == 16
+@pytest.mark.parametrize(
+    "p",
+    [
+        pytest.param(MapParams(4, tau(4, 2), 3.0, (1.0,) * 4), id="two-cycles-n4"),
+        pytest.param(MapParams(6, tau(6, 3), 4.0, (2.0,) * 6), id="two-cycles-n6"),
+        pytest.param(MapParams(4, tau(4, 1), 3.0, (1.0,) * 4), id="long-cycle-n4"),
+        pytest.param(MapParams(7, tau(7, 3), 6.0, (1.0,) * 7), id="long-cycle-n7"),
+        pytest.param(MapParams(5, Permutation((2, 3, 1, 4, 5)), 4.0, (1.0,) * 5), id="fixed-points-n5"),
+        pytest.param(MapParams(3, identity(3), 2.5, (0.5,) * 3), id="identity-n3"),
+    ],
+)
+def test_random_phase_vectors_never_raise_the_span_rank(p):
+    # Every xi (x) xi is a symmetric tensor, and the deterministic phases
+    # already span those, so stacking random ones leaves the rank unchanged.
+    n = p.n
+    vectors = [g.vector for g in spanning_generators(p)]
+    rank = stack_rank(vectors)
+    rng = np.random.default_rng(7)
+    for thetas in rng.uniform(0.0, 2.0 * np.pi, size=(20, n)):
+        xi = np.exp(1j * thetas)
+        vectors.append(np.kron(xi, xi))
+    assert stack_rank(vectors) == rank
 
 
 def large_map(n: int = 64, c0: float = 0.7) -> MapParams:

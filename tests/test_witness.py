@@ -101,11 +101,6 @@ def test_spanning_generators_identity_sigma():
     assert len(basis) == 6
 
 
-def test_spanning_generators_budget_validation(flagship):
-    with pytest.raises(ParameterError):
-        spanning_generators(flagship, phase_budget=5)
-
-
 def test_certify_optimality_flagship(flagship):
     cert = certify_optimality(flagship)
     assert np.max(np.abs(cert.expectations)) <= 1e-9
