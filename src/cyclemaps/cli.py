@@ -30,9 +30,9 @@ import numpy as np
 
 from . import __version__
 from .classify import ClassificationReport, classify_map, decompose_involution
-from .dmap import MapParams, choi, delta_n
+from .dmap import MapParams, choi, choi_structure, delta_n
 from .errors import ContractError, ParameterError, PreconditionError
-from .matlin import hermitian_spectrum, matrix_from_json, matrix_to_json, min_eigenvalue
+from .matlin import hermitian_spectrum, matrix_from_json, matrix_to_json
 from .perm import parse_permutation
 from .spa import separable_decomposition, spa_state
 from .witness import certify_optimality, expectation_value, witness
@@ -198,7 +198,7 @@ def _run_witness(config: RunConfig, params: MapParams, state: Optional[np.ndarra
     result = {
         "matrix": matrix_to_json(w),
         "trace": float(np.trace(w).real),
-        "min_eigenvalue": min_eigenvalue(w),
+        "min_eigenvalue": choi_structure(params).min_eigenvalue(compose_transpose=True) / params.n,
     }
     if config.certify:
         cert = certify_optimality(params)

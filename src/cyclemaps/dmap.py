@@ -126,6 +126,13 @@ class ChoiMatrix:
     transposed_composition: bool
 
 
+def pair_block_eigenvalues(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two eigenvalues (lo, hi) of each 2x2 block [[x, -1], [-1, y]]."""
+    hi = (x + y + np.sqrt((x - y) ** 2 + 4.0)) / 2.0
+    # the smaller root as det / hi: no cancellation when x + y is large
+    return (x * y - 1.0) / hi, hi
+
+
 @dataclass(frozen=True, eq=False)
 class ChoiStructure:
     """The Choi matrix of Theta held as the n x n data that determine it.
@@ -159,10 +166,7 @@ class ChoiStructure:
         if not compose_transpose:
             return self.core_eigenvalues, d[~np.eye(self.n, dtype=bool)]
         i, k = np.triu_indices(self.n, 1)
-        dik, dki = d[i, k], d[k, i]
-        hi = (dik + dki + np.sqrt((dik - dki) ** 2 + 4.0)) / 2.0
-        # the smaller root as det / hi: no cancellation when dik + dki is large
-        return np.diagonal(d) - 1.0, (dik * dki - 1.0) / hi, hi
+        return (np.diagonal(d) - 1.0, *pair_block_eigenvalues(d[i, k], d[k, i]))
 
     def eigenvalues(self, compose_transpose: bool = False) -> np.ndarray:
         """All n^2 eigenvalues of Choi(Theta) (or Choi(T.Theta)), ascending."""

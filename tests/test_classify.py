@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,8 +24,10 @@ from cyclemaps import (
     elementary_symmetric,
     geometric_mean_c,
     identity,
+    is_involution,
     is_psd,
     min_eigenvalue,
+    partial_transpose,
     positivity_threshold,
     positivity_verdict,
     schur_matrix,
@@ -32,6 +36,8 @@ from cyclemaps import (
     two_positive_verdict,
     verify_positivity_numeric,
 )
+from cyclemaps import classify as classify_module
+from cyclemaps.classify import _theta_min_eigenvalues
 
 
 def test_positivity_threshold_examples():
@@ -163,6 +169,102 @@ def test_oracle_rejects_a_seed_outside_the_philox_key_range(flagship, seed):
 def test_oracle_accepts_the_largest_philox_key(flagship):
     ev = verify_positivity_numeric(flagship, samples=10, seed=2**128 - 1)
     assert ev.num_vectors == 17
+
+
+def dense_theta_min_eigenvalues(zs: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Oracle: a batched dense eigensolve of diag(den) - xi xi* per row."""
+    mats = -np.einsum("mi,mj->mij", zs, zs.conj())
+    idx = np.arange(zs.shape[1])
+    mats[:, idx, idx] += den
+    return np.linalg.eigvalsh(mats)[:, 0]
+
+
+def theta_rows(p: MapParams, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unit rows, their weights |xi|^2 and den = a w + c w_sigma, as the sampler forms them."""
+    zs = zs / np.abs(zs).max(axis=1, keepdims=True)  # keeps the norm from underflowing
+    zs = zs / np.linalg.norm(zs, axis=1, keepdims=True)
+    amps = np.abs(zs) ** 2
+    perm = np.array([p.sigma(i) - 1 for i in range(1, p.n + 1)])
+    den = p.a * amps + np.asarray(p.c)[None, :] * amps[:, perm]
+    return zs, amps, den
+
+
+def assert_root_matches_oracle(zs: np.ndarray, amps: np.ndarray, den: np.ndarray) -> None:
+    got = _theta_min_eigenvalues(amps, den)
+    want = dense_theta_min_eigenvalues(zs, den)
+    scale = np.maximum(1.0, den.max(axis=1))
+    assert np.all(np.abs(got - want) <= 1e-12 * scale), np.max(np.abs(got - want) / scale)
+
+
+@st.composite
+def maps_and_rows(draw):
+    """A map with any sigma (fixed points included) and unit rows whose
+    entries are often exactly zero or equal, so that den ties and vanishes."""
+    n = draw(st.integers(1, 8))
+    images = draw(st.permutations(range(1, n + 1)))
+    a = draw(st.floats(0.05, 12.0))
+    uniform = draw(st.booleans())
+    c = [draw(st.floats(0.05, 5.0))] * n if uniform else draw(
+        st.lists(st.floats(0.05, 5.0), min_size=n, max_size=n)
+    )
+    entry = st.sampled_from([0.0, 0.0, 1.0, 1.0, -1.0, 1j, 1e-9, 1e-170]) | st.complex_numbers(
+        max_magnitude=3.0, allow_nan=False, allow_infinity=False
+    )
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=6))
+    rows = [r for r in rows if any(abs(x) > 0 for x in r)] or [[1.0] * n]
+    return MapParams(n, Permutation(tuple(images)), a, tuple(c)), np.array(rows, dtype=complex)
+
+
+@given(maps_and_rows())
+@settings(max_examples=200, deadline=None)
+def test_secular_root_matches_dense_eigensolve(args):
+    p, rows = args
+    assert_root_matches_oracle(*theta_rows(p, rows))
+
+
+def test_secular_root_on_zeros_ties_and_fixed_points():
+    # sigma = (1 2) with fixed points 3, 4 and 5; uniform c makes den tie
+    p = MapParams(5, Permutation((2, 1, 3, 4, 5)), 2.0, (1.0,) * 5)
+    rows = np.array(
+        [
+            [1.0, 1.0, 1.0, 1.0, 1.0],  # every den_i ties: one eigenvalue d - 1
+            [1.0, 0.0, 0.0, 0.0, 0.0],  # support of size one; den_i = 0 at 3, 4, 5
+            [0.0, 0.0, 1.0, 1j, 0.0],  # fixed points only; den_1 = den_2 = den_5 = 0
+            [1.0, 1.0, 0.0, 0.0, 2.0],  # ties inside the support, zeros outside
+            [1.0, 2.0, 1e-20, 0.0, 3.0],  # a weight below eps^2 deflates
+        ],
+        dtype=complex,
+    )
+    zs, amps, den = theta_rows(p, rows)
+    assert np.any(den == 0.0) and np.any(amps == 0.0)
+    assert_root_matches_oracle(zs, amps, den)
+    got = _theta_min_eigenvalues(amps, den)
+    assert got[0] == pytest.approx((p.a + 1.0) / 5 - 1.0, abs=1e-15)
+    assert got[1] == 0.0  # the deflated den_i = 0 lies below d_min - mu = a + 0 - 1 = 1
+
+
+def test_secular_root_past_the_iteration_cap_is_an_internal_failure(monkeypatch, flagship):
+    monkeypatch.setattr(classify_module, "_SECULAR_MAX_ITER", 0)
+    with pytest.raises(RuntimeError, match="internal consistency failure"):
+        verify_positivity_numeric(flagship, samples=10, seed=0)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_oracle_at_large_n_runs_warning_free_in_bounded_memory(n):
+    p = MapParams(n, tau(n, 1), n - 1.0, (1.0,) * n)
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ev = verify_positivity_numeric(p, samples=2000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a = n - 1 is the threshold, so the map is positive and Theta(xi xi*) is PSD
+    assert ev.consistent_with_positive
+    assert ev.min_theta_eig >= -1e-9
+    # the 2000 outer products alone would take 2000 n^2 16 B (2.1 GB at n = 256)
+    assert peak < 100e6
 
 
 def test_classify_map_rejects_negative_samples(flagship):
@@ -316,6 +418,29 @@ def test_decompose_identity_sigma_has_no_q_blocks():
     assert cert.q_blocks == ()
     assert cert.reconstruction_residual <= 1e-10
     assert cert.p_min_eigenvalue >= -1e-9
+
+
+def test_decompose_involution_closed_forms_match_dense_oracle():
+    rng = np.random.default_rng(17)
+    for _ in range(60):
+        n = int(rng.integers(1, 9))
+        pts = [int(x) + 1 for x in rng.permutation(n)]
+        images = list(range(1, n + 1))
+        for u, v in zip(pts[0::2], pts[1::2]):
+            if rng.random() < 0.7:  # otherwise both stay fixed points
+                images[u - 1], images[v - 1] = v, u
+        sigma = Permutation(tuple(images))
+        assert is_involution(sigma)
+        c = rng.uniform(1.0, 3.0, n)
+        for u, v in zip(pts[0::2], pts[1::2]):
+            if images[u - 1] == v and rng.random() < 0.5:
+                # c_u c_v just inside the boundary tolerance: Q^PT has a tiny negative eigenvalue
+                c[v - 1] = (1.0 - 5e-10) / c[u - 1]
+        p = MapParams(n, sigma, float(rng.uniform(n - 1, n + 2)), tuple(c))
+        cert = decompose_involution(p)
+        assert cert.p_min_eigenvalue == pytest.approx(min_eigenvalue(cert.P), abs=1e-12)
+        dense_pt = [min_eigenvalue(partial_transpose(q, n, n)) for _, q in cert.q_blocks]
+        assert_allclose(cert.q_pt_min_eigenvalues, dense_pt, atol=1e-12)
 
 
 @pytest.mark.parametrize(
