@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dmap import MapParams, choi, choi_structure, pair_block_eigenvalues
+from .dmap import MapParams, _theta_min_eigenvalues, choi, choi_structure, pair_block_eigenvalues
 from .errors import ParameterError, PreconditionError
 from .matlin import DEFAULT_PSD_TOL, min_eigenvalue
 from .perm import cycle_decompose, fixed_points, is_involution, is_single_cycle
@@ -44,11 +44,6 @@ BOUNDARY_TOL = 1e-9
 S_ORACLE_TOL = 1e-7
 
 _LAMBDA_GRID = (4.0, 32.0, 256.0, 1e4, 1e8)
-
-# Steps allowed per row in the sampler's secular-equation solve; rows close
-# in about a dozen, however widely their weights spread.
-_SECULAR_MAX_ITER = 64
-_EPS = float(np.finfo(float).eps)
 
 YES = "yes"
 NO = "no"
@@ -208,52 +203,6 @@ def _adversarial_amplitudes(p: MapParams) -> np.ndarray:
     return np.asarray(rows)
 
 
-def _theta_min_eigenvalues(amps: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """Minimum eigenvalue of diag(den) - xi xi* for each unit row w = |xi|^2.
-
-    See :func:`verify_positivity_numeric` for the secular equation.  One
-    evaluation at x of A = sum_i w_i r_i and B = sum_i w_i r_i^2, with
-    r_i = x / (delta_i + x) in [0, 1] and rho = (A - x) / B, bounds mu from
-    both sides: the Newton step x + A rho on the concave 1/psi - 1 from
-    below, and x / (1 - rho), the root of the model B / mu + (A - B) / x
-    that majorises psi (each term is concave in 1/mu), from above.  The next
-    point is the lower bound once the bracket is within a factor 2, its
-    geometric midpoint before, so rows whose delta_i spread over many
-    decades still close in about a dozen steps.
-    """
-    # weights below eps^2 deflate as well: dropping them moves each
-    # eigenvalue by at most 2 sqrt(n) eps (Weyl), and it keeps every
-    # quantity below far from underflow
-    support = amps > _EPS**2
-    w = np.where(support, amps, 0.0)
-    on_support = np.where(support, den, np.inf)
-    d_min = on_support.min(axis=1)
-    delta = on_support - d_min[:, None]  # inf off the support: r_i = 0 there
-    lo = np.where(delta == 0, w, 0.0).sum(axis=1)
-    hi = w.sum(axis=1)
-    active = np.flatnonzero(hi > lo * (1.0 + 4.0 * _EPS))
-    for _ in range(_SECULAR_MAX_ITER):
-        if active.size == 0:
-            break
-        l, h = lo[active], hi[active]
-        x = np.where(h > 2.0 * l, np.sqrt(l * h), l)
-        r = x[:, None] / (delta[active] + x[:, None])
-        wr = w[active] * r
-        big_a = wr.sum(axis=1)
-        rho = (big_a - x) / (wr * r).sum(axis=1)
-        l = np.maximum(l, x + big_a * rho)
-        h = np.divide(x, 1.0 - rho, out=h.copy(), where=x < h * (1.0 - rho))
-        lo[active], hi[active] = l, h
-        active = active[h > l * (1.0 + 4.0 * _EPS)]
-    if active.size:
-        raise RuntimeError(
-            "internal consistency failure: the secular equation for the minimum eigenvalue "
-            f"of Theta(xi xi*) did not converge in {_SECULAR_MAX_ITER} steps on {active.size} rows"
-        )
-    deflated = np.where(support, np.inf, den).min(axis=1)
-    return np.minimum(d_min - lo, deflated)
-
-
 def verify_positivity_numeric(p: MapParams, samples: int = 2000, seed: int = 0) -> PositivityEvidence:
     """Sample S(xi) = sum_i |x_i|^2 / (a |x_i|^2 + c_i |x_sigma(i)|^2) and the
     spectra of Theta(xi xi*) over random unit vectors plus the structured
@@ -262,13 +211,10 @@ def verify_positivity_numeric(p: MapParams, samples: int = 2000, seed: int = 0) 
     Theta(xi xi*) = diag(den) - xi xi*, with den_i = a w_i + c_i w_sigma(i)
     and w = |xi|^2, is a rank-one update of a diagonal, so its minimum
     eigenvalue is one root of a secular equation (Golub, SIAM Review 15,
-    1973), found in O(n) per vector without forming any n x n matrix.  Each
-    i with w_i = 0 deflates: den_i is an eigenvalue of its own.  On the
-    support, with d_min the least den_i there and delta_i = den_i - d_min,
-    the least eigenvalue is d_min - mu for the one root mu of
-    psi(mu) = sum_i w_i / (delta_i + mu) = 1 in (0, 1], that is, it lies in
-    the bracket [d_min - 1, d_min).  The row's minimum eigenvalue is the
-    smaller of d_min - mu and the deflated den_i.
+    1973), found in O(n) per vector without forming any n x n matrix by the
+    solver that also gives the Choi core's least eigenvalue
+    (:func:`cyclemaps.dmap._theta_min_eigenvalues`).  For a unit xi it lies
+    in [d_min - 1, d_min), d_min the least den_i where w_i > 0.
 
     Counter-based (Philox) seeding keeps runs reproducible for a given seed,
     which must lie in Philox's key range 0 <= seed < 2**128.

@@ -14,7 +14,8 @@ Reports are JSON on stdout (or ``--out``), embed the input verbatim, and are
 byte-identical across runs up to the ``timestamp`` field.
 
 Exit codes: 0 when verdicts were computed (including "unknown"), 1 on
-input/parse problems, 2 when a computation's precondition fails.
+input/parse problems (non-finite ``--state`` entries among them), 2 when a
+computation's precondition fails or a result is not a finite number.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from . import __version__
 from .classify import ClassificationReport, classify_map, decompose_involution
 from .dmap import MapParams, choi, choi_structure, delta_n
 from .errors import ContractError, ParameterError, PreconditionError
-from .matlin import hermitian_spectrum, matrix_from_json, matrix_to_json
+from .matlin import DEFAULT_PSD_TOL, hermitian_spectrum, matrix_from_json, matrix_to_json
 from .perm import parse_permutation
 from .spa import separable_decomposition, spa_state
 from .witness import certify_optimality, expectation_value, witness
@@ -45,7 +46,7 @@ class RunConfig:
     subcommand: str
     map_path: str
     samples: int = 2000
-    tol: float = 1e-9
+    tol: float = DEFAULT_PSD_TOL
     seed: int = 0
     out: Optional[str] = None
     compose_transpose: bool = False
@@ -193,6 +194,10 @@ def _run_spa(config: RunConfig, params: MapParams) -> dict:
     return {"result": result}
 
 
+def _vector_json(v: np.ndarray) -> list:
+    return [[float(z.real), float(z.imag)] for z in v]
+
+
 def _run_witness(config: RunConfig, params: MapParams, state: Optional[np.ndarray]) -> dict:
     w = witness(params)
     result = {
@@ -202,6 +207,7 @@ def _run_witness(config: RunConfig, params: MapParams, state: Optional[np.ndarra
     }
     if config.certify:
         cert = certify_optimality(params)
+        unit = np.eye(params.n, dtype=complex)
         result["certificate"] = {
             "span_rank": cert.span_rank,
             "optimal": cert.optimal,
@@ -210,12 +216,12 @@ def _run_witness(config: RunConfig, params: MapParams, state: Optional[np.ndarra
             "warnings": list(cert.warnings),
             "expectations": [float(e) for e in cert.expectations],
             "generators": [
-                {
-                    "family": g.family,
-                    "left": [[float(z.real), float(z.imag)] for z in g.left],
-                    "right": [[float(z.real), float(z.imag)] for z in g.right],
-                }
-                for g in cert.generators
+                {"family": "phase", "left": _vector_json(xi), "right": _vector_json(xi)}
+                for xi in np.exp(1j * cert.generators.phases)
+            ]
+            + [
+                {"family": "basis", "left": _vector_json(unit[i]), "right": _vector_json(unit[j])}
+                for i, j in cert.generators.pairs
             ],
         }
     if state is not None:
@@ -242,20 +248,22 @@ def run(config: RunConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    # computation phase: violated preconditions exit 2
+    # computation phase: violated preconditions exit 2; an overflow shows up
+    # as a non-finite result, which the report refuses below
     try:
-        if config.subcommand == "classify":
-            body = _run_classify(config, params)
-        elif config.subcommand == "spectrum":
-            body = _run_spectrum(config, params)
-        elif config.subcommand == "decompose":
-            body = _run_decompose(config, params)
-        elif config.subcommand == "spa":
-            body = _run_spa(config, params)
-        elif config.subcommand == "witness":
-            body = _run_witness(config, params, state)
-        else:  # pragma: no cover - argparse restricts the choices
-            raise ParameterError(f"unknown subcommand {config.subcommand!r}")
+        with np.errstate(all="ignore"):
+            if config.subcommand == "classify":
+                body = _run_classify(config, params)
+            elif config.subcommand == "spectrum":
+                body = _run_spectrum(config, params)
+            elif config.subcommand == "decompose":
+                body = _run_decompose(config, params)
+            elif config.subcommand == "spa":
+                body = _run_spa(config, params)
+            elif config.subcommand == "witness":
+                body = _run_witness(config, params, state)
+            else:  # pragma: no cover - argparse restricts the choices
+                raise ParameterError(f"unknown subcommand {config.subcommand!r}")
     except (PreconditionError, ContractError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -269,7 +277,11 @@ def run(config: RunConfig) -> int:
         "config": {"samples": config.samples, "tol": config.tol, "seed": config.seed},
     }
     report.update(body)
-    text = json.dumps(report, indent=2) + "\n"
+    try:
+        text = json.dumps(report, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:  # a result overflowed or lost its meaning
+        print(f"error: the report holds a non-finite number: {exc}", file=sys.stderr)
+        return 2
 
     if config.out is None:
         sys.stdout.write(text)
@@ -294,7 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--map", required=True, help="path to the map-parameter JSON file")
     common.add_argument("--samples", type=int, default=2000, help="sampling budget (default 2000)")
-    common.add_argument("--tol", type=float, default=1e-9, help="PSD/eigenvalue tolerance (default 1e-9)")
+    common.add_argument(
+        "--tol", type=float, default=DEFAULT_PSD_TOL, help=f"PSD/eigenvalue tolerance (default {DEFAULT_PSD_TOL:g})"
+    )
     common.add_argument("--seed", type=int, default=0, help="seed for the classify sampler (default 0)")
     common.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
 

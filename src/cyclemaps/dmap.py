@@ -1,7 +1,7 @@
-"""Diagonal-compression maps on M_n built from a permutation and weights.
+"""Diagonal-compression maps on M_n built from a permutation and coefficients.
 
 The family implemented here is parameterized by a permutation sigma of
-{1, ..., n}, a scalar a > 0 and weights c = (c_1, ..., c_n):
+{1, ..., n}, a scalar a > 0 and coefficients c = (c_1, ..., c_n):
 
 * the diagonal compression  Delta(X) = diag(a*x_ii + c_i * x_{sigma(i), sigma(i)}),
 * the shifted map           Theta(X) = Delta(X) - X.
@@ -10,8 +10,10 @@ Theta acts on the diagonal of X through the n x n matrix
 D = a*I + sum_i c_i E_{sigma(i), i} and subtracts X wholesale, which makes the
 whole family tractable: positivity, complete positivity and the finer
 structure all reduce to statements about (n, sigma, a, c).  The same D
-determines the Choi matrix exactly (see :class:`ChoiStructure`), so every
-spectral quantity of it is computed from n x n data; the dense n^2 x n^2
+determines the Choi matrix exactly, and :class:`ChoiStructure` holds it as
+the O(n) arrays (a, c, sigma): every scalar of it (trace, minimum
+eigenvalues, ||C^-||) costs O(n), the core's through the one rank-one
+secular solver the positivity sampler uses as well.  The dense n^2 x n^2
 matrix is assembled only when a caller asks for the matrix itself.
 """
 from __future__ import annotations
@@ -27,13 +29,18 @@ from .perm import Permutation, identity
 
 _REL_TOL = 1e-12
 
+# Steps allowed per row in the secular-equation solve; rows close in about
+# a dozen, however widely their entries spread.
+_SECULAR_MAX_ITER = 64
+_EPS = float(np.finfo(float).eps)
+
 
 @dataclass(frozen=True)
 class MapParams:
     """Parameters (n, sigma, a, c) of one map in the family.
 
     The general constructor requires strictly positive a and c entries;
-    the weight-free map with c = 0 exists only through :func:`delta_n`.
+    the map with c = 0 exists only through :func:`delta_n`.
     """
 
     n: int
@@ -64,10 +71,10 @@ class MapParams:
 
 
 def delta_n(n: int) -> MapParams:
-    """The map X -> n*diag(X) - X, i.e. Theta with a = n and all weights zero.
+    """The map X -> n*diag(X) - X, i.e. Theta with a = n and c = 0.
 
     This is the one member of the family with c = 0; the general constructor
-    rejects zero weights, so it is built here through a validated back door.
+    rejects c_i = 0, so it is built here through a validated back door.
     """
     if not isinstance(n, int) or n < 2:
         raise ParameterError(f"delta_n needs an integer n >= 2 (got {n!r})")
@@ -107,9 +114,7 @@ def d_matrix(p: MapParams) -> np.ndarray:
     Feeding the row vector of diagonal entries of X through D reproduces the
     diagonal of Delta(X): Delta(X) = diag((x_11, ..., x_nn) . D).
     """
-    d = p.a * np.eye(p.n, dtype=complex)
-    d[np.asarray(p.sigma.images) - 1, np.arange(p.n)] += p.c
-    return d
+    return choi_structure(p).entry(*np.indices((p.n, p.n))).astype(complex)
 
 
 @dataclass(frozen=True)
@@ -133,47 +138,110 @@ def pair_block_eigenvalues(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np
     return (x * y - 1.0) / hi, hi
 
 
+def _theta_min_eigenvalues(amps: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Minimum eigenvalue of diag(den) - xi xi* for each row w = |xi|^2.
+
+    Each i with w_i = 0 deflates: den_i is an eigenvalue of its own.  On the
+    support, with d_min the least den_i there and delta_i = den_i - d_min,
+    the least eigenvalue is d_min - mu for the one root mu of the secular
+    equation psi(mu) = sum_i w_i / (delta_i + mu) = 1 (Golub, SIAM Review
+    15, 1973), which lies in [sum of w_i at delta_i = 0, sum_i w_i].  One
+    evaluation at x of A = sum_i w_i r_i and B = sum_i w_i r_i^2, with
+    r_i = x / (delta_i + x) in [0, 1] and rho = (A - x) / B, bounds mu from
+    both sides: the Newton step x + A rho on the concave 1/psi - 1 from
+    below, and x / (1 - rho), the root of the model B / mu + (A - B) / x
+    that majorises psi (each term is concave in 1/mu), from above.  The next
+    point is the lower bound once the bracket is within a factor 2, its
+    geometric midpoint before, so rows whose delta_i spread over many
+    decades still close in about a dozen steps.
+    """
+    # entries of w below eps^2 deflate as well: dropping them moves each
+    # eigenvalue by at most 2 sqrt(n) eps (Weyl), and it keeps every
+    # quantity below far from underflow
+    support = amps > _EPS**2
+    w = np.where(support, amps, 0.0)
+    on_support = np.where(support, den, np.inf)
+    d_min = on_support.min(axis=1)
+    delta = on_support - d_min[:, None]  # inf off the support: r_i = 0 there
+    lo = np.where(delta == 0, w, 0.0).sum(axis=1)
+    hi = w.sum(axis=1)
+    active = np.flatnonzero(hi > lo * (1.0 + 4.0 * _EPS))
+    for _ in range(_SECULAR_MAX_ITER):
+        if active.size == 0:
+            break
+        l, h = lo[active], hi[active]
+        x = np.where(h > 2.0 * l, np.sqrt(l * h), l)
+        r = x[:, None] / (delta[active] + x[:, None])
+        wr = w[active] * r
+        big_a = wr.sum(axis=1)
+        rho = (big_a - x) / (wr * r).sum(axis=1)
+        l = np.maximum(l, x + big_a * rho)
+        h = np.divide(x, 1.0 - rho, out=h.copy(), where=x < h * (1.0 - rho))
+        lo[active], hi[active] = l, h
+        active = active[h > l * (1.0 + 4.0 * _EPS)]
+    if active.size:
+        raise RuntimeError(
+            "internal consistency failure: the secular equation for the minimum eigenvalue "
+            f"of diag(den) - xi xi* did not converge in {_SECULAR_MAX_ITER} steps on {active.size} rows"
+        )
+    deflated = np.where(support, np.inf, den).min(axis=1)
+    return np.minimum(d_min - lo, deflated)
+
+
 @dataclass(frozen=True, eq=False)
 class ChoiStructure:
-    """The Choi matrix of Theta held as the n x n data that determine it.
+    """The Choi matrix of Theta held as the O(n) data (a, c, sigma) that determine it.
 
-    Entry D[i, k] of ``weights`` = :func:`d_matrix` is the diagonal entry of
-    the Choi matrix at |ik>: a at k = i, plus c_{sigma^-1(i)} at
-    k = sigma^-1(i).  With Omega = sum_i |ii> and F the swap,
+    The diagonal entry of the Choi matrix at |ik> is D[i, k] (:meth:`entry`,
+    D = :func:`d_matrix`): a at k = i, plus c_k at i = sigma(k).  With
+    Omega = sum_i |ii> and F the swap,
 
         Choi(Theta)   = diag(D) - |Omega><Omega|,
         Choi(T.Theta) = diag(D) - F.
 
-    Hence Choi(Theta) acts on span{|ii>} as the ``core``
-    K = diag(a + c_i [sigma(i) = i]) - J, and every |ik> with k != i is an
-    eigenvector with eigenvalue D[i, k]: c_{sigma^-1(i)} at k = sigma^-1(i),
-    0 elsewhere (Choi, Linear Algebra Appl. 10, 1975).  Choi(T.Theta) splits
-    into 1x1 blocks D[i, i] - 1 on |ii> and 2x2 blocks [[D[i, k], -1],
-    [-1, D[k, i]]] on {|ik>, |ki>}.  Every spectral quantity therefore costs
-    one n x n eigensolve or less; :meth:`dense` builds the n^2 x n^2 matrix.
+    Hence Choi(Theta) acts on span{|ii>} as the core K = diag(k) - J with
+    k_i = a + c_i [sigma(i) = i], and every |ik> with k != i is an
+    eigenvector with eigenvalue D[i, k]: c_k at i = sigma(k), 0 elsewhere
+    (Choi, Linear Algebra Appl. 10, 1975).  K is diag(k) minus the rank-one
+    xi xi* with xi the all-ones vector, so its least eigenvalue is the root
+    of the secular equation that :func:`_theta_min_eigenvalues` solves for
+    the positivity sampler too.  Choi(T.Theta) splits into 1x1 blocks
+    k_i - 1 on |ii> and 2x2 blocks [[D[i, k], -1], [-1, D[k, i]]] on
+    {|ik>, |ki>}, which are [[0, -1], [-1, 0]] unless k = sigma(i) or
+    i = sigma(k).  Every scalar therefore costs O(n); :meth:`dense` builds
+    the n^2 x n^2 matrix.
     """
 
     n: int
-    weights: np.ndarray
-    core: np.ndarray
+    a: float
+    c: np.ndarray
+    img: np.ndarray  # sigma(i) - 1 at i - 1
+
+    def entry(self, i: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """D[i, k] for 0-based index arrays."""
+        return np.where(i == k, self.a, 0.0) + np.where(i == self.img[k], self.c[k], 0.0)
 
     @cached_property
-    def core_eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.core)
-
-    def _spectrum_parts(self, compose_transpose: bool) -> tuple[np.ndarray, ...]:
-        d = self.weights
-        if not compose_transpose:
-            return self.core_eigenvalues, d[~np.eye(self.n, dtype=bool)]
-        i, k = np.triu_indices(self.n, 1)
-        return (np.diagonal(d) - 1.0, *pair_block_eigenvalues(d[i, k], d[k, i]))
-
-    def eigenvalues(self, compose_transpose: bool = False) -> np.ndarray:
-        """All n^2 eigenvalues of Choi(Theta) (or Choi(T.Theta)), ascending."""
-        return np.sort(np.concatenate(self._spectrum_parts(compose_transpose)))
+    def core_min(self) -> float:
+        """The least eigenvalue of K = diag(k) - J."""
+        k = self.entry(np.arange(self.n), np.arange(self.n))
+        return float(_theta_min_eigenvalues(np.ones((1, self.n)), k[None, :])[0])
 
     def min_eigenvalue(self, compose_transpose: bool = False) -> float:
-        return float(min(part.min() for part in self._spectrum_parts(compose_transpose) if part.size))
+        n, idx = self.n, np.arange(self.n)
+        moved = np.flatnonzero(self.img != idx)
+        if compose_transpose:
+            # the 2x2 blocks on {|sigma(k) k>, |k sigma(k)>}, each 2-cycle met twice
+            lo, _ = pair_block_eigenvalues(self.c[moved], self.entry(moved, self.img[moved]))
+            related = moved.size - np.count_nonzero(self.img[self.img[moved]] == moved) // 2
+            values = np.concatenate([self.entry(idx, idx) - 1.0, lo])
+            if related < n * (n - 1) // 2:  # a pair sigma does not relate: [[0, -1], [-1, 0]]
+                values = np.append(values, -1.0)
+        else:
+            values = np.append(self.c[moved], self.core_min)
+            if moved.size < n * (n - 1):  # an off-diagonal D[i, k] = 0
+                values = np.append(values, 0.0)
+        return float(values.min())
 
     @property
     def negative_norm(self) -> float:
@@ -182,7 +250,7 @@ class ChoiStructure:
 
     @property
     def trace(self) -> float:
-        return float(self.weights.sum() - self.n)
+        return float(self.n * self.a + self.c.sum() - self.n)
 
     def dense(self, compose_transpose: bool = False) -> np.ndarray:
         """The n^2 x n^2 matrix itself, indexed |ik> -> i*n + k."""
@@ -194,9 +262,9 @@ class ChoiStructure:
             )
         out = np.zeros((n * n, n * n), dtype=complex)
         idx = np.arange(n * n)
-        out[idx, idx] = self.weights.ravel()
+        i, k = np.divmod(idx, n)
+        out[idx, idx] = self.entry(i, k)
         if compose_transpose:
-            i, k = np.divmod(idx, n)
             out[idx, k * n + i] -= 1.0
         else:
             ii = idx[:: n + 1]
@@ -205,10 +273,9 @@ class ChoiStructure:
 
 
 def choi_structure(p: MapParams) -> ChoiStructure:
-    """The structured form of the Choi matrix of Theta: O(n^2) to build."""
-    weights = d_matrix(p).real
-    core = np.diag(np.diagonal(weights)) - 1.0
-    return ChoiStructure(n=p.n, weights=weights, core=core)
+    """The structured form of the Choi matrix of Theta: O(n) to build."""
+    img = np.asarray(p.sigma.images) - 1
+    return ChoiStructure(n=p.n, a=p.a, c=np.asarray(p.c, dtype=float), img=img)
 
 
 def choi(p: MapParams, compose_transpose: bool = False) -> ChoiMatrix:

@@ -71,21 +71,27 @@ def schur_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a * b
 
 
+def _hermitian_defect(m: np.ndarray) -> float:
+    """max |M - M*|, which a non-finite entry makes inf or nan."""
+    with np.errstate(invalid="ignore"):  # inf - inf
+        return float(np.max(np.abs(m - m.conj().T)))
+
+
 def is_hermitian(m: np.ndarray, tol: float = DEFAULT_HERMITIAN_TOL) -> bool:
     m = _as_matrix(m)
     if m.shape[0] != m.shape[1]:
         return False
-    return float(np.max(np.abs(m - m.conj().T))) <= tol
+    return _hermitian_defect(m) <= tol
 
 
 def require_hermitian(m: np.ndarray, tol: float = DEFAULT_HERMITIAN_TOL) -> np.ndarray:
     m = _as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ContractError(f"matrix is not square (shape {m.shape})")
-    defect = float(np.max(np.abs(m - m.conj().T)))
-    if defect > tol:
+    defect = _hermitian_defect(m)
+    if not defect <= tol:
         raise ContractError(
-            f"matrix is not Hermitian: max |M - M*| = {defect:.3e} exceeds {tol:.1e}"
+            f"matrix is not Hermitian: max |M - M*| = {defect:.3e} is not within {tol:.1e}"
         )
     return m
 
@@ -185,5 +191,10 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         re, im = pair
         if isinstance(re, bool) or isinstance(im, bool) or not all(isinstance(t, (int, float)) for t in (re, im)):
             raise ParameterError(f"matrix entry {pos} must hold two real numbers (got {pair!r})")
-        flat[pos] = complex(re, im)
+        try:
+            flat[pos] = complex(re, im)
+        except OverflowError:  # an integer past the float range
+            flat[pos] = np.inf
+        if not np.isfinite(flat[pos]):
+            raise ParameterError(f"matrix entry {pos} must hold finite numbers (got {pair!r})")
     return flat.reshape(rows, cols)

@@ -5,9 +5,9 @@ For W = C / Tr(C) the noisy family is W(lam) = (1 - lam)/n^2 * I + lam * W.
 The first PSD point is lam* = 1 / (1 + n^2 ||W^-||), equivalently
 SPA = (||C^-|| I + C) / (Tr(C) + n^2 ||C^-||).  ||C^-|| and Tr(C) come from
 the structured Choi matrix (:class:`cyclemaps.dmap.ChoiStructure`): the
-negative eigenvalues of C are those of its n x n core, so one n x n
-eigensolve gives lam* exactly, and the n^2 x n^2 SPA matrix is assembled only
-when it is read.  Claimed closed-form values (such as ||C^-|| = 1 at
+negative eigenvalues of C are those of its n x n core, so the core's least
+eigenvalue, one secular-equation root, gives lam* exactly, and the n^2 x n^2
+SPA matrix is assembled only when it is read.  Claimed closed-form values (such as ||C^-|| = 1 at
 a = n - 1) are asserted in the tests against a dense eigensolve, never
 assumed.
 

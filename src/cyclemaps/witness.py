@@ -23,15 +23,18 @@ together; and every xi (x) xi lies in the symmetric tensors, a space of
 dimension n(n+1)/2 that the deterministic phases already span.  No further
 phase vector, random or not, can raise the span rank.
 
-Nothing here needs the dense n^2 x n^2 witness.  With n W = diag(D) - F
-(:class:`cyclemaps.dmap.ChoiStructure`), a product vector x (x) y has the
-expectation (|x|^2 . D . |y|^2 - |<x, y>|^2) / n, evaluated for all
-generators in one batched product.  The basis pairs are distinct standard
-basis vectors, so the span rank is their number plus the rank of the phase
-vectors restricted to the coordinates no basis pair covers (at most 2n of
-them).  The minimum eigenvalue of W, which decides the PSD warning, comes
-from the closed form of its 1x1 and 2x2 blocks (Lewenstein et al., PRA 62,
-052310, 2000).  The certificate builds W itself only when it is read.
+Nothing here needs the dense n^2 x n^2 witness, nor an object per
+generator.  The generators are two arrays (:class:`SpanningGenerators`): a
+table of phase angles and the index pairs (i, j) of the basis pairs.  With
+n W = diag(D) - F (:class:`cyclemaps.dmap.ChoiStructure`), xi (x) xi has the
+expectation (w . D . w - (sum w)^2) / n with w = |xi|^2, and e_i (x) e_j
+has (D[i, j] - [i = j]) / n, both evaluated from the O(n) data (a, c, sigma)
+in one batch.  The basis pairs are distinct standard basis vectors, so the
+span rank is their number plus the numerical rank of the phase vectors
+restricted to the coordinates no basis pair covers (at most 2n of them).
+The minimum eigenvalue of W, which decides the PSD warning, comes from the
+closed form of its 1x1 and 2x2 blocks (Lewenstein et al., PRA 62, 052310,
+2000).  The certificate builds W itself only when it is read.
 """
 from __future__ import annotations
 
@@ -49,17 +52,20 @@ from .matlin import DEFAULT_PSD_TOL, numerical_rank, require_hermitian
 EXPECTATION_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class ProductVector:
-    """A product vector left (x) right together with the family it came from."""
+@dataclass(frozen=True, eq=False)
+class SpanningGenerators:
+    """The candidate zero-expectation product vectors as two arrays.
 
-    left: np.ndarray
-    right: np.ndarray
-    family: str
+    Row r of ``phases`` gives the phase vector xi (x) xi with
+    xi = exp(i * phases[r]); row m of ``pairs`` gives the basis pair
+    e_i (x) e_j for (i, j) = pairs[m], 0-based.  The phase rows come first.
+    """
 
-    @property
-    def vector(self) -> np.ndarray:
-        return np.kron(self.left, self.right)
+    phases: np.ndarray
+    pairs: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.phases) + len(self.pairs)
 
 
 @dataclass(frozen=True)
@@ -68,7 +74,7 @@ class OptimalityCertificate:
     witness matrix is built on first access."""
 
     params: MapParams
-    generators: tuple[ProductVector, ...]
+    generators: SpanningGenerators
     expectations: np.ndarray
     span_rank: int
     optimal: bool
@@ -86,86 +92,26 @@ def witness(p: MapParams) -> np.ndarray:
     return choi(p, compose_transpose=True).matrix / p.n
 
 
-def phase_vector(n: int, thetas) -> np.ndarray:
-    """The unimodular vector (exp(i t_1), ..., exp(i t_n))."""
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.shape != (n,):
-        raise ParameterError(f"expected {n} phases (got shape {thetas.shape})")
-    return np.exp(1j * thetas)
-
-
-def _deterministic_phases(n: int) -> list[np.ndarray]:
-    """Phase assignments whose outer squares span all symmetric matrices:
-    the zero vector, one pi and one pi/2 at each coordinate, and pi at each
-    pair of coordinates."""
-    rows = [np.zeros(n)]
-    for k in range(n):
-        row = np.zeros(n)
-        row[k] = np.pi
-        rows.append(row)
-    for k in range(n):
-        row = np.zeros(n)
-        row[k] = np.pi / 2
-        rows.append(row)
-    for k in range(n):
-        for l in range(k + 1, n):
-            row = np.zeros(n)
-            row[k] = np.pi
-            row[l] = np.pi
-            rows.append(row)
-    return rows
-
-
-def _stack(gens) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Left factors, right factors and the basis-pair flags of ``gens`` as arrays."""
-    return (
-        np.array([g.left for g in gens]),
-        np.array([g.right for g in gens]),
-        np.array([g.family == "basis" for g in gens], dtype=bool),
-    )
-
-
-def _span_rank(lefts: np.ndarray, rights: np.ndarray, basis: np.ndarray) -> int:
-    """Numerical rank of the stacked vectors lefts[m] (x) rights[m].
-
-    The rows flagged in ``basis`` are distinct standard basis vectors, one
-    rank each; the other rows add only the rank of their restriction to the
-    coordinates those leave uncovered.
-    """
-    n = lefts.shape[1]
-    covered = np.zeros((n, n), dtype=bool)
-    covered[np.argmax(np.abs(lefts[basis]), axis=1), np.argmax(np.abs(rights[basis]), axis=1)] = True
-    i, k = np.nonzero(~covered)
-    rest = ~basis
-    return int(np.count_nonzero(covered)) + numerical_rank(lefts[rest][:, i] * rights[rest][:, k])
-
-
-def spanning_generators(p: MapParams) -> list[ProductVector]:
+def spanning_generators(p: MapParams) -> SpanningGenerators:
     """The candidate zero-expectation product vectors for the witness of p.
 
-    The deterministic phase family is emitted first, then the basis pairs
-    e_i (x) e_j with j not in {i, sigma^(-1)(i)}.  The phase vectors share
-    one expectation and already span the symmetric tensors, where every
-    xi (x) xi lies, so no other phase vector could add to the span.
+    The deterministic phases are the zero row, pi and then pi/2 at each
+    coordinate, and pi at each pair of coordinates k < l: their outer
+    squares span all symmetric matrices, where every xi (x) xi lies, so no
+    other phase vector could add to the span.  The basis pairs are
+    e_i (x) e_j with j not in {i, sigma^(-1)(i)}, in row-major order.
     """
-    n = p.n
-    gens: list[ProductVector] = []
-    for thetas in _deterministic_phases(n):
-        xi = phase_vector(n, thetas)
-        gens.append(ProductVector(left=xi, right=xi.copy(), family="phase"))
-
-    inv = p.sigma.inverse()
-    for i in range(1, n + 1):
-        banned = {i, inv(i)}
-        for j in range(1, n + 1):
-            if j in banned:
-                continue
-            left = np.zeros(n, dtype=complex)
-            right = np.zeros(n, dtype=complex)
-            left[i - 1] = 1.0
-            right[j - 1] = 1.0
-            gens.append(ProductVector(left=left, right=right, family="basis"))
-    return gens
+    n, d = p.n, np.arange(p.n)
+    k, l = np.triu_indices(n, 1)
+    phases = np.zeros((1 + 2 * n + k.size, n))
+    phases[1 + d, d] = np.pi
+    phases[1 + n + d, d] = np.pi / 2
+    rows = 1 + 2 * n + np.arange(k.size)
+    phases[rows, k] = phases[rows, l] = np.pi
+    i, j = np.divmod(np.arange(n * n), n)
+    img = np.asarray(p.sigma.images) - 1
+    keep = (j != i) & (img[j] != i)
+    return SpanningGenerators(phases=phases, pairs=np.stack([i[keep], j[keep]], axis=1))
 
 
 def _uniform_family_theorem(p: MapParams) -> bool:
@@ -186,11 +132,14 @@ def certify_optimality(p: MapParams) -> OptimalityCertificate:
     """
     n = p.n
     structure = choi_structure(p)
-    gens = tuple(spanning_generators(p))
-    lefts, rights, basis = _stack(gens)
-    diagonal = np.sum((np.abs(lefts) ** 2 @ structure.weights) * np.abs(rights) ** 2, axis=1)
-    overlap = np.abs(np.sum(lefts.conj() * rights, axis=1)) ** 2
-    expectations = (diagonal - overlap) / n
+    gens = spanning_generators(p)
+    xi = np.exp(1j * gens.phases)
+    w = np.abs(xi) ** 2
+    # <xi (x) xi| n W |xi (x) xi> = w . D . w - (sum w)^2, and e_i (x) e_j gives D[i, j] - [i = j]
+    phase = np.sum((structure.a * w + structure.c * w[:, structure.img]) * w, axis=1) - w.sum(axis=1) ** 2
+    i, j = gens.pairs.T
+    basis = structure.entry(i, j) - (i == j)
+    expectations = np.concatenate([phase, basis]) / n
     passing = np.abs(expectations) <= EXPECTATION_TOL
 
     theorem_applies = _uniform_family_theorem(p)
@@ -201,7 +150,14 @@ def certify_optimality(p: MapParams) -> OptimalityCertificate:
             f"{expectations[worst]:.3e} nonzero inside the certified family"
         )
 
-    span_rank = _span_rank(lefts[passing], rights[passing], basis[passing])
+    # the basis pairs are distinct standard basis vectors, one rank each; the
+    # phase vectors add the rank of their restriction to the rest
+    phase_ok, pair_ok = np.split(passing, [len(xi)])
+    covered = np.zeros((n, n), dtype=bool)
+    covered[i[pair_ok], j[pair_ok]] = True
+    k, l = np.nonzero(~covered)
+    rest = xi[np.ix_(phase_ok, k)] * xi[np.ix_(phase_ok, l)]
+    span_rank = int(np.count_nonzero(covered)) + numerical_rank(rest)
     optimal = span_rank == n * n
 
     warnings: list[str] = []

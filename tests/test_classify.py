@@ -36,8 +36,8 @@ from cyclemaps import (
     two_positive_verdict,
     verify_positivity_numeric,
 )
-from cyclemaps import classify as classify_module
-from cyclemaps.classify import _theta_min_eigenvalues
+from cyclemaps import dmap as dmap_module
+from cyclemaps.dmap import _theta_min_eigenvalues
 
 
 def test_positivity_threshold_examples():
@@ -244,7 +244,7 @@ def test_secular_root_on_zeros_ties_and_fixed_points():
 
 
 def test_secular_root_past_the_iteration_cap_is_an_internal_failure(monkeypatch, flagship):
-    monkeypatch.setattr(classify_module, "_SECULAR_MAX_ITER", 0)
+    monkeypatch.setattr(dmap_module, "_SECULAR_MAX_ITER", 0)
     with pytest.raises(RuntimeError, match="internal consistency failure"):
         verify_positivity_numeric(flagship, samples=10, seed=0)
 
@@ -330,7 +330,7 @@ def test_cp_verdict_identity_branch():
     v = cp_verdict(p)
     assert v.status == "yes"
     # at sigma = id the Choi core is the entrywise-multiplier matrix
-    core_min = choi_structure(p).core_eigenvalues[0]
+    core_min = choi_structure(p).core_min
     assert core_min == pytest.approx(1.0, abs=1e-12)
     assert core_min == pytest.approx(min_eigenvalue(schur_matrix(p)), abs=1e-12)
 

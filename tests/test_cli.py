@@ -165,6 +165,37 @@ def test_witness_state_must_be_hermitian(tmp_path, capsys):
     assert "Hermitian" in err
 
 
+@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+def test_witness_state_with_a_non_finite_entry_exits_one(tmp_path, capsys, bad):
+    path = write_json(tmp_path, "map.json", FLAGSHIP)
+    state = tmp_path / "state.json"
+    text = json.dumps(matrix_to_json(maximally_entangled_state(3)))
+    state.write_text(text.replace("[0.0, 0.0]", f"[{bad}, 0.0]", 1))
+    rc, out, err = run_cli(capsys, "witness", "--map", path, "--state", str(state))
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: matrix entry 1 must hold finite numbers")
+
+
+HUGE = {"n": 3, "sigma": "tau:3:1", "a": 1e308, "c": [1e308] * 3}
+TINY = {"n": 3, "sigma": "tau:3:1", "a": 1e-308, "c": [1e-308] * 3}
+
+
+@pytest.mark.parametrize(
+    "m, sub",
+    [(HUGE, "spa"), (HUGE, "witness"), (HUGE, "spectrum"), (TINY, "classify")],
+)
+def test_non_finite_result_exits_two(tmp_path, capsys, m, sub):
+    # Tr C (and with it the SPA trace, the witness trace and the spectrum
+    # residual) overflows at 1e308; S(xi) = sum |x_i|^2 / den_i overflows at 1e-308
+    path = write_json(tmp_path, "map.json", m)
+    rc, out, err = run_cli(capsys, sub, "--map", path)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: the report holds a non-finite number")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "mutate",
     [

@@ -15,10 +15,10 @@ from cyclemaps import (
     hermitian_spectrum,
     identity,
     is_psd,
-    matrix_unit,
     tau,
     theta_apply,
 )
+from cyclemaps.matlin import matrix_unit
 from conftest import random_hermitian
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0

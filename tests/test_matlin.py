@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,21 +7,17 @@ from numpy.testing import assert_allclose
 from cyclemaps import (
     ContractError,
     ParameterError,
-    basis_vector,
     hermitian_spectrum,
-    identity_matrix,
     is_hermitian,
     is_psd,
-    kron,
     matrix_from_json,
     matrix_to_json,
-    matrix_unit,
     min_eigenvalue,
     negative_part,
     partial_transpose,
     require_hermitian,
-    schur_product,
 )
+from cyclemaps.matlin import basis_vector, identity_matrix, kron, matrix_unit, schur_product
 from conftest import random_hermitian
 
 
@@ -116,6 +114,16 @@ def test_require_hermitian_rejects():
     require_hermitian(m)  # should not raise
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_require_hermitian_rejects_non_finite_entries(bad):
+    # nan - nan is nan and inf - inf is nan, neither of which exceeds a tolerance
+    m = np.eye(3, dtype=complex)
+    m[1, 1] = bad
+    assert not is_hermitian(m)
+    with pytest.raises(ContractError, match="not Hermitian"):
+        require_hermitian(m)
+
+
 def test_is_psd_and_min_eigenvalue():
     assert min_eigenvalue(np.diag([-2.0, 5.0])) == pytest.approx(-2.0)
     assert not is_psd(np.diag([-2.0, 5.0]))
@@ -184,4 +192,12 @@ def test_matrix_json_round_trip():
 )
 def test_matrix_from_json_rejects_malformed(payload):
     with pytest.raises(ParameterError):
+        matrix_from_json(payload)
+
+
+@pytest.mark.parametrize("bad", [[math.nan, 0.0], [0.0, math.inf], [-math.inf, 0.0], [10**400, 0.0]])
+def test_matrix_from_json_rejects_non_finite_entries(bad):
+    # json.loads parses NaN and Infinity, and a huge integer overflows a float
+    payload = {"rows": 2, "cols": 2, "entries": [[1.0, 0.0], bad, [0.0, 0.0], [1.0, 0.0]]}
+    with pytest.raises(ParameterError, match="entry 1 must hold finite numbers"):
         matrix_from_json(payload)

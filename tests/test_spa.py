@@ -10,8 +10,6 @@ from cyclemaps import (
     choi,
     identity,
     is_psd,
-    kron,
-    matrix_unit,
     maximally_entangled_state,
     min_eigenvalue,
     partial_transpose,
@@ -23,6 +21,7 @@ from cyclemaps import (
     spa_state,
     tau,
 )
+from cyclemaps.matlin import kron, matrix_unit
 
 
 def test_r_matrix_and_its_partial_transpose():

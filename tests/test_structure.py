@@ -5,6 +5,8 @@ block from ``theta_apply`` on matrix units, the witness expectations as dense
 quadratic forms, the span rank as an SVD of the stacked n^2-vectors, and the
 involution split summed from ``kron`` products of matrix units.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -23,8 +25,6 @@ from cyclemaps import (
     decompose_involution,
     delta_n,
     identity,
-    kron,
-    matrix_unit,
     min_eigenvalue,
     negative_part,
     spa_state,
@@ -33,6 +33,7 @@ from cyclemaps import (
     theta_apply,
     witness,
 )
+from cyclemaps.matlin import kron, matrix_unit
 from cyclemaps.cli import main
 
 TOL = 1e-12
@@ -57,6 +58,13 @@ def stack_rank(vectors, rtol: float = 1e-8) -> int:
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > rtol * s[0]))
+
+
+def generator_vectors(gens) -> list:
+    """The n^2-vectors of the generators, built from their two arrays."""
+    unit = np.eye(gens.phases.shape[1])
+    xis = np.exp(1j * gens.phases)
+    return [np.kron(xi, xi) for xi in xis] + [np.kron(unit[i], unit[j]) for i, j in gens.pairs]
 
 
 def kron_split(p: MapParams):
@@ -118,8 +126,11 @@ def check_against_dense(p: MapParams) -> None:
     s = choi_structure(p)
     c = dense_choi(p)
     ct = dense_choi(p, compose_transpose=True)
-    assert np.max(np.abs(s.eigenvalues() - np.linalg.eigvalsh(c))) <= TOL
-    assert np.max(np.abs(s.eigenvalues(True) - np.linalg.eigvalsh(ct))) <= TOL
+    # the core is the dense Choi matrix on span{|ii>}
+    ii = np.arange(n) * (n + 1)
+    assert s.core_min == pytest.approx(np.linalg.eigvalsh(c[np.ix_(ii, ii)])[0], abs=TOL)
+    assert s.min_eigenvalue() == pytest.approx(np.linalg.eigvalsh(c)[0], abs=TOL)
+    assert s.min_eigenvalue(True) == pytest.approx(np.linalg.eigvalsh(ct)[0], abs=TOL)
     assert cp_verdict(p).evidence["choi_min_eigenvalue"] == pytest.approx(min_eigenvalue(c), abs=TOL)
 
     trace = float(np.trace(c).real)
@@ -148,7 +159,7 @@ def check_against_dense(p: MapParams) -> None:
     w = ct / n
     assert s.min_eigenvalue(compose_transpose=True) / n == pytest.approx(min_eigenvalue(w), abs=TOL)
     cert = certify_optimality(p)
-    vectors = [g.vector for g in cert.generators]
+    vectors = generator_vectors(cert.generators)
     dense_expectations = np.array([float(np.real(v.conj() @ (w @ v))) for v in vectors])
     assert np.max(np.abs(cert.expectations - dense_expectations)) <= TOL
     passing = np.abs(cert.expectations) <= 1e-9
@@ -220,13 +231,22 @@ def test_random_phase_vectors_never_raise_the_span_rank(p):
     # Every xi (x) xi is a symmetric tensor, and the deterministic phases
     # already span those, so stacking random ones leaves the rank unchanged.
     n = p.n
-    vectors = [g.vector for g in spanning_generators(p)]
+    vectors = generator_vectors(spanning_generators(p))
     rank = stack_rank(vectors)
     rng = np.random.default_rng(7)
     for thetas in rng.uniform(0.0, 2.0 * np.pi, size=(20, n)):
         xi = np.exp(1j * thetas)
         vectors.append(np.kron(xi, xi))
     assert stack_rank(vectors) == rank
+
+
+def traced_peak(call):
+    """The value of call() and the tracemalloc peak, in bytes, while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def large_map(n: int = 64, c0: float = 0.7) -> MapParams:
@@ -245,6 +265,29 @@ def test_scalar_answers_run_past_the_dense_size_limit():
     assert spa_state(p).lambda_star == pytest.approx(trace / (trace + n * n * c0), rel=1e-12)
     cert = certify_optimality(p)
     assert cert.span_rank == n * n and cert.optimal
+
+    # at n = 4096 each scalar answer runs on the O(n) data, far below the
+    # 134 MB that a dense n x n core alone would take
+    p = large_map(4096, 1.0)
+    n = p.n
+    report, peak = traced_peak(lambda: classify_map(p, samples=0))
+    assert peak < 20e6
+    assert report.completely_positive.evidence["choi_min_eigenvalue"] == pytest.approx(-1.0, abs=1e-9)
+    assert report.atomic.status == "yes"
+    lam, peak = traced_peak(lambda: spa_state(p).lambda_star)
+    assert peak < 20e6
+    trace = n * (p.a - 1.0) + n
+    assert lam == pytest.approx(trace / (trace + n * n), rel=1e-12)
+    w_min, peak = traced_peak(lambda: choi_structure(p).min_eigenvalue(compose_transpose=True))
+    assert peak < 20e6
+    assert w_min == -1.0  # the pairs {i, k} that sigma does not relate
+
+
+def test_certify_optimality_at_n_128_stays_under_200_mb():
+    p = large_map(128, 1.0)
+    cert, peak = traced_peak(lambda: certify_optimality(p))
+    assert peak < 200e6
+    assert cert.span_rank == 128 * 128 and cert.optimal and cert.theorem_applies
 
 
 def test_choi_size_guard_names_n_and_bytes():

@@ -13,14 +13,13 @@ from cyclemaps import (
     delta_n,
     expectation_value,
     identity,
-    matrix_unit,
     maximally_entangled_state,
     min_eigenvalue,
-    phase_vector,
     spanning_generators,
     tau,
     witness,
 )
+from cyclemaps.matlin import matrix_unit
 
 
 def test_witness_is_transposed_choi_over_n(flagship):
@@ -70,35 +69,23 @@ def test_witness_detects_a_state(flagship):
     assert vals[0] < 0.0
 
 
-def test_phase_vector():
-    xi = phase_vector(3, [0.0, np.pi, np.pi / 2])
-    assert_allclose(np.abs(xi), np.ones(3))
-    assert_allclose(xi, [1.0, -1.0, 1j], atol=1e-12)
-    with pytest.raises(ParameterError):
-        phase_vector(3, [0.0, 1.0])
-
-
 def test_spanning_generators_families(flagship):
     gens = spanning_generators(flagship)
-    phases = [g for g in gens if g.family == "phase"]
-    basis = [g for g in gens if g.family == "basis"]
     # 1 + n + n + n(n-1)/2 deterministic phase rows for n = 3.
-    assert len(phases) == 10
-    assert len(basis) == 3
+    assert gens.phases.shape == (10, 3)
+    assert gens.pairs.shape == (3, 2)
+    assert len(gens) == 13
     inv = flagship.sigma.inverse()
-    seen = {(int(np.argmax(np.abs(g.left))) + 1, int(np.argmax(np.abs(g.right))) + 1) for g in basis}
-    for i, j in seen:
+    for i, j in gens.pairs + 1:
         assert j != i and j != inv(i)
-    for g in phases:
-        assert_allclose(np.abs(g.left), np.ones(3))
-        assert_allclose(g.left, g.right)
+    assert_allclose(np.exp(1j * gens.phases[4]), [1j, 1.0, 1.0], atol=1e-12)  # pi/2 at the first coordinate
+    assert_allclose(np.exp(1j * gens.phases[7]), [-1.0, -1.0, 1.0], atol=1e-12)  # pi at the pair (1, 2)
 
 
 def test_spanning_generators_identity_sigma():
     p = MapParams(3, identity(3), 1.5, (4.0, 4.0, 4.0))
-    basis = [g for g in spanning_generators(p) if g.family == "basis"]
     # At sigma = id only j = i is banned, leaving n - 1 pairs per i.
-    assert len(basis) == 6
+    assert len(spanning_generators(p).pairs) == 6
 
 
 def test_certify_optimality_flagship(flagship):
@@ -144,9 +131,7 @@ def test_certify_outside_family_filters_nonzero_expectations(flagship):
     p = MapParams(3, tau(3, 2), 2.5, (1.0, 1.0, 1.0))
     cert = certify_optimality(p)
     assert not cert.theorem_applies
-    phase_expect = [
-        e for g, e in zip(cert.generators, cert.expectations) if g.family == "phase"
-    ]
+    phase_expect = cert.expectations[: len(cert.generators.phases)]
     # n a + sum(c) - n^2 = 1.5, so every phase vector pairs to 1.5/3 = 0.5.
     assert_allclose(phase_expect, [0.5] * len(phase_expect), atol=1e-12)
     assert cert.span_rank == 3  # only the basis pairs survive
