@@ -74,11 +74,13 @@ def parse_map_json(obj) -> MapParams:
         isinstance(ci, bool) or not isinstance(ci, (int, float)) for ci in c
     ):
         raise ParameterError(f"field 'c' must be a list of numbers (got {c!r})")
+    a_float = _json_float(a, "field 'a'")
+    c_float = tuple(_json_float(ci, f"entry {i} of field 'c'") for i, ci in enumerate(c))
     if c and all(ci == 0 for ci in c):
         # the weight-free map: only n*diag(X) - X exists with zero weights
         if len(c) != n:
             raise ParameterError(f"field 'c' must have length n={n} (got {len(c)})")
-        if float(a) != float(n):
+        if a_float != float(n):
             raise ParameterError(
                 f"zero weights describe the map n*diag(X) - X and require a = n (got a = {a})"
             )
@@ -87,7 +89,15 @@ def parse_map_json(obj) -> MapParams:
                 "zero weights make sigma irrelevant; use sigma = 'id:n' for this map"
             )
         return delta_n(n)
-    return MapParams(n=n, sigma=sigma, a=float(a), c=tuple(float(ci) for ci in c))
+    return MapParams(n=n, sigma=sigma, a=a_float, c=c_float)
+
+
+def _json_float(x: int | float, what: str) -> float:
+    """float(x) for a JSON number; an integer past the float range is a ParameterError."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise ParameterError(f"{what} is an integer outside the float range") from None
 
 
 def _load_json_file(path: str, what: str):

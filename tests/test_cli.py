@@ -217,6 +217,24 @@ def test_malformed_map_exits_one(tmp_path, capsys, mutate):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "mutate, what",
+    [
+        (lambda m: m.update(a=10**400), "field 'a'"),
+        (lambda m: m.update(c=[1.0, -(10**400), 1.0]), "entry 1 of field 'c'"),
+    ],
+)
+def test_map_integer_past_the_float_range_exits_one(tmp_path, capsys, mutate, what):
+    # json.loads reads 1 followed by 400 zeros as an int, which float() refuses
+    m = dict(FLAGSHIP)
+    mutate(m)
+    path = write_json(tmp_path, "map.json", m)
+    rc, out, err = run_cli(capsys, "classify", "--map", path)
+    assert rc == 1
+    assert out == ""
+    assert err == f"error: {what} is an integer outside the float range\n"
+
+
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
 def test_invalid_tol_exits_one(tmp_path, capsys, tol):
     # --tol decides the complete-positivity verdict, so a negative or

@@ -1,7 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cyclemaps import (
@@ -17,7 +20,7 @@ from cyclemaps import (
     partial_transpose,
     require_hermitian,
 )
-from cyclemaps.matlin import basis_vector, identity_matrix, kron, matrix_unit, schur_product
+from cyclemaps.matlin import DEFAULT_HERMITIAN_TOL, basis_vector, identity_matrix, kron, matrix_unit, schur_product
 from conftest import random_hermitian
 
 
@@ -152,6 +155,98 @@ def test_negative_part_reconstruction():
     assert is_psd(neg)
     assert norm == pytest.approx(max(0.0, -min_eigenvalue(m)), abs=1e-10)
     assert is_psd(m + neg, tol=1e-8)
+
+
+# within DEFAULT_HERMITIAN_TOL, so the Hermitian check passes it
+STRAY = 5e-11
+
+
+@st.composite
+def block_matrices(draw):
+    """A random Hermitian matrix made of dense blocks and 1x1 zero blocks,
+    conjugated by a random permutation, optionally with one stray entry that
+    sits in one triangle only and joins two blocks."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=8))
+    zero = [b == 1 and draw(st.booleans()) for b in sizes]
+    stray = draw(st.sampled_from([None, "upper", "lower"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = sum(sizes)
+    m = np.zeros((n, n), dtype=complex)
+    block, is_zero = np.repeat(np.arange(len(sizes)), sizes), np.repeat(zero, sizes)
+    for k, b in enumerate(sizes):
+        if not zero[k]:
+            at = np.flatnonzero(block == k)
+            m[np.ix_(at, at)] = random_hermitian(rng, b, scale=float(rng.uniform(0.5, 4.0)))
+    perm = rng.permutation(n)
+    m, block, is_zero = m[np.ix_(perm, perm)], block[perm], is_zero[perm]
+    i, j = np.nonzero(block[:, None] != block)
+    if stray == "upper":
+        # the residual the stray entry adds depends on the eigenvectors at
+        # its ends, which a degenerate zero eigenvalue leaves free
+        keep = ~(is_zero[i] | is_zero[j])
+        i, j = i[keep], j[keep]
+    if stray is not None and i.size:
+        pick = int(rng.integers(i.size))
+        lo, hi = sorted((int(i[pick]), int(j[pick])))
+        m[(lo, hi) if stray == "upper" else (hi, lo)] = STRAY
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_matrices())
+@example(random_hermitian(np.random.default_rng(2), 9))  # one fully dense block
+@example(np.diag([0.0, -1.0, 0.0]))  # 1x1 blocks only
+# two 1x1 zero blocks joined by an entry in the lower triangle only, which
+# eigvalsh reads: they form one block with eigenvalues -STRAY and STRAY
+@example(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, STRAY, 0.0]], dtype=complex))
+def test_block_split_matches_dense_lapack(m):
+    w, v = np.linalg.eigh(m)
+    scale = 1e-12 * max(1.0, float(np.max(np.abs(w))))
+    assert abs(min_eigenvalue(m) - np.linalg.eigvalsh(m)[0]) <= scale
+    res = hermitian_spectrum(m)
+    assert np.max(np.abs(res.eigenvalues - w)) <= scale
+    oracle_residual = float(np.max(np.linalg.norm(m @ v - v * w, axis=0)))
+    assert abs(res.residual - oracle_residual) <= scale
+    part, norm = negative_part(m)
+    neg = w < 0
+    assert np.max(np.abs(part - (v[:, neg] * -w[neg]) @ v[:, neg].conj().T)) <= scale
+    assert abs(norm - max(0.0, -w[0])) <= scale
+
+    for bad in (np.nan, np.inf, 1.0):
+        spoiled = m.copy()
+        k = len(m) // 2
+        if bad == 1.0:  # an asymmetry above the tolerance
+            spoiled[k, -1] += 1.0 if k != len(m) - 1 else 1j
+        else:
+            spoiled[k, k] = bad
+        with pytest.raises(ContractError) as dense:
+            require_hermitian(spoiled)
+        for helper in (min_eigenvalue, hermitian_spectrum, negative_part, is_psd):
+            # the same max |M - M*|, found block by block
+            with pytest.raises(ContractError, match="not Hermitian") as blocked:
+                helper(spoiled)
+            assert str(blocked.value) == str(dense.value)
+
+
+def old_matrix_to_json(m):
+    """The per-entry serialisation that matrix_to_json replaced."""
+    rows, cols = m.shape
+    entries = [[float(z.real), float(z.imag)] for z in m.ravel(order="C")]
+    return {"rows": rows, "cols": cols, "entries": entries}
+
+
+def test_matrix_to_json_matches_the_per_entry_form():
+    tiny = 5e-324  # the least subnormal
+    m = np.array(
+        [
+            [complex(-0.0, 0.0), complex(0.0, -0.0), complex(tiny, -tiny)],
+            [complex(1e308, -1e308), complex(2.0, -3.0), complex(2.5e-310, 1.0)],
+        ]
+    )
+    for x in (m, m.T, m[:, ::2], np.array([[1, -2], [3, 4]])):
+        new, old = matrix_to_json(x), old_matrix_to_json(np.asarray(x, dtype=complex))
+        assert json.dumps(new) == json.dumps(old)
+        assert all(type(t) is float for pair in new["entries"] for t in pair)
 
 
 def test_schur_product():

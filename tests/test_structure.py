@@ -283,6 +283,41 @@ def test_scalar_answers_run_past_the_dense_size_limit():
     assert w_min == -1.0  # the pairs {i, k} that sigma does not relate
 
 
+@pytest.mark.parametrize(
+    "p",
+    [
+        large_map(32, 1.0),
+        # an involution with two fixed points and non-uniform weights
+        MapParams(
+            32,
+            Permutation(tuple(i + 1 if i % 2 else i - 1 for i in range(1, 31)) + (31, 32)),
+            30.5,
+            tuple(0.5 + 0.05 * i for i in range(32)),
+        ),
+    ],
+    ids=["tau", "involution"],
+)
+def test_witness_minimum_solves_only_the_small_blocks(monkeypatch, p):
+    # W splits into 1x1 and 2x2 blocks and Choi(Theta) into the n x n core
+    # plus 1x1 blocks, so no eigensolve needs the n^2 x n^2 matrix
+    n = p.n
+    expected = choi_structure(p).min_eigenvalue(compose_transpose=True) / n
+    widths = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        widths.append(a.shape[-1])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    got = min_eigenvalue(witness(p))
+    assert widths and max(widths) <= 2
+    assert got == pytest.approx(expected, abs=TOL * max(1.0, p.a, max(p.c)))
+    widths.clear()
+    min_eigenvalue(choi(p).matrix)
+    assert widths and max(widths) == n
+
+
 def test_certify_optimality_at_n_128_stays_under_200_mb():
     p = large_map(128, 1.0)
     cert, peak = traced_peak(lambda: certify_optimality(p))
