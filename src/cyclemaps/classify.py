@@ -24,15 +24,20 @@ The decisive criteria implemented here, each written once:
   c_i * c_sigma(i) >= 1 on the 2-cycles, the Choi matrix splits explicitly
   into a PSD block plus blocks whose partial transposes are PSD, so the map
   is decomposable.
+
+Every verdict, the split included, reads the O(n) Choi structure
+(:func:`cyclemaps.dmap.choi_structure`); the split's certificate holds P's
+n x n block and the 2-cycles, and builds no n^2 x n^2 matrix until read.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .dmap import MapParams, _theta_min_eigenvalues, choi, choi_structure, pair_block_eigenvalues
+from .dmap import MapParams, _theta_min_eigenvalues, assemble, choi_structure, pair_block_eigenvalues, parts_distance
 from .errors import ParameterError, PreconditionError
 from .matlin import DEFAULT_PSD_TOL, min_eigenvalue
 from .perm import cycle_decompose, fixed_points, is_involution, is_single_cycle
@@ -83,16 +88,27 @@ class PositivityEvidence:
 class DecomposabilityCertificate:
     """Explicit Choi split C = P + sum_i Q_i for involutions.
 
-    ``P`` is PSD, each ``Q`` block has a PSD partial transpose, and the sum
-    reproduces the Choi matrix up to ``reconstruction_residual``.  ``q_blocks``
-    maps each 2-cycle (i, sigma(i)) with i < sigma(i) to its block.
+    P is PSD and is ``p_block`` on span{|ii>}; each 2-cycle (i, sigma(i)) with
+    i < sigma(i) in ``pairs`` has a Q block with a PSD partial transpose, and
+    the sum reproduces the Choi matrix up to ``reconstruction_residual``.  The
+    dense ``P`` and ``q_blocks`` (each pair with its Q) are built when read.
     """
 
-    P: np.ndarray
-    q_blocks: tuple[tuple[tuple[int, int], np.ndarray], ...]
+    params: MapParams
+    p_block: np.ndarray
+    pairs: tuple[tuple[int, int], ...]
     reconstruction_residual: float
     p_min_eigenvalue: float
     q_pt_min_eigenvalues: tuple[float, ...]
+
+    @cached_property
+    def P(self) -> np.ndarray:
+        return assemble(self.params.n, 0.0, self.p_block)
+
+    @cached_property
+    def q_blocks(self) -> tuple[tuple[tuple[int, int], np.ndarray], ...]:
+        n, c = self.params.n, np.asarray(self.params.c)
+        return tuple((pair, assemble(n, *_q_parts(n, c, pair[0] - 1, pair[1] - 1))) for pair in self.pairs)
 
 
 @dataclass(frozen=True)
@@ -161,10 +177,6 @@ def symmetric_F(a: float, xs) -> float:
     return float(total)
 
 
-def _sigma_index(p: MapParams) -> np.ndarray:
-    return np.array([p.sigma(i) - 1 for i in range(1, p.n + 1)])
-
-
 def _adversarial_amplitudes(p: MapParams) -> np.ndarray:
     """Structured |x_i|^2 assignments that press hardest on S(xi).
 
@@ -230,9 +242,8 @@ def verify_positivity_numeric(p: MapParams, samples: int = 2000, seed: int = 0) 
     zs = zs / np.linalg.norm(zs, axis=1, keepdims=True)
 
     amps = np.abs(zs) ** 2
-    perm = _sigma_index(p)
-    c = np.asarray(p.c, dtype=float)
-    den = p.a * amps + c[None, :] * amps[:, perm]
+    structure = choi_structure(p)
+    den = p.a * amps + structure.c[None, :] * amps[:, structure.img]
     terms = np.divide(amps, den, out=np.zeros_like(amps), where=den > 0)
     s_vals = terms.sum(axis=1)
     worst = int(np.argmax(s_vals))
@@ -281,7 +292,8 @@ def positivity_verdict(p: MapParams, evidence: Optional[PositivityEvidence] = No
             NO, "a below max(n-1, n-geomean(c)): that bound is necessary for a full n-cycle", ev
         )
     if p.sigma.is_identity():
-        ev["schur_min_eigenvalue"] = min_eigenvalue(schur_matrix(p))
+        # at sigma = id the entrywise-multiplier matrix is the Choi core K
+        ev["schur_min_eigenvalue"] = choi_structure(p).core_min
         status = YES if ev["schur_min_eigenvalue"] >= -DEFAULT_PSD_TOL else NO
         return Verdict(status, "entrywise-multiplier matrix PSD test (sigma = id)", ev)
     if on_uniform_family(p):
@@ -359,49 +371,31 @@ def decompose_involution(p: MapParams) -> DecomposabilityCertificate:
     failure = _involution_split_failure(p)
     if failure is not None:
         raise PreconditionError(failure)
-    n = p.n
-    pairs = [(i, p.sigma(i)) for i in range(1, n + 1) if i < p.sigma(i)]
-
-    # the residual check below needs the dense Choi matrix; its size guard
-    # fires before P and the Q blocks are allocated
-    c_matrix = choi(p).matrix
-    # P lives on span{|ii>}: a - 1 (+ c_i at fixed points) on the diagonal,
-    # -1 between |ii> and |jj> unless j = sigma(i); each Q block has 4 entries
-    img = np.asarray(p.sigma.images) - 1
-    c = np.asarray(p.c)
+    structure = choi_structure(p)
+    n, c, img = p.n, structure.c, structure.img
     idx = np.arange(n)
+    u = np.flatnonzero(idx < img)  # the 2-cycles (u, img[u]), 0-based
+
+    # P lives on span{|ii>}: a - 1 (+ c_i at fixed points) on the diagonal,
+    # -1 between |ii> and |jj> unless j = sigma(i)
     block = -np.ones((n, n), dtype=complex)
     block[idx, img] = 0.0
     block[idx, idx] = np.where(img == idx, p.a + c, p.a) - 1.0
-    ii = idx * (n + 1)
-    P = np.zeros((n * n, n * n), dtype=complex)
-    P[np.ix_(ii, ii)] = block
-
-    q_blocks = []
-    for i, si in pairs:
-        u, v = i - 1, si - 1
-        q = np.zeros((n * n, n * n), dtype=complex)
-        q[u * n + v, u * n + v] = p.c[si - 1]
-        q[v * n + u, v * n + u] = p.c[i - 1]
-        q[u * n + u, v * n + v] = -1.0
-        q[v * n + v, u * n + u] = -1.0
-        q_blocks.append(((i, si), q))
-
-    total = P + sum((q for _, q in q_blocks), start=np.zeros_like(P))
-    residual = float(np.max(np.abs(total - c_matrix)))
+    q_diag, q_core = _q_parts(n, c, u, img[u])
+    residual = parts_distance((q_diag, block + q_core), structure.parts())
     # P vanishes off span{|ii>}, so its spectrum is the block's plus n^2 - n
     # zeros; Q^PT is [[c_sigma(i), -1], [-1, c_i]] on {|i sigma(i)>, |sigma(i) i>}
     # and zero elsewhere
     p_min = min_eigenvalue(block)
     if n >= 2:
         p_min = min(p_min, 0.0)
-    u = np.array([i - 1 for i, _ in pairs], dtype=int)
     q_lo, _ = pair_block_eigenvalues(c[img[u]], c[u])
     q_pt_mins = tuple(float(m) for m in np.minimum(q_lo, 0.0))
 
     cert = DecomposabilityCertificate(
-        P=P,
-        q_blocks=tuple(q_blocks),
+        params=p,
+        p_block=block,
+        pairs=tuple((int(i) + 1, int(img[i]) + 1) for i in u),
         reconstruction_residual=residual,
         p_min_eigenvalue=p_min,
         q_pt_min_eigenvalues=q_pt_mins,
@@ -412,6 +406,14 @@ def decompose_involution(p: MapParams) -> DecomposabilityCertificate:
             f"(residual {residual:.3e}, min eig P {p_min:.3e}, min eig Q^PT {min(q_pt_mins, default=0.0):.3e})"
         )
     return cert
+
+
+def _q_parts(n: int, c: np.ndarray, u, v) -> tuple[np.ndarray, np.ndarray]:
+    """Sum of the Q blocks on the 2-cycles (u, v), 0-based: c_v at |uv>, c_u at |vu>, -1 between |uu> and |vv>."""
+    diag, core = np.zeros((n, n)), np.zeros((n, n))
+    diag[u, v], diag[v, u] = c[v], c[u]
+    core[u, v] = core[v, u] = -1.0
+    return diag, core
 
 
 def atomic_verdict(

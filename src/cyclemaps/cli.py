@@ -126,7 +126,7 @@ def _classification_json(report: ClassificationReport) -> dict:
     if report.decomposition is not None:
         cert = report.decomposition
         result["decomposition"] = {
-            "pairs": [list(pair) for pair, _ in cert.q_blocks],
+            "pairs": [list(pair) for pair in cert.pairs],
             "reconstruction_residual": cert.reconstruction_residual,
             "p_min_eigenvalue": cert.p_min_eigenvalue,
             "q_pt_min_eigenvalues": list(cert.q_pt_min_eigenvalues),
@@ -161,7 +161,7 @@ def _run_decompose(config: RunConfig, params: MapParams) -> dict:
     cert = decompose_involution(params)
     return {
         "result": {
-            "pairs": [list(pair) for pair, _ in cert.q_blocks],
+            "pairs": [list(pair) for pair in cert.pairs],
             "P": matrix_to_json(cert.P),
             "p_min_eigenvalue": cert.p_min_eigenvalue,
             "q_blocks": [

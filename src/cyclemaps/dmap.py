@@ -13,8 +13,9 @@ structure all reduce to statements about (n, sigma, a, c).  The same D
 determines the Choi matrix exactly, and :class:`ChoiStructure` holds it as
 the O(n) arrays (a, c, sigma): every scalar of it (trace, minimum
 eigenvalues, ||C^-||) costs O(n), the core's through the one rank-one
-secular solver the positivity sampler uses as well.  The dense n^2 x n^2
-matrix is assembled only when a caller asks for the matrix itself.
+secular solver the positivity sampler uses as well.  Every dense n^2 x n^2
+matrix here is a diagonal plus a block on span{|ii>}, and :func:`assemble`
+builds it only when a caller asks for the matrix itself.
 """
 from __future__ import annotations
 
@@ -97,9 +98,7 @@ def delta_apply(p: MapParams, x: np.ndarray) -> np.ndarray:
     """Apply the diagonal compression Delta to one matrix."""
     x = _require_square_input(p, x)
     d = np.diagonal(x)
-    perm = np.array([p.sigma(i) - 1 for i in range(1, p.n + 1)])
-    out = p.a * d + np.asarray(p.c) * d[perm]
-    return np.diag(out)
+    return np.diag(p.a * d + np.asarray(p.c) * d[choi_structure(p).img])
 
 
 def theta_apply(p: MapParams, x: np.ndarray) -> np.ndarray:
@@ -129,6 +128,32 @@ class ChoiMatrix:
     n: int
     matrix: np.ndarray
     transposed_composition: bool
+
+
+def assemble(n: int, diag, core, compose_transpose: bool = False) -> np.ndarray:
+    """The dense n^2 x n^2 matrix sum_{i != k} diag[i, k] |ik><ik| + sum_{i, j} core[i, j] |ii><jj|,
+    indexed |ik> -> i*n + k, or with core[i, j] at |ij><ji| under ``compose_transpose``.
+
+    ``diag`` and ``core`` broadcast to n x n; diag[i, i] is not read, as |ii><ii|
+    is the core's.  Raises ParameterError before allocating when n^2 exceeds ``MAX_DIM``.
+    """
+    if n * n > MAX_DIM:
+        raise ParameterError(
+            f"n = {n} is too large for a dense n^2 x n^2 matrix: {n * n} x {n * n} "
+            f"complex entries need {16 * n**4:,} bytes (edge length limit {MAX_DIM})"
+        )
+    out = np.zeros((n * n, n * n), dtype=complex)
+    np.fill_diagonal(out, diag)
+    i, j = np.indices((n, n))
+    out[(i * n + j, j * n + i) if compose_transpose else (i * (n + 1), j * (n + 1))] = core
+    return out
+
+
+def parts_distance(x: tuple, y: tuple) -> float:
+    """max |X - Y| over the entries of two matrices given as :func:`assemble`'s (diag, core)."""
+    (dx, cx), (dy, cy) = x, y
+    off = ~np.eye(len(cy), dtype=bool)  # diag[i, i] is no entry of the matrix
+    return float(max(np.max(np.abs(dx - dy), where=off, initial=0.0), np.max(np.abs(cx - cy))))
 
 
 def pair_block_eigenvalues(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -208,7 +233,7 @@ class ChoiStructure:
     the positivity sampler too.  Choi(T.Theta) splits into 1x1 blocks
     k_i - 1 on |ii> and 2x2 blocks [[D[i, k], -1], [-1, D[k, i]]] on
     {|ik>, |ki>}, which are [[0, -1], [-1, 0]] unless k = sigma(i) or
-    i = sigma(k).  Every scalar therefore costs O(n); :meth:`dense` builds
+    i = sigma(k).  Every scalar therefore costs O(n); :func:`choi` builds
     the n^2 x n^2 matrix.
     """
 
@@ -252,24 +277,10 @@ class ChoiStructure:
     def trace(self) -> float:
         return float(self.n * self.a + self.c.sum() - self.n)
 
-    def dense(self, compose_transpose: bool = False) -> np.ndarray:
-        """The n^2 x n^2 matrix itself, indexed |ik> -> i*n + k."""
-        n = self.n
-        if n * n > MAX_DIM:
-            raise ParameterError(
-                f"n = {n} is too large for the dense Choi matrix: {n * n} x {n * n} "
-                f"complex entries need {16 * n**4:,} bytes (edge length limit {MAX_DIM})"
-            )
-        out = np.zeros((n * n, n * n), dtype=complex)
-        idx = np.arange(n * n)
-        i, k = np.divmod(idx, n)
-        out[idx, idx] = self.entry(i, k)
-        if compose_transpose:
-            out[idx, k * n + i] -= 1.0
-        else:
-            ii = idx[:: n + 1]
-            out[np.ix_(ii, ii)] -= 1.0
-        return out
+    def parts(self) -> tuple[np.ndarray, np.ndarray]:
+        """(D, K): the Choi matrix of Theta as :func:`assemble`'s (diag, core)."""
+        d = self.entry(*np.indices((self.n, self.n)))
+        return d, np.diag(d.diagonal()) - 1.0
 
 
 def choi_structure(p: MapParams) -> ChoiStructure:
@@ -283,5 +294,5 @@ def choi(p: MapParams, compose_transpose: bool = False) -> ChoiMatrix:
 
     Raises ParameterError before allocating when n^2 exceeds ``MAX_DIM``.
     """
-    matrix = choi_structure(p).dense(compose_transpose)
+    matrix = assemble(p.n, *choi_structure(p).parts(), compose_transpose)
     return ChoiMatrix(n=p.n, matrix=matrix, transposed_composition=compose_transpose)

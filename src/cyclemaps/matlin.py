@@ -224,16 +224,21 @@ def negative_part(m: np.ndarray) -> tuple[np.ndarray, float]:
     0.0 when the input is already PSD.
     """
     m = _as_matrix(m)
-    part, norm = np.zeros_like(m), 0.0
+    part, norm = None, 0.0
     for idx, sub in _hermitian_blocks(m, DEFAULT_HERMITIAN_TOL):
         w, v = np.linalg.eigh(sub)
         # eigenvalues ascend, so each block's negative ones come first
         k = int(np.max(np.count_nonzero(w < 0, axis=1)))
         if k:
             vneg, wneg = v[..., :k], np.minimum(w[:, None, :k], 0.0)
-            part[idx[:, :, None], idx[:, None, :]] = (vneg * -wneg) @ vneg.conj().swapaxes(1, 2)
+            product = (vneg * -wneg) @ vneg.conj().swapaxes(1, 2)
+            if sub.shape[-1] == len(m):  # one block spans M: the product is M^- itself
+                part = product[0]
+            else:
+                part = np.zeros_like(m) if part is None else part
+                part[idx[:, :, None], idx[:, None, :]] = product
             norm = max(norm, float(-np.min(w[:, 0])))
-    return part, norm
+    return (np.zeros_like(m) if part is None else part), norm
 
 
 def numerical_rank(m: np.ndarray, rtol: float = 1e-8) -> int:

@@ -6,15 +6,17 @@ The first PSD point is lam* = 1 / (1 + n^2 ||W^-||), equivalently
 SPA = (||C^-|| I + C) / (Tr(C) + n^2 ||C^-||).  ||C^-|| and Tr(C) come from
 the structured Choi matrix (:class:`cyclemaps.dmap.ChoiStructure`): the
 negative eigenvalues of C are those of its n x n core, so the core's least
-eigenvalue, one secular-equation root, gives lam* exactly, and the n^2 x n^2
-SPA matrix is assembled only when it is read.  Claimed closed-form values (such as ||C^-|| = 1 at
-a = n - 1) are asserted in the tests against a dense eigensolve, never
-assumed.
+eigenvalue, one secular-equation root, gives lam* exactly.  Claimed
+closed-form values (such as ||C^-|| = 1 at a = n - 1) are asserted in the
+tests against a dense eigensolve, never assumed.
 
 At a = n - 1 with every cycle of sigma of length >= 2 the SPA is separable
 outright: n^2 * SPA splits into the two-level blocks sigma_ij plus weighted
 diagonal product terms, and each sigma_ij factors through a 4 x 4 seed R as
 (D_ij (x) D_ij) R (D_ij (x) D_ij)* with R and its partial transpose PSD.
+Each term is held as its kind, indices and weight, and their sum is checked
+against the structured SPA in O(n^2); the SPA matrix, the noisy family and
+each term's matrix are built only when read (:func:`cyclemaps.dmap.assemble`).
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .classify import BOUNDARY_TOL, NO, YES, positivity_verdict
-from .dmap import ChoiStructure, MapParams, choi_structure
+from .dmap import ChoiStructure, MapParams, assemble, choi_structure, parts_distance
 from .errors import ParameterError, PreconditionError
 from .matlin import DEFAULT_PSD_TOL, min_eigenvalue, partial_transpose, require_hermitian
 from .perm import cycle_decompose
@@ -40,24 +42,43 @@ class SpaState:
     trace_choi: float
     positivity_warning: bool
 
+    def parts(self) -> tuple[np.ndarray, np.ndarray]:
+        """SPA = (||C^-|| I + C) / (Tr(C) + n^2 ||C^-||) as :func:`assemble`'s (diag, core)."""
+        n, neg = self.structure.n, self.structure.negative_norm
+        scale = 1.0 / (self.trace_choi + n * n * neg)
+        d, k = self.structure.parts()
+        return (neg + d) * scale, (neg * np.eye(n) + k) * scale
+
     @cached_property
     def matrix(self) -> np.ndarray:
-        """SPA = (||C^-|| I + C) / (Tr(C) + n^2 ||C^-||), dense n^2 x n^2."""
-        n2 = self.structure.n ** 2
-        neg_norm = self.structure.negative_norm
-        c = self.structure.dense()
-        return (neg_norm * np.eye(n2, dtype=complex) + c) / (self.trace_choi + n2 * neg_norm)
+        """The SPA, dense n^2 x n^2."""
+        return assemble(self.structure.n, *self.parts())
 
 
 @dataclass(frozen=True)
 class SpaTerm:
-    """One separable ingredient: its kind, the 1-based indices it lives on,
-    the raw (unweighted) matrix and its weight in the convex combination."""
+    """One separable ingredient: its kind, the 1-based indices it lives on, its
+    weight in the convex combination and n; the raw matrix is built when read."""
 
     kind: str
-    indices: tuple[int, ...]
+    indices: tuple[int, int]
     weight: float
-    matrix: np.ndarray
+    n: int
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        diag, core = np.zeros((self.n, self.n)), np.zeros((self.n, self.n))
+        self._add_to(diag, core, 1.0)
+        return assemble(self.n, diag, core)
+
+    def _add_to(self, diag: np.ndarray, core: np.ndarray, weight: float) -> None:
+        """Add weight times the matrix to :func:`assemble`'s (diag, core): R written onto
+        |ii>, |ij>, |ji>, |jj> for a pair (i, j), a unit at |ij> for a diagonal term."""
+        i, j = self.indices[0] - 1, self.indices[1] - 1
+        diag[i, j] += weight
+        if self.kind == "pair":
+            diag[j, i] += weight
+            core[np.ix_((i, j), (i, j))] += weight * np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 @dataclass(frozen=True)
@@ -113,7 +134,9 @@ def spa_interpolation(p: MapParams, lam: float) -> np.ndarray:
         raise ParameterError(f"lam must lie in [0, 1] (got {lam})")
     structure = choi_structure(p)
     trace = _positive_trace(structure)
-    return (1.0 - lam) / p.n**2 * np.eye(p.n**2, dtype=complex) + lam * structure.dense() / trace
+    noise = (1.0 - lam) / p.n**2
+    d, k = structure.parts()
+    return assemble(p.n, noise + lam * d / trace, noise * np.eye(p.n) + lam * k / trace)
 
 
 def separable_decomposition(p: MapParams) -> SeparableDecomposition:
@@ -121,10 +144,11 @@ def separable_decomposition(p: MapParams) -> SeparableDecomposition:
 
     Preconditions: a = n - 1 (within BOUNDARY_TOL, as every boundary), every
     cycle of sigma of length >= 2, and positivity established by a decisive
-    criterion.  Each two-level term sigma_ij is built as its factorization
+    criterion.  Each two-level term sigma_ij is its factorization
     (D_ij (x) D_ij) R (D_ij (x) D_ij)*, with D_ij the n x 2 isometry onto
     coordinates i, j: R written onto |ii>, |ij>, |ji>, |jj>.  Each diagonal
-    term is one unit entry at |i, sigma^(-1)(i)>.
+    term is one unit entry at |i, sigma^(-1)(i)>.  ``residual`` compares the
+    weighted sum of the terms with the SPA entry by entry, in O(n^2).
     """
     n = p.n
     if abs(p.a - (n - 1.0)) > BOUNDARY_TOL:
@@ -143,23 +167,14 @@ def separable_decomposition(p: MapParams) -> SeparableDecomposition:
     state = spa_state(p)
     normalization = 1.0 / (state.trace_choi + n**2 * state.w_minus_norm * state.trace_choi)
 
-    r = r_matrix()
     inv = p.sigma.inverse()
-    terms: list[SpaTerm] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            block = np.zeros((n * n, n * n), dtype=complex)
-            coords = [i * n + i, i * n + j, j * n + i, j * n + j]
-            block[np.ix_(coords, coords)] = r
-            terms.append(SpaTerm("pair", (i + 1, j + 1), normalization, block))
-    for i in range(n):
-        j = inv(i + 1) - 1
-        diag = np.zeros((n * n, n * n), dtype=complex)
-        diag[i * n + j, i * n + j] = 1.0
-        terms.append(SpaTerm("diagonal", (i + 1, j + 1), p.c[j] * normalization, diag))
+    terms = [SpaTerm("pair", (i, j), normalization, n) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    terms += [SpaTerm("diagonal", (i, inv(i)), p.c[inv(i) - 1] * normalization, n) for i in range(1, n + 1)]
 
-    total = sum((t.weight * t.matrix for t in terms), start=np.zeros_like(state.matrix))
-    residual = float(np.max(np.abs(total - state.matrix)))
+    diag, core = np.zeros((n, n)), np.zeros((n, n))
+    for t in terms:
+        t._add_to(diag, core, t.weight)
+    residual = parts_distance((diag, core), state.parts())
     return SeparableDecomposition(
         terms=tuple(terms), normalization=normalization, residual=residual
     )

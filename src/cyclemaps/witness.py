@@ -44,7 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from .classify import NO, YES, atomic_uniform_c, on_uniform_family, positivity_verdict
-from .dmap import MapParams, choi, choi_structure
+from .dmap import MapParams, assemble, choi, choi_structure
 from .errors import ParameterError
 from .matlin import DEFAULT_PSD_TOL, numerical_rank, require_hermitian
 
@@ -198,7 +198,4 @@ def maximally_entangled_state(n: int) -> np.ndarray:
     """The projector onto sum_i e_i (x) e_i, normalized to trace one."""
     if n < 2:
         raise ParameterError(f"needs n >= 2 (got {n})")
-    psi = np.zeros(n * n, dtype=complex)
-    for i in range(n):
-        psi[i * n + i] = 1.0
-    return np.outer(psi, psi.conj()) / n
+    return assemble(n, 0.0, np.full((n, n), 1.0 / n))

@@ -1,0 +1,141 @@
+"""The involution split and the separable SPA held as structure.
+
+Their residuals are checked here against dense sums of the certificates'
+matrices, taken against ``choi(p).matrix`` and ``spa_state(p).matrix``; past
+the dense size limit only the structured answers exist.
+"""
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import cyclemaps
+from cyclemaps import (
+    MapParams,
+    ParameterError,
+    Permutation,
+    choi,
+    classify_map,
+    decompose_involution,
+    maximally_entangled_state,
+    separable_decomposition,
+    spa_interpolation,
+    spa_state,
+    tau,
+)
+from cyclemaps.cli import main
+from cyclemaps.dmap import assemble, parts_distance
+
+
+def half_shift(n: int) -> MapParams:
+    """tau(n, n/2), a = n - 1, c = 1: n/2 2-cycles, decomposable by the involution split."""
+    return MapParams(n, tau(n, n // 2), n - 1.0, (1.0,) * n)
+
+
+def random_involution_map(rng, n: int) -> MapParams:
+    """An involution, fixed points allowed, whose weights meet the split's preconditions."""
+    order = [int(i) + 1 for i in rng.permutation(n)]
+    images = list(range(1, n + 1))
+    for t in range(int(rng.integers(0, n // 2 + 1))):
+        i, j = order[2 * t], order[2 * t + 1]
+        images[i - 1], images[j - 1] = j, i
+    return MapParams(n, Permutation(tuple(images)), float(rng.uniform(n - 1.0, n + 1.0)), tuple(rng.uniform(1.0, 3.0, n)))
+
+
+def test_classify_runs_involutions_past_the_dense_size_limit(tmp_path):
+    p = half_shift(64)
+    report = classify_map(p, samples=0)
+    assert report.decomposable.status == "yes"
+    assert report.decomposition.reconstruction_residual <= 1e-10
+    assert len(report.decomposition.pairs) == 32
+
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"n": 64, "sigma": "tau:64:32", "a": 63.0, "c": [1.0] * 64}))
+    out = tmp_path / "out.json"
+    assert main(["classify", "--map", str(path), "--samples", "0", "--out", str(out)]) == 0
+    result = json.loads(out.read_text())["result"]
+    assert result["decomposable"]["status"] == "yes"
+    assert result["decomposition"]["reconstruction_residual"] <= 1e-10
+    assert result["decomposition"]["pairs"][0] == [1, 33]
+
+    p = half_shift(256)
+    tracemalloc.start()
+    try:
+        report = classify_map(p, samples=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    assert report.decomposable.status == "yes"
+    assert report.decomposition.reconstruction_residual <= 1e-10
+
+
+def test_classify_assembles_no_dense_matrix_on_an_involution(monkeypatch):
+    sizes = []
+    assemble = cyclemaps.dmap.assemble
+
+    def spy(n, *args, **kwargs):
+        sizes.append(n)
+        return assemble(n, *args, **kwargs)
+
+    for module in (cyclemaps.dmap, cyclemaps.classify, cyclemaps.spa, cyclemaps.witness):
+        if hasattr(module, "assemble"):
+            monkeypatch.setattr(module, "assemble", spy)
+    fixed_points = MapParams(9, Permutation((2, 1, 6, 4, 5, 3, 7, 8, 9)), 8.0, (1.5, 0.8, 1.25) + (1.0,) * 6)
+    for p in (half_shift(8), fixed_points):
+        report = classify_map(p, samples=200)
+        assert report.decomposable.status == "yes" and report.decomposition is not None
+    assert sizes == []
+    # the dense views still go through the assembler
+    assert report.decomposition.P.shape == (81, 81)
+    assert sizes == [9]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_split_residual_matches_the_dense_sum(n):
+    rng = np.random.default_rng(300 + n)
+    for _ in range(4):
+        p = random_involution_map(rng, n)
+        cert = decompose_involution(p)
+        total = cert.P + sum((q for _, q in cert.q_blocks), start=np.zeros((n * n, n * n)))
+        dense = float(np.max(np.abs(total - choi(p).matrix)))
+        assert abs(cert.reconstruction_residual - dense) <= 1e-15
+        assert [pair for pair, _ in cert.q_blocks] == list(cert.pairs)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_spa_residual_matches_the_dense_sum(n):
+    rng = np.random.default_rng(400 + n)
+    for k in range(1, n):
+        for c in ((1.0,) * n, tuple(rng.uniform(1.0, 3.0, n))):
+            p = MapParams(n, tau(n, k), n - 1.0, c)
+            dec = separable_decomposition(p)
+            total = sum(t.weight * t.matrix for t in dec.terms)
+            dense = float(np.max(np.abs(total - spa_state(p).matrix)))
+            assert abs(dec.residual - dense) <= 1e-15
+
+
+def test_separable_decomposition_past_the_dense_size_limit():
+    n = 34
+    dec = separable_decomposition(MapParams(n, tau(n, 1), n - 1.0, (1.0,) * n))
+    assert len(dec.terms) == n * (n + 1) // 2 == 595
+    assert dec.residual <= 1e-10
+    with pytest.raises(ParameterError, match="n = 34"):
+        dec.terms[0].matrix
+
+
+def test_dense_matrices_check_the_size_before_allocating():
+    with pytest.raises(ParameterError, match="n = 200"):
+        spa_interpolation(MapParams(200, tau(200, 1), 199.0, (1.0,) * 200), 0.5)
+    with pytest.raises(ParameterError, match="n = 200"):
+        maximally_entangled_state(200)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_parts_distance_is_the_dense_distance(n):
+    rng = np.random.default_rng(500 + n)
+    for compose_transpose in (False, True):
+        x, y = [tuple(rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))) for _ in range(2)]
+        dense = np.max(np.abs(assemble(n, *x, compose_transpose) - assemble(n, *y, compose_transpose)))
+        assert parts_distance(x, y) == dense
