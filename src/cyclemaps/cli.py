@@ -11,7 +11,8 @@ Five subcommands, all driven by a map-parameter JSON file::
 The parameter file holds ``{"n": 3, "sigma": "tau:3:2", "a": 2.0, "c": [1, 1, 1]}``;
 ``sigma`` accepts the formats of :func:`cyclemaps.perm.parse_permutation`.
 Reports are JSON on stdout (or ``--out``), embed the input verbatim, and are
-byte-identical across runs up to the ``timestamp`` field.
+byte-identical across runs up to the ``timestamp`` field and to what
+``json.dumps(report, indent=2)`` writes (see ``_report_text``).
 
 Exit codes: 0 when verdicts were computed (including "unknown"), 1 on
 input/parse problems (non-finite ``--state`` entries among them), 2 when a
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -204,10 +206,6 @@ def _run_spa(config: RunConfig, params: MapParams) -> dict:
     return {"result": result}
 
 
-def _vector_json(v: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in v]
-
-
 def _run_witness(config: RunConfig, params: MapParams, state: Optional[np.ndarray]) -> dict:
     w = witness(params)
     result = {
@@ -217,7 +215,8 @@ def _run_witness(config: RunConfig, params: MapParams, state: Optional[np.ndarra
     }
     if config.certify:
         cert = certify_optimality(params)
-        unit = np.eye(params.n, dtype=complex)
+        vectors = (np.exp(1j * cert.generators.phases), np.eye(params.n))
+        phase, unit = (np.stack([v.real, v.imag], -1).tolist() for v in vectors)  # [re, im] pairs
         result["certificate"] = {
             "span_rank": cert.span_rank,
             "optimal": cert.optimal,
@@ -226,17 +225,50 @@ def _run_witness(config: RunConfig, params: MapParams, state: Optional[np.ndarra
             "warnings": list(cert.warnings),
             "expectations": [float(e) for e in cert.expectations],
             "generators": [
-                {"family": "phase", "left": _vector_json(xi), "right": _vector_json(xi)}
-                for xi in np.exp(1j * cert.generators.phases)
+                {"family": "phase", "left": xi, "right": xi} for xi in phase
             ]
             + [
-                {"family": "basis", "left": _vector_json(unit[i]), "right": _vector_json(unit[j])}
+                {"family": "basis", "left": unit[i], "right": unit[j]}
                 for i, j in cert.generators.pairs
             ],
         }
     if state is not None:
         result["state_expectation"] = expectation_value(w, state)
     return {"result": result}
+
+
+_encode = json.JSONEncoder(allow_nan=False).encode  # C; indented json.dumps runs in Python before 3.13
+
+
+def _report_text(obj, pad: str = "") -> str:
+    """``json.dumps(obj, indent=2, allow_nan=False)`` with each number array encoded in one C call."""
+    inner = pad + "  "
+    if isinstance(obj, dict) and obj:
+        items = (f"{_encode(k if isinstance(k, str) else _report_text(k))}: {_report_text(v, inner)}" for k, v in obj.items())
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
+    if isinstance(obj, (list, tuple)) and obj:
+        items = (_report_text(v, inner) for v in obj)  # walked only if obj is no number array
+        return _array_text(obj, pad, inner) or f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+    if isinstance(obj, float) and not np.isfinite(obj):  # the C encoder would not name it
+        raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
+    return _encode(obj)
+
+
+def _array_text(obj, pad: str, inner: str) -> Optional[str]:
+    """The indented text of a list of numbers or of non-empty lists of numbers, else None."""
+    head = obj[0][0] if isinstance(obj[0], (list, tuple)) and obj[0] else obj[0]
+    try:
+        text = _encode(obj) if isinstance(head, (int, float)) else '"'
+    except ValueError:  # a non-finite number, named by the walk
+        return None
+    if '"' in text:  # a string; else only numbers, brackets, ", " and empty dicts
+        return None
+    if text.count("[") == 1:
+        return f"[\n{inner}" + text[1:-1].replace(", ", f",\n{inner}") + f"\n{pad}]"
+    deep = inner + "  "  # two deep: each "[" past the first two opens a row after a row
+    if text.startswith("[[") and text.endswith("]]") and text.count("[") == text.count("], [") + 2 and "[]" not in text:
+        body = text[2:-2].replace("], [", f"\n{inner}],\n{inner}[\n{deep}").replace(", ", f",\n{deep}")
+        return f"[\n{inner}[\n{deep}{body}\n{inner}]\n{pad}]"
 
 
 def run(config: RunConfig) -> int:
@@ -288,7 +320,7 @@ def run(config: RunConfig) -> int:
     }
     report.update(body)
     try:
-        text = json.dumps(report, indent=2, allow_nan=False) + "\n"
+        text = _report_text(report) + "\n"
     except ValueError as exc:  # a result overflowed or lost its meaning
         print(f"error: the report holds a non-finite number: {exc}", file=sys.stderr)
         return 2
@@ -296,8 +328,11 @@ def run(config: RunConfig) -> int:
     if config.out is None:
         sys.stdout.write(text)
         return 0
-    try:
-        Path(config.out).write_text(text)
+    try:  # in place: ext4 makes a rewrite that truncates first wait for the old data's writeback
+        with open(os.open(config.out, os.O_WRONLY | os.O_CREAT, 0o666), "w") as f:
+            f.write(text)
+            if Path(config.out).is_file():  # pipes and devices cannot be truncated
+                f.truncate()
     except OSError as exc:
         print(f"error: cannot write output file '{config.out}': {exc}", file=sys.stderr)
         return 1

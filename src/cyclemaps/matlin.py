@@ -18,6 +18,7 @@ n x n core plus 1x1 blocks, and a fully dense matrix is a single block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -274,17 +275,21 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise ParameterError(
             f"matrix field 'entries' must list rows*cols = {rows * cols} pairs (got {len(entries) if isinstance(entries, list) else entries!r})"
         )
-    flat = np.empty(rows * cols, dtype=complex)
-    for pos, pair in enumerate(entries):
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise ParameterError(f"matrix entry {pos} must be a [re, im] pair (got {pair!r})")
-        re, im = pair
-        if isinstance(re, bool) or isinstance(im, bool) or not all(isinstance(t, (int, float)) for t in (re, im)):
-            raise ParameterError(f"matrix entry {pos} must hold two real numbers (got {pair!r})")
-        try:
-            flat[pos] = complex(re, im)
-        except OverflowError:  # an integer past the float range
-            flat[pos] = np.inf
-        if not np.isfinite(flat[pos]):
-            raise ParameterError(f"matrix entry {pos} must hold finite numbers (got {pair!r})")
-    return flat.reshape(rows, cols)
+    try:  # one vectorised pass; the loop below only names the first bad entry
+        pairs = np.fromiter(chain.from_iterable(entries), float, 2 * len(entries))
+    except (TypeError, ValueError, OverflowError):  # no pair, no number, or past the float range
+        pairs = None
+    plain = pairs is not None and set(map(type, entries)) == {list} and set(map(len, entries)) == {2}
+    if not (plain and set(map(type, chain.from_iterable(entries))) <= {int, float} and np.isfinite(pairs).all()):
+        for pos, pair in enumerate(entries):
+            if not (isinstance(pair, list) and len(pair) == 2):
+                raise ParameterError(f"matrix entry {pos} must be a [re, im] pair (got {pair!r})")
+            if any(isinstance(t, bool) or not isinstance(t, (int, float)) for t in pair):
+                raise ParameterError(f"matrix entry {pos} must hold two real numbers (got {pair!r})")
+            try:
+                finite = np.isfinite(complex(*pair))
+            except OverflowError:  # an integer past the float range
+                finite = False
+            if not finite:
+                raise ParameterError(f"matrix entry {pos} must hold finite numbers (got {pair!r})")
+    return pairs.view(complex).reshape(rows, cols)  # the loop passes only numbers numpy has read

@@ -1,0 +1,243 @@
+"""The CLI's report writer against ``json.dumps(obj, indent=2, allow_nan=False)``,
+and the vectorised ``matrix_from_json`` against the per-entry parse."""
+import json
+import math
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cyclemaps import certify_optimality, matrix_from_json, matrix_to_json
+from cyclemaps import cli
+from cyclemaps.cli import _report_text, main, parse_map_json
+
+MAPS = sorted((Path(__file__).resolve().parents[1] / "bench" / "maps").glob("*.json"))
+
+
+def dumps(obj) -> str:
+    return json.dumps(obj, indent=2, allow_nan=False)
+
+
+numbers = st.one_of(
+    st.integers(),
+    st.sampled_from([0, -1, 10**400, -(2**64), 0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.5]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+)
+# strings that look like the encoded text of a number array
+strings = st.text(st.sampled_from('[], "\\{}:0-.eé☃\n') | st.characters(), max_size=8)
+scalars = numbers | st.booleans() | st.none() | strings
+number_arrays = st.one_of(
+    st.lists(numbers, max_size=6),
+    st.lists(numbers, max_size=4).map(tuple),
+    st.lists(st.lists(numbers, max_size=3), max_size=4),
+    st.lists(st.lists(st.lists(numbers, max_size=2), max_size=2), max_size=3),
+    st.lists(st.lists(numbers, max_size=3) | numbers, max_size=4),  # ragged and mixed
+)
+trees = st.recursive(
+    scalars | number_arrays,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(strings, kids, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(trees)
+def test_writer_matches_json_dumps(obj):
+    assert _report_text(obj) == dumps(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [],
+        {},
+        [[]],
+        [[], []],
+        [[1.0], []],
+        [[1.0], 2.0],
+        [[1.0], 2.0, [3.0]],
+        [[[1.0]], 2.0, [3.0]],
+        [[1.0, [2.0]]],
+        [1.0, "x"],
+        [[1.0, 2.0], {"k": [3.0]}],
+        [1.0, {}],
+        ["[1.0, 2.0]", "], ["],
+        [1.0, "a, b"],
+        [[1.0, "x], [y"], [2.0]],
+        [[1.0, {}], [{}]],
+        [True, None, 1],
+        {"a": {"b": [[1e308, -0.0, 5e-324]]}, "é": "☃"},
+        {1: 2, 1.5: 3, True: 4, None: 5},
+        [np.float64(1.5), [np.float64(2.0)]],
+        10**400,
+    ],
+)
+def test_writer_edge_cases(obj):
+    assert _report_text(obj) == dumps(obj)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
+@pytest.mark.parametrize(
+    "place",
+    [
+        lambda v: v,
+        lambda v: {"a": 1.0, "b": v},
+        lambda v: [0.0, v, 1.0],
+        lambda v: [[1.0, 0.0], [v, 0.0]],
+        lambda v: {"entries": [[1.0, v]], "note": "x"},
+    ],
+)
+def test_non_finite_numbers_raise_the_json_dumps_message(bad, place):
+    obj = place(bad)
+    with pytest.raises(ValueError) as want:
+        dumps(obj)
+    with pytest.raises(ValueError) as got:
+        _report_text(obj)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).endswith(": " + repr(bad))
+
+
+@pytest.mark.parametrize("sub", ["spa", "witness", "spectrum"])
+def test_overflowing_report_keeps_its_error_line(tmp_path, capsys, sub):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"n": 3, "sigma": "tau:3:1", "a": 1e308, "c": [1e308] * 3}))
+    assert main([sub, "--map", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the report holds a non-finite number: "
+        "Out of range float values are not JSON compliant: inf\n"
+    )
+
+
+COMMANDS = [
+    ("classify",),
+    ("classify", "--samples", "0"),
+    ("spectrum",),
+    ("spectrum", "--compose-transpose"),
+    ("decompose",),
+    ("spa",),
+    ("spa", "--decompose"),
+    ("witness",),
+    ("witness", "--certify"),
+    ("witness", "--state"),
+    ("witness", "--certify", "--state"),
+]
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("map_path", MAPS, ids=lambda p: p.stem)
+def test_every_report_is_what_json_dumps_writes(tmp_path, capsys, monkeypatch, map_path, command):
+    spec = json.loads(map_path.read_text())
+    argv = [command[0], "--map", str(map_path), *(f for f in command[1:] if f != "--state")]
+    if "--state" in command:
+        n = spec["n"]
+        g = np.random.default_rng(n).standard_normal((n * n, 2 * n * n)).view(complex)
+        rho = g @ g.conj().T
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps(matrix_to_json(rho / np.trace(rho).real)))
+        argv += ["--state", str(state)]
+    reports = []
+    writer = cli._report_text
+
+    def spy(obj, pad=""):
+        if not reports:
+            reports.append(obj)
+        return writer(obj, pad)
+
+    monkeypatch.setattr(cli, "_report_text", spy)
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    params = parse_map_json(spec)
+    # the main maps are no involutions; the invol maps have a fixed point or a != n - 1
+    involution = map_path.stem.startswith("invol")
+    fails = command == ("decompose",) and not involution or command == ("spa", "--decompose") and involution
+    assert rc == (2 if fails else 0), err
+    if fails:
+        return
+    assert out == dumps(reports[0]) + "\n"
+    if "--certify" in command:
+        # the generator vectors as the per-element form wrote them
+        gens = certify_optimality(params).generators
+        unit = np.eye(params.n)
+        old = [[float(z.real), float(z.imag)] for xi in np.exp(1j * gens.phases) for z in xi]
+        old += [[float(z), 0.0] for i, j in gens.pairs for z in np.concatenate([unit[i], unit[j]])]
+        got = reports[0]["result"]["certificate"]["generators"]
+        new = [p for g in got if g["family"] == "phase" for p in g["left"]]
+        new += [p for g in got if g["family"] == "basis" for p in g["left"] + g["right"]]
+        assert json.dumps(new) == json.dumps(old)
+
+
+def test_reports_skip_the_pure_python_encoder(tmp_path, capsys, monkeypatch):
+    # json.dumps(indent=...) walks every number in Python on CPython < 3.13
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    path = next(p for p in MAPS if p.stem == "main_n3")
+    assert main(["spa", "--map", str(path), "--decompose"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["decomposition"]["terms"]
+
+
+def per_entry_parse(entries, rows, cols):
+    return np.array([complex(re, im) for re, im in entries]).reshape(rows, cols)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.data(),
+)
+def test_matrix_from_json_matches_the_per_entry_parse(rows, cols, data):
+    value = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-(2**1023), 2**1023)
+    entries = data.draw(st.lists(st.lists(value, min_size=2, max_size=2), min_size=rows * cols, max_size=rows * cols))
+    got = matrix_from_json({"rows": rows, "cols": cols, "entries": entries})
+    assert got.dtype == np.complex128 and got.shape == (rows, cols)
+    assert got.tobytes() == per_entry_parse(entries, rows, cols).tobytes()  # -0.0 kept
+
+
+def test_matrix_from_json_accepts_numpy_scalars():
+    entries = [[np.float64(0.5), -0.0], [2, np.float64(-1.5)]]  # np.float64 subclasses float
+    got = matrix_from_json({"rows": 1, "cols": 2, "entries": entries})
+    assert got.tobytes() == per_entry_parse(entries, 1, 2).tobytes()
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ([[1.0, 0.0], [True, 0.0], [math.nan, 0.0], [1.0]], "entry 1 must hold two real numbers"),
+        ([[1.0, 0.0], [math.inf, 0.0], ["x", 0.0], [1.0]], "entry 1 must hold finite numbers"),
+        ([[1.0, 0.0], [0.0, 10**400], [1.0], [0.0, 0.0]], "entry 1 must hold finite numbers"),
+        ([[1.0, 0.0], (1.0, 0.0), [None, 0.0], [0.0, 0.0]], "entry 1 must be a [re, im] pair"),
+        ([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0, 0.0]], "entry 3 must be a [re, im] pair"),
+    ],
+)
+def test_matrix_from_json_names_the_first_bad_entry(entries, message):
+    with pytest.raises(Exception, match=message.replace("[", r"\[").replace("]", r"\]")) as info:
+        matrix_from_json({"rows": 2, "cols": 2, "entries": entries})
+    assert type(info.value).__name__ == "ParameterError"
+
+
+def test_out_rewrites_a_longer_file_in_place(tmp_path, capsys):
+    # the report overwrites the old bytes and cuts the rest, on the same inode
+    path = str(next(p for p in MAPS if p.stem == "main_n3"))
+    dest = tmp_path / "report.json"
+    dest.write_text("x" * 100_000)
+    inode = dest.stat().st_ino
+    assert main(["spectrum", "--map", path, "--out", str(dest)]) == 0
+    assert main(["spectrum", "--map", path]) == 0
+    stamp = re.compile(r'"timestamp": "[^"]*"')
+    assert stamp.sub("", dest.read_text()) == stamp.sub("", capsys.readouterr().out)
+    assert dest.stat().st_ino == inode
+
+
+def test_out_to_a_device_or_a_directory(tmp_path, capsys):
+    path = str(next(p for p in MAPS if p.stem == "main_n3"))
+    assert main(["spectrum", "--map", path, "--out", "/dev/null"]) == 0  # no truncate on a device
+    assert main(["spectrum", "--map", path, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write output file '{tmp_path}'")
