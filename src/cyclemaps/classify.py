@@ -31,6 +31,7 @@ n x n block and the 2-cycles, and builds no n^2 x n^2 matrix until read.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -39,7 +40,7 @@ import numpy as np
 
 from .dmap import MapParams, _theta_min_eigenvalues, assemble, choi_structure, pair_block_eigenvalues, parts_distance
 from .errors import ParameterError, PreconditionError
-from .matlin import DEFAULT_PSD_TOL, min_eigenvalue
+from .matlin import DEFAULT_PSD_TOL, MAX_ENTRIES, min_eigenvalue
 from .perm import cycle_decompose, fixed_points, is_involution, is_single_cycle
 
 # Boundary cases a == threshold are resolved inclusively at this tolerance.
@@ -202,16 +203,17 @@ def _adversarial_amplitudes(p: MapParams) -> np.ndarray:
     for lam in _LAMBDA_GRID:
         rows.append(lam**exponent)
     if all(ci > 0 for ci in p.c):
-        alpha = np.empty(n)
+        # alpha at sigma^k of a cycle's start is prod_{j <= k} d / c_j, taken
+        # in logs and scaled by the row's maximum so that no weight overflows
+        log_alpha = np.empty(n)
         for cycle in cycles:
             length = len(cycle)
-            cs = [p.c[i - 1] for i in cycle]
-            d = float(np.exp(np.mean(np.log(cs))))
-            running = 1.0
+            log_cs = [math.log(p.c[i - 1]) for i in cycle]
+            log_d, running = sum(log_cs) / length, 0.0
             for k in range(1, length + 1):
-                running *= d / cs[k - 1]
-                alpha[cycle[k % length] - 1] = running
-        rows.append(alpha)
+                running += log_d - log_cs[k - 1]
+                log_alpha[cycle[k % length] - 1] = running
+        rows.append(np.exp(log_alpha - log_alpha.max()))
     return np.asarray(rows)
 
 
@@ -229,13 +231,19 @@ def verify_positivity_numeric(p: MapParams, samples: int = 2000, seed: int = 0) 
     in [d_min - 1, d_min), d_min the least den_i where w_i > 0.
 
     Counter-based (Philox) seeding keeps runs reproducible for a given seed,
-    which must lie in Philox's key range 0 <= seed < 2**128.
+    which must lie in Philox's key range 0 <= seed < 2**128.  ``samples * n``
+    may not exceed ``MAX_ENTRIES`` (2000 samples reach n = 4194).
     """
     if samples < 0:
         raise ParameterError(f"samples must be >= 0 (got {samples})")
     if not 0 <= seed < 2**128:
         raise ParameterError(f"seed must satisfy 0 <= seed < 2**128 (got {seed})")
     n = p.n
+    if samples * n > MAX_ENTRIES:
+        raise ParameterError(
+            f"samples * n = {samples} * {n} is too large for the sampler: "
+            f"{samples * n:,} entries (limit {MAX_ENTRIES:,})"
+        )
     rng = np.random.Generator(np.random.Philox(key=seed))
     z = rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n))
     zs = np.concatenate([z, np.sqrt(_adversarial_amplitudes(p)).astype(complex)], axis=0)
@@ -319,13 +327,11 @@ def cp_verdict(p: MapParams, psd_tol: float = DEFAULT_PSD_TOL) -> Verdict:
     return Verdict(status, "Choi matrix PSD (numeric eigenvalue check)", ev)
 
 
-def two_positive_verdict(
-    p: MapParams, cp: Optional[Verdict] = None, psd_tol: float = DEFAULT_PSD_TOL
-) -> Verdict:
+def two_positive_verdict(p: MapParams, cp: Optional[Verdict] = None) -> Verdict:
     """2-positivity; it collapses onto complete positivity except in the mixed
     fixed-point cases, which stay unknown unless complete positivity holds."""
     if cp is None:
-        cp = cp_verdict(p, psd_tol)
+        cp = cp_verdict(p)
     dec = cycle_decompose(p.sigma)
     ev = dict(cp.evidence)
     if dec.l_min >= 2:
@@ -367,12 +373,19 @@ def decompose_involution(p: MapParams) -> DecomposabilityCertificate:
 
     Preconditions (each failure is reported by name): sigma an involution,
     a >= n-1, c_i >= 1 at fixed points, c_i * c_sigma(i) >= 1 on 2-cycles.
+    Past n^2 = ``MAX_ENTRIES`` (n = 2896) it raises ParameterError instead.
     """
     failure = _involution_split_failure(p)
     if failure is not None:
         raise PreconditionError(failure)
+    n = p.n
+    if n * n > MAX_ENTRIES:
+        raise ParameterError(
+            f"n = {n} is too large for the involution split: its n x n blocks hold "
+            f"{n * n:,} entries (limit {MAX_ENTRIES:,})"
+        )
     structure = choi_structure(p)
-    n, c, img = p.n, structure.c, structure.img
+    c, img = structure.c, structure.img
     idx = np.arange(n)
     u = np.flatnonzero(idx < img)  # the 2-cycles (u, img[u]), 0-based
 
@@ -416,19 +429,14 @@ def _q_parts(n: int, c: np.ndarray, u, v) -> tuple[np.ndarray, np.ndarray]:
     return diag, core
 
 
-def atomic_verdict(
-    p: MapParams,
-    pos: Optional[Verdict] = None,
-    cp: Optional[Verdict] = None,
-    psd_tol: float = DEFAULT_PSD_TOL,
-) -> Verdict:
+def atomic_verdict(p: MapParams, pos: Optional[Verdict] = None, cp: Optional[Verdict] = None) -> Verdict:
     """Atomicity: complete positivity or the involution split gives no;
     positive, not completely positive with every cycle of length >= 3 gives
     yes.  ``pos`` and ``cp`` are computed here unless the caller has them."""
     if pos is None:
         pos = positivity_verdict(p)
     if cp is None:
-        cp = cp_verdict(p, psd_tol)
+        cp = cp_verdict(p)
     dec = cycle_decompose(p.sigma)
     ev = {"l_min": dec.l_min, "positive": pos.status, "completely_positive": cp.status}
     if cp.status == YES:
@@ -471,7 +479,8 @@ def classify_map(
 ) -> ClassificationReport:
     """Produce all five verdicts, with sampling evidence and cross-checked closure.
 
-    ``samples = 0`` skips the sampler; a negative count raises ParameterError."""
+    ``samples = 0`` skips the sampler; a negative count, or an input past
+    ``MAX_ENTRIES`` in the sampler or the involution split, raises ParameterError."""
     if samples < 0:
         raise ParameterError(f"samples must be >= 0 (got {samples})")
     evidence = (
@@ -479,7 +488,7 @@ def classify_map(
     )
     pos = positivity_verdict(p, evidence)
     cp = cp_verdict(p, psd_tol)
-    two = two_positive_verdict(p, cp=cp, psd_tol=psd_tol)
+    two = two_positive_verdict(p, cp=cp)
     if pos.status == UNKNOWN and cp.status == YES:
         pos = Verdict(YES, "implied by complete positivity", pos.evidence)
     atomic = atomic_verdict(p, pos=pos, cp=cp)

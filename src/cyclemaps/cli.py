@@ -14,9 +14,13 @@ Reports are JSON on stdout (or ``--out``), embed the input verbatim, and are
 byte-identical across runs up to the ``timestamp`` field and to what
 ``json.dumps(report, indent=2)`` writes (see ``_report_text``).
 
+Each subparser names its handler, ``_run_<subcommand>(args, params, state)``,
+and :func:`main` calls it between reading the inputs and writing the report.
+
 Exit codes: 0 when verdicts were computed (including "unknown"), 1 on
 input/parse problems (non-finite ``--state`` entries among them), 2 when a
-computation's precondition fails or a result is not a finite number.
+computation's precondition fails, an input passes a size bound, or a result
+is not a finite number.
 """
 from __future__ import annotations
 
@@ -24,7 +28,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
@@ -32,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .classify import ClassificationReport, classify_map, decompose_involution
+from .classify import classify_map, decompose_involution
 from .dmap import MapParams, choi, choi_structure, delta_n
 from .errors import ContractError, ParameterError, PreconditionError
 from .matlin import DEFAULT_PSD_TOL, hermitian_spectrum, matrix_from_json, matrix_to_json
@@ -41,20 +44,7 @@ from .spa import separable_decomposition, spa_state
 from .witness import certify_optimality, expectation_value, witness
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything that determines a report byte for byte (except the clock)."""
-
-    subcommand: str
-    map_path: str
-    samples: int = 2000
-    tol: float = DEFAULT_PSD_TOL
-    seed: int = 0
-    out: Optional[str] = None
-    compose_transpose: bool = False
-    decompose: bool = False
-    certify: bool = False
-    state_path: Optional[str] = None
+_VERDICTS = ("positive", "two_positive", "completely_positive", "atomic", "decomposable")
 
 
 def parse_map_json(obj) -> MapParams:
@@ -67,7 +57,6 @@ def parse_map_json(obj) -> MapParams:
     n = obj["n"]
     if not isinstance(n, int) or isinstance(n, bool):
         raise ParameterError(f"field 'n' must be an integer (got {n!r})")
-    sigma = parse_permutation(obj["sigma"])
     a = obj["a"]
     if isinstance(a, bool) or not isinstance(a, (int, float)):
         raise ParameterError(f"field 'a' must be a number (got {a!r})")
@@ -78,10 +67,11 @@ def parse_map_json(obj) -> MapParams:
         raise ParameterError(f"field 'c' must be a list of numbers (got {c!r})")
     a_float = _json_float(a, "field 'a'")
     c_float = tuple(_json_float(ci, f"entry {i} of field 'c'") for i, ci in enumerate(c))
+    if len(c) != n:  # bounds n by the file's size before sigma is built
+        raise ParameterError(f"field 'c' must have length n={n} (got {len(c)})")
+    sigma = parse_permutation(obj["sigma"], n)
     if c and all(ci == 0 for ci in c):
         # the weight-free map: only n*diag(X) - X exists with zero weights
-        if len(c) != n:
-            raise ParameterError(f"field 'c' must have length n={n} (got {len(c)})")
         if a_float != float(n):
             raise ParameterError(
                 f"zero weights describe the map n*diag(X) - X and require a = n (got a = {a})"
@@ -117,14 +107,9 @@ def _verdict_json(v) -> dict:
     return {"status": v.status, "criterion": v.criterion, "evidence": dict(v.evidence)}
 
 
-def _classification_json(report: ClassificationReport) -> dict:
-    result = {
-        "positive": _verdict_json(report.positive),
-        "two_positive": _verdict_json(report.two_positive),
-        "completely_positive": _verdict_json(report.completely_positive),
-        "atomic": _verdict_json(report.atomic),
-        "decomposable": _verdict_json(report.decomposable),
-    }
+def _run_classify(args, params: MapParams, state) -> dict:
+    report = classify_map(params, samples=args.samples, psd_tol=args.tol, seed=args.seed)
+    result = {name: _verdict_json(getattr(report, name)) for name in _VERDICTS}
     if report.decomposition is not None:
         cert = report.decomposition
         result["decomposition"] = {
@@ -133,21 +118,11 @@ def _classification_json(report: ClassificationReport) -> dict:
             "p_min_eigenvalue": cert.p_min_eigenvalue,
             "q_pt_min_eigenvalues": list(cert.q_pt_min_eigenvalues),
         }
-    return result
+    return {"result": result, "certificates": {name: result[name]["criterion"] for name in _VERDICTS}}
 
 
-def _run_classify(config: RunConfig, params: MapParams) -> dict:
-    report = classify_map(params, samples=config.samples, psd_tol=config.tol, seed=config.seed)
-    payload = _classification_json(report)
-    certificates = {
-        name: payload[name]["criterion"]
-        for name in ("positive", "two_positive", "completely_positive", "atomic", "decomposable")
-    }
-    return {"result": payload, "certificates": certificates}
-
-
-def _run_spectrum(config: RunConfig, params: MapParams) -> dict:
-    c = choi(params, compose_transpose=config.compose_transpose)
+def _run_spectrum(args, params: MapParams, state) -> dict:
+    c = choi(params, compose_transpose=args.compose_transpose)
     spec = hermitian_spectrum(c.matrix)
     return {
         "result": {
@@ -159,7 +134,7 @@ def _run_spectrum(config: RunConfig, params: MapParams) -> dict:
     }
 
 
-def _run_decompose(config: RunConfig, params: MapParams) -> dict:
+def _run_decompose(args, params: MapParams, state) -> dict:
     cert = decompose_involution(params)
     return {
         "result": {
@@ -179,16 +154,16 @@ def _run_decompose(config: RunConfig, params: MapParams) -> dict:
     }
 
 
-def _run_spa(config: RunConfig, params: MapParams) -> dict:
-    state = spa_state(params)
+def _run_spa(args, params: MapParams, state) -> dict:
+    spa = spa_state(params)
     result = {
-        "lambda_star": state.lambda_star,
-        "w_minus_norm": state.w_minus_norm,
-        "trace_choi": state.trace_choi,
-        "positivity_warning": state.positivity_warning,
-        "matrix": matrix_to_json(state.matrix),
+        "lambda_star": spa.lambda_star,
+        "w_minus_norm": spa.w_minus_norm,
+        "trace_choi": spa.trace_choi,
+        "positivity_warning": spa.positivity_warning,
+        "matrix": matrix_to_json(spa.matrix),
     }
-    if config.decompose:
+    if args.decompose:
         dec = separable_decomposition(params)
         result["decomposition"] = {
             "normalization": dec.normalization,
@@ -206,14 +181,14 @@ def _run_spa(config: RunConfig, params: MapParams) -> dict:
     return {"result": result}
 
 
-def _run_witness(config: RunConfig, params: MapParams, state: Optional[np.ndarray]) -> dict:
+def _run_witness(args, params: MapParams, state: Optional[np.ndarray]) -> dict:
     w = witness(params)
     result = {
         "matrix": matrix_to_json(w),
         "trace": float(np.trace(w).real),
         "min_eigenvalue": choi_structure(params).min_eigenvalue(compose_transpose=True) / params.n,
     }
-    if config.certify:
+    if args.certify:
         cert = certify_optimality(params)
         vectors = (np.exp(1j * cert.generators.phases), np.eye(params.n))
         phase, unit = (np.stack([v.real, v.imag], -1).tolist() for v in vectors)  # [re, im] pairs
@@ -271,74 +246,6 @@ def _array_text(obj, pad: str, inner: str) -> Optional[str]:
         return f"[\n{inner}[\n{deep}{body}\n{inner}]\n{pad}]"
 
 
-def run(config: RunConfig) -> int:
-    """Execute one subcommand; returns the process exit code."""
-    # input phase: unreadable or malformed inputs exit 1
-    try:
-        if not (np.isfinite(config.tol) and config.tol >= 0.0):
-            raise ParameterError(f"--tol must be finite and >= 0 (got {config.tol})")
-        if config.samples < 0:
-            raise ParameterError(f"--samples must be >= 0 (got {config.samples})")
-        if not 0 <= config.seed < 2**128:
-            raise ParameterError(f"--seed must satisfy 0 <= seed < 2**128 (got {config.seed})")
-        raw_map = _load_json_file(config.map_path, "map")
-        params = parse_map_json(raw_map)
-        state = None
-        if config.state_path is not None:
-            state = matrix_from_json(_load_json_file(config.state_path, "state"))
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    # computation phase: violated preconditions exit 2; an overflow shows up
-    # as a non-finite result, which the report refuses below
-    try:
-        with np.errstate(all="ignore"):
-            if config.subcommand == "classify":
-                body = _run_classify(config, params)
-            elif config.subcommand == "spectrum":
-                body = _run_spectrum(config, params)
-            elif config.subcommand == "decompose":
-                body = _run_decompose(config, params)
-            elif config.subcommand == "spa":
-                body = _run_spa(config, params)
-            elif config.subcommand == "witness":
-                body = _run_witness(config, params, state)
-            else:  # pragma: no cover - argparse restricts the choices
-                raise ParameterError(f"unknown subcommand {config.subcommand!r}")
-    except (PreconditionError, ContractError, ParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    report = {
-        "tool": "cyclemaps",
-        "version": __version__,
-        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "subcommand": config.subcommand,
-        "map": raw_map,
-        "config": {"samples": config.samples, "tol": config.tol, "seed": config.seed},
-    }
-    report.update(body)
-    try:
-        text = _report_text(report) + "\n"
-    except ValueError as exc:  # a result overflowed or lost its meaning
-        print(f"error: the report holds a non-finite number: {exc}", file=sys.stderr)
-        return 2
-
-    if config.out is None:
-        sys.stdout.write(text)
-        return 0
-    try:  # in place: ext4 makes a rewrite that truncates first wait for the old data's writeback
-        with open(os.open(config.out, os.O_WRONLY | os.O_CREAT, 0o666), "w") as f:
-            f.write(text)
-            if Path(config.out).is_file():  # pipes and devices cannot be truncated
-                f.truncate()
-    except OSError as exc:
-        print(f"error: cannot write output file '{config.out}': {exc}", file=sys.stderr)
-        return 1
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cyclemaps",
@@ -357,42 +264,84 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0, help="seed for the classify sampler (default 0)")
     common.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
 
-    sub.add_parser("classify", parents=[common], help="all five verdicts with certificates")
+    sub.add_parser("classify", parents=[common], help="all five verdicts with certificates").set_defaults(run=_run_classify)
     p_spec = sub.add_parser("spectrum", parents=[common], help="Choi matrix spectrum")
     p_spec.add_argument(
         "--compose-transpose",
         action="store_true",
         help="use the Choi matrix of transposition composed with the map",
     )
-    sub.add_parser("decompose", parents=[common], help="involution Choi splitting")
+    p_spec.set_defaults(run=_run_spectrum)
+    sub.add_parser("decompose", parents=[common], help="involution Choi splitting").set_defaults(run=_run_decompose)
     p_spa = sub.add_parser("spa", parents=[common], help="structural physical approximation")
     p_spa.add_argument(
         "--decompose", action="store_true", help="also emit the separable decomposition (a = n-1)"
     )
+    p_spa.set_defaults(run=_run_spa)
     p_wit = sub.add_parser("witness", parents=[common], help="entanglement witness")
     p_wit.add_argument("--certify", action="store_true", help="attach the optimality certificate")
     p_wit.add_argument("--state", default=None, help="density matrix JSON to pair with the witness")
+    p_wit.set_defaults(run=_run_witness)
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        subcommand=args.subcommand,
-        map_path=args.map,
-        samples=args.samples,
-        tol=args.tol,
-        seed=args.seed,
-        out=args.out,
-        compose_transpose=getattr(args, "compose_transpose", False),
-        decompose=getattr(args, "decompose", False),
-        certify=getattr(args, "certify", False),
-        state_path=getattr(args, "state", None),
-    )
-
-
 def main(argv: Optional[list[str]] = None) -> int:
+    """Execute one subcommand; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    return run(config_from_args(args))
+    # input phase: unreadable or malformed inputs exit 1
+    try:
+        if not (np.isfinite(args.tol) and args.tol >= 0.0):
+            raise ParameterError(f"--tol must be finite and >= 0 (got {args.tol})")
+        if args.samples < 0:
+            raise ParameterError(f"--samples must be >= 0 (got {args.samples})")
+        if not 0 <= args.seed < 2**128:
+            raise ParameterError(f"--seed must satisfy 0 <= seed < 2**128 (got {args.seed})")
+        raw_map = _load_json_file(args.map, "map")
+        params = parse_map_json(raw_map)
+        state_path = getattr(args, "state", None)  # only witness takes --state
+        state = None if state_path is None else matrix_from_json(_load_json_file(state_path, "state"))
+    except ParameterError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+    # computation phase: violated preconditions exit 2; an overflow shows up
+    # as a non-finite result, which the report refuses below
+    try:
+        with np.errstate(all="ignore"):
+            body = args.run(args, params, state)
+    except (PreconditionError, ContractError, ParameterError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+    report = {
+        "tool": "cyclemaps",
+        "version": __version__,
+        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "subcommand": args.subcommand,
+        "map": raw_map,
+        "config": {"samples": args.samples, "tol": args.tol, "seed": args.seed},
+    }
+    report.update(body)
+    try:
+        text = _report_text(report) + "\n"
+    except ValueError as exc:  # a result overflowed or lost its meaning
+        print(f"error: the report holds a non-finite number: {exc}", file=sys.stderr)
+        return 2
+
+    if args.out is None:
+        sys.stdout.write(text)
+        return 0
+    try:  # in place: ext4 makes a rewrite that truncates first wait for the old data's writeback
+        with open(os.open(args.out, os.O_WRONLY | os.O_CREAT, 0o666), "w") as f:
+            f.write(text)
+            if Path(args.out).is_file():  # pipes and devices cannot be truncated
+                f.truncate()
+    except OSError as exc:
+        print(f"error: cannot write output file '{args.out}': {exc}", file=sys.stderr)
+        return 1
+    return 0
+
+
 
 
 if __name__ == "__main__":

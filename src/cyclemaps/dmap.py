@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .matlin import MAX_DIM
-from .perm import Permutation, identity
+from .perm import Permutation, _check_degree, identity
 
 _REL_TOL = 1e-12
 
@@ -52,10 +52,7 @@ class MapParams:
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 1:
             raise ParameterError(f"n must be a positive integer (got {self.n!r})")
-        if self.sigma.n != self.n:
-            raise ParameterError(
-                f"sigma has degree {self.sigma.n}, which does not match n={self.n}"
-            )
+        _check_degree(self.sigma.n, self.n)
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "c", tuple(float(ci) for ci in self.c))
         if not np.isfinite(self.a) or self.a <= 0:

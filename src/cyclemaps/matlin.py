@@ -31,6 +31,11 @@ DEFAULT_HERMITIAN_TOL = 1e-10
 # turns an out-of-memory surprise into a size error at the call site.
 MAX_DIM = 1024
 
+# The same guard for the arrays sized by inputs rather than by n^2 x n^2: the
+# classify sampler's samples x n block and the involution split's n x n
+# blocks, which each cost about 100 bytes per entry, so about 1 GB here.
+MAX_ENTRIES = 2**23
+
 
 def _as_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(m, dtype=complex)

@@ -8,6 +8,7 @@ that element, so equal permutations always decompose identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .errors import ParameterError
 
@@ -172,7 +173,7 @@ def fixed_points(sigma: Permutation) -> frozenset[int]:
     return frozenset(i for i in range(1, sigma.n + 1) if sigma(i) == i)
 
 
-def parse_permutation(text: str) -> Permutation:
+def parse_permutation(text: str, n: Optional[int] = None) -> Permutation:
     """Parse the textual permutation formats used at tool boundaries.
 
     Three formats are accepted:
@@ -180,6 +181,9 @@ def parse_permutation(text: str) -> Permutation:
     * ``"tau:n:k"``    -- the cyclic shift ``tau(n, k)``
     * ``"id:n"``       -- the identity of degree n
     * ``"images:3,1,2"`` -- explicit 1-based image list
+
+    With ``n`` given, a degree other than ``n`` raises ParameterError before
+    any image tuple is built, so a short text cannot ask for a huge one.
 
     >>> parse_permutation("tau:3:2").images
     (3, 1, 2)
@@ -192,11 +196,13 @@ def parse_permutation(text: str) -> Permutation:
     try:
         if head == "tau":
             n_text, _, k_text = rest.partition(":")
-            return tau(int(n_text), int(k_text))
+            return tau(_check_degree(int(n_text), n), int(k_text))
         if head == "id":
-            return identity(int(rest))
+            return identity(_check_degree(int(rest), n))
         if head == "images":
-            return Permutation(tuple(int(part) for part in rest.split(",")))
+            images = tuple(int(part) for part in rest.split(","))
+            _check_degree(len(images), n)
+            return Permutation(images)
     except ValueError as exc:
         if isinstance(exc, ParameterError):
             raise
@@ -204,6 +210,13 @@ def parse_permutation(text: str) -> Permutation:
     raise ParameterError(
         f"unrecognized sigma format {text!r}: expected 'tau:n:k', 'id:n' or 'images:i1,i2,...'"
     )
+
+
+def _check_degree(degree: int, n: Optional[int]) -> int:
+    """``degree``, or ParameterError when an expected degree ``n`` differs from it."""
+    if n is not None and degree != n:
+        raise ParameterError(f"sigma has degree {degree}, which does not match n={n}")
+    return degree
 
 
 def format_permutation(sigma: Permutation) -> str:
