@@ -38,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dmap import MapParams, _theta_min_eigenvalues, assemble, choi_structure, pair_block_eigenvalues, parts_distance
+from .dmap import MapParams, _theta_min_eigenvalue, assemble, choi_structure, pair_block_eigenvalues, parts_distance
 from .errors import ParameterError, PreconditionError
 from .matlin import DEFAULT_PSD_TOL, MAX_ENTRIES, min_eigenvalue
 from .perm import cycle_decompose, fixed_points, is_involution, is_single_cycle
@@ -134,7 +134,11 @@ def geometric_mean_c(p: MapParams) -> float:
 
 def positivity_threshold(p: MapParams) -> float:
     """max(n-1, n - geomean(c)): at or above it the map is positive for any sigma."""
-    return max(p.n - 1.0, p.n - geometric_mean_c(p))
+    return _threshold(p, geometric_mean_c(p))
+
+
+def _threshold(p: MapParams, geomean: float) -> float:
+    return max(p.n - 1.0, p.n - geomean)
 
 
 def schur_matrix(p: MapParams) -> np.ndarray:
@@ -193,10 +197,8 @@ def _adversarial_amplitudes(p: MapParams) -> np.ndarray:
     exponent = np.empty(n)
     for cycle in cycles:
         length = len(cycle)
-        cur = cycle[0]
         for s in range(1, length + 1):
-            cur = p.sigma(cur)
-            exponent[cur - 1] = length - s
+            exponent[cycle[s % length] - 1] = length - s
     # S is scale-invariant: scaling by lam^-max keeps cycles longer than
     # ~38 from overflowing at lam = 1e8 (entries that underflow become 0)
     exponent -= exponent.max()
@@ -227,8 +229,11 @@ def verify_positivity_numeric(p: MapParams, samples: int = 2000, seed: int = 0) 
     eigenvalue is one root of a secular equation (Golub, SIAM Review 15,
     1973), found in O(n) per vector without forming any n x n matrix by the
     solver that also gives the Choi core's least eigenvalue
-    (:func:`cyclemaps.dmap._theta_min_eigenvalues`).  For a unit xi it lies
-    in [d_min - 1, d_min), d_min the least den_i where w_i > 0.
+    (:func:`cyclemaps.dmap._theta_min_eigenvalue`).  For a unit xi it lies
+    in [d_min - 1, d_min), d_min the least den_i where w_i > 0.  Only the
+    vectors whose bracket can still hold the least of these eigenvalues are
+    iterated, usually a handful after two steps, and ``min_theta_eig`` is
+    bit-identical to solving every vector to convergence.
 
     Counter-based (Philox) seeding keeps runs reproducible for a given seed,
     which must lie in Philox's key range 0 <= seed < 2**128.  ``samples * n``
@@ -257,7 +262,7 @@ def verify_positivity_numeric(p: MapParams, samples: int = 2000, seed: int = 0) 
     worst = int(np.argmax(s_vals))
 
     # den holds exactly the diagonal of Delta(xi xi*)
-    min_eig = float(_theta_min_eigenvalues(amps, den).min())
+    min_eig = _theta_min_eigenvalue(amps, den)
 
     return PositivityEvidence(
         max_s=float(s_vals[worst]),
@@ -268,22 +273,6 @@ def verify_positivity_numeric(p: MapParams, samples: int = 2000, seed: int = 0) 
     )
 
 
-def _evidence_dict(p: MapParams, evidence: Optional[PositivityEvidence]) -> dict:
-    out = {
-        "a": p.a,
-        "threshold": positivity_threshold(p),
-        "geometric_mean_c": geometric_mean_c(p),
-    }
-    if evidence is not None:
-        out.update(
-            max_s=evidence.max_s,
-            min_theta_eig=evidence.min_theta_eig,
-            sampled_vectors=evidence.num_vectors,
-            s_tol=evidence.tol,
-        )
-    return out
-
-
 def on_uniform_family(p: MapParams) -> bool:
     """Uniform weights c with a = n - c (to within BOUNDARY_TOL)."""
     return p.uniform_c and abs(p.a - (p.n - p.c[0])) <= BOUNDARY_TOL
@@ -292,8 +281,17 @@ def on_uniform_family(p: MapParams) -> bool:
 def positivity_verdict(p: MapParams, evidence: Optional[PositivityEvidence] = None) -> Verdict:
     """Decide positivity where a criterion exists; otherwise unknown with evidence."""
     n, a = p.n, p.a
-    ev = _evidence_dict(p, evidence)
-    if a >= positivity_threshold(p) - BOUNDARY_TOL:
+    geomean = geometric_mean_c(p)
+    threshold = _threshold(p, geomean)
+    ev = {"a": a, "threshold": threshold, "geometric_mean_c": geomean}
+    if evidence is not None:
+        ev.update(
+            max_s=evidence.max_s,
+            min_theta_eig=evidence.min_theta_eig,
+            sampled_vectors=evidence.num_vectors,
+            s_tol=evidence.tol,
+        )
+    if a >= threshold - BOUNDARY_TOL:
         return Verdict(YES, "a >= max(n-1, n-geomean(c)): sufficient for every sigma", ev)
     if is_single_cycle(p.sigma):
         return Verdict(

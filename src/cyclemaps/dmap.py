@@ -13,7 +13,10 @@ structure all reduce to statements about (n, sigma, a, c).  The same D
 determines the Choi matrix exactly, and :class:`ChoiStructure` holds it as
 the O(n) arrays (a, c, sigma): every scalar of it (trace, minimum
 eigenvalues, ||C^-||) costs O(n), the core's through the one rank-one
-secular solver the positivity sampler uses as well.  Every dense n^2 x n^2
+secular solver the positivity sampler uses as well.  That solver returns
+the least eigenvalue over a batch of rows and iterates only the rows that
+can still hold it; the value is bit-identical to solving every row to
+convergence and taking the least.  Every dense n^2 x n^2
 matrix here is a diagonal plus a block on span{|ii>}, and :func:`assemble`
 builds it only when a caller asks for the matrix itself.
 """
@@ -30,8 +33,8 @@ from .perm import Permutation, _check_degree, identity
 
 _REL_TOL = 1e-12
 
-# Steps allowed per row in the secular-equation solve; rows close in about
-# a dozen, however widely their entries spread.
+# Steps allowed per live row in the secular-equation solve; rows close in
+# about a dozen, however widely their entries spread.
 _SECULAR_MAX_ITER = 64
 _EPS = float(np.finfo(float).eps)
 
@@ -160,8 +163,8 @@ def pair_block_eigenvalues(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np
     return (x * y - 1.0) / hi, hi
 
 
-def _theta_min_eigenvalues(amps: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """Minimum eigenvalue of diag(den) - xi xi* for each row w = |xi|^2.
+def _theta_min_eigenvalue(amps: np.ndarray, den: np.ndarray) -> float:
+    """The least eigenvalue of diag(den) - xi xi* over the rows w = |xi|^2.
 
     Each i with w_i = 0 deflates: den_i is an eigenvalue of its own.  On the
     support, with d_min the least den_i there and delta_i = den_i - d_min,
@@ -176,6 +179,16 @@ def _theta_min_eigenvalues(amps: np.ndarray, den: np.ndarray) -> np.ndarray:
     point is the lower bound once the bracket is within a factor 2, its
     geometric midpoint before, so rows whose delta_i spread over many
     decades still close in about a dozen steps.
+
+    Only rows that can still hold the minimum are iterated (branch and
+    bound on the brackets [lo, hi] of mu).  A row's value ends at or below
+    its current min(d_min - lo, deflated), since lo only grows; the least
+    of these over all rows, ``best``, ends as the answer.  A row whose
+    d_min - hi, less a rounding allowance, lies above ``best`` is dropped
+    (its deflated values are in ``best`` already).  Rows iterate
+    independently, so the result is bit-identical to solving every row to
+    convergence and taking the least value.  Rows still live after
+    ``_SECULAR_MAX_ITER`` steps raise RuntimeError.
     """
     # entries of w below eps^2 deflate as well: dropping them moves each
     # eigenvalue by at most 2 sqrt(n) eps (Weyl), and it keeps every
@@ -187,10 +200,22 @@ def _theta_min_eigenvalues(amps: np.ndarray, den: np.ndarray) -> np.ndarray:
     delta = on_support - d_min[:, None]  # inf off the support: r_i = 0 there
     lo = np.where(delta == 0, w, 0.0).sum(axis=1)
     hi = w.sum(axis=1)
+    deflated = np.where(support, np.inf, den).min(axis=1)
+    # rounding can leave the final lo above an earlier hi, by about
+    # n eps A^2 / B <= n eps sum_i w_i (Cauchy-Schwarz); the allowance
+    # sqrt(eps) sum_i w_i covers that many times over
+    slack = np.sqrt(_EPS) * hi
+    best = np.minimum(d_min - lo, deflated).min()
     active = np.flatnonzero(hi > lo * (1.0 + 4.0 * _EPS))
-    for _ in range(_SECULAR_MAX_ITER):
+    for step in range(_SECULAR_MAX_ITER + 1):
+        active = active[d_min[active] - (hi[active] + slack[active]) <= best]
         if active.size == 0:
             break
+        if step == _SECULAR_MAX_ITER:
+            raise RuntimeError(
+                "internal consistency failure: the secular equation for the minimum eigenvalue "
+                f"of diag(den) - xi xi* did not converge in {_SECULAR_MAX_ITER} steps on {active.size} rows"
+            )
         l, h = lo[active], hi[active]
         x = np.where(h > 2.0 * l, np.sqrt(l * h), l)
         r = x[:, None] / (delta[active] + x[:, None])
@@ -200,14 +225,9 @@ def _theta_min_eigenvalues(amps: np.ndarray, den: np.ndarray) -> np.ndarray:
         l = np.maximum(l, x + big_a * rho)
         h = np.divide(x, 1.0 - rho, out=h.copy(), where=x < h * (1.0 - rho))
         lo[active], hi[active] = l, h
+        best = np.minimum(best, (d_min[active] - l).min())
         active = active[h > l * (1.0 + 4.0 * _EPS)]
-    if active.size:
-        raise RuntimeError(
-            "internal consistency failure: the secular equation for the minimum eigenvalue "
-            f"of diag(den) - xi xi* did not converge in {_SECULAR_MAX_ITER} steps on {active.size} rows"
-        )
-    deflated = np.where(support, np.inf, den).min(axis=1)
-    return np.minimum(d_min - lo, deflated)
+    return float(best)
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,7 +246,7 @@ class ChoiStructure:
     eigenvector with eigenvalue D[i, k]: c_k at i = sigma(k), 0 elsewhere
     (Choi, Linear Algebra Appl. 10, 1975).  K is diag(k) minus the rank-one
     xi xi* with xi the all-ones vector, so its least eigenvalue is the root
-    of the secular equation that :func:`_theta_min_eigenvalues` solves for
+    of the secular equation that :func:`_theta_min_eigenvalue` solves for
     the positivity sampler too.  Choi(T.Theta) splits into 1x1 blocks
     k_i - 1 on |ii> and 2x2 blocks [[D[i, k], -1], [-1, D[k, i]]] on
     {|ik>, |ki>}, which are [[0, -1], [-1, 0]] unless k = sigma(i) or
@@ -247,7 +267,7 @@ class ChoiStructure:
     def core_min(self) -> float:
         """The least eigenvalue of K = diag(k) - J."""
         k = self.entry(np.arange(self.n), np.arange(self.n))
-        return float(_theta_min_eigenvalues(np.ones((1, self.n)), k[None, :])[0])
+        return _theta_min_eigenvalue(np.ones((1, self.n)), k[None, :])
 
     def min_eigenvalue(self, compose_transpose: bool = False) -> float:
         n, idx = self.n, np.arange(self.n)

@@ -1,9 +1,6 @@
 """Dense complex matrix helpers used throughout the package.
 
-Everything operates on plain numpy arrays with complex128 entries.  Tensor
-products follow the first-factor-major block convention of ``numpy.kron``:
-``kron(A, B)[(i, p), (j, q)] == A[i, j] * B[p, q]``, i.e. block (i, j) of the
-product equals ``A[i, j] * B``.
+Everything operates on plain numpy arrays with complex128 entries.
 
 The Hermitian eigen helpers (``min_eigenvalue``, ``is_psd``,
 ``hermitian_spectrum``, ``negative_part``) never solve more than an
@@ -37,54 +34,11 @@ MAX_DIM = 1024
 MAX_ENTRIES = 2**23
 
 
-def _as_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
+def _as_matrix(m: np.ndarray) -> np.ndarray:
     arr = np.asarray(m, dtype=complex)
     if arr.ndim != 2:
-        raise ParameterError(f"{name} must be 2-dimensional (got shape {arr.shape})")
+        raise ParameterError(f"matrix must be 2-dimensional (got shape {arr.shape})")
     return arr
-
-
-def identity_matrix(n: int) -> np.ndarray:
-    return np.eye(n, dtype=complex)
-
-
-def matrix_unit(n: int, i: int, j: int) -> np.ndarray:
-    """The matrix unit E_ij in M_n, 1-based indices."""
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ParameterError(f"matrix unit indices ({i}, {j}) outside {{1, ..., {n}}}")
-    e = np.zeros((n, n), dtype=complex)
-    e[i - 1, j - 1] = 1.0
-    return e
-
-
-def basis_vector(n: int, i: int) -> np.ndarray:
-    """The standard basis vector e_i of C^n, 1-based."""
-    if not 1 <= i <= n:
-        raise ParameterError(f"basis index {i} outside {{1, ..., {n}}}")
-    v = np.zeros(n, dtype=complex)
-    v[i - 1] = 1.0
-    return v
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product with a size guard on the result."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    out_dims = tuple(da * db for da, db in zip(a.shape, b.shape))
-    if any(d > MAX_DIM for d in out_dims):
-        raise ParameterError(
-            f"tensor product result {out_dims} exceeds the supported edge length {MAX_DIM}"
-        )
-    return np.kron(a, b)
-
-
-def schur_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entrywise product; shapes must match."""
-    a = _as_matrix(a, "first factor")
-    b = _as_matrix(b, "second factor")
-    if a.shape != b.shape:
-        raise ParameterError(f"shape mismatch for entrywise product: {a.shape} vs {b.shape}")
-    return a * b
 
 
 def _hermitian_defect(m: np.ndarray) -> float:

@@ -8,6 +8,7 @@ that element, so equal permutations always decompose identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .errors import ParameterError
@@ -65,6 +66,24 @@ class Permutation:
     def is_identity(self) -> bool:
         return all(j == i for i, j in enumerate(self.images, start=1))
 
+    @cached_property
+    def decomposition(self) -> CycleDecomposition:
+        """The canonical cycle decomposition, computed on first use and kept."""
+        seen = [False] * self.n
+        cycles: list[tuple[int, ...]] = []
+        for start in range(1, self.n + 1):
+            if seen[start - 1]:
+                continue
+            cycle = [start]
+            seen[start - 1] = True
+            j = self.images[start - 1]
+            while j != start:
+                cycle.append(j)
+                seen[j - 1] = True
+                j = self.images[j - 1]
+            cycles.append(tuple(cycle))
+        return CycleDecomposition(n=self.n, cycles=tuple(cycles))
+
 
 @dataclass(frozen=True)
 class CycleDecomposition:
@@ -113,27 +132,14 @@ def tau(n: int, k: int) -> Permutation:
 
 
 def cycle_decompose(sigma: Permutation) -> CycleDecomposition:
-    """Canonical disjoint-cycle decomposition.
+    """Canonical disjoint-cycle decomposition, built once per permutation.
 
     >>> cycle_decompose(tau(3, 2)).cycles
     ((1, 3, 2),)
     >>> cycle_decompose(tau(6, 3)).cycles
     ((1, 4), (2, 5), (3, 6))
     """
-    seen = [False] * sigma.n
-    cycles: list[tuple[int, ...]] = []
-    for start in range(1, sigma.n + 1):
-        if seen[start - 1]:
-            continue
-        cycle = [start]
-        seen[start - 1] = True
-        j = sigma(start)
-        while j != start:
-            cycle.append(j)
-            seen[j - 1] = True
-            j = sigma(j)
-        cycles.append(tuple(cycle))
-    return CycleDecomposition(n=sigma.n, cycles=tuple(cycles))
+    return sigma.decomposition
 
 
 def from_cycles(n: int, cycles: tuple[tuple[int, ...], ...]) -> Permutation:

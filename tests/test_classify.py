@@ -36,8 +36,10 @@ from cyclemaps import (
     two_positive_verdict,
     verify_positivity_numeric,
 )
+from cyclemaps import classify as classify_module
 from cyclemaps import dmap as dmap_module
-from cyclemaps.dmap import _theta_min_eigenvalues
+from cyclemaps import perm as perm_module
+from cyclemaps.dmap import _theta_min_eigenvalue
 
 
 def test_positivity_threshold_examples():
@@ -193,8 +195,13 @@ def theta_rows(p: MapParams, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     return zs, amps, den
 
 
+def row_minima(amps: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """The solver on each one-row slice: every row's own least eigenvalue."""
+    return np.array([_theta_min_eigenvalue(amps[i : i + 1], den[i : i + 1]) for i in range(len(amps))])
+
+
 def assert_root_matches_oracle(zs: np.ndarray, amps: np.ndarray, den: np.ndarray) -> None:
-    got = _theta_min_eigenvalues(amps, den)
+    got = row_minima(amps, den)
     want = dense_theta_min_eigenvalues(zs, den)
     scale = np.maximum(1.0, den.max(axis=1))
     assert np.all(np.abs(got - want) <= 1e-12 * scale), np.max(np.abs(got - want) / scale)
@@ -244,15 +251,144 @@ def test_secular_root_on_zeros_ties_and_fixed_points():
     zs, amps, den = theta_rows(p, rows)
     assert np.any(den == 0.0) and np.any(amps == 0.0)
     assert_root_matches_oracle(zs, amps, den)
-    got = _theta_min_eigenvalues(amps, den)
+    got = row_minima(amps, den)
     assert got[0] == pytest.approx((p.a + 1.0) / 5 - 1.0, abs=1e-15)
     assert got[1] == 0.0  # the deflated den_i = 0 lies below d_min - mu = a + 0 - 1 = 1
+
+
+@st.composite
+def row_batches(draw):
+    """A map from :func:`maps_and_rows` with a batch of unit rows: its own rows
+    plus up to 300 Gaussian ones, with entries set to 0 (w_i = 0, and den_i = 0
+    where w_sigma(i) = 0 too), to 1e-17 (w_i below eps^2) or to 1e-9.  In
+    half the batches the map is sigma = id with a + c = n instead, where every
+    row's least eigenvalue is 0 (Theta(xi xi*) maps 1 / conj(xi) to 0), so no
+    row can be pruned."""
+    p, rows = draw(maps_and_rows())
+    n = p.n
+    if draw(st.booleans()):
+        a = n * draw(st.integers(1, 15)) / 16  # a and n - a are exact
+        p = MapParams(n, identity(n), a, (n - a,) * n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.integers(0, 300)), n)
+    extra = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    extra = np.where(rng.random(extra.shape) < 0.1, rng.choice([0.0, 1e-17, 1e-9], extra.shape), extra)
+    extra = extra[np.abs(extra).max(axis=1) > 0]
+    return p, np.concatenate([rows, extra])
+
+
+@given(row_batches())
+@settings(max_examples=300, deadline=None)
+# one row; and rows with zeros, a weight below eps^2 and den_i = 0 at the fixed point 3
+@example((MapParams(3, tau(3, 1), 1.5, (1.0,) * 3), np.array([[1.0, 2.0, 1j]])))
+@example(
+    (
+        MapParams(3, Permutation((2, 1, 3)), 1.0, (2.0, 0.5, 1.0)),
+        np.array([[1.0, 1.0, 0.0], [1.0, 1e-17, 0.0], [1.0, 2.0, 3.0], [0.0, 1.0, 1e-17]], dtype=complex),
+    )
+)
+def test_pruned_minimum_is_bit_identical_to_the_least_row_minimum(args):
+    p, rows = args
+    _, amps, den = theta_rows(p, rows)
+    assert _theta_min_eigenvalue(amps, den).hex() == row_minima(amps, den).min().hex()
+
+
+# A unit row (w = |xi|^2, den) from a random map at n = 36 with log-uniform
+# a and c.  Rounding lets its final lo pass the hi of a step at which it was
+# still live, by less than eps sum_i w_i, so that its value ends 3328 ulps
+# below that step's d_min - hi.
+ROUNDING_ROW_W = (
+    "0x0.0p+0,0x1.7c279e2b4fc84p-4,0x1.1cf00a626b5e2p-3,0x1.96b0858bf18dap-6,0x1.4b6789847a92cp-62,"
+    "0x1.81a49bc36a3cep-3,0x1.36d2b68a2e58fp-110,0x1.3639985d46564p-108,0x0.0p+0,0x1.8eaec85e5505fp-63,"
+    "0x1.e9c397cc229abp-64,0x1.054d22cdbca14p-105,0x1.4c494f9dc4b3cp-110,0x1.1d716e4e2c026p-101,"
+    "0x1.19937c341eee1p-5,0x1.173dbe5638176p-3,0x1.61cbbdca789f8p-102,0x1.ce11a79fda9f8p-13,0x0.0p+0,"
+    "0x0.0p+0,0x0.0p+0,0x1.eb80615d58695p-108,0x1.f33b7cc5a1d23p-101,0x1.2c1775340de0cp-63,"
+    "0x1.2484d31acd067p-3,0x1.b215015dabad4p-112,0x1.78e8395701bd7p-112,0x0.0p+0,0x1.269c353d76052p-104,"
+    "0x0.0p+0,0x0.0p+0,0x0.0p+0,0x1.38c0ad969abcbp-63,0x1.cc235cd30cc32p-103,0x1.ede6852b0f7efp-3,"
+    "0x0.0p+0"
+)
+ROUNDING_ROW_DEN = (
+    "0x1.f255bb193a3b2p-105,0x1.0565e33a424f5p+0,0x1.8495a30e52ecfp+5,0x1.17a4c09bb10e8p-2,"
+    "0x1.41fd0bbfba600p-51,0x1.092bf8ef7ba9dp+1,0x1.b9be826d8d91bp-107,0x1.db9b43e0e8e14p-84,"
+    "0x1.62705baafecb3p-104,0x1.d4a4ef599ff4fp-8,0x1.50c430f82ceadp-60,0x1.0bde12bc78555p-90,"
+    "0x1.c8f76bd110af1p-107,0x1.4ac849ca993ecp+2,0x1.833a91bb5fc45p-2,0x1.80048b2c338d4p+0,"
+    "0x1.6f2be8347ce6cp-6,0x1.3db9153863b43p-9,0x1.e44dfb44500fcp-26,0x0.0p+0,0x1.84ebfa33261b4p-121,"
+    "0x1.51f6080209f75p-104,0x1.5746e24bfa1b2p-97,0x1.da2e10ca67050p-17,0x1.9f4246b30f145p+0,"
+    "0x1.50f1c087bde02p-57,0x1.032a369d81c48p-108,0x0.0p+0,0x1.686309c989166p+10,0x1.73cb0f2c9d8eap-57,"
+    "0x0.0p+0,0x1.0a843809f3befp+4,0x1.ae1a74d5b4cd8p-60,0x1.1e089cc1fea06p-80,0x1.539c51d41b068p+1,"
+    "0x1.100e2630bae92p-90"
+)
+
+
+def test_pruning_allows_for_rounding_between_steps():
+    w = np.array([[float.fromhex(x) for x in ROUNDING_ROW_W.split(",")]])
+    den = np.array([[float.fromhex(x) for x in ROUNDING_ROW_DEN.split(",")]])
+    value = _theta_min_eigenvalue(w, den)
+    # a second row that converges at once (one weight) to a value inside that
+    # window: without an allowance the first row would be dropped for it
+    other = np.zeros_like(w)
+    other[0, 0] = float.fromhex("0x1.4fa2b43514e0cp-100")
+    other_den = np.ones_like(den)
+    other_den[0, 0] = float.fromhex("0x1.4484bfeebc2a0p-100")
+    assert value < _theta_min_eigenvalue(other, other_den) < value * (1 - 2000 * np.finfo(float).eps)
+    batch = _theta_min_eigenvalue(np.concatenate([w, other]), np.concatenate([den, other_den]))
+    assert batch.hex() == value.hex()
+
+
+# (map, seed) -> float.hex of (max_s, min_theta_eig) at the default 2000
+# samples, recorded with a solver that took every row to convergence: a
+# tau(n, 1) cycle, two 3-cycles, sigma = id at a + c = n, an involution, a
+# positive map at its threshold (min_theta_eig exactly 0) and an 8-cycle with
+# two fixed points
+SAMPLER_GOLDEN = [
+    (MapParams(3, tau(3, 1), 1.5, (1.5,) * 3), 0, "0x1.5555551c112dcp+0", "-0x1.9765249181760p-4"),
+    (MapParams(6, tau(6, 2), 4.0, (0.5, 1.0, 2.0, 0.7, 1.3, 3.0)), 5, "0x1.284809dba3289p+0", "-0x1.f4c93376185f0p-4"),
+    (MapParams(6, identity(6), 5.0, (1.0,) * 6), 1, "0x1.0000000000001p+0", "-0x1.0000000000000p-52"),
+    (
+        MapParams(6, Permutation((2, 1, 4, 3, 6, 5)), 4.5, (1.2, 0.9, 2.0, 0.6, 1.0, 1.5)),
+        2,
+        "0x1.115ef3e395c37p+0",
+        "-0x1.ea2df24e33e90p-5",
+    ),
+    (MapParams(10, tau(10, 1), 9.2, (0.8,) * 10), 4, "0x1.0000000000000p+0", "0x0.0p+0"),
+    (
+        MapParams(10, Permutation((2, 3, 4, 5, 6, 7, 8, 1, 9, 10)), 8.5, (0.6, 1.4, 0.9, 2.2, 1.1, 0.7, 1.8, 1.0, 0.5, 2.5)),
+        3,
+        "0x1.08d3dffacf4fbp+0",
+        "-0x1.fb4aac56bb240p-6",
+    ),
+]
+
+
+@pytest.mark.parametrize("p, seed, max_s, min_theta_eig", SAMPLER_GOLDEN, ids=["tau3", "tau6_2", "id6", "invol6", "tau10", "fixed10"])
+def test_sampler_evidence_keeps_its_recorded_bits(p, seed, max_s, min_theta_eig):
+    # the pins hold for numpy's float kernels as built; an exp or power that
+    # rounds differently would move the last bits of the adversarial rows
+    ev = verify_positivity_numeric(p, seed=seed)
+    assert (ev.max_s.hex(), ev.min_theta_eig.hex()) == (max_s, min_theta_eig)
 
 
 def test_secular_root_past_the_iteration_cap_is_an_internal_failure(monkeypatch, flagship):
     monkeypatch.setattr(dmap_module, "_SECULAR_MAX_ITER", 0)
     with pytest.raises(RuntimeError, match="internal consistency failure"):
         verify_positivity_numeric(flagship, samples=10, seed=0)
+
+
+def test_secular_iteration_cap_binds_live_rows_only(monkeypatch, flagship):
+    rng = np.random.default_rng(5)
+    _, amps, den = theta_rows(flagship, rng.standard_normal((300, 3)) + 1j * rng.standard_normal((300, 3)))
+    want = _theta_min_eigenvalue(amps, den)
+    for cap in range(dmap_module._SECULAR_MAX_ITER + 1):
+        monkeypatch.setattr(dmap_module, "_SECULAR_MAX_ITER", cap)
+        try:
+            got = _theta_min_eigenvalue(amps, den)
+            break
+        except RuntimeError:
+            pass
+    assert got == want
+    # at the least cap the batch needs, some dropped row is still short of converging on its own
+    with pytest.raises(RuntimeError, match="internal consistency failure"):
+        row_minima(amps, den)
 
 
 @pytest.mark.parametrize("n", [64, 256])
@@ -287,6 +423,24 @@ def test_positivity_verdict_threshold_and_converse(flagship):
     v = positivity_verdict(MapParams(3, tau(3, 1), 1.8, (1.0, 1.0, 1.0)))
     assert v.status == "no"
     assert "n-cycle" in v.criterion
+
+
+def test_classify_map_decomposes_sigma_and_takes_the_geometric_mean_once(monkeypatch):
+    counts = {"decompositions": 0, "geometric means": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(perm_module, "CycleDecomposition", counting("decompositions", perm_module.CycleDecomposition))
+    monkeypatch.setattr(classify_module, "geometric_mean_c", counting("geometric means", geometric_mean_c))
+    # two fixed points and a 3-cycle below the threshold: every verdict reads sigma
+    p = MapParams(5, Permutation((2, 3, 1, 4, 5)), 2.5, (1.0, 2.0, 0.5, 1.5, 1.0))
+    classify_map(p, samples=10)
+    assert counts == {"decompositions": 1, "geometric means": 1}
 
 
 def test_positivity_verdict_identity_branch():

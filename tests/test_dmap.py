@@ -18,7 +18,7 @@ from cyclemaps import (
     tau,
     theta_apply,
 )
-from cyclemaps.matlin import matrix_unit
+from matrix_helpers import matrix_unit
 from conftest import random_hermitian
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0

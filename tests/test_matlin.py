@@ -20,8 +20,9 @@ from cyclemaps import (
     partial_transpose,
     require_hermitian,
 )
-from cyclemaps.matlin import DEFAULT_HERMITIAN_TOL, basis_vector, identity_matrix, kron, matrix_unit, schur_product
+from cyclemaps.matlin import DEFAULT_HERMITIAN_TOL
 from conftest import random_hermitian
+from matrix_helpers import basis_vector, identity_matrix, kron, matrix_unit, schur_product
 
 
 def test_matrix_unit_and_basis_vector():

@@ -18,6 +18,8 @@ from cyclemaps import (
     parse_permutation,
     tau,
 )
+from cyclemaps import perm as perm_module
+from cyclemaps.perm import CycleDecomposition
 
 
 def test_identity_basics():
@@ -84,6 +86,19 @@ def test_cycle_decompose_examples():
     assert sorted(dec.lengths) == [2, 3]
     assert dec.l_min == 2
     assert dec.l_max == 3
+
+
+def test_cycle_decompose_is_built_once_per_permutation(monkeypatch):
+    built = []
+    monkeypatch.setattr(perm_module, "CycleDecomposition", lambda **kw: built.append(kw) or CycleDecomposition(**kw))
+    s = Permutation((2, 1, 4, 5, 3))
+    dec = cycle_decompose(s)
+    assert cycle_decompose(s) is dec and is_single_cycle(s) is False and min_max_cycle_length(s) == (2, 3)
+    assert len(built) == 1
+    # the cached decomposition is no field: equality and hashing see the images only
+    t = Permutation(s.images)
+    assert t == s and hash(t) == hash(s) and "decomposition" not in vars(t)
+    assert cycle_decompose(t) == dec and len(built) == 2
 
 
 @pytest.mark.parametrize("n", range(2, 13))

@@ -21,7 +21,7 @@ from cyclemaps import (
     spa_state,
     tau,
 )
-from cyclemaps.matlin import kron, matrix_unit
+from matrix_helpers import kron, matrix_unit
 
 
 def test_r_matrix_and_its_partial_transpose():

@@ -33,7 +33,7 @@ from cyclemaps import (
     theta_apply,
     witness,
 )
-from cyclemaps.matlin import kron, matrix_unit
+from matrix_helpers import kron, matrix_unit
 from cyclemaps.cli import main
 
 TOL = 1e-12

@@ -19,7 +19,7 @@ from cyclemaps import (
     tau,
     witness,
 )
-from cyclemaps.matlin import matrix_unit
+from matrix_helpers import matrix_unit
 
 
 def test_witness_is_transposed_choi_over_n(flagship):
