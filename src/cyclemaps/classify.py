@@ -7,23 +7,26 @@ sampling is always reported as evidence; it never upgrades a verdict to "yes"
 on its own where a decisive criterion exists, and where no criterion applies
 the status stays "unknown" with the measured worst-case data attached.
 
-The decisive criteria implemented here, each written once:
+The decisive criteria, each written once in the function that every caller
+(:func:`classify_map` included) reads:
 
-* a >= max(n-1, n - geomean(c)) makes the map positive for every sigma, and
-  that bound is sharp when sigma is one full n-cycle;
-* the map is completely positive exactly when its Choi matrix is PSD, which
-  comes down to the n x n core K = diag(a + c_i [sigma(i) = i]) - J being
-  PSD; with every cycle of sigma of length >= 2 that is a >= n, and
-  2-positivity coincides with it;
-* at sigma = id the map is an entrywise multiplier, so positivity reduces to
-  one n x n PSD test (the same matrix as K);
-* on the uniform family a = n - c, positivity holds exactly for c <= n/l_max;
-* a positive, not completely positive map whose cycles all have length >= 3 is
-  atomic (no split into a 2-positive part plus a transposed 2-positive part);
-* when sigma is an involution and a >= n-1, c_i >= 1 at fixed points,
-  c_i * c_sigma(i) >= 1 on the 2-cycles, the Choi matrix splits explicitly
-  into a PSD block plus blocks whose partial transposes are PSD, so the map
-  is decomposable.
+* :func:`positivity_verdict`: a >= max(n-1, n - geomean(c)) makes the map
+  positive for every sigma, sharply when sigma is one full n-cycle; at
+  sigma = id the map is an entrywise multiplier (one n x n PSD test, on K
+  below); on the uniform family a = n - c it is positive iff c <= n/l_max;
+* :func:`cp_verdict`: the Choi matrix is PSD, which comes down to the n x n
+  core K = diag(a + c_i [sigma(i) = i]) - J; with every cycle of sigma of
+  length >= 2 that is a >= n, and 2-positivity coincides with it
+  (:func:`two_positive_verdict`);
+* ``_implied_by_cp``: complete positivity implies positivity and 2-positivity;
+* ``_atomic_and_decomposable``: complete positivity or the involution split
+  makes the map decomposable, not atomic; positive, not completely positive
+  with every cycle of length >= 3 makes it atomic (no split into a 2-positive
+  part plus a transposed 2-positive part), not decomposable;
+* ``_involution_split_failure``: when sigma is an involution and a >= n-1,
+  c_i >= 1 at fixed points, c_i * c_sigma(i) >= 1 on the 2-cycles, the Choi
+  matrix splits explicitly (:func:`decompose_involution`) into a PSD block
+  plus blocks whose partial transposes are PSD.
 
 Every verdict, the split included, reads the O(n) Choi structure
 (:func:`cyclemaps.dmap.choi_structure`); the split's certificate holds P's
@@ -278,8 +281,10 @@ def on_uniform_family(p: MapParams) -> bool:
     return p.uniform_c and abs(p.a - (p.n - p.c[0])) <= BOUNDARY_TOL
 
 
-def positivity_verdict(p: MapParams, evidence: Optional[PositivityEvidence] = None) -> Verdict:
-    """Decide positivity where a criterion exists; otherwise unknown with evidence."""
+def positivity_verdict(p: MapParams, evidence: Optional[PositivityEvidence] = None, cp: Optional[Verdict] = None) -> Verdict:
+    """Decide positivity where a criterion exists, complete positivity last;
+    otherwise unknown with evidence.  ``cp`` is computed here, and only when
+    every other criterion is silent, unless the caller has it."""
     n, a = p.n, p.a
     geomean = geometric_mean_c(p)
     threshold = _threshold(p, geomean)
@@ -307,7 +312,9 @@ def positivity_verdict(p: MapParams, evidence: Optional[PositivityEvidence] = No
         ev["cycle_bound"] = n / l_max
         status = YES if p.c[0] <= n / l_max + BOUNDARY_TOL else NO
         return Verdict(status, "uniform family a = n - c: positive iff c <= n/l_max(sigma)", ev)
-    return Verdict(UNKNOWN, "no positivity criterion applies below the threshold for this sigma", ev)
+    if cp is None:
+        cp = cp_verdict(p)
+    return _implied_by_cp(cp, ev, "no positivity criterion applies below the threshold for this sigma")
 
 
 def cp_verdict(p: MapParams, psd_tol: float = DEFAULT_PSD_TOL) -> Verdict:
@@ -340,11 +347,15 @@ def two_positive_verdict(p: MapParams, cp: Optional[Verdict] = None) -> Verdict:
         return Verdict(
             cp.status, "at sigma = id positivity and complete positivity coincide, squeezing 2-positivity", ev
         )
+    return _implied_by_cp(cp, ev, "no 2-positivity criterion when sigma mixes fixed points with longer cycles")
+
+
+def _implied_by_cp(cp: Verdict, ev: dict, otherwise: str) -> Verdict:
+    """Yes when complete positivity holds, as it implies positivity and
+    2-positivity; else unknown under the ``otherwise`` criterion."""
     if cp.status == YES:
         return Verdict(YES, "implied by complete positivity", ev)
-    return Verdict(
-        UNKNOWN, "no 2-positivity criterion when sigma mixes fixed points with longer cycles", ev
-    )
+    return Verdict(UNKNOWN, otherwise, ev)
 
 
 def _involution_split_failure(p: MapParams) -> Optional[str]:
@@ -357,10 +368,10 @@ def _involution_split_failure(p: MapParams) -> Optional[str]:
     for i in sorted(fixed_points(p.sigma)):
         if p.c[i - 1] < 1.0 - BOUNDARY_TOL:
             return f"requires c[{i}] >= 1 at the fixed point {i} (got c[{i}] = {p.c[i - 1]})"
-    for i in range(1, n + 1):
-        si = p.sigma(i)
+    # canonical 2-cycles (i, sigma(i)) have i < sigma(i) and come in the order of i
+    for i, si in (cycle for cycle in cycle_decompose(p.sigma).cycles if len(cycle) == 2):
         product = p.c[i - 1] * p.c[si - 1]
-        if i < si and product < 1.0 - BOUNDARY_TOL:
+        if product < 1.0 - BOUNDARY_TOL:
             return f"requires c[{i}]*c[{si}] >= 1 for the 2-cycle ({i}, {si}) (got {product})"
     return None
 
@@ -376,6 +387,11 @@ def decompose_involution(p: MapParams) -> DecomposabilityCertificate:
     failure = _involution_split_failure(p)
     if failure is not None:
         raise PreconditionError(failure)
+    return _split(p)
+
+
+def _split(p: MapParams) -> DecomposabilityCertificate:
+    """The involution split of a map that meets its preconditions."""
     n = p.n
     if n * n > MAX_ENTRIES:
         raise ParameterError(
@@ -427,46 +443,46 @@ def _q_parts(n: int, c: np.ndarray, u, v) -> tuple[np.ndarray, np.ndarray]:
     return diag, core
 
 
-def atomic_verdict(p: MapParams, pos: Optional[Verdict] = None, cp: Optional[Verdict] = None) -> Verdict:
-    """Atomicity: complete positivity or the involution split gives no;
+def _atomic_and_decomposable(
+    p: MapParams, pos: Verdict, cp: Verdict, certify: bool
+) -> tuple[Verdict, Verdict, Optional[DecomposabilityCertificate]]:
+    """The atomic and the decomposable verdict from one rule: complete
+    positivity or the involution split gives decomposable, not atomic;
     positive, not completely positive with every cycle of length >= 3 gives
-    yes.  ``pos`` and ``cp`` are computed here unless the caller has them."""
-    if pos is None:
-        pos = positivity_verdict(p)
+    atomic, not decomposable; anything else leaves both unknown.  With
+    ``certify`` the involution split's certificate is built when it decides."""
+    l_min = cycle_decompose(p.sigma).l_min
+    cert = None
+    if cp.status == YES:
+        atomic = (NO, "completely positive maps are not atomic")
+        decomposable = (YES, "completely positive (trivial split with no transposed part)")
+    elif l_min >= 3 and pos.status == YES and cp.status == NO:
+        atomic = (YES, "positive, not completely positive, every cycle of length >= 3")
+        decomposable = (NO, "atomic maps are not decomposable")
+    elif _involution_split_failure(p) is None:
+        atomic = (NO, "decomposable by the involution splitting")
+        decomposable = (YES, "involution splitting into a PSD block plus 2-cycle blocks with PSD partial transposes")
+        cert = _split(p) if certify else None
+    else:
+        atomic = (UNKNOWN, "no atomicity criterion applies")
+        decomposable = (UNKNOWN, "no decomposability criterion applies")
+    atomic_ev = {"l_min": l_min, "positive": pos.status, "completely_positive": cp.status}
+    split_ev = {} if cert is None else {
+        "reconstruction_residual": cert.reconstruction_residual,
+        "p_min_eigenvalue": cert.p_min_eigenvalue,
+    }
+    return Verdict(*atomic, atomic_ev), Verdict(*decomposable, split_ev), cert
+
+
+def atomic_verdict(p: MapParams, pos: Optional[Verdict] = None, cp: Optional[Verdict] = None) -> Verdict:
+    """Atomicity by the rule it shares with decomposability in
+    :func:`classify_map`.  ``pos`` and ``cp`` are computed here unless the
+    caller has them."""
     if cp is None:
         cp = cp_verdict(p)
-    dec = cycle_decompose(p.sigma)
-    ev = {"l_min": dec.l_min, "positive": pos.status, "completely_positive": cp.status}
-    if cp.status == YES:
-        return Verdict(NO, "completely positive maps are not atomic", ev)
-    if dec.l_min >= 3 and pos.status == YES and cp.status == NO:
-        return Verdict(
-            YES, "positive, not completely positive, every cycle of length >= 3", ev
-        )
-    if _involution_split_failure(p) is None:
-        return Verdict(NO, "decomposable by the involution splitting", ev)
-    return Verdict(UNKNOWN, "no atomicity criterion applies", ev)
-
-
-def atomic_uniform_c(p: MapParams) -> Verdict:
-    """Atomicity on the uniform family a = n - c, where positivity is an iff."""
-    n = p.n
-    if not p.uniform_c:
-        raise ParameterError(
-            f"requires uniform weights: c ranges over [{min(p.c)}, {max(p.c)}]"
-        )
-    c0 = p.c[0]
-    if not on_uniform_family(p):
-        raise ParameterError(f"requires a = n - c (got a = {p.a}, n - c = {n - c0})")
-    dec = cycle_decompose(p.sigma)
-    ev = {"c": c0, "l_min": dec.l_min, "l_max": dec.l_max, "cycle_bound": n / dec.l_max}
-    if c0 == 0.0:
-        return Verdict(NO, "c = 0 is the completely positive map n*diag(X) - X", ev)
-    if c0 > n / dec.l_max + BOUNDARY_TOL:
-        return Verdict(NO, "not positive: uniform family requires c <= n/l_max(sigma)", ev)
-    if dec.l_min >= 3:
-        return Verdict(YES, "uniform family, every cycle of length >= 3, 0 < c <= n/l_max", ev)
-    return Verdict(UNKNOWN, "uniform-family criterion needs every cycle length >= 3", ev)
+    if pos is None:
+        pos = positivity_verdict(p, cp=cp)
+    return _atomic_and_decomposable(p, pos, cp, certify=False)[0]
 
 
 def classify_map(
@@ -484,33 +500,10 @@ def classify_map(
     evidence = (
         verify_positivity_numeric(p, samples=samples, seed=seed) if samples > 0 else None
     )
-    pos = positivity_verdict(p, evidence)
     cp = cp_verdict(p, psd_tol)
+    pos = positivity_verdict(p, evidence, cp=cp)
     two = two_positive_verdict(p, cp=cp)
-    if pos.status == UNKNOWN and cp.status == YES:
-        pos = Verdict(YES, "implied by complete positivity", pos.evidence)
-    atomic = atomic_verdict(p, pos=pos, cp=cp)
-
-    decomposition = None
-    if cp.status == YES:
-        decomposable = Verdict(
-            YES, "completely positive (trivial split with no transposed part)", {}
-        )
-    elif _involution_split_failure(p) is None:
-        decomposition = decompose_involution(p)
-        decomposable = Verdict(
-            YES,
-            "involution splitting into a PSD block plus 2-cycle blocks with PSD partial transposes",
-            {
-                "reconstruction_residual": decomposition.reconstruction_residual,
-                "p_min_eigenvalue": decomposition.p_min_eigenvalue,
-            },
-        )
-    elif atomic.status == YES:
-        decomposable = Verdict(NO, "atomic maps are not decomposable", {})
-    else:
-        decomposable = Verdict(UNKNOWN, "no decomposability criterion applies", {})
-
+    atomic, decomposable, decomposition = _atomic_and_decomposable(p, pos, cp, certify=True)
     _check_closure(pos, two, cp, atomic, decomposable)
     return ClassificationReport(
         params=p,

@@ -165,8 +165,8 @@ def min_max_cycle_length(sigma: Permutation) -> tuple[int, int]:
 
 
 def is_involution(sigma: Permutation) -> bool:
-    """True when sigma composed with itself is the identity."""
-    return all(sigma(sigma(i)) == i for i in range(1, sigma.n + 1))
+    """True when sigma composed with itself is the identity: no cycle is longer than 2."""
+    return cycle_decompose(sigma).l_max <= 2
 
 
 def is_single_cycle(sigma: Permutation) -> bool:
@@ -175,8 +175,8 @@ def is_single_cycle(sigma: Permutation) -> bool:
 
 
 def fixed_points(sigma: Permutation) -> frozenset[int]:
-    """The set {i : sigma(i) = i}."""
-    return frozenset(i for i in range(1, sigma.n + 1) if sigma(i) == i)
+    """The set {i : sigma(i) = i}, the 1-cycles."""
+    return frozenset(cycle[0] for cycle in cycle_decompose(sigma).cycles if len(cycle) == 1)
 
 
 def parse_permutation(text: str, n: Optional[int] = None) -> Permutation:

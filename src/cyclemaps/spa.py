@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .classify import BOUNDARY_TOL, NO, YES, positivity_verdict
+from .classify import BOUNDARY_TOL, NO, YES, Verdict, positivity_verdict
 from .dmap import ChoiStructure, MapParams, assemble, choi_structure, parts_distance
 from .errors import ParameterError, PreconditionError
 from .matlin import DEFAULT_PSD_TOL, min_eigenvalue, partial_transpose, require_hermitian
@@ -42,10 +42,14 @@ class SpaState:
     trace_choi: float
     positivity_warning: bool
 
+    @property
+    def _scale(self) -> float:
+        """1 / (Tr(C) + n^2 ||C^-||), the SPA's normalization."""
+        return 1.0 / (self.trace_choi + self.structure.n ** 2 * self.structure.negative_norm)
+
     def parts(self) -> tuple[np.ndarray, np.ndarray]:
         """SPA = (||C^-|| I + C) / (Tr(C) + n^2 ||C^-||) as :func:`assemble`'s (diag, core)."""
-        n, neg = self.structure.n, self.structure.negative_norm
-        scale = 1.0 / (self.trace_choi + n * n * neg)
+        n, neg, scale = self.structure.n, self.structure.negative_norm, self._scale
         d, k = self.structure.parts()
         return (neg + d) * scale, (neg * np.eye(n) + k) * scale
 
@@ -114,17 +118,21 @@ def spa_state(p: MapParams) -> SpaState:
     """Compute the SPA of the map's witness direction from the Choi spectrum.
 
     Raises PreconditionError when Tr C = n(a - 1) + sum(c) <= 0."""
+    return _spa_state(p, positivity_verdict(p))
+
+
+def _spa_state(p: MapParams, pos: Verdict) -> SpaState:
+    """:func:`spa_state` with the positivity verdict already decided."""
     structure = choi_structure(p)
     trace = _positive_trace(structure)
     w_minus_norm = structure.negative_norm / trace
     lambda_star = 1.0 / (1.0 + p.n**2 * w_minus_norm)
-    warning = positivity_verdict(p).status == NO
     return SpaState(
         structure=structure,
         lambda_star=lambda_star,
         w_minus_norm=w_minus_norm,
         trace_choi=trace,
-        positivity_warning=warning,
+        positivity_warning=pos.status == NO,
     )
 
 
@@ -164,8 +172,8 @@ def separable_decomposition(p: MapParams) -> SeparableDecomposition:
             f"requires established positivity; the verdict here is '{pos.status}'"
         )
 
-    state = spa_state(p)
-    normalization = 1.0 / (state.trace_choi + n**2 * state.w_minus_norm * state.trace_choi)
+    state = _spa_state(p, pos)
+    normalization = state._scale
 
     inv = p.sigma.inverse()
     terms = [SpaTerm("pair", (i, j), normalization, n) for i in range(1, n + 1) for j in range(i + 1, n + 1)]

@@ -43,7 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .classify import NO, YES, atomic_uniform_c, on_uniform_family, positivity_verdict
+from .classify import NO, YES, atomic_verdict, on_uniform_family, positivity_verdict
 from .dmap import MapParams, assemble, choi, choi_structure
 from .errors import ParameterError
 from .matlin import DEFAULT_PSD_TOL, numerical_rank, require_hermitian
@@ -114,13 +114,6 @@ def spanning_generators(p: MapParams) -> SpanningGenerators:
     return SpanningGenerators(phases=phases, pairs=np.stack([i[keep], j[keep]], axis=1))
 
 
-def _uniform_family_theorem(p: MapParams) -> bool:
-    """True inside the certified family: uniform c with a = n - c, and either
-    c = 0 (the map n*diag(X) - X) or the family's atomicity criterion holds
-    (every cycle of length >= 3 with 0 < c <= n/l_max)."""
-    return on_uniform_family(p) and (p.c[0] == 0.0 or atomic_uniform_c(p).status == YES)
-
-
 def certify_optimality(p: MapParams) -> OptimalityCertificate:
     """Check the spanning property of the witness of p.
 
@@ -142,7 +135,10 @@ def certify_optimality(p: MapParams) -> OptimalityCertificate:
     expectations = np.concatenate([phase, basis]) / n
     passing = np.abs(expectations) <= EXPECTATION_TOL
 
-    theorem_applies = _uniform_family_theorem(p)
+    pos = positivity_verdict(p)
+    # the certified family: uniform c with a = n - c, and c = 0 (the map
+    # n*diag(X) - X) or an atomic map (every cycle of length >= 3, not CP)
+    theorem_applies = on_uniform_family(p) and (p.c[0] == 0.0 or atomic_verdict(p, pos=pos).status == YES)
     if theorem_applies and not bool(np.all(passing)):
         worst = int(np.argmax(np.abs(expectations)))
         raise RuntimeError(
@@ -161,7 +157,7 @@ def certify_optimality(p: MapParams) -> OptimalityCertificate:
     optimal = span_rank == n * n
 
     warnings: list[str] = []
-    if positivity_verdict(p).status == NO:
+    if pos.status == NO:
         warnings.append("the underlying map is not positive, so this matrix is not a witness")
     if structure.min_eigenvalue(compose_transpose=True) / n >= -DEFAULT_PSD_TOL:
         warnings.append("the matrix is PSD and detects no entanglement")

@@ -1,0 +1,76 @@
+"""The package's public names and its modules' imports, checked with the
+standard library only: a rule deleted from a module must take its export
+and every import of it along."""
+import ast
+import inspect
+from pathlib import Path
+
+import cyclemaps
+
+SRC = Path(cyclemaps.__file__).resolve().parent
+
+
+def test_every_exported_name_resolves_once():
+    names = cyclemaps.__all__
+    assert sorted(name for name in set(names) if names.count(name) > 1) == []
+    assert [name for name in names if not hasattr(cyclemaps, name)] == []
+
+
+def test_every_public_function_and_class_the_package_imports_is_exported():
+    imported = {
+        name
+        for name, obj in vars(cyclemaps).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__.startswith("cyclemaps.")
+    }
+    assert len(imported) > 40  # the check sees the package's imports at all
+    assert sorted(imported - set(cyclemaps.__all__)) == []
+
+
+def _names_read(tree: ast.Module) -> set[str]:
+    """Every name the module reads, those in string annotations and in
+    ``__all__`` included."""
+    read, annotations = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    for note in annotations:
+        if isinstance(note, ast.Constant) and isinstance(note.value, str):
+            read |= _names_read(ast.parse(note.value))
+    return read
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """The name each import binds, with its line; ``__future__`` binds none."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update({(alias.asname or alias.name.split(".")[0]): node.lineno for alias in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update({(alias.asname or alias.name): node.lineno for alias in node.names})
+    return bound
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) >= 8
+    unused = []
+    for path in modules:
+        tree = ast.parse(path.read_text())
+        read = _names_read(tree)
+        unused += [f"{path.name}:{line} {name}" for name, line in _imported_names(tree).items() if name not in read]
+    assert unused == []
+
+
+def test_the_unused_import_check_sees_an_unused_import():
+    tree = ast.parse("from x import a, b\nimport c.d\nimport e\n__all__ = ['b']\ndef f(y: 'e') -> None:\n    return a\n")
+    assert set(_imported_names(tree)) - _names_read(tree) == {"c"}

@@ -13,8 +13,8 @@ from cyclemaps import (
     ParameterError,
     Permutation,
     PreconditionError,
-    atomic_uniform_c,
     atomic_verdict,
+    certify_optimality,
     choi,
     choi_structure,
     classify_map,
@@ -31,6 +31,7 @@ from cyclemaps import (
     positivity_threshold,
     positivity_verdict,
     schur_matrix,
+    separable_decomposition,
     symmetric_F,
     tau,
     two_positive_verdict,
@@ -535,23 +536,19 @@ def test_atomic_verdict_examples(flagship):
     assert atomic_verdict(MapParams(4, tau(4, 2), 3.0, (1.0,) * 4)).status == "no"
 
 
-def test_atomic_uniform_c_family():
-    v = atomic_uniform_c(MapParams(6, tau(6, 2), 4.0, (2.0,) * 6))
-    assert v.status == "yes"
-    assert v.evidence["cycle_bound"] == pytest.approx(2.0)
+def test_atomic_verdict_on_uniform_family():
+    # a = n - c: positivity is an iff there, so the shared rule decides atomicity
+    p = MapParams(6, tau(6, 2), 4.0, (2.0,) * 6)
+    assert atomic_verdict(p).status == "yes"
+    assert positivity_verdict(p).evidence["cycle_bound"] == pytest.approx(2.0)
 
-    v = atomic_uniform_c(MapParams(6, tau(6, 2), 3.5, (2.5,) * 6))
-    assert v.status == "no"
+    # past c = n/l_max the map is not positive, hence not atomic
+    p = MapParams(6, tau(6, 2), 3.5, (2.5,) * 6)
+    assert positivity_verdict(p).status == "no"
+    assert atomic_verdict(p).status != "yes"
 
-    v = atomic_uniform_c(MapParams(4, tau(4, 2), 2.0, (2.0,) * 4))
-    assert v.status == "unknown"
-
-    assert atomic_uniform_c(delta_n(3)).status == "no"
-
-    with pytest.raises(ParameterError):
-        atomic_uniform_c(MapParams(4, tau(4, 2), 2.0, (2.0, 2.0, 2.0, 1.9)))
-    with pytest.raises(ParameterError):
-        atomic_uniform_c(MapParams(4, tau(4, 2), 2.5, (2.0,) * 4))
+    assert atomic_verdict(MapParams(4, tau(4, 2), 2.0, (2.0,) * 4)).status == "unknown"
+    assert atomic_verdict(delta_n(3)).status == "no"
 
 
 def test_decompose_involution_two_pairs():
@@ -678,3 +675,135 @@ def test_classify_delta_n():
     assert report.completely_positive.status == "yes"
     assert report.atomic.status == "no"
     assert report.decomposable.status == "yes"
+
+
+def test_positivity_verdict_takes_the_upgrade_from_complete_positivity():
+    # (12)(3)(4) below the threshold: no positivity criterion, but the map is CP
+    p = MapParams(4, Permutation((2, 1, 3, 4)), 2.5, (1.0, 1.0, 100.0, 100.0))
+    v = positivity_verdict(p)
+    assert v.status == "yes"
+    assert v.criterion == "implied by complete positivity"
+    assert v == classify_map(p, samples=0).positive
+
+    # just below the CP threshold, within the PSD tolerance: a tolerance of 0
+    # given through cp (as --tol gives it) withholds the upgrade
+    p = MapParams(4, p.sigma, _cp_threshold(p) - 2e-10, p.c)
+    assert positivity_verdict(p).status == "yes"
+    assert positivity_verdict(p, cp=cp_verdict(p, psd_tol=0.0)).status == "unknown"
+    assert classify_map(p, samples=0, psd_tol=0.0).positive.status == "unknown"
+
+
+def _cp_threshold(p: MapParams) -> float:
+    """The least a with sum_i 1/(a + c_i [sigma(i) = i]) <= 1, where the Choi
+    core turns PSD, by bisection on [0, n]."""
+    k = [ci if p.sigma(i) == i else 0.0 for i, ci in enumerate(p.c, start=1)]
+    lo, hi = 0.0, float(p.n)
+    while lo < (mid := (lo + hi) / 2.0) < hi:
+        lo, hi = (lo, mid) if sum(1.0 / (mid + ki) for ki in k) <= 1.0 else (mid, hi)
+    return hi
+
+
+def _verdict_maps(count: int, seed: int):
+    """Random maps at n = 1..8 over every kind of sigma, with a on and near
+    each threshold the verdicts use, plus delta_n."""
+    rng = np.random.default_rng(seed)
+    maps = [delta_n(n) for n in range(2, 9)]
+    while len(maps) < count:
+        n = int(rng.integers(1, 9))
+        kind = rng.choice(("identity", "involution", "fixed points", "single cycle", "any"))
+        pts = [int(x) + 1 for x in rng.permutation(n)]
+        images = list(range(1, n + 1))
+        if kind == "involution":
+            for u, v in zip(pts[0::2], pts[1::2]):
+                if rng.random() < 0.7:
+                    images[u - 1], images[v - 1] = v, u
+        elif kind in ("fixed points", "single cycle"):
+            cycle = pts[int(rng.integers(1, n + 1)) if kind == "fixed points" else 0 :]
+            for pos, i in enumerate(cycle):
+                images[i - 1] = cycle[(pos + 1) % len(cycle)]
+        elif kind == "any":
+            images = [int(x) + 1 for x in rng.permutation(n)]
+        sigma = Permutation(tuple(images))
+        if rng.random() < 0.4:
+            c = [float(math.exp(rng.uniform(-22.0, 2.0)))] * n
+        else:
+            c = [float(x) for x in np.exp(rng.uniform(-3.0, 3.0, n))]
+        if rng.random() < 0.3:  # heavy fixed points: CP below the positivity threshold
+            c = [100.0 * c[i] if images[i] == i + 1 else c[i] for i in range(n)]
+        elif rng.random() < 0.3:  # on the split's boundaries: c_i = 1 at fixed points, c_i c_j = 1 on 2-cycles
+            c = [1.0 if images[i] == i + 1 else c[i] for i in range(n)]
+            for i in range(n):
+                if images[i] > i + 1:
+                    c[images[i] - 1] = 1.0 / c[i]
+        g = float(np.exp(np.mean(np.log(c))))
+        l_max = max(len(cycle) for cycle in sigma.decomposition.cycles)
+        thresholds = (
+            max(n - 1.0, n - g),  # positivity, any sigma
+            float(n),  # complete positivity when every cycle has length >= 2
+            _cp_threshold(MapParams(n, sigma, 1.0, tuple(c))),
+            n - 1.0,  # the involution split
+            n - c[0],  # the uniform family a = n - c
+            n - n / l_max,  # the uniform family at c = n/l_max
+            float(rng.uniform(0.1, 2.0 * n + 1.0)),
+        )
+        base = thresholds[int(rng.integers(len(thresholds)))]
+        if base == n - n / l_max and rng.random() < 0.8:
+            c = [n / l_max] * n
+        a = base + float(rng.choice((0.0, 0.0, 5e-10, -5e-10, 2e-9, -2e-9, 1e-6, -1e-6)))
+        if a > 0.0:
+            maps.append(MapParams(n, sigma, a, tuple(c)))
+    return maps
+
+
+def test_standalone_verdicts_agree_with_classify_map():
+    criteria = set()
+    for p in _verdict_maps(600, seed=2024):
+        report = classify_map(p, samples=0)
+        assert positivity_verdict(p) == report.positive, p
+        assert cp_verdict(p) == report.completely_positive, p
+        assert two_positive_verdict(p) == report.two_positive, p
+        assert atomic_verdict(p) == report.atomic, p
+        criteria |= {report.positive.criterion, report.atomic.criterion}
+    # every branch of the two rules that callers used to repeat is exercised
+    assert {
+        "implied by complete positivity",
+        "uniform family a = n - c: positive iff c <= n/l_max(sigma)",
+        "positive, not completely positive, every cycle of length >= 3",
+        "decomposable by the involution splitting",
+        "no atomicity criterion applies",
+    } <= criteria
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    """Count the calls of module.name as the length of the returned list."""
+    calls, fn = [], getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_classify_map_checks_the_split_precondition_once(monkeypatch):
+    calls = _count_calls(monkeypatch, classify_module, "_involution_split_failure")
+    for p, expected in (
+        (MapParams(4, tau(4, 2), 3.0, (1.0,) * 4), 1),  # the split decides
+        (MapParams(3, Permutation((2, 1, 3)), 2.0, (1.2, 0.9, 1.1)), 1),  # with a fixed point
+        (MapParams(4, tau(4, 2), 3.0, (0.5,) * 4), 1),  # the split fails
+        (MapParams(3, tau(3, 2), 3.0, (1.0,) * 3), 0),  # completely positive
+    ):
+        calls.clear()
+        report = classify_map(p, samples=0)
+        assert len(calls) == expected
+        assert (report.decomposition is not None) == (report.decomposable.criterion.startswith("involution"))
+
+
+def test_spa_and_witness_take_the_geometric_mean_once(monkeypatch):
+    calls = _count_calls(monkeypatch, classify_module, "geometric_mean_c")
+    separable_decomposition(MapParams(4, tau(4, 1), 3.0, (1.0, 2.0, 0.8, 1.5)))
+    assert len(calls) == 1
+    calls.clear()
+    certify_optimality(MapParams(6, tau(6, 2), 4.0, (2.0,) * 6))
+    assert len(calls) == 1

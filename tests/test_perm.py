@@ -166,6 +166,34 @@ def test_is_single_cycle():
     assert is_single_cycle(identity(1))
 
 
+@st.composite
+def permutations_with_short_cycles(draw) -> Permutation:
+    """Any permutation of degree 1..9, or one built from 2-cycles and fixed
+    points (a uniform draw is rarely an involution past a few points)."""
+    n = draw(st.integers(1, 9))
+    order = draw(st.permutations(range(1, n + 1)))
+    if draw(st.booleans()):
+        return Permutation(tuple(order))
+    images = list(range(1, n + 1))
+    for t in range(draw(st.integers(0, n // 2))):
+        u, v = order[2 * t], order[2 * t + 1]
+        images[u - 1], images[v - 1] = v, u
+    return Permutation(tuple(images))
+
+
+@given(permutations_with_short_cycles())
+@settings(max_examples=300, deadline=None)
+def test_cycle_predicates_match_their_definitions(s):
+    points = range(1, s.n + 1)
+    assert is_involution(s) == all(s(s(i)) == i for i in points)
+    assert fixed_points(s) == frozenset(i for i in points if s(i) == i)
+    orbit, j = [1], s(1)
+    while j != 1:
+        orbit.append(j)
+        j = s(j)
+    assert is_single_cycle(s) == (len(orbit) == s.n)
+
+
 def test_from_cycles_validates():
     with pytest.raises(ParameterError):
         from_cycles(3, ((1, 2), (2, 3),))

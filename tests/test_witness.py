@@ -8,7 +8,9 @@ from cyclemaps import (
     ContractError,
     MapParams,
     ParameterError,
+    atomic_verdict,
     certify_optimality,
+    classify_map,
     choi,
     delta_n,
     expectation_value,
@@ -113,6 +115,18 @@ def test_certify_optimality_longer_cycles():
     cert = certify_optimality(p)
     assert cert.optimal and cert.theorem_applies
     assert cert.span_rank == 36
+
+
+def test_completely_positive_uniform_map_is_outside_the_certified_family():
+    # a = n - c with 0 < c below the PSD tolerance: the map counts as
+    # completely positive, so it is not atomic and the theorem does not apply
+    p = MapParams(3, tau(3, 1), 3.0 - 5e-10, (5e-10,) * 3)
+    report = classify_map(p, samples=0)
+    assert report.completely_positive.status == "yes"
+    assert report.atomic.status == atomic_verdict(p).status == "no"
+    cert = certify_optimality(p)
+    assert not cert.theorem_applies
+    assert cert.optimal and "numerically" in cert.note
 
 
 def test_certify_involution_is_rank_deficient():
