@@ -41,7 +41,15 @@ from typing import Optional
 
 import numpy as np
 
-from .dmap import MapParams, _theta_min_eigenvalue, assemble, choi_structure, pair_block_eigenvalues, parts_distance
+from .dmap import (
+    ChoiStructure,
+    MapParams,
+    _theta_min_eigenvalue,
+    assemble,
+    choi_structure,
+    pair_block_eigenvalues,
+    parts_distance,
+)
 from .errors import ParameterError, PreconditionError
 from .matlin import DEFAULT_PSD_TOL, MAX_ENTRIES, min_eigenvalue
 from .perm import cycle_decompose, fixed_points, is_involution, is_single_cycle
@@ -285,6 +293,13 @@ def positivity_verdict(p: MapParams, evidence: Optional[PositivityEvidence] = No
     """Decide positivity where a criterion exists, complete positivity last;
     otherwise unknown with evidence.  ``cp`` is computed here, and only when
     every other criterion is silent, unless the caller has it."""
+    return _positivity_verdict(p, choi_structure(p), evidence, cp)
+
+
+def _positivity_verdict(
+    p: MapParams, structure: ChoiStructure, evidence: Optional[PositivityEvidence] = None, cp: Optional[Verdict] = None
+) -> Verdict:
+    """:func:`positivity_verdict` on the caller's Choi structure, whose core solve it shares."""
     n, a = p.n, p.a
     geomean = geometric_mean_c(p)
     threshold = _threshold(p, geomean)
@@ -304,7 +319,7 @@ def positivity_verdict(p: MapParams, evidence: Optional[PositivityEvidence] = No
         )
     if p.sigma.is_identity():
         # at sigma = id the entrywise-multiplier matrix is the Choi core K
-        ev["schur_min_eigenvalue"] = choi_structure(p).core_min
+        ev["schur_min_eigenvalue"] = structure.core_min
         status = YES if ev["schur_min_eigenvalue"] >= -DEFAULT_PSD_TOL else NO
         return Verdict(status, "entrywise-multiplier matrix PSD test (sigma = id)", ev)
     if on_uniform_family(p):
@@ -313,7 +328,7 @@ def positivity_verdict(p: MapParams, evidence: Optional[PositivityEvidence] = No
         status = YES if p.c[0] <= n / l_max + BOUNDARY_TOL else NO
         return Verdict(status, "uniform family a = n - c: positive iff c <= n/l_max(sigma)", ev)
     if cp is None:
-        cp = cp_verdict(p)
+        cp = _cp_verdict(p, structure)
     return _implied_by_cp(cp, ev, "no positivity criterion applies below the threshold for this sigma")
 
 
@@ -326,7 +341,12 @@ def cp_verdict(p: MapParams, psd_tol: float = DEFAULT_PSD_TOL) -> Verdict:
     Choi matrix has a kernel.  The weights are non-negative, so the core
     decides; with every cycle of length >= 2 the core is a*I - J and the
     test reads a >= n."""
-    choi_min = choi_structure(p).min_eigenvalue()
+    return _cp_verdict(p, choi_structure(p), psd_tol)
+
+
+def _cp_verdict(p: MapParams, structure: ChoiStructure, psd_tol: float = DEFAULT_PSD_TOL) -> Verdict:
+    """:func:`cp_verdict` on the caller's Choi structure."""
+    choi_min = structure.min_eigenvalue()
     ev = {"a": p.a, "l_min": cycle_decompose(p.sigma).l_min, "choi_min_eigenvalue": choi_min}
     status = YES if choi_min >= -psd_tol else NO
     return Verdict(status, "Choi matrix PSD (numeric eigenvalue check)", ev)
@@ -387,10 +407,10 @@ def decompose_involution(p: MapParams) -> DecomposabilityCertificate:
     failure = _involution_split_failure(p)
     if failure is not None:
         raise PreconditionError(failure)
-    return _split(p)
+    return _split(p, choi_structure(p))
 
 
-def _split(p: MapParams) -> DecomposabilityCertificate:
+def _split(p: MapParams, structure: ChoiStructure) -> DecomposabilityCertificate:
     """The involution split of a map that meets its preconditions."""
     n = p.n
     if n * n > MAX_ENTRIES:
@@ -398,7 +418,6 @@ def _split(p: MapParams) -> DecomposabilityCertificate:
             f"n = {n} is too large for the involution split: its n x n blocks hold "
             f"{n * n:,} entries (limit {MAX_ENTRIES:,})"
         )
-    structure = choi_structure(p)
     c, img = structure.c, structure.img
     idx = np.arange(n)
     u = np.flatnonzero(idx < img)  # the 2-cycles (u, img[u]), 0-based
@@ -444,13 +463,14 @@ def _q_parts(n: int, c: np.ndarray, u, v) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _atomic_and_decomposable(
-    p: MapParams, pos: Verdict, cp: Verdict, certify: bool
+    p: MapParams, pos: Verdict, cp: Verdict, certify: Optional[ChoiStructure]
 ) -> tuple[Verdict, Verdict, Optional[DecomposabilityCertificate]]:
     """The atomic and the decomposable verdict from one rule: complete
     positivity or the involution split gives decomposable, not atomic;
     positive, not completely positive with every cycle of length >= 3 gives
-    atomic, not decomposable; anything else leaves both unknown.  With
-    ``certify`` the involution split's certificate is built when it decides."""
+    atomic, not decomposable; anything else leaves both unknown.  Given the
+    map's Choi structure as ``certify``, the involution split's certificate
+    is built from it when the split decides."""
     l_min = cycle_decompose(p.sigma).l_min
     cert = None
     if cp.status == YES:
@@ -462,7 +482,7 @@ def _atomic_and_decomposable(
     elif _involution_split_failure(p) is None:
         atomic = (NO, "decomposable by the involution splitting")
         decomposable = (YES, "involution splitting into a PSD block plus 2-cycle blocks with PSD partial transposes")
-        cert = _split(p) if certify else None
+        cert = None if certify is None else _split(p, certify)
     else:
         atomic = (UNKNOWN, "no atomicity criterion applies")
         decomposable = (UNKNOWN, "no decomposability criterion applies")
@@ -477,12 +497,12 @@ def _atomic_and_decomposable(
 def atomic_verdict(p: MapParams, pos: Optional[Verdict] = None, cp: Optional[Verdict] = None) -> Verdict:
     """Atomicity by the rule it shares with decomposability in
     :func:`classify_map`.  ``pos`` and ``cp`` are computed here unless the
-    caller has them."""
-    if cp is None:
-        cp = cp_verdict(p)
-    if pos is None:
-        pos = positivity_verdict(p, cp=cp)
-    return _atomic_and_decomposable(p, pos, cp, certify=False)[0]
+    caller has them, from one Choi structure."""
+    if cp is None or pos is None:
+        structure = choi_structure(p)
+        cp = _cp_verdict(p, structure) if cp is None else cp
+        pos = _positivity_verdict(p, structure, cp=cp) if pos is None else pos
+    return _atomic_and_decomposable(p, pos, cp, certify=None)[0]
 
 
 def classify_map(
@@ -497,13 +517,12 @@ def classify_map(
     ``MAX_ENTRIES`` in the sampler or the involution split, raises ParameterError."""
     if samples < 0:
         raise ParameterError(f"samples must be >= 0 (got {samples})")
-    evidence = (
-        verify_positivity_numeric(p, samples=samples, seed=seed) if samples > 0 else None
-    )
-    cp = cp_verdict(p, psd_tol)
-    pos = positivity_verdict(p, evidence, cp=cp)
+    evidence = verify_positivity_numeric(p, samples=samples, seed=seed) if samples > 0 else None
+    structure = choi_structure(p)  # the verdicts share it, so its core's secular solve runs at most once
+    cp = _cp_verdict(p, structure, psd_tol)
+    pos = _positivity_verdict(p, structure, evidence, cp=cp)
     two = two_positive_verdict(p, cp=cp)
-    atomic, decomposable, decomposition = _atomic_and_decomposable(p, pos, cp, certify=True)
+    atomic, decomposable, decomposition = _atomic_and_decomposable(p, pos, cp, certify=structure)
     _check_closure(pos, two, cp, atomic, decomposable)
     return ClassificationReport(
         params=p,

@@ -11,11 +11,16 @@ Five subcommands, all driven by a map-parameter JSON file::
 The parameter file holds ``{"n": 3, "sigma": "tau:3:2", "a": 2.0, "c": [1, 1, 1]}``;
 ``sigma`` accepts the formats of :func:`cyclemaps.perm.parse_permutation`.
 Reports are JSON on stdout (or ``--out``), embed the input verbatim, and are
-byte-identical across runs up to the ``timestamp`` field and to what
-``json.dumps(report, indent=2)`` writes (see ``_report_text``).
+byte-identical across runs up to the ``timestamp`` field.  The handlers hold
+each matrix's entries, and other number arrays, as float arrays, and
+``_report_text`` writes the text ``json.dumps(report, indent=2,
+default=np.ndarray.tolist)`` would: a run of all-zero entries is one string
+repeated, every other number is formatted once, and the chunks are written
+in order once the whole report is built.
 
 Each subparser names its handler, ``_run_<subcommand>(args, params, state)``,
 and :func:`main` calls it between reading the inputs and writing the report.
+The parser is built on the first call of :func:`main` and reused after it.
 
 Exit codes: 0 when verdicts were computed (including "unknown"), 1 on
 input/parse problems (non-finite ``--state`` entries among them), 2 when a
@@ -25,7 +30,9 @@ is not a finite number.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -38,7 +45,7 @@ from . import __version__
 from .classify import classify_map, decompose_involution
 from .dmap import MapParams, choi, choi_structure, delta_n
 from .errors import ContractError, ParameterError, PreconditionError
-from .matlin import DEFAULT_PSD_TOL, hermitian_spectrum, matrix_from_json, matrix_to_json
+from .matlin import DEFAULT_PSD_TOL, _matrix_form, hermitian_spectrum, matrix_from_json
 from .perm import parse_permutation
 from .spa import separable_decomposition, spa_state
 from .witness import certify_optimality, expectation_value, witness
@@ -127,7 +134,7 @@ def _run_spectrum(args, params: MapParams, state) -> dict:
     return {
         "result": {
             "transposed_composition": c.transposed_composition,
-            "eigenvalues": [float(w) for w in spec.eigenvalues],
+            "eigenvalues": spec.eigenvalues,
             "residual": spec.residual,
             "trace": float(np.trace(c.matrix).real),
         }
@@ -139,12 +146,12 @@ def _run_decompose(args, params: MapParams, state) -> dict:
     return {
         "result": {
             "pairs": [list(pair) for pair in cert.pairs],
-            "P": matrix_to_json(cert.P),
+            "P": _matrix_form(cert.P),
             "p_min_eigenvalue": cert.p_min_eigenvalue,
             "q_blocks": [
                 {
                     "pair": list(pair),
-                    "matrix": matrix_to_json(q),
+                    "matrix": _matrix_form(q),
                     "pt_min_eigenvalue": cert.q_pt_min_eigenvalues[k],
                 }
                 for k, (pair, q) in enumerate(cert.q_blocks)
@@ -161,7 +168,7 @@ def _run_spa(args, params: MapParams, state) -> dict:
         "w_minus_norm": spa.w_minus_norm,
         "trace_choi": spa.trace_choi,
         "positivity_warning": spa.positivity_warning,
-        "matrix": matrix_to_json(spa.matrix),
+        "matrix": _matrix_form(spa.matrix),
     }
     if args.decompose:
         dec = separable_decomposition(params)
@@ -173,7 +180,7 @@ def _run_spa(args, params: MapParams, state) -> dict:
                     "kind": t.kind,
                     "indices": list(t.indices),
                     "weight": t.weight,
-                    "matrix": matrix_to_json(t.matrix),
+                    "matrix": _matrix_form(t.matrix),
                 }
                 for t in dec.terms
             ],
@@ -184,21 +191,21 @@ def _run_spa(args, params: MapParams, state) -> dict:
 def _run_witness(args, params: MapParams, state: Optional[np.ndarray]) -> dict:
     w = witness(params)
     result = {
-        "matrix": matrix_to_json(w),
+        "matrix": _matrix_form(w),
         "trace": float(np.trace(w).real),
         "min_eigenvalue": choi_structure(params).min_eigenvalue(compose_transpose=True) / params.n,
     }
     if args.certify:
         cert = certify_optimality(params)
         vectors = (np.exp(1j * cert.generators.phases), np.eye(params.n))
-        phase, unit = (np.stack([v.real, v.imag], -1).tolist() for v in vectors)  # [re, im] pairs
+        phase, unit = (np.stack([v.real, v.imag], -1) for v in vectors)  # [re, im] pairs
         result["certificate"] = {
             "span_rank": cert.span_rank,
             "optimal": cert.optimal,
             "theorem_applies": cert.theorem_applies,
             "note": cert.note,
             "warnings": list(cert.warnings),
-            "expectations": [float(e) for e in cert.expectations],
+            "expectations": cert.expectations,
             "generators": [
                 {"family": "phase", "left": xi, "right": xi} for xi in phase
             ]
@@ -212,38 +219,77 @@ def _run_witness(args, params: MapParams, state: Optional[np.ndarray]) -> dict:
     return {"result": result}
 
 
-_encode = json.JSONEncoder(allow_nan=False).encode  # C; indented json.dumps runs in Python before 3.13
+_encode = json.JSONEncoder(allow_nan=False).encode  # C, for strings, ints, booleans and None
 
 
-def _report_text(obj, pad: str = "") -> str:
-    """``json.dumps(obj, indent=2, allow_nan=False)`` with each number array encoded in one C call."""
+def _report_text(obj, pad: str = "") -> list[str]:
+    """The text of ``json.dumps(obj, indent=2, allow_nan=False,
+    default=np.ndarray.tolist)`` as chunks, to be joined or written in order."""
+    chunks: list[str] = []
+    _append_text(obj, pad, chunks)
+    return chunks
+
+
+def _append_text(obj, pad: str, chunks: list[str]) -> None:
+    if isinstance(obj, np.ndarray):  # written as its tolist() would be
+        if obj.ndim > 2:
+            obj = list(obj)
+        elif obj.dtype == float and obj.ndim and obj.size:
+            _append_array(obj, pad, chunks)
+            return
+        else:
+            obj = obj.tolist()
     inner = pad + "  "
     if isinstance(obj, dict) and obj:
-        items = (f"{_encode(k if isinstance(k, str) else _report_text(k))}: {_report_text(v, inner)}" for k, v in obj.items())
-        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)) and obj:
-        items = (_report_text(v, inner) for v in obj)  # walked only if obj is no number array
-        return _array_text(obj, pad, inner) or f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
-    if isinstance(obj, float) and not np.isfinite(obj):  # the C encoder would not name it
-        raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
-    return _encode(obj)
+        for k, (key, value) in enumerate(obj.items()):
+            key = _encode(key if isinstance(key, str) else _scalar_text(key))
+            chunks.append(f"{',' if k else '{'}\n{inner}{key}: ")
+            _append_text(value, inner, chunks)
+        chunks.append(f"\n{pad}}}")
+    elif isinstance(obj, (list, tuple)) and obj:
+        for k, value in enumerate(obj):
+            chunks.append(f"{',' if k else '['}\n{inner}")
+            _append_text(value, inner, chunks)
+        chunks.append(f"\n{pad}]")
+    else:
+        chunks.append(_scalar_text(obj))
 
 
-def _array_text(obj, pad: str, inner: str) -> Optional[str]:
-    """The indented text of a list of numbers or of non-empty lists of numbers, else None."""
-    head = obj[0][0] if isinstance(obj[0], (list, tuple)) and obj[0] else obj[0]
-    try:
-        text = _encode(obj) if isinstance(head, (int, float)) else '"'
-    except ValueError:  # a non-finite number, named by the walk
-        return None
-    if '"' in text:  # a string; else only numbers, brackets, ", " and empty dicts
-        return None
-    if text.count("[") == 1:
-        return f"[\n{inner}" + text[1:-1].replace(", ", f",\n{inner}") + f"\n{pad}]"
-    deep = inner + "  "  # two deep: each "[" past the first two opens a row after a row
-    if text.startswith("[[") and text.endswith("]]") and text.count("[") == text.count("], [") + 2 and "[]" not in text:
-        body = text[2:-2].replace("], [", f"\n{inner}],\n{inner}[\n{deep}").replace(", ", f",\n{deep}")
-        return f"[\n{inner}[\n{deep}{body}\n{inner}]\n{pad}]"
+def _scalar_text(obj) -> str:
+    if isinstance(obj, float):  # np.float64 too: float.__repr__ is what the C encoder writes
+        if not math.isfinite(obj):
+            raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
+        return float.__repr__(obj)
+    return _encode(obj)  # empty containers, and a TypeError for what JSON cannot hold
+
+
+def _append_array(values: np.ndarray, pad: str, chunks: list[str]) -> None:
+    """A float array of shape (k,) or (k, m): each entry (a number, or a row
+    of m) is a list item.  Each run of entries that are all +0.0 is one text
+    repeated; every other number is formatted once."""
+    entries = values.reshape(len(values), -1)
+    finite = np.isfinite(entries)
+    if not finite.all():  # named as json.dumps names it: the first in row-major order
+        raise ValueError(f"Out of range float values are not JSON compliant: {float(entries[~finite][0])!r}")
+    inner = pad + "  "
+    deep = inner + "  "
+    # an entry's text is open + the numbers joined by sep + close
+    open_, sep, close = ("", "", "") if values.ndim == 1 else (f"[\n{deep}", f",\n{deep}", f"\n{inner}]")
+    item_sep = f",\n{inner}"
+    zero = open_ + sep.join(["0.0"] * entries.shape[1]) + close
+    nonzero = entries.view(np.uint64).any(axis=1)  # +0.0 alone has no bit set
+    bounds = [0, *(np.flatnonzero(np.diff(nonzero)) + 1).tolist(), len(entries)]
+    chunks.append(f"[\n{inner}")
+    for k, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+        if k:
+            chunks.append(item_sep)
+        if nonzero[start]:
+            numbers = map(float.__repr__, entries[start:stop].ravel().tolist())
+            rows = map(sep.join, zip(*[numbers] * entries.shape[1]))  # m numbers per entry, in order
+            chunks.append(open_ + (close + item_sep + open_).join(rows) + close)
+        else:
+            chunks.append((zero + item_sep) * (stop - start - 1) + zero)
+    chunks.append(f"\n{pad}]")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -285,9 +331,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and then reused: importing the module builds nothing."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     """Execute one subcommand; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     # input phase: unreadable or malformed inputs exit 1
     try:
         if not (np.isfinite(args.tol) and args.tol >= 0.0):
@@ -322,26 +374,25 @@ def main(argv: Optional[list[str]] = None) -> int:
         "config": {"samples": args.samples, "tol": args.tol, "seed": args.seed},
     }
     report.update(body)
-    try:
-        text = _report_text(report) + "\n"
+    try:  # the whole report, before a byte of it is written
+        chunks = _report_text(report)
     except ValueError as exc:  # a result overflowed or lost its meaning
         print(f"error: the report holds a non-finite number: {exc}", file=sys.stderr)
         return 2
+    chunks.append("\n")
 
     if args.out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return 0
     try:  # in place: ext4 makes a rewrite that truncates first wait for the old data's writeback
         with open(os.open(args.out, os.O_WRONLY | os.O_CREAT, 0o666), "w") as f:
-            f.write(text)
+            f.writelines(chunks)
             if Path(args.out).is_file():  # pipes and devices cannot be truncated
                 f.truncate()
     except OSError as exc:
         print(f"error: cannot write output file '{args.out}': {exc}", file=sys.stderr)
         return 1
     return 0
-
-
 
 
 if __name__ == "__main__":

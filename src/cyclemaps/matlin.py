@@ -213,10 +213,15 @@ def numerical_rank(m: np.ndarray, rtol: float = 1e-8) -> int:
 
 def matrix_to_json(m: np.ndarray) -> dict:
     """Serialize to the interchange form {rows, cols, entries=[[re, im], ...]}."""
+    form = _matrix_form(m)
+    return {**form, "entries": form["entries"].tolist()}
+
+
+def _matrix_form(m: np.ndarray) -> dict:
+    """The interchange form with ``entries`` the (rows * cols, 2) float array of [re, im] pairs, row-major."""
     m = _as_matrix(m)
     rows, cols = m.shape
-    entries = np.stack([m.real, m.imag], -1).reshape(-1, 2).tolist()
-    return {"rows": rows, "cols": cols, "entries": entries}
+    return {"rows": rows, "cols": cols, "entries": np.stack([m.real, m.imag], -1).reshape(-1, 2)}
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:

@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .classify import BOUNDARY_TOL, NO, YES, Verdict, positivity_verdict
+from .classify import BOUNDARY_TOL, NO, YES, Verdict, _positivity_verdict
 from .dmap import ChoiStructure, MapParams, assemble, choi_structure, parts_distance
 from .errors import ParameterError, PreconditionError
 from .matlin import DEFAULT_PSD_TOL, min_eigenvalue, partial_transpose, require_hermitian
@@ -118,12 +118,12 @@ def spa_state(p: MapParams) -> SpaState:
     """Compute the SPA of the map's witness direction from the Choi spectrum.
 
     Raises PreconditionError when Tr C = n(a - 1) + sum(c) <= 0."""
-    return _spa_state(p, positivity_verdict(p))
-
-
-def _spa_state(p: MapParams, pos: Verdict) -> SpaState:
-    """:func:`spa_state` with the positivity verdict already decided."""
     structure = choi_structure(p)
+    return _spa_state(p, structure, _positivity_verdict(p, structure))
+
+
+def _spa_state(p: MapParams, structure: ChoiStructure, pos: Verdict) -> SpaState:
+    """:func:`spa_state` on the caller's Choi structure, with the positivity verdict already decided."""
     trace = _positive_trace(structure)
     w_minus_norm = structure.negative_norm / trace
     lambda_star = 1.0 / (1.0 + p.n**2 * w_minus_norm)
@@ -166,13 +166,14 @@ def separable_decomposition(p: MapParams) -> SeparableDecomposition:
         raise PreconditionError(
             f"requires every cycle of sigma of length >= 2 (got a cycle of length {l_min})"
         )
-    pos = positivity_verdict(p)
+    structure = choi_structure(p)
+    pos = _positivity_verdict(p, structure)
     if pos.status != YES:
         raise PreconditionError(
             f"requires established positivity; the verdict here is '{pos.status}'"
         )
 
-    state = _spa_state(p, pos)
+    state = _spa_state(p, structure, pos)
     normalization = state._scale
 
     inv = p.sigma.inverse()

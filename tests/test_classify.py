@@ -32,6 +32,7 @@ from cyclemaps import (
     positivity_verdict,
     schur_matrix,
     separable_decomposition,
+    spa_state,
     symmetric_F,
     tau,
     two_positive_verdict,
@@ -798,6 +799,30 @@ def test_classify_map_checks_the_split_precondition_once(monkeypatch):
         report = classify_map(p, samples=0)
         assert len(calls) == expected
         assert (report.decomposition is not None) == (report.decomposable.criterion.startswith("involution"))
+
+
+def test_each_call_solves_the_choi_core_once(monkeypatch):
+    # the sampler's solve is the classify module's reference to the solver;
+    # the Choi core's is the dmap module's, cached on one ChoiStructure per call
+    core = _count_calls(monkeypatch, dmap_module, "_theta_min_eigenvalue")
+    sampler = _count_calls(monkeypatch, classify_module, "_theta_min_eigenvalue")
+    at_id = MapParams(3, identity(3), 1.5, (0.5, 2.0, 1.0))
+    mixed = MapParams(5, Permutation((2, 3, 1, 4, 5)), 2.5, (1.0, 2.0, 0.5, 1.5, 1.0))  # positivity undecided
+    for call, solves in (
+        (lambda: classify_map(at_id, samples=0), (1, 0)),
+        (lambda: classify_map(at_id, samples=10), (1, 1)),
+        (lambda: classify_map(mixed, samples=10), (1, 1)),
+        (lambda: atomic_verdict(at_id), (1, 0)),
+        (lambda: spa_state(at_id), (1, 0)),
+        (lambda: spa_state(mixed), (1, 0)),
+        (lambda: separable_decomposition(MapParams(4, tau(4, 1), 3.0, (1.0, 2.0, 0.8, 1.5))), (1, 0)),
+        (lambda: certify_optimality(MapParams(6, tau(6, 2), 4.0, (2.0,) * 6)), (1, 0)),
+    ):
+        for _ in range(2):  # nothing is kept from one call to the next
+            core.clear()
+            sampler.clear()
+            call()
+            assert (len(core), len(sampler)) == solves
 
 
 def test_spa_and_witness_take_the_geometric_mean_once(monkeypatch):

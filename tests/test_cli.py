@@ -1,12 +1,18 @@
 import hashlib
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cyclemaps import matrix_from_json, matrix_to_json, maximally_entangled_state
+import cyclemaps
+from cyclemaps import cli, matrix_from_json, matrix_to_json, maximally_entangled_state
 from cyclemaps.cli import main
 
 FLAGSHIP = {"n": 3, "sigma": "tau:3:2", "a": 2.0, "c": [1.0, 1.0, 1.0]}
@@ -329,3 +335,53 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert out == ""
     report = json.loads(dest.read_text())
     assert report["subcommand"] == "spectrum"
+
+
+def test_one_parser_serves_every_call_and_no_option_leaks(tmp_path, capsys, monkeypatch):
+    path = write_json(tmp_path, "map.json", FLAGSHIP)
+    state = write_json(tmp_path, "state.json", matrix_to_json(maximally_entangled_state(3)))
+    tuned = ["--samples", "7", "--tol", "1e-6", "--seed", "5"]
+    stamp = re.compile(r'"timestamp": "[^"]*"')
+    parser = cli._parser()
+    parsed = []
+
+    def recording(*args, **kwargs):
+        namespace = parse_args(*args, **kwargs)
+        parsed.append(dict(vars(namespace)))
+        return namespace
+
+    parse_args = parser.parse_args
+    monkeypatch.setattr(parser, "parse_args", recording)
+    reports = {}
+    calls = (
+        ["spa", "--map", path],
+        ["spa", "--map", path, "--decompose", *tuned],
+        ["spa", "--map", path],
+        ["witness", "--map", path],
+        ["witness", "--map", path, "--certify", "--state", state, *tuned],
+        ["witness", "--map", path],
+        ["spa", "--map", path],
+    )
+    for argv in calls:
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, err) == (0, "")
+        reports.setdefault(" ".join(argv), []).append(stamp.sub('"timestamp": ""', out))
+    assert cli._parser() is parser
+    # each call sees what a parser built for it alone would give
+    assert parsed == [vars(cli.build_parser().parse_args(argv)) for argv in calls]
+    for argv, outs in reports.items():
+        report = json.loads(outs[0])
+        flagged = "--decompose" in argv or "--certify" in argv
+        assert report["config"] == ({"samples": 7, "tol": 1e-6, "seed": 5} if flagged else
+                                    {"samples": 2000, "tol": 1e-9, "seed": 0})
+        assert ("decomposition" in report["result"]) == ("--decompose" in argv)
+        assert ("certificate" in report["result"]) == ("--certify" in argv)
+        assert ("state_expectation" in report["result"]) == ("--state" in argv)
+        assert outs == [outs[0]] * len(outs)  # before and after a call with flags
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = "import cyclemaps.cli as cli; print(cli._parser.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cyclemaps.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "0\n"), done.stderr

@@ -1,5 +1,6 @@
-"""The CLI's report writer against ``json.dumps(obj, indent=2, allow_nan=False)``,
-and the vectorised ``matrix_from_json`` against the per-entry parse."""
+"""The CLI's report writer against ``json.dumps(obj, indent=2, allow_nan=False,
+default=np.ndarray.tolist)``, and the vectorised ``matrix_from_json`` against
+the per-entry parse."""
 import json
 import math
 import re
@@ -7,8 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cyclemaps import certify_optimality, matrix_from_json, matrix_to_json
 from cyclemaps import cli
@@ -18,7 +20,11 @@ MAPS = sorted((Path(__file__).resolve().parents[1] / "bench" / "maps").glob("*.j
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2, allow_nan=False)
+    return json.dumps(obj, indent=2, allow_nan=False, default=np.ndarray.tolist)
+
+
+def text(obj) -> str:
+    return "".join(_report_text(obj))
 
 
 numbers = st.one_of(
@@ -47,7 +53,7 @@ trees = st.recursive(
 @settings(max_examples=400, deadline=None)
 @given(trees)
 def test_writer_matches_json_dumps(obj):
-    assert _report_text(obj) == dumps(obj)
+    assert text(obj) == dumps(obj)
 
 
 @pytest.mark.parametrize(
@@ -77,7 +83,7 @@ def test_writer_matches_json_dumps(obj):
     ],
 )
 def test_writer_edge_cases(obj):
-    assert _report_text(obj) == dumps(obj)
+    assert text(obj) == dumps(obj)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
@@ -99,6 +105,55 @@ def test_non_finite_numbers_raise_the_json_dumps_message(bad, place):
         _report_text(obj)
     assert str(got.value) == str(want.value)
     assert str(got.value).endswith(": " + repr(bad))
+
+
+# float arrays as the report handlers hold them: vectors (k,), [re, im] pairs
+# (k, 2) and rows of pairs (k, m, 2); filled with +0.0, so that zero runs
+# fall at the start, the end, over the whole array and nowhere
+array_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 2.2250738585072014e-308]),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),  # subnormals
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+array_shapes = st.one_of(
+    st.tuples(st.integers(1, 12)),
+    st.tuples(st.integers(1, 12), st.just(2)),
+    st.tuples(st.integers(1, 4), st.integers(1, 4), st.just(2)),
+)
+float_arrays = array_shapes.flatmap(lambda shape: arrays(float, shape, elements=array_values, fill=st.just(0.0)))
+array_trees = st.recursive(
+    float_arrays,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.sampled_from("abc"), kids, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(array_trees)
+@example(np.zeros((5, 2)))
+@example(np.array([[0.0, 0.0], [0.0, 0.0], [1.5, -0.0], [0.0, 0.0]]))
+@example(np.array([[-0.0, 0.0], [0.0, 5e-324], [0.0, 0.0], [0.0, 0.0]]))
+@example(np.array([[1e308, 2.0], [-5e-324, -0.0]]))
+@example({"entries": np.array([[0.0, 0.0]]), "v": [np.array([7.0]), np.zeros(1)]})
+@example([np.zeros((2, 3, 2)), {"x": np.array([0.0, 0.0, 3.0, 0.0, 0.0])}])
+def test_float_arrays_match_json_dumps(obj):
+    assert text(obj) == dumps(obj)
+
+
+@settings(max_examples=200, deadline=None)
+@given(float_arrays, st.data())
+def test_a_non_finite_array_entry_raises_the_json_dumps_message(values, data):
+    flat = values.reshape(-1)
+    for _ in range(data.draw(st.integers(1, 3))):  # the first in row-major order is named
+        flat[data.draw(st.integers(0, flat.size - 1))] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    obj = {"before": np.ones(2), "values": [values], "after": np.array([math.nan])}
+    with pytest.raises(ValueError) as want:
+        dumps(obj)
+    with pytest.raises(ValueError) as got:
+        _report_text(obj)
+    assert str(got.value) == str(want.value)
+    first = flat[~np.isfinite(flat)][0]
+    assert str(got.value).endswith(": " + repr(float(first)))
 
 
 @pytest.mark.parametrize("sub", ["spa", "witness", "spectrum"])
@@ -166,7 +221,7 @@ def test_every_report_is_what_json_dumps_writes(tmp_path, capsys, monkeypatch, m
         unit = np.eye(params.n)
         old = [[float(z.real), float(z.imag)] for xi in np.exp(1j * gens.phases) for z in xi]
         old += [[float(z), 0.0] for i, j in gens.pairs for z in np.concatenate([unit[i], unit[j]])]
-        got = reports[0]["result"]["certificate"]["generators"]
+        got = json.loads(out)["result"]["certificate"]["generators"]
         new = [p for g in got if g["family"] == "phase" for p in g["left"]]
         new += [p for g in got if g["family"] == "basis" for p in g["left"] + g["right"]]
         assert json.dumps(new) == json.dumps(old)
