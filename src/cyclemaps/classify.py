@@ -28,8 +28,9 @@ The decisive criteria, each written once in the function that every caller
   matrix splits explicitly (:func:`decompose_involution`) into a PSD block
   plus blocks whose partial transposes are PSD.
 
-Every verdict, the split included, reads the O(n) Choi structure
-(:func:`cyclemaps.dmap.choi_structure`); the split's certificate holds P's
+Every verdict, the split included, reads the O(n) Choi structure that the
+map keeps (:func:`cyclemaps.dmap.choi_structure`), so the verdicts on one
+map share its core's secular solve; the split's certificate holds P's
 n x n block and the 2-cycles, and builds no n^2 x n^2 matrix until read.
 """
 from __future__ import annotations
@@ -42,7 +43,6 @@ from typing import Optional
 import numpy as np
 
 from .dmap import (
-    ChoiStructure,
     MapParams,
     _theta_min_eigenvalue,
     assemble,
@@ -119,7 +119,7 @@ class DecomposabilityCertificate:
 
     @cached_property
     def q_blocks(self) -> tuple[tuple[tuple[int, int], np.ndarray], ...]:
-        n, c = self.params.n, np.asarray(self.params.c)
+        n, c = self.params.n, choi_structure(self.params).c
         return tuple((pair, assemble(n, *_q_parts(n, c, pair[0] - 1, pair[1] - 1))) for pair in self.pairs)
 
 
@@ -293,13 +293,6 @@ def positivity_verdict(p: MapParams, evidence: Optional[PositivityEvidence] = No
     """Decide positivity where a criterion exists, complete positivity last;
     otherwise unknown with evidence.  ``cp`` is computed here, and only when
     every other criterion is silent, unless the caller has it."""
-    return _positivity_verdict(p, choi_structure(p), evidence, cp)
-
-
-def _positivity_verdict(
-    p: MapParams, structure: ChoiStructure, evidence: Optional[PositivityEvidence] = None, cp: Optional[Verdict] = None
-) -> Verdict:
-    """:func:`positivity_verdict` on the caller's Choi structure, whose core solve it shares."""
     n, a = p.n, p.a
     geomean = geometric_mean_c(p)
     threshold = _threshold(p, geomean)
@@ -319,7 +312,7 @@ def _positivity_verdict(
         )
     if p.sigma.is_identity():
         # at sigma = id the entrywise-multiplier matrix is the Choi core K
-        ev["schur_min_eigenvalue"] = structure.core_min
+        ev["schur_min_eigenvalue"] = choi_structure(p).core_min
         status = YES if ev["schur_min_eigenvalue"] >= -DEFAULT_PSD_TOL else NO
         return Verdict(status, "entrywise-multiplier matrix PSD test (sigma = id)", ev)
     if on_uniform_family(p):
@@ -328,7 +321,7 @@ def _positivity_verdict(
         status = YES if p.c[0] <= n / l_max + BOUNDARY_TOL else NO
         return Verdict(status, "uniform family a = n - c: positive iff c <= n/l_max(sigma)", ev)
     if cp is None:
-        cp = _cp_verdict(p, structure)
+        cp = cp_verdict(p)
     return _implied_by_cp(cp, ev, "no positivity criterion applies below the threshold for this sigma")
 
 
@@ -341,12 +334,7 @@ def cp_verdict(p: MapParams, psd_tol: float = DEFAULT_PSD_TOL) -> Verdict:
     Choi matrix has a kernel.  The weights are non-negative, so the core
     decides; with every cycle of length >= 2 the core is a*I - J and the
     test reads a >= n."""
-    return _cp_verdict(p, choi_structure(p), psd_tol)
-
-
-def _cp_verdict(p: MapParams, structure: ChoiStructure, psd_tol: float = DEFAULT_PSD_TOL) -> Verdict:
-    """:func:`cp_verdict` on the caller's Choi structure."""
-    choi_min = structure.min_eigenvalue()
+    choi_min = choi_structure(p).min_eigenvalue()
     ev = {"a": p.a, "l_min": cycle_decompose(p.sigma).l_min, "choi_min_eigenvalue": choi_min}
     status = YES if choi_min >= -psd_tol else NO
     return Verdict(status, "Choi matrix PSD (numeric eigenvalue check)", ev)
@@ -407,10 +395,10 @@ def decompose_involution(p: MapParams) -> DecomposabilityCertificate:
     failure = _involution_split_failure(p)
     if failure is not None:
         raise PreconditionError(failure)
-    return _split(p, choi_structure(p))
+    return _split(p)
 
 
-def _split(p: MapParams, structure: ChoiStructure) -> DecomposabilityCertificate:
+def _split(p: MapParams) -> DecomposabilityCertificate:
     """The involution split of a map that meets its preconditions."""
     n = p.n
     if n * n > MAX_ENTRIES:
@@ -418,6 +406,7 @@ def _split(p: MapParams, structure: ChoiStructure) -> DecomposabilityCertificate
             f"n = {n} is too large for the involution split: its n x n blocks hold "
             f"{n * n:,} entries (limit {MAX_ENTRIES:,})"
         )
+    structure = choi_structure(p)
     c, img = structure.c, structure.img
     idx = np.arange(n)
     u = np.flatnonzero(idx < img)  # the 2-cycles (u, img[u]), 0-based
@@ -463,14 +452,14 @@ def _q_parts(n: int, c: np.ndarray, u, v) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _atomic_and_decomposable(
-    p: MapParams, pos: Verdict, cp: Verdict, certify: Optional[ChoiStructure]
+    p: MapParams, pos: Verdict, cp: Verdict, certify: bool
 ) -> tuple[Verdict, Verdict, Optional[DecomposabilityCertificate]]:
     """The atomic and the decomposable verdict from one rule: complete
     positivity or the involution split gives decomposable, not atomic;
     positive, not completely positive with every cycle of length >= 3 gives
-    atomic, not decomposable; anything else leaves both unknown.  Given the
-    map's Choi structure as ``certify``, the involution split's certificate
-    is built from it when the split decides."""
+    atomic, not decomposable; anything else leaves both unknown.  With
+    ``certify``, the involution split's certificate is built when the split
+    decides."""
     l_min = cycle_decompose(p.sigma).l_min
     cert = None
     if cp.status == YES:
@@ -482,7 +471,7 @@ def _atomic_and_decomposable(
     elif _involution_split_failure(p) is None:
         atomic = (NO, "decomposable by the involution splitting")
         decomposable = (YES, "involution splitting into a PSD block plus 2-cycle blocks with PSD partial transposes")
-        cert = None if certify is None else _split(p, certify)
+        cert = _split(p) if certify else None
     else:
         atomic = (UNKNOWN, "no atomicity criterion applies")
         decomposable = (UNKNOWN, "no decomposability criterion applies")
@@ -497,12 +486,12 @@ def _atomic_and_decomposable(
 def atomic_verdict(p: MapParams, pos: Optional[Verdict] = None, cp: Optional[Verdict] = None) -> Verdict:
     """Atomicity by the rule it shares with decomposability in
     :func:`classify_map`.  ``pos`` and ``cp`` are computed here unless the
-    caller has them, from one Choi structure."""
-    if cp is None or pos is None:
-        structure = choi_structure(p)
-        cp = _cp_verdict(p, structure) if cp is None else cp
-        pos = _positivity_verdict(p, structure, cp=cp) if pos is None else pos
-    return _atomic_and_decomposable(p, pos, cp, certify=None)[0]
+    caller has them."""
+    if cp is None:
+        cp = cp_verdict(p)
+    if pos is None:
+        pos = positivity_verdict(p, cp=cp)
+    return _atomic_and_decomposable(p, pos, cp, certify=False)[0]
 
 
 def classify_map(
@@ -518,11 +507,10 @@ def classify_map(
     if samples < 0:
         raise ParameterError(f"samples must be >= 0 (got {samples})")
     evidence = verify_positivity_numeric(p, samples=samples, seed=seed) if samples > 0 else None
-    structure = choi_structure(p)  # the verdicts share it, so its core's secular solve runs at most once
-    cp = _cp_verdict(p, structure, psd_tol)
-    pos = _positivity_verdict(p, structure, evidence, cp=cp)
+    cp = cp_verdict(p, psd_tol)
+    pos = positivity_verdict(p, evidence, cp=cp)
     two = two_positive_verdict(p, cp=cp)
-    atomic, decomposable, decomposition = _atomic_and_decomposable(p, pos, cp, certify=structure)
+    atomic, decomposable, decomposition = _atomic_and_decomposable(p, pos, cp, certify=True)
     _check_closure(pos, two, cp, atomic, decomposable)
     return ClassificationReport(
         params=p,

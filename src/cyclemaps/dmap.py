@@ -16,7 +16,8 @@ eigenvalues, ||C^-||) costs O(n), the core's through the one rank-one
 secular solver the positivity sampler uses as well.  That solver returns
 the least eigenvalue over a batch of rows and iterates only the rows that
 can still hold it; the value is bit-identical to solving every row to
-convergence and taking the least.  Every dense n^2 x n^2
+convergence and taking the least.  Each map keeps its structure, so the
+verdicts on one map share one core solve.  Every dense n^2 x n^2
 matrix here is a diagonal plus a block on span{|ii>}, and :func:`assemble`
 builds it only when a caller asks for the matrix itself.
 """
@@ -53,7 +54,7 @@ class MapParams:
     c: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise ParameterError(f"n must be a positive integer (got {self.n!r})")
         _check_degree(self.sigma.n, self.n)
         object.__setattr__(self, "a", float(self.a))
@@ -69,6 +70,18 @@ class MapParams:
     @property
     def uniform_c(self) -> bool:
         return max(self.c) - min(self.c) <= _REL_TOL * max(1.0, abs(self.c[0]))
+
+    @cached_property
+    def _choi_structure(self) -> ChoiStructure:
+        """The structured Choi matrix of Theta, built on first use and kept with read-only arrays."""
+        c = np.array(self.c, dtype=float)
+        img = np.array(self.sigma.images) - 1
+        c.flags.writeable = img.flags.writeable = False
+        return ChoiStructure(n=self.n, a=self.a, c=c, img=img)
+
+    def __getstate__(self) -> dict:
+        # a pickled or copied array comes back writeable: the copy builds its own
+        return {k: v for k, v in vars(self).items() if k != "_choi_structure"}
 
 
 def delta_n(n: int) -> MapParams:
@@ -97,8 +110,8 @@ def _require_square_input(p: MapParams, x: np.ndarray) -> np.ndarray:
 def delta_apply(p: MapParams, x: np.ndarray) -> np.ndarray:
     """Apply the diagonal compression Delta to one matrix."""
     x = _require_square_input(p, x)
-    d = np.diagonal(x)
-    return np.diag(p.a * d + np.asarray(p.c) * d[choi_structure(p).img])
+    d, structure = np.diagonal(x), choi_structure(p)
+    return np.diag(p.a * d + structure.c * d[structure.img])
 
 
 def theta_apply(p: MapParams, x: np.ndarray) -> np.ndarray:
@@ -301,9 +314,8 @@ class ChoiStructure:
 
 
 def choi_structure(p: MapParams) -> ChoiStructure:
-    """The structured form of the Choi matrix of Theta: O(n) to build."""
-    img = np.asarray(p.sigma.images) - 1
-    return ChoiStructure(n=p.n, a=p.a, c=np.asarray(p.c, dtype=float), img=img)
+    """The structured form of the Choi matrix of Theta: O(n) to build, once per map."""
+    return p._choi_structure
 
 
 def choi(p: MapParams, compose_transpose: bool = False) -> ChoiMatrix:

@@ -33,7 +33,7 @@ class Permutation:
         n = len(images)
         if n == 0:
             raise ParameterError("permutation needs degree >= 1 (got empty images)")
-        if any(not isinstance(i, int) for i in images):
+        if any(not isinstance(i, int) or isinstance(i, bool) for i in images):
             raise ParameterError(f"permutation images must be integers (got {images!r})")
         if sorted(images) != list(range(1, n + 1)):
             raise ParameterError(

@@ -4,9 +4,10 @@ with white noise until it turns PSD, and certify separability at a = n - 1.
 For W = C / Tr(C) the noisy family is W(lam) = (1 - lam)/n^2 * I + lam * W.
 The first PSD point is lam* = 1 / (1 + n^2 ||W^-||), equivalently
 SPA = (||C^-|| I + C) / (Tr(C) + n^2 ||C^-||).  ||C^-|| and Tr(C) come from
-the structured Choi matrix (:class:`cyclemaps.dmap.ChoiStructure`): the
+the structured Choi matrix that the map keeps (:func:`choi_structure`): the
 negative eigenvalues of C are those of its n x n core, so the core's least
-eigenvalue, one secular-equation root, gives lam* exactly.  Claimed
+eigenvalue, one secular-equation root, gives lam* exactly.  :class:`SpaState`
+keeps the positivity verdict, which the separable decomposition reads.  Claimed
 closed-form values (such as ||C^-|| = 1 at a = n - 1) are asserted in the
 tests against a dense eigensolve, never assumed.
 
@@ -25,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .classify import BOUNDARY_TOL, NO, YES, Verdict, _positivity_verdict
+from .classify import BOUNDARY_TOL, NO, YES, Verdict, positivity_verdict
 from .dmap import ChoiStructure, MapParams, assemble, choi_structure, parts_distance
 from .errors import ParameterError, PreconditionError
 from .matlin import DEFAULT_PSD_TOL, min_eigenvalue, partial_transpose, require_hermitian
@@ -34,13 +35,19 @@ from .perm import cycle_decompose
 
 @dataclass(frozen=True)
 class SpaState:
-    """The mixing data of the SPA; the density matrix is built on first access."""
+    """The mixing data of the SPA, and the positivity verdict of the map it
+    came from (``positive``); the density matrix is built on first access."""
 
     structure: ChoiStructure
     lambda_star: float
     w_minus_norm: float
     trace_choi: float
-    positivity_warning: bool
+    positive: Verdict
+
+    @property
+    def positivity_warning(self) -> bool:
+        """True when the map's positivity verdict is "no"."""
+        return self.positive.status == NO
 
     @property
     def _scale(self) -> float:
@@ -104,9 +111,9 @@ def r_matrix() -> np.ndarray:
     return r
 
 
-def _positive_trace(structure: ChoiStructure) -> float:
+def _positive_trace(p: MapParams) -> float:
     """Tr C, by which the SPA normalizes; a non-positive trace has no SPA."""
-    trace = structure.trace
+    trace = choi_structure(p).trace
     if not trace > 0.0:
         raise PreconditionError(
             f"the SPA normalizes by Tr C = n(a - 1) + sum(c), which must be positive (got {trace})"
@@ -118,13 +125,9 @@ def spa_state(p: MapParams) -> SpaState:
     """Compute the SPA of the map's witness direction from the Choi spectrum.
 
     Raises PreconditionError when Tr C = n(a - 1) + sum(c) <= 0."""
+    positive = positivity_verdict(p)
+    trace = _positive_trace(p)
     structure = choi_structure(p)
-    return _spa_state(p, structure, _positivity_verdict(p, structure))
-
-
-def _spa_state(p: MapParams, structure: ChoiStructure, pos: Verdict) -> SpaState:
-    """:func:`spa_state` on the caller's Choi structure, with the positivity verdict already decided."""
-    trace = _positive_trace(structure)
     w_minus_norm = structure.negative_norm / trace
     lambda_star = 1.0 / (1.0 + p.n**2 * w_minus_norm)
     return SpaState(
@@ -132,7 +135,7 @@ def _spa_state(p: MapParams, structure: ChoiStructure, pos: Verdict) -> SpaState
         lambda_star=lambda_star,
         w_minus_norm=w_minus_norm,
         trace_choi=trace,
-        positivity_warning=pos.status == NO,
+        positive=positive,
     )
 
 
@@ -140,10 +143,9 @@ def spa_interpolation(p: MapParams, lam: float) -> np.ndarray:
     """The noisy family W(lam) = (1 - lam)/n^2 * I + lam * C/Tr(C)."""
     if not 0.0 <= lam <= 1.0:
         raise ParameterError(f"lam must lie in [0, 1] (got {lam})")
-    structure = choi_structure(p)
-    trace = _positive_trace(structure)
+    trace = _positive_trace(p)
     noise = (1.0 - lam) / p.n**2
-    d, k = structure.parts()
+    d, k = choi_structure(p).parts()
     return assemble(p.n, noise + lam * d / trace, noise * np.eye(p.n) + lam * k / trace)
 
 
@@ -166,14 +168,11 @@ def separable_decomposition(p: MapParams) -> SeparableDecomposition:
         raise PreconditionError(
             f"requires every cycle of sigma of length >= 2 (got a cycle of length {l_min})"
         )
-    structure = choi_structure(p)
-    pos = _positivity_verdict(p, structure)
-    if pos.status != YES:
+    state = spa_state(p)
+    if state.positive.status != YES:
         raise PreconditionError(
-            f"requires established positivity; the verdict here is '{pos.status}'"
+            f"requires established positivity; the verdict here is '{state.positive.status}'"
         )
-
-    state = _spa_state(p, structure, pos)
     normalization = state._scale
 
     inv = p.sigma.inverse()

@@ -43,7 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .classify import NO, YES, _cp_verdict, _positivity_verdict, atomic_verdict, on_uniform_family
+from .classify import NO, YES, atomic_verdict, on_uniform_family, positivity_verdict
 from .dmap import MapParams, assemble, choi, choi_structure
 from .errors import ParameterError
 from .matlin import DEFAULT_PSD_TOL, numerical_rank, require_hermitian
@@ -109,7 +109,7 @@ def spanning_generators(p: MapParams) -> SpanningGenerators:
     rows = 1 + 2 * n + np.arange(k.size)
     phases[rows, k] = phases[rows, l] = np.pi
     i, j = np.divmod(np.arange(n * n), n)
-    img = np.asarray(p.sigma.images) - 1
+    img = choi_structure(p).img
     keep = (j != i) & (img[j] != i)
     return SpanningGenerators(phases=phases, pairs=np.stack([i[keep], j[keep]], axis=1))
 
@@ -135,11 +135,11 @@ def certify_optimality(p: MapParams) -> OptimalityCertificate:
     expectations = np.concatenate([phase, basis]) / n
     passing = np.abs(expectations) <= EXPECTATION_TOL
 
-    pos = _positivity_verdict(p, structure)
+    pos = positivity_verdict(p)
     # the certified family: uniform c with a = n - c, and c = 0 (the map
     # n*diag(X) - X) or an atomic map (every cycle of length >= 3, not CP)
     theorem_applies = on_uniform_family(p) and (
-        p.c[0] == 0.0 or atomic_verdict(p, pos=pos, cp=_cp_verdict(p, structure)).status == YES
+        p.c[0] == 0.0 or atomic_verdict(p, pos=pos).status == YES
     )
     if theorem_applies and not bool(np.all(passing)):
         worst = int(np.argmax(np.abs(expectations)))

@@ -801,28 +801,46 @@ def test_classify_map_checks_the_split_precondition_once(monkeypatch):
         assert (report.decomposition is not None) == (report.decomposable.criterion.startswith("involution"))
 
 
-def test_each_call_solves_the_choi_core_once(monkeypatch):
+def test_each_map_solves_the_choi_core_once(monkeypatch):
     # the sampler's solve is the classify module's reference to the solver;
-    # the Choi core's is the dmap module's, cached on one ChoiStructure per call
+    # the Choi core's is the dmap module's, cached on the structure each map keeps
     core = _count_calls(monkeypatch, dmap_module, "_theta_min_eigenvalue")
     sampler = _count_calls(monkeypatch, classify_module, "_theta_min_eigenvalue")
-    at_id = MapParams(3, identity(3), 1.5, (0.5, 2.0, 1.0))
-    mixed = MapParams(5, Permutation((2, 3, 1, 4, 5)), 2.5, (1.0, 2.0, 0.5, 1.5, 1.0))  # positivity undecided
-    for call, solves in (
-        (lambda: classify_map(at_id, samples=0), (1, 0)),
-        (lambda: classify_map(at_id, samples=10), (1, 1)),
-        (lambda: classify_map(mixed, samples=10), (1, 1)),
-        (lambda: atomic_verdict(at_id), (1, 0)),
-        (lambda: spa_state(at_id), (1, 0)),
-        (lambda: spa_state(mixed), (1, 0)),
-        (lambda: separable_decomposition(MapParams(4, tau(4, 1), 3.0, (1.0, 2.0, 0.8, 1.5))), (1, 0)),
-        (lambda: certify_optimality(MapParams(6, tau(6, 2), 4.0, (2.0,) * 6)), (1, 0)),
+
+    def at_id():
+        return MapParams(3, identity(3), 1.5, (0.5, 2.0, 1.0))
+
+    def mixed():  # positivity undecided
+        return MapParams(5, Permutation((2, 3, 1, 4, 5)), 2.5, (1.0, 2.0, 0.5, 1.5, 1.0))
+
+    others = (
+        lambda p: classify_map(p, samples=0),
+        cp_verdict,
+        positivity_verdict,
+        atomic_verdict,
+        spa_state,
+        certify_optimality,
+    )
+    for make, call, sampled in (
+        (at_id, lambda p: classify_map(p, samples=0), 0),
+        (at_id, lambda p: classify_map(p, samples=10), 1),
+        (mixed, lambda p: classify_map(p, samples=10), 1),
+        (at_id, atomic_verdict, 0),
+        (at_id, spa_state, 0),
+        (mixed, spa_state, 0),
+        (lambda: MapParams(4, tau(4, 1), 3.0, (1.0, 2.0, 0.8, 1.5)), separable_decomposition, 0),
+        (lambda: MapParams(6, tau(6, 2), 4.0, (2.0,) * 6), certify_optimality, 0),
     ):
-        for _ in range(2):  # nothing is kept from one call to the next
+        p = make()
+        for solves in (1, 0):  # the first call on a fresh map solves the core, a repeat reuses it
             core.clear()
             sampler.clear()
-            call()
-            assert (len(core), len(sampler)) == solves
+            call(p)
+            assert (len(core), len(sampler)) == (solves, sampled)
+        core.clear()
+        for other in others:
+            other(p)
+        assert len(core) == 0
 
 
 def test_spa_and_witness_take_the_geometric_mean_once(monkeypatch):

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from cyclemaps import (
     ParameterError,
     Permutation,
     choi,
+    choi_structure,
+    classify_map,
     d_matrix,
     delta_apply,
     delta_n,
@@ -43,6 +47,24 @@ def test_params_validation():
         MapParams(4, tau(3, 1), 2.0, (1.0,) * 4)
     with pytest.raises(ParameterError):
         MapParams(0, identity(1), 1.0, ())
+    with pytest.raises(ParameterError, match="positive integer"):
+        MapParams(True, identity(1), 1.0, (1.0,))
+
+
+def test_kept_choi_structure_is_shared_and_read_only():
+    p = MapParams(4, Permutation((2, 3, 1, 4)), 2.5, (1.0, 2.0, 0.5, 1.5))
+    before = classify_map(p, samples=50)
+    s = choi_structure(p)
+    assert choi_structure(p) is s
+    for array in (s.c, s.img):
+        with pytest.raises(ValueError):
+            array[0] = 2
+        with pytest.raises(ValueError):
+            array += 1
+    assert classify_map(p, samples=50) == before
+    for twin in (copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert twin == p
+        assert not choi_structure(twin).c.flags.writeable
 
 
 def test_uniform_c_flag(flagship):

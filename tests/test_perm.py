@@ -50,6 +50,14 @@ def test_permutation_rejects_non_bijections():
         Permutation(())
 
 
+def test_permutation_rejects_bool_images():
+    # True == 1 passes the bijection check, and format_permutation would then
+    # write "images:True,2", which parse_permutation rejects
+    for images in ((True, 2), (2, True), (True,)):
+        with pytest.raises(ParameterError, match="integers"):
+            Permutation(images)
+
+
 def test_tau_formula_examples():
     # tau(n, k) sends i to ((i + k - 1) mod n) + 1.
     assert tau(3, 1).images == (2, 3, 1)
