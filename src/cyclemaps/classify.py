@@ -243,8 +243,9 @@ def verify_positivity_numeric(p: MapParams, samples: int = 2000, seed: int = 0) 
     (:func:`cyclemaps.dmap._theta_min_eigenvalue`).  For a unit xi it lies
     in [d_min - 1, d_min), d_min the least den_i where w_i > 0.  Only the
     vectors whose bracket can still hold the least of these eigenvalues are
-    iterated, usually a handful after two steps, and ``min_theta_eig`` is
-    bit-identical to solving every vector to convergence.
+    iterated, usually a handful from the first step on, once an exact
+    screen has dropped the rest, and ``min_theta_eig`` is bit-identical to
+    solving every vector to convergence.
 
     Counter-based (Philox) seeding keeps runs reproducible for a given seed,
     which must lie in Philox's key range 0 <= seed < 2**128.  ``samples * n``

@@ -162,7 +162,9 @@ def _run_decompose(args, params: MapParams, state) -> dict:
 
 
 def _run_spa(args, params: MapParams, state) -> dict:
-    spa = spa_state(params)
+    # the decomposition decides the SPA state first and keeps it
+    dec = separable_decomposition(params) if args.decompose else None
+    spa = spa_state(params) if dec is None else dec.state
     result = {
         "lambda_star": spa.lambda_star,
         "w_minus_norm": spa.w_minus_norm,
@@ -170,8 +172,7 @@ def _run_spa(args, params: MapParams, state) -> dict:
         "positivity_warning": spa.positivity_warning,
         "matrix": _matrix_form(spa.matrix),
     }
-    if args.decompose:
-        dec = separable_decomposition(params)
+    if dec is not None:
         result["decomposition"] = {
             "normalization": dec.normalization,
             "residual": dec.residual,

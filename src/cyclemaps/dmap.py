@@ -15,16 +15,18 @@ the O(n) arrays (a, c, sigma): every scalar of it (trace, minimum
 eigenvalues, ||C^-||) costs O(n), the core's through the one rank-one
 secular solver the positivity sampler uses as well.  That solver returns
 the least eigenvalue over a batch of rows and iterates only the rows that
-can still hold it; the value is bit-identical to solving every row to
-convergence and taking the least.  Each map keeps its structure, so the
-verdicts on one map share one core solve.  Every dense n^2 x n^2
-matrix here is a diagonal plus a block on span{|ii>}, and :func:`assemble`
-builds it only when a caller asks for the matrix itself.
+can still hold it: an exact screen before the first step drops every row
+whose root provably lies above the best value found so far, and the rows
+still live are compacted after each step.  The value is bit-identical to
+solving every row to convergence and taking the least.  Each map keeps its
+structure, so the verdicts on one map share one core solve.  Every dense
+n^2 x n^2 matrix here is a diagonal plus a block on span{|ii>}, and
+:func:`assemble` builds it only when a caller asks for the matrix itself.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -57,8 +59,8 @@ class MapParams:
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise ParameterError(f"n must be a positive integer (got {self.n!r})")
         _check_degree(self.sigma.n, self.n)
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "c", tuple(float(ci) for ci in self.c))
+        object.__setattr__(self, "a", _real(self.a, "a"))
+        object.__setattr__(self, "c", tuple(_real(ci, f"c[{i}]") for i, ci in enumerate(self.c, start=1)))
         if not np.isfinite(self.a) or self.a <= 0:
             raise ParameterError(f"a must be positive and finite (got {self.a})")
         if len(self.c) != self.n:
@@ -82,6 +84,13 @@ class MapParams:
     def __getstate__(self) -> dict:
         # a pickled or copied array comes back writeable: the copy builds its own
         return {k: v for k, v in vars(self).items() if k != "_choi_structure"}
+
+
+def _real(x, name: str) -> float:
+    """x as a float; a bool is no number here, as in the CLI's map files."""
+    if isinstance(x, (bool, np.bool_)):
+        raise ParameterError(f"{name} must be a number (got {x!r})")
+    return float(x)
 
 
 def delta_n(n: int) -> MapParams:
@@ -176,6 +185,25 @@ def pair_block_eigenvalues(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np
     return (x * y - 1.0) / hi, hi
 
 
+def _row_reduce(ufunc: np.ufunc, x: np.ndarray) -> np.ndarray:
+    """``ufunc`` reduced along each row of x.  Over many short rows this is a
+    fold over the columns, a few vectorised calls, where numpy's reduction
+    along a row pays a fixed cost per row; otherwise it is that reduction."""
+    return reduce(ufunc, x.T) if 32 * x.shape[1] <= x.shape[0] else ufunc.reduce(x, axis=1)
+
+
+def _secular_step(lo: np.ndarray, hi: np.ndarray, delta: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One bracket step of :func:`_theta_min_eigenvalue` on each row: the new (lo, hi)."""
+    x = np.where(hi > 2.0 * lo, np.sqrt(lo * hi), lo)
+    r = x[:, None] / (delta + x[:, None])
+    wr = w * r
+    big_a = wr.sum(axis=1)
+    rho = (big_a - x) / (wr * r).sum(axis=1)
+    lo = np.maximum(lo, x + big_a * rho)
+    hi = np.divide(x, 1.0 - rho, out=hi.copy(), where=x < hi * (1.0 - rho))
+    return lo, hi
+
+
 def _theta_min_eigenvalue(amps: np.ndarray, den: np.ndarray) -> float:
     """The least eigenvalue of diag(den) - xi xi* over the rows w = |xi|^2.
 
@@ -191,17 +219,41 @@ def _theta_min_eigenvalue(amps: np.ndarray, den: np.ndarray) -> float:
     that majorises psi (each term is concave in 1/mu), from above.  The next
     point is the lower bound once the bracket is within a factor 2, its
     geometric midpoint before, so rows whose delta_i spread over many
-    decades still close in about a dozen steps.
+    decades still close in about a dozen steps (:func:`_secular_step`).
 
     Only rows that can still hold the minimum are iterated (branch and
     bound on the brackets [lo, hi] of mu).  A row's value ends at or below
     its current min(d_min - lo, deflated), since lo only grows; the least
-    of these over all rows, ``best``, ends as the answer.  A row whose
-    d_min - hi, less a rounding allowance, lies above ``best`` is dropped
-    (its deflated values are in ``best`` already).  Rows iterate
-    independently, so the result is bit-identical to solving every row to
-    convergence and taking the least value.  Rows still live after
-    ``_SECULAR_MAX_ITER`` steps raise RuntimeError.
+    of these over all rows, ``best``, ends as the answer.  After each step,
+    a row whose d_min - hi, less a rounding allowance ``slack``, lies above
+    ``best`` is dropped (its deflated values are in ``best`` already), and
+    the arrays of the rows still live are compacted.
+
+    Before the first step, where hi = sum_i w_i is too loose to tell, a
+    screen drops every row whose least eigenvalue provably exceeds
+    t = best + slack + eps |best|; as g(t) <= hi / (d_min - t) below, it
+    also drops, up to its margins, every row that the prune would.  Below
+    d_min, g(lam) = sum_i w_i / (den_i - lam) over the support increases,
+    and the row's least eigenvalue is the lam with g(lam) = 1; so d_min > t
+    and g(t) < 1 put it above t.  In floating point each of the n terms of
+    g(t) takes two roundings and the sum n - 1 more, so the computed sum is
+    at least g(t) (1 - gamma) with gamma < (n + 1) eps / 2 (underflow in a
+    term costs a subnormal amount more): a computed sum below
+    1 - (n + 1) eps proves g(t) < 1.  The eps |best| term keeps t above
+    best + slack after t's own rounding.  Had the row been iterated, its
+    final lo would overshoot its root mu by about n eps sum_i w_i at most
+    (the rounding that ``slack`` allows for in the prune), far inside
+    ``slack``; so its value d_min - lo, rounded monotonically, would end at
+    or above ``best``, and dropping the row cannot change the result.
+
+    Rows iterate independently, and every sum that feeds an iterate is the
+    row-wise ``.sum(axis=1)``, whose association order is fixed per row, so
+    the result is bit-identical to solving every row to convergence and
+    taking the least value.  The row minima are folds over the columns
+    (:func:`_row_reduce`), in whatever order: a minimum does not depend on
+    it as long as den holds no -0.0, and both callers form den from sums of
+    non-negative products.  Rows still live after ``_SECULAR_MAX_ITER``
+    steps raise RuntimeError.
     """
     # entries of w below eps^2 deflate as well: dropping them moves each
     # eigenvalue by at most 2 sqrt(n) eps (Weyl), and it keeps every
@@ -209,37 +261,34 @@ def _theta_min_eigenvalue(amps: np.ndarray, den: np.ndarray) -> float:
     support = amps > _EPS**2
     w = np.where(support, amps, 0.0)
     on_support = np.where(support, den, np.inf)
-    d_min = on_support.min(axis=1)
-    delta = on_support - d_min[:, None]  # inf off the support: r_i = 0 there
-    lo = np.where(delta == 0, w, 0.0).sum(axis=1)
+    d_min = _row_reduce(np.minimum, on_support)
+    lo = np.where(on_support == d_min[:, None], w, 0.0).sum(axis=1)  # delta_i = 0
     hi = w.sum(axis=1)
-    deflated = np.where(support, np.inf, den).min(axis=1)
+    deflated = _row_reduce(np.minimum, np.where(support, np.inf, den))
     # rounding can leave the final lo above an earlier hi, by about
     # n eps A^2 / B <= n eps sum_i w_i (Cauchy-Schwarz); the allowance
     # sqrt(eps) sum_i w_i covers that many times over
     slack = np.sqrt(_EPS) * hi
     best = np.minimum(d_min - lo, deflated).min()
-    active = np.flatnonzero(hi > lo * (1.0 + 4.0 * _EPS))
+    t = best + (slack + _EPS * abs(best))
+    with np.errstate(all="ignore"):  # g counts only where d_min > t
+        g = _row_reduce(np.add, w / (on_support - t[:, None]))
+    live = (hi > lo * (1.0 + 4.0 * _EPS)) & ((d_min <= t) | (g >= 1.0 - (amps.shape[1] + 1) * _EPS))
+    d_min, lo, hi, slack, w = d_min[live], lo[live], hi[live], slack[live], w[live]
+    delta = on_support[live] - d_min[:, None]
     for step in range(_SECULAR_MAX_ITER + 1):
-        active = active[d_min[active] - (hi[active] + slack[active]) <= best]
-        if active.size == 0:
+        if lo.size == 0:
             break
         if step == _SECULAR_MAX_ITER:
             raise RuntimeError(
                 "internal consistency failure: the secular equation for the minimum eigenvalue "
-                f"of diag(den) - xi xi* did not converge in {_SECULAR_MAX_ITER} steps on {active.size} rows"
+                f"of diag(den) - xi xi* did not converge in {_SECULAR_MAX_ITER} steps on {lo.size} rows"
             )
-        l, h = lo[active], hi[active]
-        x = np.where(h > 2.0 * l, np.sqrt(l * h), l)
-        r = x[:, None] / (delta[active] + x[:, None])
-        wr = w[active] * r
-        big_a = wr.sum(axis=1)
-        rho = (big_a - x) / (wr * r).sum(axis=1)
-        l = np.maximum(l, x + big_a * rho)
-        h = np.divide(x, 1.0 - rho, out=h.copy(), where=x < h * (1.0 - rho))
-        lo[active], hi[active] = l, h
-        best = np.minimum(best, (d_min[active] - l).min())
-        active = active[h > l * (1.0 + 4.0 * _EPS)]
+        lo, hi = _secular_step(lo, hi, delta, w)
+        best = np.minimum(best, (d_min - lo).min())
+        live = (hi > lo * (1.0 + 4.0 * _EPS)) & (d_min - (hi + slack) <= best)
+        if not live.all():
+            d_min, lo, hi, slack, delta, w = d_min[live], lo[live], hi[live], slack[live], delta[live], w[live]
     return float(best)
 
 

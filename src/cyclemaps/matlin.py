@@ -4,13 +4,16 @@ Everything operates on plain numpy arrays with complex128 entries.
 
 The Hermitian eigen helpers (``min_eigenvalue``, ``is_psd``,
 ``hermitian_spectrum``, ``negative_part``) never solve more than an
-irreducible block at a time.  One O(N^2) scan finds the connected components
-of the nonzero pattern of M, symmetrised (an edge i - j wherever M[i, j] or
-M[j, i] is nonzero), and runs the Hermitian check on them; blocks of equal
-size b are then stacked into one batched LAPACK call.  An N x N matrix with
-blocks of sizes b costs O(N^2 + sum b^3) instead of O(N^3): the witness of
-the package's maps splits into 1x1 and 2x2 blocks, its Choi matrix into the
-n x n core plus 1x1 blocks, and a fully dense matrix is a single block.
+irreducible block at a time.  They find the connected components of the
+nonzero pattern of M, symmetrised (an edge i - j wherever M[i, j] or M[j, i]
+is nonzero), and run the Hermitian check on them; blocks of equal size b are
+then stacked into one batched LAPACK call.  The components take three passes
+over the N^2 entries: ``M != 0``, the first nonzero of each row, and the list
+of nonzeros, from which every later round reads only the edges that still
+join two trees.  An N x N matrix with blocks of sizes b costs
+O(N^2 + sum b^3) instead of O(N^3): the witness of the package's maps splits
+into 1x1 and 2x2 blocks, its Choi matrix into the n x n core plus 1x1
+blocks, and a fully dense matrix is a single block.
 """
 from __future__ import annotations
 
@@ -111,20 +114,23 @@ def _pattern_components(m: np.ndarray) -> np.ndarray:
 
     Each row first hooks to its leftmost nonzero, at or left of the diagonal; the
     nonzeros that still join two trees then hook the larger root under the smaller
-    until none is left.  The scan is O(N^2); the rounds after it are O(edges).
+    until none is left.  The edges are the flat indices of the nonzeros, in
+    row-major order, filtered by their labels each round: the passes over the
+    N^2 entries are ``M != 0``, the leftmost nonzeros and that index list, and
+    the rounds after them are O(edges).
     """
-    n = m.shape[0]
     nz = m != 0  # a nan or inf entry is nonzero, so it reaches the Hermitian check
     np.fill_diagonal(nz, True)
     label = _roots(nz.argmax(axis=1))
-    r, c = np.divmod(np.flatnonzero(nz & (label[:, None] != label)), n)
-    while r.size:
+    r, c = np.divmod(np.flatnonzero(nz), m.shape[0])
+    while True:
+        keep = label[r] != label[c]
+        r, c = r[keep], c[keep]
+        if not r.size:
+            return label
         lr, lc = label[r], label[c]
         np.minimum.at(label, np.maximum(lr, lc), np.minimum(lr, lc))
         label = _roots(label)
-        keep = label[r] != label[c]
-        r, c = r[keep], c[keep]
-    return label
 
 
 def _hermitian_blocks(m: np.ndarray, tol: float) -> list[tuple[np.ndarray, np.ndarray]]:

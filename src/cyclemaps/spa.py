@@ -94,11 +94,17 @@ class SpaTerm:
 
 @dataclass(frozen=True)
 class SeparableDecomposition:
-    """SPA = sum_t weight_t * matrix_t with every term manifestly separable."""
+    """SPA = sum_t weight_t * matrix_t with every term manifestly separable;
+    ``state`` is the SPA state it decomposes."""
 
     terms: tuple[SpaTerm, ...]
-    normalization: float
+    state: SpaState
     residual: float
+
+    @property
+    def normalization(self) -> float:
+        """1 / (Tr(C) + n^2 ||C^-||), the weight of each pair term."""
+        return self.state._scale
 
 
 def r_matrix() -> np.ndarray:
@@ -152,14 +158,17 @@ def spa_interpolation(p: MapParams, lam: float) -> np.ndarray:
 def separable_decomposition(p: MapParams) -> SeparableDecomposition:
     """Write the SPA at a = n - 1 as an explicit convex mix of separable terms.
 
-    Preconditions: a = n - 1 (within BOUNDARY_TOL, as every boundary), every
-    cycle of sigma of length >= 2, and positivity established by a decisive
-    criterion.  Each two-level term sigma_ij is its factorization
-    (D_ij (x) D_ij) R (D_ij (x) D_ij)*, with D_ij the n x 2 isometry onto
-    coordinates i, j: R written onto |ii>, |ij>, |ji>, |jj>.  Each diagonal
-    term is one unit entry at |i, sigma^(-1)(i)>.  ``residual`` compares the
-    weighted sum of the terms with the SPA entry by entry, in O(n^2).
+    Preconditions, checked in this order: Tr C > 0 (:func:`spa_state`, whose
+    result the decomposition keeps), a = n - 1 (within BOUNDARY_TOL, as every
+    boundary), every cycle of sigma of length >= 2, and positivity
+    established by a decisive criterion.  Each two-level term sigma_ij is its
+    factorization (D_ij (x) D_ij) R (D_ij (x) D_ij)*, with D_ij the n x 2
+    isometry onto coordinates i, j: R written onto |ii>, |ij>, |ji>, |jj>.
+    Each diagonal term is one unit entry at |i, sigma^(-1)(i)>.  ``residual``
+    compares the weighted sum of the terms with the SPA entry by entry, in
+    O(n^2).
     """
+    state = spa_state(p)
     n = p.n
     if abs(p.a - (n - 1.0)) > BOUNDARY_TOL:
         raise PreconditionError(f"requires a = n - 1 = {n - 1} (got a = {p.a})")
@@ -168,7 +177,6 @@ def separable_decomposition(p: MapParams) -> SeparableDecomposition:
         raise PreconditionError(
             f"requires every cycle of sigma of length >= 2 (got a cycle of length {l_min})"
         )
-    state = spa_state(p)
     if state.positive.status != YES:
         raise PreconditionError(
             f"requires established positivity; the verdict here is '{state.positive.status}'"
@@ -183,9 +191,7 @@ def separable_decomposition(p: MapParams) -> SeparableDecomposition:
     for t in terms:
         t._add_to(diag, core, t.weight)
     residual = parts_distance((diag, core), state.parts())
-    return SeparableDecomposition(
-        terms=tuple(terms), normalization=normalization, residual=residual
-    )
+    return SeparableDecomposition(terms=tuple(terms), state=state, residual=residual)
 
 
 def ppt_check(m: np.ndarray, k: int, n: int, tol: float = DEFAULT_PSD_TOL) -> tuple[bool, float]:

@@ -44,7 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from .classify import NO, YES, atomic_verdict, on_uniform_family, positivity_verdict
-from .dmap import MapParams, assemble, choi, choi_structure
+from .dmap import MapParams, assemble, choi_structure
 from .errors import ParameterError
 from .matlin import DEFAULT_PSD_TOL, numerical_rank, require_hermitian
 
@@ -88,8 +88,16 @@ class OptimalityCertificate:
 
 
 def witness(p: MapParams) -> np.ndarray:
-    """W = C / n for C the Choi matrix of transposition composed with Theta."""
-    return choi(p, compose_transpose=True).matrix / p.n
+    """W = C / n for C the Choi matrix of transposition composed with Theta.
+
+    W is assembled from C's parts scaled by 1 / n, so no second n^2 x n^2
+    array is written.  numpy divides a complex entry by a real n as the
+    product with 1 / n, so the entries are those of
+    ``choi(p, compose_transpose=True).matrix / p.n`` bit for bit.
+    """
+    diag, core = choi_structure(p).parts()
+    scale = 1.0 / p.n
+    return assemble(p.n, diag * scale, core * scale, compose_transpose=True)
 
 
 def spanning_generators(p: MapParams) -> SpanningGenerators:

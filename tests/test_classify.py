@@ -295,6 +295,59 @@ def test_pruned_minimum_is_bit_identical_to_the_least_row_minimum(args):
     assert _theta_min_eigenvalue(amps, den).hex() == row_minima(amps, den).min().hex()
 
 
+@st.composite
+def rows_at_the_screen_threshold(draw):
+    """A batch whose first row has equal den_i, so that its value d - sum(w) is
+    exact at once and sets ``best``, plus rows built to have their least
+    eigenvalue within a few ulps of ``best`` or of the screen's threshold
+    t = best + slack + eps |best|, or within ``slack`` of either: den = lam + e
+    with sum_i w_i / e_i = 1 puts the least eigenvalue of diag(den) - xi xi* at
+    lam, up to the rounding of den."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-6, 1.0, 1e6]))
+    unit = rng.uniform(0.05, 1.0, (1, n))
+    amps, den = [unit / unit.sum()], [np.full((1, n), scale * rng.uniform(-2.0, 2.0))]
+    best = _theta_min_eigenvalue(amps[0], den[0])
+    for _ in range(draw(st.integers(1, 40))):
+        w = rng.uniform(0.05, 1.0, n)
+        w *= draw(st.sampled_from([1.0, 1e-3, 1e3])) / w.sum()
+        slack = np.sqrt(np.finfo(float).eps) * w.sum()
+        threshold = best + (slack + np.finfo(float).eps * abs(best))
+        at = draw(st.sampled_from([best, threshold]))
+        lam = at + draw(st.sampled_from([0.0, -1.0, -0.5, 0.25, 0.5, 0.999, 1.001, 2.0])) * slack
+        ulps = draw(st.integers(-4, 4))
+        for _ in range(abs(ulps)):
+            lam = np.nextafter(lam, np.copysign(np.inf, ulps))
+        e = scale * rng.uniform(0.1, 10.0, n)
+        e *= np.sum(w / e)
+        amps.append(w[None, :])
+        den.append(lam + e[None, :])
+    return np.concatenate(amps), np.concatenate(den)
+
+
+@given(rows_at_the_screen_threshold())
+@settings(max_examples=200, deadline=None)
+def test_screen_near_its_threshold_keeps_the_least_row_minimum(args):
+    amps, den = args
+    assert _theta_min_eigenvalue(amps, den).hex() == row_minima(amps, den).min().hex()
+
+
+def test_first_bracket_step_runs_on_few_rows(monkeypatch):
+    # the sampler's batch holds 2007 rows; the screen leaves only those whose
+    # least eigenvalue can still be the batch's least for the first step
+    rows, step = [], dmap_module._secular_step
+
+    def counting(lo, *args):
+        rows.append(lo.size)
+        return step(lo, *args)
+
+    monkeypatch.setattr(dmap_module, "_secular_step", counting)
+    ev = verify_positivity_numeric(MapParams(6, tau(6, 1), 4.5, (1.5,) * 6), seed=0)
+    assert ev.num_vectors == 2007
+    assert 1 <= rows[0] <= 10
+
+
 # A unit row (w = |xi|^2, den) from a random map at n = 36 with log-uniform
 # a and c.  Rounding lets its final lo pass the hi of a step at which it was
 # still live, by less than eps sum_i w_i, so that its value ends 3328 ulps

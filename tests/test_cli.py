@@ -12,7 +12,16 @@ import pytest
 from numpy.testing import assert_allclose
 
 import cyclemaps
-from cyclemaps import cli, matrix_from_json, matrix_to_json, maximally_entangled_state
+from cyclemaps import (
+    MapParams,
+    ParameterError,
+    cli,
+    matrix_from_json,
+    matrix_to_json,
+    maximally_entangled_state,
+    parse_permutation,
+)
+from cyclemaps import spa as spa_module
 from cyclemaps.cli import main
 
 FLAGSHIP = {"n": 3, "sigma": "tau:3:2", "a": 2.0, "c": [1.0, 1.0, 1.0]}
@@ -134,6 +143,23 @@ def test_spa_decompose(tmp_path, capsys):
     for term in dec["terms"]:
         assert term["weight"] > 0.0
         assert matrix_from_json(term["matrix"]).shape == (9, 9)
+
+
+@pytest.mark.parametrize("flags", [(), ("--decompose",)])
+def test_spa_decides_the_spa_state_once(tmp_path, capsys, monkeypatch, flags):
+    calls, real = [], spa_module.spa_state
+
+    def counting(p):
+        calls.append(p)
+        return real(p)
+
+    # the CLI's own reference and the one separable_decomposition calls
+    monkeypatch.setattr(cli, "spa_state", counting)
+    monkeypatch.setattr(spa_module, "spa_state", counting)
+    path = write_json(tmp_path, "map.json", FLAGSHIP)
+    rc, out, _ = run_cli(capsys, "spa", "--map", path, *flags)
+    assert rc == 0 and len(calls) == 1
+    assert ("decomposition" in json.loads(out)["result"]) == bool(flags)
 
 
 def test_spa_decompose_requires_a_boundary(tmp_path, capsys):
@@ -282,6 +308,23 @@ def test_spa_non_positive_trace_exits_two(tmp_path, capsys, m):
     assert rc == 2
     assert out == ""
     assert err.startswith("error: ") and "Tr C" in err and "Traceback" not in err
+    # with --decompose the trace is checked before the decomposition's own preconditions
+    assert run_cli(capsys, "spa", "--map", path, "--decompose") == (rc, out, err)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("a", True, "field 'a' must be a number (got True)"),
+        ("c", [1.0, True, 1.0], "field 'c' must be a list of numbers (got [1.0, True, 1.0])"),
+    ],
+)
+def test_bool_weights_exit_one_as_the_library_rejects_them(tmp_path, capsys, field, value, message):
+    m = dict(FLAGSHIP, **{field: value})
+    rc, out, err = run_cli(capsys, "classify", "--map", write_json(tmp_path, "map.json", m))
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
+    with pytest.raises(ParameterError, match="must be a number"):
+        MapParams(3, parse_permutation(m["sigma"], 3), m["a"], tuple(m["c"]))
 
 
 def test_unreadable_and_unparsable_files(tmp_path, capsys):

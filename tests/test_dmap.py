@@ -51,6 +51,21 @@ def test_params_validation():
         MapParams(True, identity(1), 1.0, (1.0,))
 
 
+@pytest.mark.parametrize(
+    "a, c, name",
+    [
+        (True, (True, 2), "a"),
+        (2.0, (1.0, True), "c\\[2\\]"),
+        (np.True_, (1.0, 2.0), "a"),
+        (2.0, (np.False_, 2.0), "c\\[1\\]"),
+    ],
+)
+def test_params_reject_bool_a_and_c(a, c, name):
+    # as the CLI rejects a bool 'a' or 'c' entry in a map file
+    with pytest.raises(ParameterError, match=f"^{name} must be a number"):
+        MapParams(2, tau(2, 1), a, c)
+
+
 def test_kept_choi_structure_is_shared_and_read_only():
     p = MapParams(4, Permutation((2, 3, 1, 4)), 2.5, (1.0, 2.0, 0.5, 1.5))
     before = classify_map(p, samples=50)

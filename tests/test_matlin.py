@@ -20,7 +20,7 @@ from cyclemaps import (
     partial_transpose,
     require_hermitian,
 )
-from cyclemaps.matlin import DEFAULT_HERMITIAN_TOL
+from cyclemaps.matlin import DEFAULT_HERMITIAN_TOL, _pattern_components
 from conftest import random_hermitian
 from matrix_helpers import basis_vector, identity_matrix, kron, matrix_unit, schur_product
 
@@ -227,6 +227,36 @@ def test_block_split_matches_dense_lapack(m):
             with pytest.raises(ContractError, match="not Hermitian") as blocked:
                 helper(spoiled)
             assert str(blocked.value) == str(dense.value)
+
+
+def bfs_components(m: np.ndarray) -> np.ndarray:
+    """Oracle: each index labelled by the least index of its connected component
+    under the edges i - j with M[i, j] != 0 or M[j, i] != 0, found breadth first."""
+    adjacent = (m != 0) | (m != 0).T
+    label = np.full(len(m), -1)
+    for root in range(len(m)):
+        if label[root] >= 0:
+            continue
+        label[root], queue = root, [root]
+        while queue:
+            for j in np.flatnonzero(adjacent[queue.pop()] & (label < 0)):
+                label[j] = root
+                queue.append(j)
+    return label
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40), st.floats(0.0, 0.3), st.integers(0, 2**32 - 1))
+def test_pattern_components_match_breadth_first_search(size, density, seed):
+    # entries are nan, inf, -0.0 (a zero: no edge) or numbers, in one triangle
+    # or both; some rows and columns are empty apart from the diagonal
+    rng = np.random.default_rng(seed)
+    values = np.array([1.0, -2.5 + 1j, 1j, np.nan, np.inf, -0.0, 5e-324])
+    m = np.where(rng.random((size, size)) < density, rng.choice(values, (size, size)), 0.0)
+    empty = rng.random(size) < 0.2
+    m[empty, :] = m[:, empty] = 0.0
+    np.fill_diagonal(m, rng.choice([0.0, -0.0, 1.0], size))
+    assert np.array_equal(_pattern_components(m), bfs_components(m))
 
 
 def old_matrix_to_json(m):

@@ -171,6 +171,22 @@ def test_spa_requires_positive_trace(p):
         spa_interpolation(p, 0.5)
 
 
+@pytest.mark.parametrize("p", NON_POSITIVE_TRACE)
+def test_separable_decomposition_checks_the_trace_first(p):
+    # both maps also fail a = n - 1, which is checked after the SPA exists
+    with pytest.raises(PreconditionError, match=r"Tr C = n\(a - 1\) \+ sum\(c\)"):
+        separable_decomposition(p)
+
+
+def test_separable_decomposition_keeps_its_spa_state(flagship):
+    dec, state = separable_decomposition(flagship), spa_state(flagship)
+    for field in ("lambda_star", "w_minus_norm", "trace_choi"):
+        assert getattr(dec.state, field) == getattr(state, field)
+    assert dec.state.positive == state.positive
+    assert dec.normalization == 1.0 / (state.trace_choi + 9 * state.structure.negative_norm)
+    assert all(t.weight == dec.normalization for t in dec.terms if t.kind == "pair")
+
+
 @pytest.mark.parametrize("n", [3, 4, 6])
 @pytest.mark.parametrize("offset", [-5e-10, 5e-10])
 def test_separable_decomposition_accepts_a_within_boundary_tol(n, offset):

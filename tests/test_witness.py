@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cyclemaps import (
     ContractError,
     MapParams,
     ParameterError,
+    Permutation,
     atomic_verdict,
     certify_optimality,
     classify_map,
@@ -28,6 +31,38 @@ def test_witness_is_transposed_choi_over_n(flagship):
     w = witness(flagship)
     assert_allclose(w, choi(flagship, compose_transpose=True).matrix / 3.0)
     assert np.trace(w).real == pytest.approx(2.0)
+
+
+@st.composite
+def witness_maps(draw):
+    """Maps at n <= 32 with any sigma, sigma with fixed points, involutions,
+    the identity, and delta_n; a and c spread over several decades."""
+    n = draw(st.integers(1, 32))
+    kind = draw(st.sampled_from(["any", "fixed points", "involution", "identity", "delta_n"]))
+    if kind == "delta_n" and n >= 2:
+        return delta_n(n)
+    images = list(draw(st.permutations(range(1, n + 1))))
+    if kind == "fixed points":
+        for i in draw(st.lists(st.integers(1, n), max_size=n)):
+            j = images.index(i)  # fix i: whatever mapped to i takes i's image
+            images[j], images[i - 1] = images[i - 1], i
+    elif kind == "involution":
+        images = list(range(1, n + 1))
+        for k in range(0, draw(st.integers(0, n // 2)) * 2, 2):
+            images[k], images[k + 1] = k + 2, k + 1
+    elif kind == "identity":
+        images = list(range(1, n + 1))
+    weights = st.floats(1e-3, 1e3)
+    a = draw(weights)
+    c = [draw(weights)] * n if draw(st.booleans()) else draw(st.lists(weights, min_size=n, max_size=n))
+    return MapParams(n, Permutation(tuple(images)), a, tuple(c))
+
+
+@given(witness_maps())
+@settings(max_examples=60, deadline=None)
+def test_witness_is_bit_identical_to_the_dense_choi_over_n(p):
+    dense = choi(p, compose_transpose=True).matrix / p.n
+    assert np.array_equal(witness(p).view(np.uint64), dense.view(np.uint64))
 
 
 def test_witness_block_structure(flagship):
