@@ -152,6 +152,15 @@ class ChoiMatrix:
     transposed_composition: bool
 
 
+def require_dense_size(n: int) -> None:
+    """Raise ParameterError when a dense n^2 x n^2 matrix would exceed ``MAX_DIM``."""
+    if n * n > MAX_DIM:
+        raise ParameterError(
+            f"n = {n} is too large for a dense n^2 x n^2 matrix: {n * n} x {n * n} "
+            f"complex entries need {16 * n**4:,} bytes (edge length limit {MAX_DIM})"
+        )
+
+
 def assemble(n: int, diag, core, compose_transpose: bool = False) -> np.ndarray:
     """The dense n^2 x n^2 matrix sum_{i != k} diag[i, k] |ik><ik| + sum_{i, j} core[i, j] |ii><jj|,
     indexed |ik> -> i*n + k, or with core[i, j] at |ij><ji| under ``compose_transpose``.
@@ -159,11 +168,7 @@ def assemble(n: int, diag, core, compose_transpose: bool = False) -> np.ndarray:
     ``diag`` and ``core`` broadcast to n x n; diag[i, i] is not read, as |ii><ii|
     is the core's.  Raises ParameterError before allocating when n^2 exceeds ``MAX_DIM``.
     """
-    if n * n > MAX_DIM:
-        raise ParameterError(
-            f"n = {n} is too large for a dense n^2 x n^2 matrix: {n * n} x {n * n} "
-            f"complex entries need {16 * n**4:,} bytes (edge length limit {MAX_DIM})"
-        )
+    require_dense_size(n)
     out = np.zeros((n * n, n * n), dtype=complex)
     np.fill_diagonal(out, diag)
     i, j = np.indices((n, n))
@@ -370,7 +375,8 @@ def choi_structure(p: MapParams) -> ChoiStructure:
 def choi(p: MapParams, compose_transpose: bool = False) -> ChoiMatrix:
     """Assemble the dense Choi matrix of Theta (or of transposition-then-Theta).
 
-    Raises ParameterError before allocating when n^2 exceeds ``MAX_DIM``.
+    Raises ParameterError, before building the parts, when n^2 exceeds ``MAX_DIM``.
     """
+    require_dense_size(p.n)
     matrix = assemble(p.n, *choi_structure(p).parts(), compose_transpose)
     return ChoiMatrix(n=p.n, matrix=matrix, transposed_composition=compose_transpose)

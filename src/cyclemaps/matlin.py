@@ -8,8 +8,9 @@ irreducible block at a time.  They find the connected components of the
 nonzero pattern of M, symmetrised (an edge i - j wherever M[i, j] or M[j, i]
 is nonzero), and run the Hermitian check on them; blocks of equal size b are
 then stacked into one batched LAPACK call.  The components take three passes
-over the N^2 entries: ``M != 0``, the first nonzero of each row, and the list
-of nonzeros, from which every later round reads only the edges that still
+over the N^2 entries: the nonzero test (on the real and imaginary parts, a
+few rows at a time), the first nonzero of each row, and the list of
+nonzeros, from which every later round reads only the edges that still
 join two trees.  An N x N matrix with blocks of sizes b costs
 O(N^2 + sum b^3) instead of O(N^3): the witness of the package's maps splits
 into 1x1 and 2x2 blocks, its Choi matrix into the n x n core plus 1x1
@@ -30,6 +31,12 @@ DEFAULT_HERMITIAN_TOL = 1e-10
 # Matrices past this edge length are outside the supported regime; the guard
 # turns an out-of-memory surprise into a size error at the call site.
 MAX_DIM = 1024
+
+# Rows per chunk of the nonzero pass (_nonzero): its float comparison goes
+# through a buffer of this many rows, not an N x 2N array.  With 32 rows
+# (64 KB at N = 1024) min_eigenvalue(witness(p)) at n = 32 peaks at the
+# 1.12 MB of tracemalloc that ``M != 0`` gave; 64 rows took it to 1.18 MB.
+_PATTERN_ROWS = 32
 
 # The same guard for the arrays sized by inputs rather than by n^2 x n^2: the
 # classify sampler's samples x n block and the involution split's n x n
@@ -108,6 +115,27 @@ def _roots(label: np.ndarray) -> np.ndarray:
         label = up
 
 
+def _nonzero(m: np.ndarray) -> np.ndarray:
+    """``M != 0`` for a complex M, ``_PATTERN_ROWS`` rows at a time on its float view.
+
+    Each chunk compares the real and imaginary parts with 0.0 into one reused
+    bool buffer, whose two bools per entry, read as one uint16, are nonzero iff
+    either part is.  That is the complex ``M != 0`` bit for bit (a nan or inf
+    part is nonzero, so the entry reaches the Hermitian check; -0.0 is zero),
+    without its complex comparison or an N x 2N temporary.
+    """
+    n = m.shape[0]
+    parts = m[..., None].view(float)  # n x n x [re, im], a view whatever the strides of m
+    buf = np.empty((min(n, _PATTERN_ROWS), n, 2), dtype=bool)
+    nz = np.empty((n, n), dtype=bool)
+    for start in range(0, n, _PATTERN_ROWS):
+        rows = buf[: min(n - start, _PATTERN_ROWS)]
+        np.not_equal(parts[start : start + len(rows)], 0.0, out=rows)
+        # an entry is nonzero where either part is: its two bools read as one uint16
+        np.not_equal(rows.view(np.uint16)[..., 0], 0, out=nz[start : start + len(rows)])
+    return nz
+
+
 def _pattern_components(m: np.ndarray) -> np.ndarray:
     """Label each index by the least index of its block: the connected components
     of the graph with an edge i - j wherever M[i, j] != 0 or M[j, i] != 0.
@@ -116,13 +144,14 @@ def _pattern_components(m: np.ndarray) -> np.ndarray:
     nonzeros that still join two trees then hook the larger root under the smaller
     until none is left.  The edges are the flat indices of the nonzeros, in
     row-major order, filtered by their labels each round: the passes over the
-    N^2 entries are ``M != 0``, the leftmost nonzeros and that index list, and
-    the rounds after them are O(edges).
+    N^2 entries are the nonzero test (:func:`_nonzero`), the leftmost nonzeros
+    and that index list, and the rounds after them are O(edges).
     """
-    nz = m != 0  # a nan or inf entry is nonzero, so it reaches the Hermitian check
+    n = m.shape[0]
+    nz = _nonzero(m)
     np.fill_diagonal(nz, True)
     label = _roots(nz.argmax(axis=1))
-    r, c = np.divmod(np.flatnonzero(nz), m.shape[0])
+    r, c = np.divmod(np.flatnonzero(nz), n)
     while True:
         keep = label[r] != label[c]
         r, c = r[keep], c[keep]
@@ -205,16 +234,6 @@ def negative_part(m: np.ndarray) -> tuple[np.ndarray, float]:
                 part[idx[:, :, None], idx[:, None, :]] = product
             norm = max(norm, float(-np.min(w[:, 0])))
     return (np.zeros_like(m) if part is None else part), norm
-
-
-def numerical_rank(m: np.ndarray, rtol: float = 1e-8) -> int:
-    """Number of singular values above ``rtol`` times the largest (0 for an empty or zero matrix)."""
-    if m.size == 0:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > rtol * s[0]))
 
 
 def matrix_to_json(m: np.ndarray) -> dict:

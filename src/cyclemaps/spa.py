@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .classify import BOUNDARY_TOL, NO, YES, Verdict, positivity_verdict
-from .dmap import ChoiStructure, MapParams, assemble, choi_structure, parts_distance
+from .dmap import ChoiStructure, MapParams, assemble, choi_structure, parts_distance, require_dense_size
 from .errors import ParameterError, PreconditionError
 from .matlin import DEFAULT_PSD_TOL, min_eigenvalue, partial_transpose, require_hermitian
 from .perm import cycle_decompose
@@ -63,6 +63,7 @@ class SpaState:
     @cached_property
     def matrix(self) -> np.ndarray:
         """The SPA, dense n^2 x n^2."""
+        require_dense_size(self.structure.n)
         return assemble(self.structure.n, *self.parts())
 
 
@@ -150,6 +151,7 @@ def spa_interpolation(p: MapParams, lam: float) -> np.ndarray:
     if not 0.0 <= lam <= 1.0:
         raise ParameterError(f"lam must lie in [0, 1] (got {lam})")
     trace = _positive_trace(p)
+    require_dense_size(p.n)
     noise = (1.0 - lam) / p.n**2
     d, k = choi_structure(p).parts()
     return assemble(p.n, noise + lam * d / trace, noise * np.eye(p.n) + lam * k / trace)

@@ -1,5 +1,5 @@
 """Dense matrices that only the tests use: matrix units, basis vectors,
-tensor and entrywise products.
+tensor and entrywise products, and the dense form of the witness certificate.
 
 Tensor products follow the first-factor-major block convention of
 ``numpy.kron``: ``kron(A, B)[(i, p), (j, q)] == A[i, j] * B[p, q]``, i.e.
@@ -8,8 +8,9 @@ i*n + k as in :func:`cyclemaps.dmap.assemble`.
 """
 import numpy as np
 
-from cyclemaps import ParameterError
+from cyclemaps import ParameterError, choi_structure, spanning_generators
 from cyclemaps.matlin import MAX_DIM
+from cyclemaps.witness import EXPECTATION_TOL
 
 
 def identity_matrix(n: int) -> np.ndarray:
@@ -53,3 +54,38 @@ def schur_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape != b.shape:
         raise ParameterError(f"shape mismatch for entrywise product: {a.shape} vs {b.shape}")
     return a * b
+
+
+def numerical_rank(m: np.ndarray, rtol: float = 1e-8) -> int:
+    """Number of singular values above ``rtol`` times the largest (0 for an empty or zero matrix)."""
+    if m.size == 0:
+        return 0
+    s = np.linalg.svd(m, compute_uv=False)
+    if s[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(s > rtol * s[0]))
+
+
+def dense_certificate(p) -> tuple[np.ndarray, int]:
+    """The expectations and span rank of ``certify_optimality(p)``, from the dense phase table.
+
+    Every phase row goes through ``np.exp``, and the rank is the number of
+    passing basis pairs plus the numerical rank of the passing phase vectors
+    restricted to the coordinates no passing basis pair covers: an
+    (up to n(n+1)/2 + 2n + 1) x (at most 2n) SVD.
+    """
+    n = p.n
+    structure = choi_structure(p)
+    gens = spanning_generators(p)
+    xi = np.exp(1j * gens.phases)
+    w = np.abs(xi) ** 2
+    phase = np.sum((structure.a * w + structure.c * w[:, structure.img]) * w, axis=1) - w.sum(axis=1) ** 2
+    i, j = gens.pairs.T
+    basis = structure.entry(i, j) - (i == j)
+    expectations = np.concatenate([phase, basis]) / n
+    phase_ok, pair_ok = np.split(np.abs(expectations) <= EXPECTATION_TOL, [len(xi)])
+    covered = np.zeros((n, n), dtype=bool)
+    covered[i[pair_ok], j[pair_ok]] = True
+    k, l = np.nonzero(~covered)
+    rest = xi[np.ix_(phase_ok, k)] * xi[np.ix_(phase_ok, l)]
+    return expectations, int(np.count_nonzero(covered)) + numerical_rank(rest)

@@ -8,6 +8,7 @@ allocation or has its builder patched to fail the test instead of running.
 import inspect
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,11 +18,15 @@ from cyclemaps import (
     MapParams,
     ParameterError,
     atomic_verdict,
+    choi,
     classify_map,
     decompose_involution,
+    spa_interpolation,
+    spa_state,
     tau,
     two_positive_verdict,
     verify_positivity_numeric,
+    witness,
 )
 from cyclemaps import classify as classify_module
 from cyclemaps import cli
@@ -172,6 +177,28 @@ def test_the_split_bound_is_n_squared(monkeypatch):
     with pytest.raises(ParameterError, match=r"n = 6 is too large for the involution split: .* 36 entries \(limit 16\)"):
         decompose_involution(MapParams(6, tau(6, 3), 5.0, (1.0,) * 6))
     assert 2896**2 <= MAX_ENTRIES < 2897**2
+
+
+# -- dense matrices past MAX_DIM raise before their n x n parts are built ----
+
+
+@pytest.mark.parametrize(
+    "build",
+    [witness, choi, lambda p: choi(p, compose_transpose=True), lambda p: spa_state(p).matrix,
+     lambda p: spa_interpolation(p, 0.5)],
+    ids=["witness", "choi", "transposed choi", "spa matrix", "spa interpolation"],
+)
+def test_a_dense_matrix_past_the_edge_limit_raises_before_allocating(build):
+    n = 2000
+    p = MapParams(n, tau(n, 1), n - 1.0, (1.0,) * n)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match=r"^n = 2000 is too large for a dense n\^2 x n\^2 matrix"):
+            build(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # the n x n parts alone would take 64 MB
 
 
 # -- complete positivity keeps reading --tol and psd_tol alone ---------------

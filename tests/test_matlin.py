@@ -259,6 +259,18 @@ def test_pattern_components_match_breadth_first_search(size, density, seed):
     assert np.array_equal(_pattern_components(m), bfs_components(m))
 
 
+@pytest.mark.parametrize("size", [63, 64, 65, 200])
+def test_pattern_components_in_chunks_and_on_strided_views(size):
+    # several row chunks, the last one partial; nonzero real or imaginary
+    # parts alone, signed zeros, nan and inf; C-ordered, transposed and
+    # strided inputs, which the nonzero pass reads through their float view
+    rng = np.random.default_rng(size)
+    values = np.array([1.0, 1j, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0), np.nan, complex(0.0, np.inf), 5e-324j])
+    big = np.where(rng.random((2 * size, 2 * size)) < 0.01, rng.choice(values, (2 * size, 2 * size)), 0.0)
+    for m in (big[:size, :size].copy(), big[:size, :size].T, big[::2, ::2], big[::-2, 1::2]):
+        assert np.array_equal(_pattern_components(m), bfs_components(m))
+
+
 def old_matrix_to_json(m):
     """The per-entry serialisation that matrix_to_json replaced."""
     rows, cols = m.shape

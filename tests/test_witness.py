@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from cyclemaps import (
     certify_optimality,
     classify_map,
     choi,
+    cycle_decompose,
     delta_n,
     expectation_value,
     identity,
@@ -24,7 +26,7 @@ from cyclemaps import (
     tau,
     witness,
 )
-from matrix_helpers import matrix_unit
+from matrix_helpers import dense_certificate, matrix_unit
 
 
 def test_witness_is_transposed_choi_over_n(flagship):
@@ -34,10 +36,11 @@ def test_witness_is_transposed_choi_over_n(flagship):
 
 
 @st.composite
-def witness_maps(draw):
-    """Maps at n <= 32 with any sigma, sigma with fixed points, involutions,
-    the identity, and delta_n; a and c spread over several decades."""
-    n = draw(st.integers(1, 32))
+def witness_maps(draw, max_n=32):
+    """Maps at n <= max_n with any sigma, sigma with fixed points, involutions,
+    the identity, and delta_n; a and c spread over several decades, and a
+    sometimes set to (n^2 - sum(c)) / n, where the phase vectors pass."""
+    n = draw(st.integers(1, max_n))
     kind = draw(st.sampled_from(["any", "fixed points", "involution", "identity", "delta_n"]))
     if kind == "delta_n" and n >= 2:
         return delta_n(n)
@@ -55,6 +58,8 @@ def witness_maps(draw):
     weights = st.floats(1e-3, 1e3)
     a = draw(weights)
     c = [draw(weights)] * n if draw(st.booleans()) else draw(st.lists(weights, min_size=n, max_size=n))
+    if draw(st.booleans()) and n * n > sum(c):
+        a = (n * n - sum(c)) / n
     return MapParams(n, Permutation(tuple(images)), a, tuple(c))
 
 
@@ -123,6 +128,66 @@ def test_spanning_generators_identity_sigma():
     p = MapParams(3, identity(3), 1.5, (4.0, 4.0, 4.0))
     # At sigma = id only j = i is banned, leaving n - 1 pairs per i.
     assert len(spanning_generators(p).pairs) == 6
+
+
+@given(witness_maps(max_n=24))
+@settings(max_examples=80, deadline=None)
+def test_certificate_matches_the_dense_phase_table(p):
+    # the span rank against the SVD of the dense restriction, and every
+    # expectation against np.exp over the whole phase table, bit for bit
+    expectations, rank = dense_certificate(p)
+    cert = certify_optimality(p)
+    assert cert.span_rank == rank
+    assert cert.optimal == (rank == p.n**2)
+    assert np.array_equal(cert.expectations.view(np.uint64), expectations.view(np.uint64))
+
+
+def two_cycles(sigma):
+    return sum(len(cycle) == 2 for cycle in cycle_decompose(sigma).cycles)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 16, 33, 64, 96])
+def test_span_rank_on_the_uniform_family_is_n_squared_less_the_two_cycles(n):
+    rng = np.random.default_rng(n)
+    involution = list(range(1, n + 1))
+    for k in range(0, n - 1, 3):  # 2-cycles (k+1 k+2), with fixed points between them
+        involution[k], involution[k + 1] = k + 2, k + 1
+    sigmas = [identity(n), tau(n, 1), tau(n, max(1, n // 2)), Permutation(tuple(involution)),
+              Permutation(tuple(int(i) + 1 for i in rng.permutation(n)))]
+    for sigma in sigmas:
+        for c in (0.7, 1.0):
+            if n > c:
+                cert = certify_optimality(MapParams(n, sigma, n - c, (c,) * n))
+                assert cert.span_rank == n * n - two_cycles(sigma)
+    if n >= 2:
+        assert certify_optimality(delta_n(n)).span_rank == n * n
+
+
+def test_certify_builds_no_dense_restriction(monkeypatch):
+    # the rank's only SVD is the batch of 4 x 2 symbols: O(n) entries, not O(n^3)
+    shapes = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    n = 64
+    sigma = Permutation(tuple(range(2, 31)) + (1,) + (32, 31) + tuple(range(33, n + 1)))
+    cert = certify_optimality(MapParams(n, sigma, n - 0.5, (0.5,) * n))
+    assert cert.span_rank == n * n - 1
+    # one symbol per frequency of each length (30, 2, 1), and f = 0 of each with the ones row
+    assert shapes == [(30 + 2 + 1 + 3, 4, 2)]
+
+
+def test_certify_optimality_at_n_256_is_fast():
+    n = 256
+    p = MapParams(n, tau(n, 1), n - 0.7, (0.7,) * n)
+    start = time.perf_counter()
+    cert = certify_optimality(p)
+    assert time.perf_counter() - start < 2.0  # 0.07 to 0.1 s on a 2-core x86 VM
+    assert cert.span_rank == n * n and cert.optimal and cert.theorem_applies
 
 
 def test_certify_optimality_flagship(flagship):
