@@ -14,9 +14,12 @@ Reports are JSON on stdout (or ``--out``), embed the input verbatim, and are
 byte-identical across runs up to the ``timestamp`` field.  The handlers hold
 each matrix's entries, and other number arrays, as float arrays, and
 ``_report_text`` writes the text ``json.dumps(report, indent=2,
-default=np.ndarray.tolist)`` would: a run of all-zero entries is one string
-repeated, every other number is formatted once, and the chunks are written
-in order once the whole report is built.
+default=np.ndarray.tolist)`` would.  It walks the report once, noting where
+each float array goes, then makes one numeric pass over all arrays of an
+entry shape: every nonzero number is formatted once, and a run of all-zero
+entries is a few references to shared blocks of its text.  The chunks are
+written in order once every number is known to be finite, so the writer holds
+one copy of the numbers and the nonzero text, not the report's text.
 
 Each subparser names its handler, ``_run_<subcommand>(args, params, state)``,
 and :func:`main` calls it between reading the inputs and writing the report.
@@ -198,8 +201,8 @@ def _run_witness(args, params: MapParams, state: Optional[np.ndarray]) -> dict:
     }
     if args.certify:
         cert = certify_optimality(params)
-        vectors = (np.exp(1j * cert.generators.phases), np.eye(params.n))
-        phase, unit = (np.stack([v.real, v.imag], -1) for v in vectors)  # [re, im] pairs
+        vectors = (np.exp(1j * cert.generators.phases), np.eye(params.n, dtype=complex))
+        phase, unit = (v.view(float).reshape(*v.shape, 2) for v in vectors)  # [re, im] pairs
         result["certificate"] = {
             "span_rank": cert.span_rank,
             "optimal": cert.optimal,
@@ -225,18 +228,37 @@ _encode = json.JSONEncoder(allow_nan=False).encode  # C, for strings, ints, bool
 
 def _report_text(obj, pad: str = "") -> list[str]:
     """The text of ``json.dumps(obj, indent=2, allow_nan=False,
-    default=np.ndarray.tolist)`` as chunks, to be joined or written in order."""
+    default=np.ndarray.tolist)`` as chunks, to be joined or written in order.
+
+    The walk writes everything but the float arrays, whose places it notes;
+    :func:`_array_texts` then lays out all of them at once.  A non-finite
+    number raises the ``ValueError`` json.dumps raises for the first one in
+    document order, before any text is returned."""
     chunks: list[str] = []
-    _append_text(obj, pad, chunks)
-    return chunks
+    arrays: list[tuple[int, np.ndarray, str]] = []  # (place in chunks, entries, pad)
+    try:
+        _append_text(obj, pad, chunks, arrays)
+    except (TypeError, ValueError):  # json.dumps stops at a non-finite entry of an earlier array first
+        _require_finite(arrays)
+        raise
+    out: list[str] = []
+    start = 0
+    for (place, _, _), text in zip(arrays, _array_texts(arrays)):
+        out += chunks[start:place]
+        out += text
+        start = place
+    out += chunks[start:]
+    return out
 
 
-def _append_text(obj, pad: str, chunks: list[str]) -> None:
+def _append_text(obj, pad: str, chunks: list[str], arrays: list) -> None:
     if isinstance(obj, np.ndarray):  # written as its tolist() would be
         if obj.ndim > 2:
             obj = list(obj)
         elif obj.dtype == float and obj.ndim and obj.size:
-            _append_array(obj, pad, chunks)
+            chunks.append(f"[\n{pad}  ")
+            arrays.append((len(chunks), obj, pad))
+            chunks.append(f"\n{pad}]")
             return
         else:
             obj = obj.tolist()
@@ -245,12 +267,12 @@ def _append_text(obj, pad: str, chunks: list[str]) -> None:
         for k, (key, value) in enumerate(obj.items()):
             key = _encode(key if isinstance(key, str) else _scalar_text(key))
             chunks.append(f"{',' if k else '{'}\n{inner}{key}: ")
-            _append_text(value, inner, chunks)
+            _append_text(value, inner, chunks, arrays)
         chunks.append(f"\n{pad}}}")
     elif isinstance(obj, (list, tuple)) and obj:
         for k, value in enumerate(obj):
             chunks.append(f"{',' if k else '['}\n{inner}")
-            _append_text(value, inner, chunks)
+            _append_text(value, inner, chunks, arrays)
         chunks.append(f"\n{pad}]")
     else:
         chunks.append(_scalar_text(obj))
@@ -264,33 +286,79 @@ def _scalar_text(obj) -> str:
     return _encode(obj)  # empty containers, and a TypeError for what JSON cannot hold
 
 
-def _append_array(values: np.ndarray, pad: str, chunks: list[str]) -> None:
-    """A float array of shape (k,) or (k, m): each entry (a number, or a row
-    of m) is a list item.  Each run of entries that are all +0.0 is one text
-    repeated; every other number is formatted once."""
-    entries = values.reshape(len(values), -1)
-    finite = np.isfinite(entries)
-    if not finite.all():  # named as json.dumps names it: the first in row-major order
-        raise ValueError(f"Out of range float values are not JSON compliant: {float(entries[~finite][0])!r}")
-    inner = pad + "  "
-    deep = inner + "  "
-    # an entry's text is open + the numbers joined by sep + close
-    open_, sep, close = ("", "", "") if values.ndim == 1 else (f"[\n{deep}", f",\n{deep}", f"\n{inner}]")
-    item_sep = f",\n{inner}"
-    zero = open_ + sep.join(["0.0"] * entries.shape[1]) + close
-    nonzero = entries.view(np.uint64).any(axis=1)  # +0.0 alone has no bit set
-    bounds = [0, *(np.flatnonzero(np.diff(nonzero)) + 1).tolist(), len(entries)]
-    chunks.append(f"[\n{inner}")
-    for k, (start, stop) in enumerate(zip(bounds, bounds[1:])):
-        if k:
-            chunks.append(item_sep)
-        if nonzero[start]:
-            numbers = map(float.__repr__, entries[start:stop].ravel().tolist())
-            rows = map(sep.join, zip(*[numbers] * entries.shape[1]))  # m numbers per entry, in order
-            chunks.append(open_ + (close + item_sep + open_).join(rows) + close)
-        else:
-            chunks.append((zero + item_sep) * (stop - start - 1) + zero)
-    chunks.append(f"\n{pad}]")
+def _require_finite(arrays: list) -> None:
+    """Raise json.dumps's ValueError for the first non-finite entry, in document order."""
+    for _, values, _ in arrays:
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise ValueError(f"Out of range float values are not JSON compliant: {float(values[~finite][0])!r}")
+
+
+def _array_texts(arrays: list) -> list[list[str]]:
+    """The text between the brackets of each float array, as chunks.
+
+    An array of shape (k,) or (k, m) lists k entries: numbers, or rows of m
+    numbers.  The arrays of one entry shape and pad are taken together: one
+    nonzero test per entry on their concatenated uint64 view (only +0.0 has
+    no bit set), one finiteness check and one ``float.__repr__`` pass over
+    the nonzero entries, so that an array's nonzero runs are slices of one
+    list.  A run of n all-zero entries is written as references to shared
+    blocks of 2**k copies of the zero entry's text, one per set bit of n,
+    each made on first use."""
+    groups: dict = {}
+    for k, (_, values, pad) in enumerate(arrays):
+        groups.setdefault((values.shape[1:], pad), []).append(k)
+    texts: list = [None] * len(arrays)
+    for (shape, pad), members in groups.items():
+        lengths = [len(arrays[k][1]) for k in members]
+        nonzero, chosen = _nonzero_entries([arrays[k][1] for k in members])
+        if not np.isfinite(chosen).all():  # nan and the infinities have bits set, so they are chosen
+            _require_finite(arrays)
+        numbers = map(float.__repr__, chosen.ravel().tolist())
+        inner = pad + "  "
+        deep = inner + "  "
+        # an entry's text is open + its numbers joined by sep + close
+        open_, sep, close = ("", "", "") if not shape else (f"[\n{deep}", f",\n{deep}", f"\n{inner}]")
+        item_sep = f",\n{inner}"
+        between = close + item_sep + open_
+        width = shape[0] if shape else 1
+        rows = list(map(sep.join, zip(*[numbers] * width)))
+        zero = open_ + sep.join(["0.0"] * width) + close
+        blocks = [zero + item_sep]
+        ends = np.cumsum(lengths)
+        cuts = np.union1d(np.flatnonzero(np.diff(nonzero)) + 1, ends).tolist()
+        runs = nonzero[[0, *cuts[:-1]]].tolist()
+        start = row = c = 0
+        for k, end in zip(members, ends.tolist()):
+            text = []
+            while start < end:
+                stop = cuts[c]
+                last = stop == end
+                if runs[c]:
+                    text.append(open_ + between.join(rows[row : row + stop - start]) + (close if last else close + item_sep))
+                    row += stop - start
+                else:
+                    count = stop - start - last  # entries followed by item_sep
+                    while len(blocks) < count.bit_length():
+                        blocks.append(blocks[-1] * 2)
+                    text += [blocks[bit] for bit in range(count.bit_length()) if count >> bit & 1]
+                    if last:
+                        text.append(zero)
+                start = stop
+                c += 1
+            texts[k] = text
+    return texts
+
+
+def _nonzero_entries(parts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Which entries of the concatenated parts have a bit set, and those entries."""
+    values = np.concatenate(parts)
+    values = values.reshape(len(values), -1)
+    bits = values.view(np.uint64)
+    nonzero = bits[:, 0] != 0
+    for column in bits.T[1:]:
+        np.logical_or(nonzero, column, out=nonzero)
+    return nonzero, values[np.flatnonzero(nonzero)]
 
 
 def build_parser() -> argparse.ArgumentParser:

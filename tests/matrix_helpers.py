@@ -89,3 +89,10 @@ def dense_certificate(p) -> tuple[np.ndarray, int]:
     k, l = np.nonzero(~covered)
     rest = xi[np.ix_(phase_ok, k)] * xi[np.ix_(phase_ok, l)]
     return expectations, int(np.count_nonzero(covered)) + numerical_rank(rest)
+
+
+def transposed_copy_defect(m: np.ndarray) -> float:
+    """max |M - M*| over the last two axes, from one transposed copy of M: the
+    form that ``matlin._hermitian_defect`` compares band by band."""
+    with np.errstate(invalid="ignore"):  # inf - inf
+        return float(np.max(np.abs(m - m.conj().swapaxes(-1, -2))))

@@ -20,9 +20,9 @@ from cyclemaps import (
     partial_transpose,
     require_hermitian,
 )
-from cyclemaps.matlin import DEFAULT_HERMITIAN_TOL, _pattern_components
+from cyclemaps.matlin import DEFAULT_HERMITIAN_TOL, _hermitian_defect, _matrix_form, _pattern_components
 from conftest import random_hermitian
-from matrix_helpers import basis_vector, identity_matrix, kron, matrix_unit, schur_product
+from matrix_helpers import basis_vector, identity_matrix, kron, matrix_unit, schur_product, transposed_copy_defect
 
 
 def test_matrix_unit_and_basis_vector():
@@ -290,6 +290,54 @@ def test_matrix_to_json_matches_the_per_entry_form():
         new, old = matrix_to_json(x), old_matrix_to_json(np.asarray(x, dtype=complex))
         assert json.dumps(new) == json.dumps(old)
         assert all(type(t) is float for pair in new["entries"] for t in pair)
+
+
+def complex_from_bits(parts: np.ndarray) -> np.ndarray:
+    """The complex matrix whose [re, im] floats are ``parts[..., 0]`` and
+    ``parts[..., 1]`` bit for bit (complex arithmetic could change a nan or a
+    signed zero)."""
+    return np.ascontiguousarray(parts).view(complex)[..., 0]
+
+
+# signed zeros, a subnormal, the extremes, infinities and nan payloads
+# other than numpy's own
+ODD_FLOATS = np.concatenate(
+    [
+        [0.0, -0.0, 5e-324, -1e308, 1.5, np.inf, -np.inf, np.nan],
+        np.array([0x7FF8000000000001, 0xFFF00000000ABCDE], dtype=np.uint64).view(float),
+    ]
+)
+
+
+def test_matrix_form_is_the_stacked_parts_bit_for_bit():
+    m = complex_from_bits(np.random.default_rng(5).choice(ODD_FLOATS, (6, 8, 2)))
+    assert np.shares_memory(_matrix_form(m)["entries"], m)  # a C-ordered M is not copied
+    for x in (m, m.T, m[::2, 1::3], m[::-1, ::-2]):
+        new = _matrix_form(x)
+        old = np.stack([x.real, x.imag], -1).reshape(-1, 2)
+        assert (new["rows"], new["cols"]) == x.shape
+        assert new["entries"].shape == old.shape and new["entries"].tobytes() == old.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (5, 5), (32, 32), (33, 33), (70, 70), (496, 2, 2), (3, 40, 40)])
+def test_hermitian_defect_matches_the_transposed_copy(shape):
+    # one band or several, the last one partial, and stacks of blocks; exact,
+    # perturbed and non-finite entries, signed zeros, on views as well
+    rng = np.random.default_rng(sum(shape))
+    z = rng.standard_normal((*shape, 2)).view(complex)[..., 0]
+    h = z + z.conj().swapaxes(-1, -2)
+    variants = [h, np.zeros(shape, dtype=complex), complex_from_bits(rng.choice(ODD_FLOATS[:2], (*shape, 2)))]
+    for value in ODD_FLOATS[2:]:
+        for count in (1, 3):
+            m = h.copy()
+            flat = m.reshape(-1)
+            flat[rng.integers(0, flat.size, count)] = complex(value, -value)
+            variants.append(m)
+    for m in variants:
+        for x in (m, m.swapaxes(-1, -2), m[..., ::-1, ::-1]):
+            with np.errstate(over="ignore"):  # 1e308 - (-1e308), in both
+                got, want = _hermitian_defect(x), transposed_copy_defect(x)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (got, want)
 
 
 def test_schur_product():

@@ -4,6 +4,7 @@ the per-entry parse."""
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +155,93 @@ def test_a_non_finite_array_entry_raises_the_json_dumps_message(values, data):
     assert str(got.value) == str(want.value)
     first = flat[~np.isfinite(flat)][0]
     assert str(got.value).endswith(": " + repr(float(first)))
+
+
+@pytest.mark.parametrize("run", [1, 2, 3, 255, 256, 257, 4095, 4097])
+def test_zero_runs_of_every_length(run):
+    # a run of numbers or of rows at the start, in the middle, at the end
+    # and over the whole array, next to -0.0 and 5e-324, at two depths
+    zeros = np.zeros(run)
+    vector = np.concatenate([zeros, [1.5], zeros, [-0.0], zeros])
+    rows = np.zeros((2 * run + 1, 2))
+    rows[run] = (0.0, -0.0)
+    wide = np.zeros((run + 1, 3))
+    wide[0, 2] = 5e-324
+    obj = {"vector": vector, "zeros": [zeros, np.zeros((run, 2))], "rows": rows, "deeper": {"rows": rows, "wide": wide}}
+    chunks = _report_text(obj)
+    assert "".join(chunks) == dumps(obj)
+    # each run is a few references, one per set bit of its length, to blocks
+    # that every run of the same entry text shares
+    assert len(_report_text(np.zeros((run, 2)))) <= run.bit_length() + 3
+    shared = _report_text([np.zeros((run, 2)), np.zeros((run, 2))])
+    distinct = {id(chunk): chunk for chunk in shared}.values()
+    assert sum(map(len, distinct)) <= sum(map(len, shared)) / 2 + 100
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(3, 9))
+def test_hundreds_of_arrays_of_widths_one_two_and_n(seed, n):
+    # many small arrays of one entry shape share each numeric pass; mostly
+    # zero, so that runs end and start at the arrays' edges
+    rng = np.random.default_rng(seed)
+    pool = np.array([0.0, -0.0, 5e-324, -1e308, 1.5, 0.1, -2.0])
+
+    def array():
+        k = int(rng.integers(1, 2 * n))
+        shape = [(k,), (k, 2), (k, n)][rng.integers(3)]
+        return np.where(rng.random(shape) < 0.7, 0.0, rng.choice(pool, shape))
+
+    report = {
+        "matrix": array(),
+        "terms": [{"weight": 0.5, "matrix": array(), "left": [array(), {"right": array()}]} for _ in range(100)],
+        "expectations": array(),
+    }
+    assert text(report) == dumps(report)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(st.sampled_from([(), (4,), (3, 2), (2, 5)]), min_size=2, max_size=8))
+def test_the_first_non_finite_number_in_document_order_is_named(seed, shapes):
+    # scalars and arrays of several entry shapes, each non-finite or not;
+    # the arrays are checked by entry shape, not in document order
+    rng = np.random.default_rng(seed)
+    items = []
+    for shape in shapes:
+        values = np.where(rng.random(shape) < 0.5, 0.0, rng.standard_normal(shape))
+        if rng.random() < 0.4:
+            values[tuple(rng.integers(0, d) for d in shape)] = rng.choice([math.nan, math.inf, -math.inf])
+        items.append(float(values) if not shape else values)
+    cut = int(rng.integers(0, len(items) + 1))
+    obj = {"first": items[:cut], "rest": {"items": items[cut:]}}
+    try:
+        want = dumps(obj)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            _report_text(obj)
+        assert str(got.value) == str(exc)
+    else:
+        assert text(obj) == want
+
+
+def test_writer_memory_grows_with_the_nonzero_text(tmp_path, monkeypatch, capsys):
+    # spa --decompose at n = 10: 41 MB of text, nearly all of it the zero
+    # runs of 55 dense 100 x 100 term matrices; the writer holds their
+    # numbers once (16 B per [re, im] entry against 66 B of its text), the
+    # nonzero text and the shared zero blocks
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"n": 10, "sigma": "tau:10:1", "a": 9.0, "c": [1.0] * 10}))
+    reports = []
+    monkeypatch.setattr(cli, "_report_text", lambda obj, pad="": reports.append(obj) or [])
+    assert main(["spa", "--map", str(path), "--decompose"]) == 0
+    tracemalloc.start()
+    try:
+        chunks = _report_text(reports[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    length = sum(map(len, chunks))
+    assert length > 40_000_000
+    assert peak < length / 4
 
 
 @pytest.mark.parametrize("sub", ["spa", "witness", "spectrum"])
