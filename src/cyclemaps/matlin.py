@@ -3,8 +3,8 @@
 Everything operates on plain numpy arrays with complex128 entries.
 
 The Hermitian eigen helpers (``min_eigenvalue``, ``is_psd``,
-``hermitian_spectrum``, ``negative_part``) never solve more than an
-irreducible block at a time.  They find the connected components of the
+``hermitian_spectrum``) never solve more than an irreducible block at a
+time.  They find the connected components of the
 nonzero pattern of M, symmetrised (an edge i - j wherever M[i, j] or M[j, i]
 is nonzero), and run the Hermitian check on them; blocks of equal size b are
 then stacked into one batched LAPACK call.  The components take three passes
@@ -174,20 +174,21 @@ def _pattern_components(m: np.ndarray) -> np.ndarray:
         label = _roots(label)
 
 
-def _hermitian_blocks(m: np.ndarray, tol: float) -> list[tuple[np.ndarray, np.ndarray]]:
+def _hermitian_blocks(m: np.ndarray, tol: float) -> list[np.ndarray]:
     """Check that M is Hermitian and split it into its irreducible diagonal blocks.
 
-    Returns one ``(idx, sub)`` pair per block size b: ``idx`` is a K x b array
-    whose rows are the ascending indices of the K blocks of that size, and
-    ``sub`` the K x b x b stack of the blocks ``M[idx[k]][:, idx[k]]``.  Ascending
-    indices keep each block's lower triangle inside M's lower triangle, the one
-    ``eigvalsh`` reads.  A block that spans M is M itself, not a copy.  The
-    Hermitian check runs block by block; entries outside every block are zero
-    in M and in M*, so its value max |M - M*| is the dense one.
+    Returns one K x b x b stack per block size b, of the K blocks
+    ``M[idx][:, idx]`` of that size, each ``idx`` the ascending indices of one
+    block.  Ascending indices keep each block's lower triangle inside M's
+    lower triangle, the one ``eigvalsh`` reads.  A block that spans M is M
+    itself, not a copy.  The Hermitian check runs block by block; entries
+    outside every block are zero in M and in M*, so its value max |M - M*|
+    is the dense one.
 
     >>> m = np.array([[2, 0, 1, 0], [0, 3, 0, 1j], [1, 0, 2, 0], [0, -1j, 0, 3]])
-    >>> [(idx.tolist(), sub.shape) for idx, sub in _hermitian_blocks(m, DEFAULT_HERMITIAN_TOL)]
-    [([[0, 2], [1, 3]], (2, 2, 2))]
+    >>> (sub,) = _hermitian_blocks(m, DEFAULT_HERMITIAN_TOL)  # one block size
+    >>> sub.shape, np.array_equal(sub[1], m[np.ix_([1, 3], [1, 3])])
+    ((2, 2, 2), True)
     """
     m = _as_square(m)
     n = m.shape[0]
@@ -200,14 +201,14 @@ def _hermitian_blocks(m: np.ndarray, tol: float) -> list[tuple[np.ndarray, np.nd
         idx = order[first[size == b, None] + np.arange(b)]
         sub = m[None] if b == n else m[idx[:, :, None], idx[:, None, :]]
         defects.append(_hermitian_defect(sub))
-        groups.append((idx, sub))
+        groups.append(sub)
     _check_defect(float(np.max(defects)), tol)
     return groups
 
 
 def hermitian_spectrum(m: np.ndarray, tol: float = DEFAULT_HERMITIAN_TOL) -> SpectrumResult:
     values, residual = [], 0.0
-    for _, sub in _hermitian_blocks(m, tol):
+    for sub in _hermitian_blocks(m, tol):
         w, v = np.linalg.eigh(sub)
         values.append(w.ravel())
         pair_residuals = np.linalg.norm(sub @ v - v * w[:, None, :], axis=1)
@@ -216,36 +217,12 @@ def hermitian_spectrum(m: np.ndarray, tol: float = DEFAULT_HERMITIAN_TOL) -> Spe
 
 
 def min_eigenvalue(m: np.ndarray, tol: float = DEFAULT_HERMITIAN_TOL) -> float:
-    return min(float(np.min(np.linalg.eigvalsh(sub)[:, 0])) for _, sub in _hermitian_blocks(m, tol))
+    return min(float(np.min(np.linalg.eigvalsh(sub)[:, 0])) for sub in _hermitian_blocks(m, tol))
 
 
 def is_psd(m: np.ndarray, tol: float = DEFAULT_PSD_TOL) -> bool:
     """Positive semidefinite up to an absolute eigenvalue tolerance."""
     return min_eigenvalue(m) >= -tol
-
-
-def negative_part(m: np.ndarray) -> tuple[np.ndarray, float]:
-    """Spectral negative part M^- (a PSD matrix with M = M^+ - M^-) and its norm.
-
-    The returned norm is the largest magnitude among negative eigenvalues,
-    0.0 when the input is already PSD.
-    """
-    m = _as_matrix(m)
-    part, norm = None, 0.0
-    for idx, sub in _hermitian_blocks(m, DEFAULT_HERMITIAN_TOL):
-        w, v = np.linalg.eigh(sub)
-        # eigenvalues ascend, so each block's negative ones come first
-        k = int(np.max(np.count_nonzero(w < 0, axis=1)))
-        if k:
-            vneg, wneg = v[..., :k], np.minimum(w[:, None, :k], 0.0)
-            product = (vneg * -wneg) @ vneg.conj().swapaxes(1, 2)
-            if sub.shape[-1] == len(m):  # one block spans M: the product is M^- itself
-                part = product[0]
-            else:
-                part = np.zeros_like(m) if part is None else part
-                part[idx[:, :, None], idx[:, None, :]] = product
-            norm = max(norm, float(-np.min(w[:, 0])))
-    return (np.zeros_like(m) if part is None else part), norm
 
 
 def matrix_to_json(m: np.ndarray) -> dict:

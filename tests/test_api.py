@@ -3,11 +3,13 @@ standard library only: a rule deleted from a module must take its export
 and every import of it along."""
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import cyclemaps
 
 SRC = Path(cyclemaps.__file__).resolve().parent
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_every_exported_name_resolves_once():
@@ -74,3 +76,13 @@ def test_no_module_imports_a_name_it_never_uses():
 def test_the_unused_import_check_sees_an_unused_import():
     tree = ast.parse("from x import a, b\nimport c.d\nimport e\n__all__ = ['b']\ndef f(y: 'e') -> None:\n    return a\n")
     assert set(_imported_names(tree)) - _names_read(tree) == {"c"}
+
+
+def test_readme_python_examples_run():
+    # in order and in one namespace, as a reader pastes them: a removed or
+    # renamed name fails here instead of leaving the README stale
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.DOTALL | re.MULTILINE)
+    assert blocks
+    namespace = {}
+    for number, block in enumerate(blocks, 1):
+        exec(compile(block, f"README.md python block {number}", "exec"), namespace)

@@ -16,7 +16,6 @@ from cyclemaps import (
     matrix_from_json,
     matrix_to_json,
     min_eigenvalue,
-    negative_part,
     partial_transpose,
     require_hermitian,
 )
@@ -137,27 +136,6 @@ def test_is_psd_and_min_eigenvalue():
     assert not is_psd(np.diag([-1e-6, 1.0]))
 
 
-def test_negative_part_diagonal():
-    neg, norm = negative_part(np.diag([-2.0, 5.0]))
-    assert_allclose(neg, np.diag([2.0, 0.0]), atol=1e-12)
-    assert norm == pytest.approx(2.0)
-
-
-def test_negative_part_psd_input():
-    neg, norm = negative_part(np.diag([0.0, 1.0, 3.0]))
-    assert_allclose(neg, np.zeros((3, 3)), atol=1e-12)
-    assert norm == 0.0
-
-
-def test_negative_part_reconstruction():
-    rng = np.random.default_rng(13)
-    m = random_hermitian(rng, 8, scale=2.0)
-    neg, norm = negative_part(m)
-    assert is_psd(neg)
-    assert norm == pytest.approx(max(0.0, -min_eigenvalue(m)), abs=1e-10)
-    assert is_psd(m + neg, tol=1e-8)
-
-
 # within DEFAULT_HERMITIAN_TOL, so the Hermitian check passes it
 STRAY = 5e-11
 
@@ -208,10 +186,6 @@ def test_block_split_matches_dense_lapack(m):
     assert np.max(np.abs(res.eigenvalues - w)) <= scale
     oracle_residual = float(np.max(np.linalg.norm(m @ v - v * w, axis=0)))
     assert abs(res.residual - oracle_residual) <= scale
-    part, norm = negative_part(m)
-    neg = w < 0
-    assert np.max(np.abs(part - (v[:, neg] * -w[neg]) @ v[:, neg].conj().T)) <= scale
-    assert abs(norm - max(0.0, -w[0])) <= scale
 
     for bad in (np.nan, np.inf, 1.0):
         spoiled = m.copy()
@@ -222,7 +196,7 @@ def test_block_split_matches_dense_lapack(m):
             spoiled[k, k] = bad
         with pytest.raises(ContractError) as dense:
             require_hermitian(spoiled)
-        for helper in (min_eigenvalue, hermitian_spectrum, negative_part, is_psd):
+        for helper in (min_eigenvalue, hermitian_spectrum, is_psd):
             # the same max |M - M*|, found block by block
             with pytest.raises(ContractError, match="not Hermitian") as blocked:
                 helper(spoiled)

@@ -159,26 +159,33 @@ def test_span_rank_on_the_uniform_family_is_n_squared_less_the_two_cycles(n):
             if n > c:
                 cert = certify_optimality(MapParams(n, sigma, n - c, (c,) * n))
                 assert cert.span_rank == n * n - two_cycles(sigma)
+        # a off the family: the phase vectors fail, and only the basis pairs span
+        moved = sum(len(cycle) for cycle in cycle_decompose(sigma).cycles if len(cycle) > 1)
+        cert = certify_optimality(MapParams(n, sigma, n + 0.5, (1.0,) * n))
+        assert abs(cert.expectations[0]) > 0.1 and cert.span_rank == n * n - n - moved
     if n >= 2:
         assert certify_optimality(delta_n(n)).span_rank == n * n
 
 
 def test_certify_builds_no_dense_restriction(monkeypatch):
-    # the rank's only SVD is the batch of 4 x 2 symbols: O(n) entries, not O(n^3)
-    shapes = []
-    svd = np.linalg.svd
+    # the span rank is a closed form in sigma: no SVD or eigensolve of any size
+    calls = []
 
-    def spy(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return svd(a, *args, **kwargs)
+    def spy(name, solve):
+        def wrapped(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return solve(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", spy)
+        return wrapped
+
+    for name in ("svd", "eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
     n = 64
     sigma = Permutation(tuple(range(2, 31)) + (1,) + (32, 31) + tuple(range(33, n + 1)))
-    cert = certify_optimality(MapParams(n, sigma, n - 0.5, (0.5,) * n))
-    assert cert.span_rank == n * n - 1
-    # one symbol per frequency of each length (30, 2, 1), and f = 0 of each with the ones row
-    assert shapes == [(30 + 2 + 1 + 3, 4, 2)]
+    for a in (n - 0.5, n + 0.5):  # the phase vectors pass, then fail
+        cert = certify_optimality(MapParams(n, sigma, a, (0.5,) * n))
+        assert cert.span_rank == (n * n - 1 if a < n else n * n - n - 32)
+    assert calls == []
 
 
 def test_certify_optimality_at_n_256_is_fast():
