@@ -28,10 +28,9 @@ The decisive criteria, each written once in the function that every caller
   matrix splits explicitly (:func:`decompose_involution`) into a PSD block
   plus blocks whose partial transposes are PSD.
 
-Every verdict, the split included, reads the O(n) Choi structure that the
-map keeps (:func:`cyclemaps.dmap.choi_structure`), so the verdicts on one
-map share its core's secular solve; the split's certificate holds P's
-n x n block and the 2-cycles, and builds no n^2 x n^2 matrix until read.
+Every verdict reads the map's O(n) Choi structure (:func:`cyclemaps.dmap.choi_structure`)
+and shares its core's secular solve, the split's P one more row of it: none
+builds an n x n array or runs a dense eigensolve.
 """
 from __future__ import annotations
 
@@ -42,16 +41,9 @@ from typing import Optional
 
 import numpy as np
 
-from .dmap import (
-    MapParams,
-    _theta_min_eigenvalue,
-    assemble,
-    choi_structure,
-    pair_block_eigenvalues,
-    parts_distance,
-)
+from .dmap import MapParams, _theta_min_eigenvalue, assemble, choi_structure, pair_block_eigenvalues
 from .errors import ParameterError, PreconditionError
-from .matlin import DEFAULT_PSD_TOL, MAX_ENTRIES, min_eigenvalue
+from .matlin import DEFAULT_PSD_TOL, MAX_ENTRIES
 from .perm import cycle_decompose, fixed_points, is_involution, is_single_cycle
 
 # Boundary cases a == threshold are resolved inclusively at this tolerance.
@@ -76,7 +68,7 @@ class Verdict:
     evidence: dict
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PositivityEvidence:
     """Worst cases found by sampling S(xi) and the spectra of Theta(xi xi*).
 
@@ -100,18 +92,28 @@ class PositivityEvidence:
 class DecomposabilityCertificate:
     """Explicit Choi split C = P + sum_i Q_i for involutions.
 
-    P is PSD and is ``p_block`` on span{|ii>}; each 2-cycle (i, sigma(i)) with
+    P is PSD and vanishes off span{|ii>}; each 2-cycle (i, sigma(i)) with
     i < sigma(i) in ``pairs`` has a Q block with a PSD partial transpose, and
-    the sum reproduces the Choi matrix up to ``reconstruction_residual``.  The
-    dense ``P`` and ``q_blocks`` (each pair with its Q) are built when read.
+    the sum reproduces the Choi matrix up to ``reconstruction_residual``.
+    ``p_block`` (P on span{|ii>}), ``P`` and ``q_blocks`` are built when read.
     """
 
     params: MapParams
-    p_block: np.ndarray
     pairs: tuple[tuple[int, int], ...]
     reconstruction_residual: float
     p_min_eigenvalue: float
     q_pt_min_eigenvalues: tuple[float, ...]
+
+    @cached_property
+    def p_block(self) -> np.ndarray:
+        """P on span{|ii>}: 0 at (i, sigma(i)) off the diagonal, else -1; ParameterError past n^2 = ``MAX_ENTRIES``."""
+        n, img, idx = self.params.n, choi_structure(self.params).img, np.arange(self.params.n)
+        if n * n > MAX_ENTRIES:
+            raise ParameterError(f"n = {n} is too large for P's n x n block: {n * n:,} entries (limit {MAX_ENTRIES:,})")
+        block = -np.ones((n, n), dtype=complex)
+        block[idx, img] = 0.0
+        block[idx, idx] = _p_diagonal(self.params)
+        return block
 
     @cached_property
     def P(self) -> np.ndarray:
@@ -237,14 +239,9 @@ def verify_positivity_numeric(p: MapParams, samples: int = 2000, seed: int = 0) 
 
     Theta(xi xi*) = diag(den) - xi xi*, with den_i = a w_i + c_i w_sigma(i)
     and w = |xi|^2, is a rank-one update of a diagonal, so its minimum
-    eigenvalue is one root of a secular equation (Golub, SIAM Review 15,
-    1973), found in O(n) per vector without forming any n x n matrix by the
-    solver that also gives the Choi core's least eigenvalue
-    (:func:`cyclemaps.dmap._theta_min_eigenvalue`).  For a unit xi it lies
-    in [d_min - 1, d_min), d_min the least den_i where w_i > 0.  Only the
-    vectors whose bracket can still hold the least of these eigenvalues are
-    iterated, usually a handful from the first step on, once an exact
-    screen has dropped the rest, and ``min_theta_eig`` is bit-identical to
+    eigenvalue comes in O(n) per vector from the secular solver that gives
+    the Choi core's and the involution split's as well
+    (:func:`cyclemaps.dmap._theta_min_eigenvalue`), bit-identical to
     solving every vector to convergence.
 
     Counter-based (Philox) seeding keeps runs reproducible for a given seed,
@@ -369,20 +366,31 @@ def _implied_by_cp(cp: Verdict, ev: dict, otherwise: str) -> Verdict:
 
 def _involution_split_failure(p: MapParams) -> Optional[str]:
     """The first violated precondition of the involution split, or None."""
-    n = p.n
     if not is_involution(p.sigma):
         return "sigma is not an involution: sigma(sigma(i)) != i for some i"
-    if p.a < n - 1 - BOUNDARY_TOL:
-        return f"requires a >= n - 1 = {n - 1} (got a = {p.a})"
+    if p.a < p.n - 1 - BOUNDARY_TOL:
+        return f"requires a >= n - 1 = {p.n - 1} (got a = {p.a})"
     for i in sorted(fixed_points(p.sigma)):
         if p.c[i - 1] < 1.0 - BOUNDARY_TOL:
             return f"requires c[{i}] >= 1 at the fixed point {i} (got c[{i}] = {p.c[i - 1]})"
-    # canonical 2-cycles (i, sigma(i)) have i < sigma(i) and come in the order of i
-    for i, si in (cycle for cycle in cycle_decompose(p.sigma).cycles if len(cycle) == 2):
-        product = p.c[i - 1] * p.c[si - 1]
+    for u, v in zip(*(x.tolist() for x in _two_cycles(p))):
+        product = p.c[u] * p.c[v]
         if product < 1.0 - BOUNDARY_TOL:
-            return f"requires c[{i}]*c[{si}] >= 1 for the 2-cycle ({i}, {si}) (got {product})"
+            return f"requires c[{u + 1}]*c[{v + 1}] >= 1 for the 2-cycle ({u + 1}, {v + 1}) (got {product})"
     return None
+
+
+def _two_cycles(p: MapParams) -> tuple[np.ndarray, np.ndarray]:
+    """The 2-cycles (u, v) of an involution sigma, 0-based, with u < v = sigma(u), in the order of u."""
+    img = choi_structure(p).img
+    u = np.flatnonzero(np.arange(p.n) < img)
+    return u, img[u]
+
+
+def _p_diagonal(p: MapParams) -> np.ndarray:
+    """The diagonal of P's block: a - 1, plus c_i at a fixed point i."""
+    structure = choi_structure(p)
+    return np.where(structure.img == np.arange(p.n), p.a + structure.c, p.a) - 1.0
 
 
 def decompose_involution(p: MapParams) -> DecomposabilityCertificate:
@@ -391,7 +399,6 @@ def decompose_involution(p: MapParams) -> DecomposabilityCertificate:
 
     Preconditions (each failure is reported by name): sigma an involution,
     a >= n-1, c_i >= 1 at fixed points, c_i * c_sigma(i) >= 1 on 2-cycles.
-    Past n^2 = ``MAX_ENTRIES`` (n = 2896) it raises ParameterError instead.
     """
     failure = _involution_split_failure(p)
     if failure is not None:
@@ -399,49 +406,40 @@ def decompose_involution(p: MapParams) -> DecomposabilityCertificate:
     return _split(p)
 
 
+def _p_block_min(p: MapParams) -> float:
+    """The least eigenvalue of P's block for an involution sigma, in O(n).
+
+    The block is M - J, M = diag(k) plus 1 at (u, v) and (v, u) on each 2-cycle,
+    whose (e_u - e_v)/sqrt(2) has eigenvalue a - 1; with (e_u + e_v)/sqrt(2) the
+    rest is diag(d) - xi xi*, d = a + 1 and |xi|^2 = 2 per 2-cycle, d = k_i and
+    |xi|^2 = 1 per fixed point: one secular row, a - 1 deflated (xi = 0)."""
+    u, v = _two_cycles(p)
+    w, d = np.ones(p.n), p.a + choi_structure(p).c
+    w[u], d[u] = 2.0, p.a + 1.0
+    w[v], d[v] = 0.0, p.a - 1.0
+    return _theta_min_eigenvalue(w[None, :], d[None, :])
+
+
 def _split(p: MapParams) -> DecomposabilityCertificate:
-    """The involution split of a map that meets its preconditions."""
-    n = p.n
-    if n * n > MAX_ENTRIES:
-        raise ParameterError(
-            f"n = {n} is too large for the involution split: its n x n blocks hold "
-            f"{n * n:,} entries (limit {MAX_ENTRIES:,})"
-        )
+    """The involution split of a map that meets its preconditions, in O(n)."""
     structure = choi_structure(p)
-    c, img = structure.c, structure.img
-    idx = np.arange(n)
-    u = np.flatnonzero(idx < img)  # the 2-cycles (u, img[u]), 0-based
-
-    # P lives on span{|ii>}: a - 1 (+ c_i at fixed points) on the diagonal,
-    # -1 between |ii> and |jj> unless j = sigma(i)
-    block = -np.ones((n, n), dtype=complex)
-    block[idx, img] = 0.0
-    block[idx, idx] = np.where(img == idx, p.a + c, p.a) - 1.0
-    q_diag, q_core = _q_parts(n, c, u, img[u])
-    residual = parts_distance((q_diag, block + q_core), structure.parts())
-    # P vanishes off span{|ii>}, so its spectrum is the block's plus n^2 - n
-    # zeros; Q^PT is [[c_sigma(i), -1], [-1, c_i]] on {|i sigma(i)>, |sigma(i) i>}
-    # and zero elsewhere
-    p_min = min_eigenvalue(block)
-    if n >= 2:
-        p_min = min(p_min, 0.0)
-    q_lo, _ = pair_block_eigenvalues(c[img[u]], c[u])
+    c, idx = structure.c, np.arange(p.n)
+    u, v = _two_cycles(p)
+    # P + sum Q against C where the split sets entries: P's diagonal against K's, P's 0 plus Q's -1
+    # at |uu><vv| against K's -1, Q's c_v, c_u against D; equal entries match, overflowed ones too
+    got = np.concatenate([_p_diagonal(p), np.full(u.size, 0.0 + -1.0), c[v], c[u]])
+    want = np.concatenate([structure.entry(idx, idx) - 1.0, np.full(u.size, -1.0), structure.entry(u, v), structure.entry(v, u)])
+    residual = float(np.max(np.abs(np.subtract(got, want, out=np.zeros(got.size), where=got != want))))
+    # P adds n^2 - n zeros off span{|ii>}; Q^PT is [[c_v, -1], [-1, c_u]] on {|uv>, |vu>}, else 0
+    p_min = min(_p_block_min(p), 0.0 if p.n >= 2 else math.inf)
+    q_lo, _ = pair_block_eigenvalues(c[v], c[u])
     q_pt_mins = tuple(float(m) for m in np.minimum(q_lo, 0.0))
-
-    cert = DecomposabilityCertificate(
-        params=p,
-        p_block=block,
-        pairs=tuple((int(i) + 1, int(img[i]) + 1) for i in u),
-        reconstruction_residual=residual,
-        p_min_eigenvalue=p_min,
-        q_pt_min_eigenvalues=q_pt_mins,
-    )
-    if residual > 1e-10 or p_min < -DEFAULT_PSD_TOL or any(m < -DEFAULT_PSD_TOL for m in q_pt_mins):
+    if not (residual <= 1e-10 and p_min >= -DEFAULT_PSD_TOL and all(m >= -DEFAULT_PSD_TOL for m in q_pt_mins)):
         raise RuntimeError(
             "internal consistency failure: involution split does not certify "
             f"(residual {residual:.3e}, min eig P {p_min:.3e}, min eig Q^PT {min(q_pt_mins, default=0.0):.3e})"
         )
-    return cert
+    return DecomposabilityCertificate(p, tuple(zip((u + 1).tolist(), (v + 1).tolist())), residual, p_min, q_pt_mins)
 
 
 def _q_parts(n: int, c: np.ndarray, u, v) -> tuple[np.ndarray, np.ndarray]:
@@ -503,8 +501,8 @@ def classify_map(
 ) -> ClassificationReport:
     """Produce all five verdicts, with sampling evidence and cross-checked closure.
 
-    ``samples = 0`` skips the sampler; a negative count, or an input past
-    ``MAX_ENTRIES`` in the sampler or the involution split, raises ParameterError."""
+    ``samples = 0`` skips the sampler; a negative count, or ``samples * n``
+    past ``MAX_ENTRIES``, raises ParameterError."""
     if samples < 0:
         raise ParameterError(f"samples must be >= 0 (got {samples})")
     evidence = verify_positivity_numeric(p, samples=samples, seed=seed) if samples > 0 else None

@@ -13,13 +13,9 @@ structure all reduce to statements about (n, sigma, a, c).  The same D
 determines the Choi matrix exactly, and :class:`ChoiStructure` holds it as
 the O(n) arrays (a, c, sigma): every scalar of it (trace, minimum
 eigenvalues, ||C^-||) costs O(n), the core's through the one rank-one
-secular solver the positivity sampler uses as well.  That solver returns
-the least eigenvalue over a batch of rows and iterates only the rows that
-can still hold it: an exact screen before the first step drops every row
-whose root provably lies above the best value found so far, and the rows
-still live are compacted after each step.  The value is bit-identical to
-solving every row to convergence and taking the least.  Each map keeps its
-structure, so the verdicts on one map share one core solve.  Every dense
+secular solver the positivity sampler and the involution split use as
+well (:func:`_theta_min_eigenvalue`).  Each map keeps its structure, so the
+verdicts on one map share one core solve.  Every dense
 n^2 x n^2 matrix here is a diagonal plus a block on span{|ii>}, and
 :func:`assemble` builds it only when a caller asks for the matrix itself.
 """
@@ -138,7 +134,7 @@ def d_matrix(p: MapParams) -> np.ndarray:
     return choi_structure(p).entry(*np.indices((p.n, p.n))).astype(complex)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChoiMatrix:
     """The block matrix sum_ij E_ij (x) psi(E_ij) for psi = Theta or T.Theta.
 
@@ -184,10 +180,16 @@ def parts_distance(x: tuple, y: tuple) -> float:
 
 
 def pair_block_eigenvalues(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two eigenvalues (lo, hi) of each 2x2 block [[x, -1], [-1, y]]."""
-    hi = (x + y + np.sqrt((x - y) ** 2 + 4.0)) / 2.0
-    # the smaller root as det / hi: no cancellation when x + y is large
-    return (x * y - 1.0) / hi, hi
+    """The two eigenvalues (lo, hi) of each 2x2 block [[x, -1], [-1, y]], x, y >= 0.  Where
+    (x - y)^2 or x * y overflows, halves and max(x, y) / hi <= 1 keep representable roots finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        hi = (x + y + np.sqrt((x - y) ** 2 + 4.0)) / 2.0
+        lo = (x * y - 1.0) / hi  # det / hi: no cancellation when x + y is large
+    wide = ~(np.isfinite(lo) & np.isfinite(hi))
+    x, y = x[wide], y[wide]
+    hi[wide] = h = x / 2.0 + y / 2.0 + np.hypot(x - y, 2.0) / 2.0
+    lo[wide] = np.minimum(x, y) * (np.maximum(x, y) / h) - 1.0 / h
+    return lo, hi
 
 
 def _row_reduce(ufunc: np.ufunc, x: np.ndarray) -> np.ndarray:
@@ -256,8 +258,8 @@ def _theta_min_eigenvalue(amps: np.ndarray, den: np.ndarray) -> float:
     the result is bit-identical to solving every row to convergence and
     taking the least value.  The row minima are folds over the columns
     (:func:`_row_reduce`), in whatever order: a minimum does not depend on
-    it as long as den holds no -0.0, and both callers form den from sums of
-    non-negative products.  Rows still live after ``_SECULAR_MAX_ITER``
+    it as long as den holds no -0.0: the callers' den are sums of products
+    >= 0, or a - 1 (+0.0 at a = 1).  Rows still live after ``_SECULAR_MAX_ITER``
     steps raise RuntimeError.
     """
     # entries of w below eps^2 deflate as well: dropping them moves each

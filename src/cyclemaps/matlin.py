@@ -40,8 +40,8 @@ MAX_DIM = 1024
 _PATTERN_ROWS = 32
 
 # The same guard for the arrays sized by inputs rather than by n^2 x n^2: the
-# classify sampler's samples x n block and the involution split's n x n
-# blocks, which each cost about 100 bytes per entry, so about 1 GB here.
+# classify sampler's samples x n block (about 100 bytes per entry, so about
+# 1 GB here) and the n x n block ``p_block`` of an involution split, if read.
 MAX_ENTRIES = 2**23
 
 
@@ -106,7 +106,7 @@ def partial_transpose(x: np.ndarray, k: int, n: int) -> np.ndarray:
     return x.reshape(k, n, k, n).transpose(0, 3, 2, 1).reshape(k * n, k * n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumResult:
     """Eigenvalues of a Hermitian matrix, ascending, with an eigenpair residual.
 

@@ -211,15 +211,17 @@ def test_witness_state_with_a_non_finite_entry_exits_one(tmp_path, capsys, bad):
 
 HUGE = {"n": 3, "sigma": "tau:3:1", "a": 1e308, "c": [1e308] * 3}
 TINY = {"n": 3, "sigma": "tau:3:1", "a": 1e-308, "c": [1e-308] * 3}
+HUGE_FIXED_POINT = {"n": 3, "sigma": "images:2,1,3", "a": 1e308, "c": [1, 1, 1e308]}
 
 
 @pytest.mark.parametrize(
     "m, sub",
-    [(HUGE, "spa"), (HUGE, "witness"), (HUGE, "spectrum"), (TINY, "classify")],
+    [(HUGE, "spa"), (HUGE, "witness"), (HUGE, "spectrum"), (TINY, "classify"), (HUGE_FIXED_POINT, "decompose")],
 )
 def test_non_finite_result_exits_two(tmp_path, capsys, m, sub):
     # Tr C (and with it the SPA trace, the witness trace and the spectrum
-    # residual) overflows at 1e308; S(xi) = sum |x_i|^2 / den_i overflows at 1e-308
+    # residual) overflows at 1e308; S(xi) = sum |x_i|^2 / den_i overflows at 1e-308;
+    # so does a + c at a fixed point, an entry of the split's P
     path = write_json(tmp_path, "map.json", m)
     rc, out, err = run_cli(capsys, sub, "--map", path)
     assert rc == 2

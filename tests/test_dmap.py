@@ -1,4 +1,5 @@
 import copy
+import json
 import math
 import pickle
 
@@ -22,6 +23,8 @@ from cyclemaps import (
     tau,
     theta_apply,
 )
+from cyclemaps.cli import main
+from cyclemaps.dmap import pair_block_eigenvalues
 from matrix_helpers import matrix_unit
 from conftest import random_hermitian
 
@@ -208,3 +211,38 @@ def test_delta_n_validation():
     # The public constructor refuses zero weights; delta_n is the only route.
     with pytest.raises(ParameterError):
         MapParams(3, identity(3), 3.0, (0.0, 0.0, 0.0))
+
+
+def test_pair_block_eigenvalues_stay_finite_where_the_formula_overflows(tmp_path, capsys):
+    # (c_1 - c_2)^2 and c_1 c_2 overflow a double; the roots 1e160 and 1e200 do not
+    mpmath = pytest.importorskip("mpmath")
+    lo, hi = pair_block_eigenvalues(np.array([1e160]), np.array([1e200]))
+    with mpmath.workdps(50):
+        exact = sorted(float(e) for e in mpmath.eigsy(mpmath.matrix([[1e160, -1.0], [-1.0, 1e200]]), eigvals_only=True))
+    assert [lo[0], hi[0]] == pytest.approx(exact, rel=1e-15)
+    p = MapParams(2, tau(2, 1), 1.0, (1e200, 1e160))
+    assert choi_structure(p).min_eigenvalue(compose_transpose=True) == 0.0  # a - 1 on |11> and |22>
+
+    spec = {"n": 2, "sigma": "tau:2:1", "a": 1, "c": [1e200, 1e160]}
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(spec))
+    for sub in ("classify", "decompose", "witness"):
+        assert main([sub, "--map", str(path)]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+    assert result["min_eigenvalue"] == 0.0  # the witness's
+
+
+def test_pair_block_eigenvalues_keep_the_formula_bits_where_it_is_finite():
+    rng = np.random.default_rng(18)
+    x, y = 10.0 ** rng.uniform(-300.0, 200.0, (2, 20000))
+    with np.errstate(over="ignore", invalid="ignore"):
+        hi = (x + y + np.sqrt((x - y) ** 2 + 4.0)) / 2.0
+        lo = (x * y - 1.0) / hi
+    finite = np.isfinite(lo) & np.isfinite(hi)
+    assert 0 < finite.sum() < finite.size
+    got_lo, got_hi = pair_block_eigenvalues(x, y)
+    assert np.array_equal(got_lo[finite], lo[finite]) and np.array_equal(got_hi[finite], hi[finite])
+    # past the overflow max(x, y) >= 1e154, where hi = max + 1/max and lo = min - 1/max to first order
+    big, small = np.maximum(x, y)[~finite], np.minimum(x, y)[~finite]
+    assert np.all(np.abs(got_hi[~finite] - big) <= 1e-15 * big)
+    assert np.all(np.abs(got_lo[~finite] - (small - 1.0 / big)) <= 1e-15 * (small + 1.0 / big))

@@ -139,7 +139,7 @@ def test_classify_serves_the_overflowing_balance(tmp_path, capsys):
     assert math.isfinite(evidence["max_s"]) and math.isfinite(evidence["min_theta_eig"])
 
 
-# -- one entry bound for the sampler and the involution split ----------------
+# -- one entry bound for the sampler and P's n x n block ----------------------
 
 
 def test_a_huge_sample_count_exits_two(tmp_path, capsys):
@@ -162,20 +162,28 @@ def test_the_default_sampler_reaches_n_4194():
     assert 2000 * 4194 <= MAX_ENTRIES < 2000 * 4195
 
 
-def test_the_involution_split_past_the_bound_raises():
+def test_the_involution_split_runs_past_the_sampler_bound():
+    # the split reads O(n) data; only P's n x n block, built when read, has a bound
     n = 10**5
     p = MapParams(n, tau(n, n // 2), n - 1.0, (1.0,) * n)
-    with pytest.raises(ParameterError, match=r"^n = 100000 is too large for the involution split"):
-        classify_map(p, samples=0)
-    with pytest.raises(ParameterError):
-        classify_map(p)  # the sampler's bound stops it first
+    report = classify_map(p, samples=0)
+    assert report.decomposable.status == "yes"
+    assert report.decomposition.p_min_eigenvalue == 0.0
+    assert len(report.decomposition.pairs) == n // 2
+    for view in ("p_block", "P"):
+        with pytest.raises(ParameterError, match=r"^n = 100000 is too large for P's n x n block"):
+            getattr(report.decomposition, view)
+    with pytest.raises(ParameterError, match=r"^samples \* n = 2000 \* 100000 is too large for the sampler"):
+        classify_map(p)  # the sampler's bound still stops it
 
 
-def test_the_split_bound_is_n_squared(monkeypatch):
+def test_the_p_block_bound_is_n_squared(monkeypatch):
     monkeypatch.setattr(classify_module, "MAX_ENTRIES", 16)
-    assert decompose_involution(MapParams(4, tau(4, 2), 3.0, (1.0,) * 4)).pairs == ((1, 3), (2, 4))
-    with pytest.raises(ParameterError, match=r"n = 6 is too large for the involution split: .* 36 entries \(limit 16\)"):
-        decompose_involution(MapParams(6, tau(6, 3), 5.0, (1.0,) * 6))
+    assert decompose_involution(MapParams(4, tau(4, 2), 3.0, (1.0,) * 4)).p_block.shape == (4, 4)
+    cert = decompose_involution(MapParams(6, tau(6, 3), 5.0, (1.0,) * 6))
+    assert cert.pairs == ((1, 4), (2, 5), (3, 6))
+    with pytest.raises(ParameterError, match=r"n = 6 is too large for P's n x n block: 36 entries \(limit 16\)"):
+        cert.p_block
     assert 2896**2 <= MAX_ENTRIES < 2897**2
 
 

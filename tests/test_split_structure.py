@@ -1,8 +1,9 @@
 """The involution split and the separable SPA held as structure.
 
 Their residuals are checked here against dense sums of the certificates'
-matrices, taken against ``choi(p).matrix`` and ``spa_state(p).matrix``; past
-the dense size limit only the structured answers exist.
+matrices, taken against ``choi(p).matrix`` and ``spa_state(p).matrix``, and
+the split's least eigenvalue of P against eigensolves of its n x n block;
+past the dense size limit only the structured answers exist.
 """
 import json
 import tracemalloc
@@ -24,8 +25,12 @@ from cyclemaps import (
     spa_state,
     tau,
 )
+from cyclemaps.classify import _p_block_min
 from cyclemaps.cli import main
 from cyclemaps.dmap import assemble, parts_distance
+
+# an involution with fixed points whose weights spread over 30 decades
+WIDE = {"n": 4, "sigma": "images:2,1,3,4", "a": 3, "c": [1, 1, 1e20, 1e30]}
 
 
 def half_shift(n: int) -> MapParams:
@@ -139,3 +144,99 @@ def test_parts_distance_is_the_dense_distance(n):
         x, y = [tuple(rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))) for _ in range(2)]
         dense = np.max(np.abs(assemble(n, *x, compose_transpose) - assemble(n, *y, compose_transpose)))
         assert parts_distance(x, y) == dense
+
+
+def test_the_split_makes_no_eigensolve_or_svd(monkeypatch):
+    calls = []
+
+    def spy(name, solve):
+        def wrapped(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return solve(a, *args, **kwargs)
+
+        return wrapped
+
+    for name in ("svd", "eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
+    fixed_points = MapParams(9, Permutation((2, 1, 6, 4, 5, 3, 7, 8, 9)), 8.0, (1.5, 0.8, 1.25) + (1.0,) * 6)
+    wide = MapParams(4, Permutation((2, 1, 3, 4)), 3.0, (1.0, 1.0, 1e20, 1e30))
+    for p in (fixed_points, half_shift(8), wide):
+        for samples in (0, 200):
+            classify_map(p, samples=samples)
+        assert decompose_involution(p).pairs
+    assert classify_map(fixed_points, samples=0).decomposition is not None  # the split ran in classify_map
+    assert calls == []
+
+
+def test_wide_fixed_point_weights_certify(tmp_path, capsys):
+    # fixed-point weights 1e30 apart: P's least eigenvalue needs a relative, not an absolute, error
+    p = MapParams(4, Permutation((2, 1, 3, 4)), 3.0, (1.0, 1.0, 1e20, 1e30))
+    cert = decompose_involution(p)
+    assert cert.pairs == ((1, 2),)
+    assert (cert.reconstruction_residual, cert.p_min_eigenvalue, cert.q_pt_min_eigenvalues) == (0.0, 0.0, (0.0,))
+
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(WIDE))
+    assert main(["decompose", "--map", str(path)]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["pairs"] == [[1, 2]] and result["p_min_eigenvalue"] == 0.0
+
+
+def random_wide_involution_map(rng, n: int) -> MapParams:
+    """An involution, fixed points allowed, with a = n - 1 or above and weights
+    log-uniform in [1, 1e30], some 2-cycles with c_i c_sigma(i) = 1."""
+    order = [int(i) for i in rng.permutation(n)]
+    images = list(range(1, n + 1))
+    c = 10.0 ** rng.uniform(0.0, 30.0, n)
+    if rng.random() < 0.3:
+        c = rng.uniform(1.0, 3.0, n)
+    for t in range(int(rng.integers(0, n // 2 + 1))):
+        i, j = order[2 * t], order[2 * t + 1]
+        images[i], images[j] = j + 1, i + 1
+        if rng.random() < 0.5:
+            c[j] = 1.0 / c[i]
+    a = n - 1.0 if n > 1 and rng.random() < 0.5 else n - 1.0 + float(rng.exponential(2.0))
+    return MapParams(n, Permutation(tuple(images)), a, tuple(float(x) for x in c))
+
+
+def least_eigenvalue_50_digits(mpmath, block: np.ndarray) -> float:
+    assert np.all(block.imag == 0.0)
+    with mpmath.workdps(50):
+        return float(min(mpmath.eigsy(mpmath.matrix(block.real.tolist()), eigvals_only=True)))
+
+
+def test_p_min_eigenvalue_matches_a_50_digit_eigensolve():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(19)
+    dense_checked = 0
+    for k in range(240):
+        n = 1 + k % 6
+        p = random_wide_involution_map(rng, n)
+        cert = decompose_involution(p)
+        exact = least_eigenvalue_50_digits(mpmath, cert.p_block)
+        tol = 1e-13 * max(1.0, p.a)
+        assert abs(_p_block_min(p) - exact) <= tol, (p, _p_block_min(p), exact)
+        want = min(exact, 0.0) if n >= 2 else exact  # P adds n^2 - n zero eigenvalues
+        assert abs(cert.p_min_eigenvalue - want) <= tol, (p, cert.p_min_eigenvalue, want)
+        if max(p.c) <= 3.0:
+            dense = float(np.linalg.eigvalsh(cert.p_block)[0])
+            assert abs(cert.p_min_eigenvalue - (min(dense, 0.0) if n >= 2 else dense)) <= tol
+            dense_checked += 1
+    assert dense_checked >= 40
+
+
+def test_p_block_min_is_exact_on_indefinite_blocks_too():
+    # below a = n - 1 no split exists and P's block has negative eigenvalues:
+    # the secular row against the block written out from its definition
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20)
+    for k in range(120):
+        n = 2 + k % 5
+        q = random_wide_involution_map(rng, n)
+        p = MapParams(n, q.sigma, float(rng.uniform(0.05, n - 1.0)), q.c)
+        img = np.array(p.sigma.images) - 1
+        block = -np.ones((n, n), dtype=complex)
+        block[np.arange(n), img] = 0.0
+        block[np.arange(n), np.arange(n)] = [p.a - 1.0 + (p.c[i] if img[i] == i else 0.0) for i in range(n)]
+        exact = least_eigenvalue_50_digits(mpmath, block)
+        assert abs(_p_block_min(p) - exact) <= 1e-13 * max(1.0, abs(exact)), (p, _p_block_min(p), exact)

@@ -5,6 +5,7 @@ block from ``theta_apply`` on matrix units, the witness expectations as dense
 quadratic forms, the span rank as an SVD of the stacked n^2-vectors, and the
 involution split summed from ``kron`` products of matrix units.
 """
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -33,6 +34,7 @@ from cyclemaps import (
     witness,
 )
 from matrix_helpers import kron, matrix_unit
+import cyclemaps
 from cyclemaps.cli import main
 
 TOL = 1e-12
@@ -354,3 +356,37 @@ def test_cli_classify_runs_past_the_size_limit(tmp_path, capsys):
     rc = main(["classify", "--map", _write_map(tmp_path, large_map()), "--samples", "200", "--out", str(out)])
     assert rc == 0
     assert '"atomic"' in out.read_text()
+
+
+def test_equality_of_every_public_result_type_is_a_bool():
+    # an array field compared by value would make == raise ValueError
+    def results():
+        p = MapParams(4, tau(4, 2), 3.0, (1.0,) * 4)  # decomposable by the involution split only
+        report = classify_map(p, samples=50)
+        return {
+            "MapParams": p,
+            "Permutation": p.sigma,
+            "CycleDecomposition": cyclemaps.cycle_decompose(p.sigma),
+            "ChoiStructure": choi_structure(p),
+            "ChoiMatrix": choi(p),
+            "SpectrumResult": cyclemaps.hermitian_spectrum(choi(p).matrix),
+            "Verdict": report.positive,
+            "PositivityEvidence": cyclemaps.verify_positivity_numeric(p, samples=50),
+            "ClassificationReport": report,
+            "DecomposabilityCertificate": report.decomposition,
+            "SpaState": spa_state(p),
+            "SeparableDecomposition": cyclemaps.separable_decomposition(p),
+            "OptimalityCertificate": certify_optimality(p),
+        }
+
+    exported = {
+        name for name in cyclemaps.__all__
+        if isinstance(getattr(cyclemaps, name), type) and dataclasses.is_dataclass(getattr(cyclemaps, name))
+    }
+    first, second = results(), results()
+    assert set(first) == exported
+    first["DecomposabilityCertificate"].p_block  # a view read on one side only
+    for name, x in first.items():
+        assert isinstance(x, getattr(cyclemaps, name))
+        assert x == x
+        assert isinstance(x == second[name], bool) and isinstance(x != second[name], bool)
