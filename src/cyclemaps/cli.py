@@ -46,9 +46,9 @@ import numpy as np
 
 from . import __version__
 from .classify import classify_map, decompose_involution
-from .dmap import MapParams, choi, choi_structure, delta_n
+from .dmap import MapParams, choi_structure, delta_n
 from .errors import ContractError, ParameterError, PreconditionError
-from .matlin import DEFAULT_PSD_TOL, _matrix_form, hermitian_spectrum, matrix_from_json
+from .matlin import DEFAULT_PSD_TOL, _matrix_form, matrix_from_json
 from .perm import parse_permutation
 from .spa import separable_decomposition, spa_state
 from .witness import certify_optimality, expectation_value, witness
@@ -132,14 +132,14 @@ def _run_classify(args, params: MapParams, state) -> dict:
 
 
 def _run_spectrum(args, params: MapParams, state) -> dict:
-    c = choi(params, compose_transpose=args.compose_transpose)
-    spec = hermitian_spectrum(c.matrix)
+    structure = choi_structure(params)
+    spec = structure.spectrum(args.compose_transpose)
     return {
         "result": {
-            "transposed_composition": c.transposed_composition,
+            "transposed_composition": args.compose_transpose,
             "eigenvalues": spec.eigenvalues,
             "residual": spec.residual,
-            "trace": float(np.trace(c.matrix).real),
+            "trace": structure.trace,
         }
     }
 
@@ -193,11 +193,11 @@ def _run_spa(args, params: MapParams, state) -> dict:
 
 
 def _run_witness(args, params: MapParams, state: Optional[np.ndarray]) -> dict:
-    w = witness(params)
+    w, structure = witness(params), choi_structure(params)
     result = {
         "matrix": _matrix_form(w),
-        "trace": float(np.trace(w).real),
-        "min_eigenvalue": choi_structure(params).min_eigenvalue(compose_transpose=True) / params.n,
+        "trace": structure.trace / params.n,
+        "min_eigenvalue": structure.min_eigenvalue(compose_transpose=True) / params.n,
     }
     if args.certify:
         cert = certify_optimality(params)

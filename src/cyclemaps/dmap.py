@@ -27,7 +27,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .errors import ParameterError
-from .matlin import MAX_DIM
+from .matlin import MAX_DIM, MAX_ENTRIES, SpectrumResult
 from .perm import Permutation, _check_degree, identity
 
 _REL_TOL = 1e-12
@@ -362,6 +362,23 @@ class ChoiStructure:
     @property
     def trace(self) -> float:
         return float(self.n * self.a + self.c.sum() - self.n)
+
+    def spectrum(self, compose_transpose: bool = False) -> SpectrumResult:
+        """Every eigenvalue of Choi(Theta), or of Choi(T.Theta), ascending, read off the blocks above:
+        ``residual`` is that of one complex ``eigh`` of K, or 0.0 under ``compose_transpose``, whose
+        2x2 blocks have closed-form roots.  ParameterError, before the parts, past n^2 = ``MAX_ENTRIES``."""
+        n = self.n
+        if n * n > MAX_ENTRIES:
+            raise ParameterError(f"n = {n} is too large for the Choi spectrum: {n * n:,} eigenvalues (limit {MAX_ENTRIES:,})")
+        d, core = self.parts()
+        if compose_transpose:
+            i, k = np.triu_indices(n, 1)
+            values, residual = [core.diagonal(), *pair_block_eigenvalues(d[i, k], d[k, i])], 0.0
+        else:
+            core = core.astype(complex)
+            w, v = np.linalg.eigh(core)
+            values, residual = [d[~np.eye(n, dtype=bool)], w], float(np.max(np.linalg.norm(core @ v - v * w, axis=0)))
+        return SpectrumResult(np.sort(np.concatenate(values), kind="stable"), residual)
 
     def parts(self) -> tuple[np.ndarray, np.ndarray]:
         """(D, K): the Choi matrix of Theta as :func:`assemble`'s (diag, core)."""

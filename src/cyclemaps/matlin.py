@@ -2,9 +2,8 @@
 
 Everything operates on plain numpy arrays with complex128 entries.
 
-The Hermitian eigen helpers (``min_eigenvalue``, ``is_psd``,
-``hermitian_spectrum``) never solve more than an irreducible block at a
-time.  They find the connected components of the
+The Hermitian eigen helpers (``min_eigenvalue``, ``is_psd``) never solve more
+than an irreducible block at a time.  They find the connected components of the
 nonzero pattern of M, symmetrised (an edge i - j wherever M[i, j] or M[j, i]
 is nonzero), and run the Hermitian check on them; blocks of equal size b are
 then stacked into one batched LAPACK call.  The components take three passes
@@ -110,8 +109,9 @@ def partial_transpose(x: np.ndarray, k: int, n: int) -> np.ndarray:
 class SpectrumResult:
     """Eigenvalues of a Hermitian matrix, ascending, with an eigenpair residual.
 
-    ``residual`` is max_i ||M v_i - w_i v_i||_2 over the computed eigenpairs;
-    it certifies the decomposition rather than trusting the solver blindly.
+    ``residual`` is max_i ||M v_i - w_i v_i||_2 over the eigenpairs an
+    eigensolver computed, 0.0 where every eigenvalue is a closed form
+    (:meth:`cyclemaps.dmap.ChoiStructure.spectrum`).
     """
 
     eigenvalues: np.ndarray
@@ -204,16 +204,6 @@ def _hermitian_blocks(m: np.ndarray, tol: float) -> list[np.ndarray]:
         groups.append(sub)
     _check_defect(float(np.max(defects)), tol)
     return groups
-
-
-def hermitian_spectrum(m: np.ndarray, tol: float = DEFAULT_HERMITIAN_TOL) -> SpectrumResult:
-    values, residual = [], 0.0
-    for sub in _hermitian_blocks(m, tol):
-        w, v = np.linalg.eigh(sub)
-        values.append(w.ravel())
-        pair_residuals = np.linalg.norm(sub @ v - v * w[:, None, :], axis=1)
-        residual = max(residual, float(np.max(pair_residuals)))
-    return SpectrumResult(eigenvalues=np.sort(np.concatenate(values), kind="stable"), residual=residual)
 
 
 def min_eigenvalue(m: np.ndarray, tol: float = DEFAULT_HERMITIAN_TOL) -> float:

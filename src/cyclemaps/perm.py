@@ -96,7 +96,7 @@ class CycleDecomposition:
     n: int
     cycles: tuple[tuple[int, ...], ...]
 
-    @property
+    @cached_property
     def lengths(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.cycles)
 

@@ -220,7 +220,7 @@ def expectation_value(w: np.ndarray, rho: np.ndarray) -> float:
     rho = require_hermitian(rho)
     if w.shape != rho.shape:
         raise ParameterError(f"shape mismatch: witness {w.shape} vs state {rho.shape}")
-    return float(np.trace(w @ rho).real)
+    return float(np.einsum("ij,ji->", w, rho).real)  # Tr(W rho) without the product W rho
 
 
 def maximally_entangled_state(n: int) -> np.ndarray:

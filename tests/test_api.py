@@ -30,6 +30,13 @@ def test_every_public_function_and_class_the_package_imports_is_exported():
     assert sorted(imported - set(cyclemaps.__all__)) == []
 
 
+def test_the_spectrum_result_stays_exported_without_the_dense_spectrum():
+    # the Choi spectrum comes from ChoiStructure.spectrum; the block eigensolver keeps min_eigenvalue only
+    assert "SpectrumResult" in cyclemaps.__all__
+    assert "hermitian_spectrum" not in cyclemaps.__all__
+    assert not hasattr(cyclemaps.matlin, "hermitian_spectrum")
+
+
 def _names_read(tree: ast.Module) -> set[str]:
     """Every name the module reads, those in string annotations and in
     ``__all__`` included."""

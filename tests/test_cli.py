@@ -96,6 +96,27 @@ def test_spectrum_transposed(tmp_path, capsys):
     assert_allclose(result["eigenvalues"], expect, atol=1e-8)
 
 
+MAPS = sorted((Path(__file__).resolve().parents[1] / "bench" / "maps").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", MAPS, ids=lambda p: p.stem)
+def test_every_report_reads_one_choi_trace(capsys, path):
+    # spectrum's trace is spa's trace_choi and witness's is trace_choi / n, bit for bit
+    results = {}
+    for argv in (["spa"], ["spectrum"], ["spectrum", "--compose-transpose"], ["witness"]):
+        rc, out, _ = run_cli(capsys, argv[0], "--map", str(path), *argv[1:])
+        assert rc == 0
+        results[" ".join(argv)] = json.loads(out)["result"]["trace" if argv != ["spa"] else "trace_choi"]
+    trace, n = results.pop("spa"), json.loads(path.read_text())["n"]
+    assert results == {"spectrum": trace, "spectrum --compose-transpose": trace, "witness": trace / n}
+
+
+def test_flagship_witness_trace_is_exactly_two(tmp_path, capsys):
+    rc, out, _ = run_cli(capsys, "witness", "--map", write_json(tmp_path, "map.json", FLAGSHIP))
+    assert rc == 0
+    assert json.loads(out)["result"]["trace"] == 2.0
+
+
 def test_decompose_involution(tmp_path, capsys):
     path = write_json(tmp_path, "map.json", INVOLUTION)
     rc, out, _ = run_cli(capsys, "decompose", "--map", path)

@@ -17,7 +17,6 @@ from cyclemaps import (
     d_matrix,
     delta_apply,
     delta_n,
-    hermitian_spectrum,
     identity,
     is_psd,
     tau,
@@ -151,7 +150,7 @@ def test_choi_flagship_spectrum(flagship):
     cm = choi(flagship)
     assert cm.n == 3
     assert not cm.transposed_composition
-    res = hermitian_spectrum(cm.matrix)
+    res = choi_structure(flagship).spectrum()
     assert res.residual <= 1e-10
     expect = [-1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 2.0, 2.0]
     assert_allclose(res.eigenvalues, expect, atol=1e-8)
@@ -161,19 +160,19 @@ def test_choi_flagship_spectrum(flagship):
 def test_choi_transposed_flagship_spectrum(flagship):
     cm = choi(flagship, compose_transpose=True)
     assert cm.transposed_composition
-    res = hermitian_spectrum(cm.matrix)
+    res = choi_structure(flagship).spectrum(compose_transpose=True)
     expect = sorted([1.0 - GOLDEN] * 3 + [1.0] * 3 + [GOLDEN] * 3)
     assert_allclose(res.eigenvalues, expect, atol=1e-8)
     # Transposing the blocks preserves the trace but not the spectrum here.
     assert np.trace(cm.matrix).real == pytest.approx(6.0)
-    plain = hermitian_spectrum(choi(flagship).matrix).eigenvalues
+    plain = choi_structure(flagship).spectrum().eigenvalues
     assert np.max(np.abs(plain - res.eigenvalues)) > 0.1
 
 
 def test_choi_closed_form_spectrum_fixed_point_free():
     # With no fixed points the spectrum is {a - n, a (n-1 times), c entries, 0s}.
     p = MapParams(4, tau(4, 1), 3.2, (0.5, 1.5, 2.5, 0.7))
-    w = hermitian_spectrum(choi(p).matrix).eigenvalues
+    w = choi_structure(p).spectrum().eigenvalues
     expect = sorted([p.a - 4.0] + [p.a] * 3 + list(p.c) + [0.0] * 8)
     assert_allclose(w, expect, atol=1e-8)
 
@@ -198,7 +197,7 @@ def test_delta_n_map():
     assert p.c == (0.0, 0.0, 0.0)
     x = random_hermitian(np.random.default_rng(4), 3)
     assert_allclose(theta_apply(p, x), 3.0 * np.diag(np.diagonal(x)) - x, atol=1e-12)
-    res = hermitian_spectrum(choi(p).matrix)
+    res = choi_structure(p).spectrum()
     assert_allclose(res.eigenvalues, [0.0] * 7 + [3.0, 3.0], atol=1e-8)
     assert is_psd(choi(p).matrix)
 

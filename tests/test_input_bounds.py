@@ -8,6 +8,7 @@ allocation or has its builder patched to fail the test instead of running.
 import inspect
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -19,6 +20,7 @@ from cyclemaps import (
     ParameterError,
     atomic_verdict,
     choi,
+    choi_structure,
     classify_map,
     decompose_involution,
     spa_interpolation,
@@ -29,6 +31,7 @@ from cyclemaps import (
     witness,
 )
 from cyclemaps import classify as classify_module
+from cyclemaps import dmap as dmap_module
 from cyclemaps import cli
 from cyclemaps import perm as perm_module
 from cyclemaps.classify import _adversarial_amplitudes
@@ -207,6 +210,34 @@ def test_a_dense_matrix_past_the_edge_limit_raises_before_allocating(build):
     finally:
         tracemalloc.stop()
     assert peak < 2**20  # the n x n parts alone would take 64 MB
+
+
+@pytest.mark.parametrize("compose_transpose", [False, True], ids=["plain", "transposed"])
+def test_the_spectrum_past_the_entry_bound_raises_before_allocating(tmp_path, capsys, compose_transpose):
+    n = 3000
+    p = MapParams(n, tau(n, 1), n - 1.0, (1.0,) * n)
+    structure = choi_structure(p)
+    message = "n = 3000 is too large for the Choi spectrum: 9,000,000 eigenvalues (limit 8,388,608)"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            structure.spectrum(compose_transpose)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # the n x n parts alone would take 72 MB
+    spec = {"n": n, "sigma": f"tau:{n}:1", "a": n - 1.0, "c": [1.0] * n}
+    flags = ["--compose-transpose"] if compose_transpose else []
+    rc, out, err = run_cli(tmp_path, capsys, spec, "spectrum", *flags)
+    assert (rc, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+def test_the_spectrum_bound_is_n_squared(monkeypatch):
+    monkeypatch.setattr(dmap_module, "MAX_ENTRIES", 16)
+    assert choi_structure(MapParams(4, tau(4, 1), 3.0, (1.0,) * 4)).spectrum().eigenvalues.shape == (16,)
+    with pytest.raises(ParameterError, match=r"n = 5 is too large for the Choi spectrum: 25 eigenvalues \(limit 16\)"):
+        choi_structure(MapParams(5, tau(5, 1), 4.0, (1.0,) * 5)).spectrum(compose_transpose=True)
 
 
 # -- complete positivity keeps reading --tol and psd_tol alone ---------------

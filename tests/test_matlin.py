@@ -10,7 +10,6 @@ from numpy.testing import assert_allclose
 from cyclemaps import (
     ContractError,
     ParameterError,
-    hermitian_spectrum,
     is_hermitian,
     is_psd,
     matrix_from_json,
@@ -19,7 +18,7 @@ from cyclemaps import (
     partial_transpose,
     require_hermitian,
 )
-from cyclemaps.matlin import DEFAULT_HERMITIAN_TOL, _hermitian_defect, _matrix_form, _pattern_components
+from cyclemaps.matlin import DEFAULT_HERMITIAN_TOL, _hermitian_blocks, _hermitian_defect, _matrix_form, _pattern_components
 from conftest import random_hermitian
 from matrix_helpers import basis_vector, identity_matrix, kron, matrix_unit, schur_product, transposed_copy_defect
 
@@ -87,25 +86,22 @@ def test_partial_transpose_shape_check():
         partial_transpose(np.eye(6), 4, 2)
 
 
-def test_hermitian_spectrum_known_matrices():
+def test_min_eigenvalue_known_matrices():
     # (n-1) I - J for n = 3 has eigenvalues -1, 2, 2.
     g = 2.0 * np.eye(3) - np.ones((3, 3))
-    res = hermitian_spectrum(g)
-    assert_allclose(res.eigenvalues, [-1.0, 2.0, 2.0], atol=1e-12)
-    assert res.residual <= 1e-10
-
-    res = hermitian_spectrum(4.0 * np.eye(3) - np.ones((3, 3)))
-    assert_allclose(res.eigenvalues, [1.0, 4.0, 4.0], atol=1e-12)
+    assert min_eigenvalue(g) == pytest.approx(-1.0, abs=1e-12)
+    assert min_eigenvalue(-g) == pytest.approx(-2.0, abs=1e-12)
+    assert min_eigenvalue(4.0 * np.eye(3) - np.ones((3, 3))) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_hermitian_spectrum_is_sorted_and_accurate():
+def test_min_eigenvalue_of_dense_random_matrices():
+    # a fully dense matrix is one block, solved as a whole
     rng = np.random.default_rng(5)
     for n in (9, 25, 144):
         m = random_hermitian(rng, n, scale=3.0)
-        res = hermitian_spectrum(m)
-        assert np.all(np.diff(res.eigenvalues) >= 0)
-        assert res.residual <= 1e-10
-        assert_allclose(res.eigenvalues.sum(), np.trace(m).real, atol=1e-9)
+        w = np.linalg.eigvalsh(m)
+        assert [sub.shape for sub in _hermitian_blocks(m, DEFAULT_HERMITIAN_TOL)] == [(1, n, n)]
+        assert min_eigenvalue(m) == pytest.approx(w[0], abs=1e-12 * max(1.0, float(np.max(np.abs(w)))))
 
 
 def test_require_hermitian_rejects():
@@ -179,13 +175,13 @@ def block_matrices(draw):
 # eigvalsh reads: they form one block with eigenvalues -STRAY and STRAY
 @example(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, STRAY, 0.0]], dtype=complex))
 def test_block_split_matches_dense_lapack(m):
-    w, v = np.linalg.eigh(m)
+    w = np.linalg.eigvalsh(m)
     scale = 1e-12 * max(1.0, float(np.max(np.abs(w))))
-    assert abs(min_eigenvalue(m) - np.linalg.eigvalsh(m)[0]) <= scale
-    res = hermitian_spectrum(m)
-    assert np.max(np.abs(res.eigenvalues - w)) <= scale
-    oracle_residual = float(np.max(np.linalg.norm(m @ v - v * w, axis=0)))
-    assert abs(res.residual - oracle_residual) <= scale
+    assert abs(min_eigenvalue(m) - w[0]) <= scale
+    assert abs(min_eigenvalue(-m) + w[-1]) <= scale
+    # every eigenvalue of the blocks is one of M's, with its multiplicity
+    blocks = np.sort(np.concatenate([np.linalg.eigvalsh(sub).ravel() for sub in _hermitian_blocks(m, DEFAULT_HERMITIAN_TOL)]))
+    assert np.max(np.abs(blocks - w)) <= scale
 
     for bad in (np.nan, np.inf, 1.0):
         spoiled = m.copy()
@@ -196,7 +192,7 @@ def test_block_split_matches_dense_lapack(m):
             spoiled[k, k] = bad
         with pytest.raises(ContractError) as dense:
             require_hermitian(spoiled)
-        for helper in (min_eigenvalue, hermitian_spectrum, is_psd):
+        for helper in (min_eigenvalue, is_psd):
             # the same max |M - M*|, found block by block
             with pytest.raises(ContractError, match="not Hermitian") as blocked:
                 helper(spoiled)

@@ -109,6 +109,17 @@ def test_cycle_decompose_is_built_once_per_permutation(monkeypatch):
     assert cycle_decompose(t) == dec and len(built) == 2
 
 
+def test_cycle_lengths_are_built_once_per_decomposition():
+    for images in itertools.permutations(range(1, 6)):
+        s = Permutation(images)
+        dec = cycle_decompose(s)
+        assert dec.lengths is dec.lengths
+        lengths = [len(cycle) for cycle in dec.cycles]
+        assert dec.lengths == tuple(lengths)
+        assert (dec.l_min, dec.l_max) == (min(lengths), max(lengths))
+        assert is_involution(s) == (s.compose(s) == identity(5))
+
+
 @pytest.mark.parametrize("n", range(2, 13))
 def test_tau_cycle_lengths_divide_evenly(n):
     import math

@@ -6,6 +6,7 @@ quadratic forms, the span rank as an SVD of the stacked n^2-vectors, and the
 involution split summed from ``kron`` products of matrix units.
 """
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -333,6 +334,94 @@ def test_choi_size_guard_names_n_and_bytes():
         spa_state(large_map()).matrix
 
 
+def random_spectrum_maps(count: int, seed: int):
+    """Maps at n = 1..6 with any sigma, sigma = id, or fixed points next to a
+    cycle, and a and c log-uniform over 1e-20..1e20."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = int(rng.integers(1, 7))
+        order = [int(i) + 1 for i in rng.permutation(n)]
+        images = list(range(1, n + 1))
+        if k % 3 == 0:
+            images = order
+        elif k % 3 == 1:
+            cycle = order[int(rng.integers(0, n)) :]  # the rest are fixed points
+            for pos, i in enumerate(cycle):
+                images[i - 1] = cycle[(pos + 1) % len(cycle)]
+        a, *c = 10.0 ** rng.uniform(-20, 20, n + 1)
+        yield MapParams(n, Permutation(tuple(images)), float(a), tuple(map(float, c)))
+
+
+def test_spectrum_matches_the_dense_eigensolve_on_random_maps():
+    for p in random_spectrum_maps(600, seed=20):
+        structure = choi_structure(p)
+        for compose_transpose in (False, True):
+            res = structure.spectrum(compose_transpose)
+            dense = np.linalg.eigvalsh(choi(p, compose_transpose).matrix)
+            scale = TOL * max(1.0, float(np.max(np.abs(dense))))
+            assert res.eigenvalues.shape == (p.n * p.n,)
+            assert np.max(np.abs(res.eigenvalues - dense)) <= scale, (p, compose_transpose)
+            assert res.residual <= scale and (res.residual == 0.0 or not compose_transpose)
+
+
+def test_transposed_spectrum_starts_at_the_witness_minimum():
+    maps = [*random_spectrum_maps(300, seed=21), large_map(), delta_n(4)]
+    for p in maps:
+        structure = choi_structure(p)
+        assert structure.spectrum(compose_transpose=True).eigenvalues[0] == structure.min_eigenvalue(compose_transpose=True)
+
+
+def pair_roots(x: float, y: float) -> list[float]:
+    """The eigenvalues of [[x, -1], [-1, y]] by the quadratic formula."""
+    root = np.sqrt((x - y) ** 2 + 4.0)
+    return [(x + y - root) / 2.0, (x + y + root) / 2.0]
+
+
+@pytest.mark.parametrize(
+    "sigma",
+    [tau(64, 1), tau(64, 32), Permutation((2, 1, 3) + tuple(range(5, 65)) + (4,))],
+    ids=["64-cycle", "2-cycles", "fixed point"],
+)
+def test_spectrum_past_the_dense_limit_is_the_closed_form(sigma):
+    n = 64
+    c = tuple(0.5 + 0.03 * k for k in range(n))
+    p = MapParams(n, sigma, 61.5, c)
+    if all(sigma(k) != k for k in range(1, n + 1)):  # no fixed point: {0^(n^2 - 2n), a^(n - 1), a - n, c}
+        expect = sorted([0.0] * (n * n - 2 * n) + [p.a] * (n - 1) + [p.a - n] + list(c))
+        assert np.max(np.abs(choi_structure(p).spectrum().eigenvalues - expect)) <= TOL * n * n
+    # 1x1 blocks a + c_i [sigma(i) = i] - 1 and the 2x2 blocks on {|ik>, |ki>}, i < k
+    d = np.zeros((n, n))
+    d[np.arange(n), np.arange(n)] = p.a
+    d[np.array(sigma.images) - 1, np.arange(n)] += c
+    expect = [d[i, i] - 1.0 for i in range(n)]
+    for i in range(n):
+        for k in range(i + 1, n):
+            expect += pair_roots(d[i, k], d[k, i])
+    res = choi_structure(p).spectrum(compose_transpose=True)
+    assert np.max(np.abs(res.eigenvalues - np.sort(expect))) <= TOL * n
+    assert res.residual == 0.0
+
+
+def test_spectrum_builds_no_dense_matrix_and_splits_none(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def refuse(name):
+        return lambda *args, **kwargs: calls.append(name)
+
+    for module in (cyclemaps.dmap, cyclemaps.classify, cyclemaps.spa, cyclemaps.witness):
+        if hasattr(module, "assemble"):
+            monkeypatch.setattr(module, "assemble", refuse("assemble"))
+    monkeypatch.setattr(cyclemaps.matlin, "_hermitian_blocks", refuse("_hermitian_blocks"))
+    p = MapParams(5, Permutation((2, 1, 4, 5, 3)), 4.0, (1.0, 2.0, 0.5, 1.5, 3.0))
+    for compose_transpose in (False, True):
+        choi_structure(p).spectrum(compose_transpose)
+    path = _write_map(tmp_path, large_map())
+    for flags in ([], ["--compose-transpose"]):
+        assert main(["spectrum", "--map", path, *flags]) == 0
+        assert len(json.loads(capsys.readouterr().out)["result"]["eigenvalues"]) == 64 * 64
+    assert calls == []
+
+
 def _write_map(tmp_path, p: MapParams) -> str:
     path = tmp_path / "map.json"
     images = ",".join(str(i) for i in p.sigma.images)
@@ -369,7 +458,7 @@ def test_equality_of_every_public_result_type_is_a_bool():
             "CycleDecomposition": cyclemaps.cycle_decompose(p.sigma),
             "ChoiStructure": choi_structure(p),
             "ChoiMatrix": choi(p),
-            "SpectrumResult": cyclemaps.hermitian_spectrum(choi(p).matrix),
+            "SpectrumResult": choi_structure(p).spectrum(),
             "Verdict": report.positive,
             "PositivityEvidence": cyclemaps.verify_positivity_numeric(p, samples=50),
             "ClassificationReport": report,

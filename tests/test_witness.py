@@ -26,6 +26,7 @@ from cyclemaps import (
     tau,
     witness,
 )
+from conftest import random_hermitian
 from matrix_helpers import dense_certificate, matrix_unit
 
 
@@ -282,6 +283,22 @@ def test_certify_warnings():
     assert any("PSD" in w for w in cert.warnings)
     cert = certify_optimality(MapParams(3, tau(3, 2), 3.0, (1.0,) * 3))
     assert not any("PSD" in w for w in cert.warnings)
+
+
+def test_expectation_value_is_the_trace_of_the_product():
+    # Tr(W rho) summed entry by entry, for witnesses and for other Hermitian W
+    rng = np.random.default_rng(31)
+    pairs = []
+    for n in (2, 3, 5, 8):
+        g = rng.standard_normal((n * n, 2 * n * n)).view(complex)
+        rho = g @ g.conj().T
+        rho /= np.trace(rho).real
+        h, k = (random_hermitian(rng, n * n, scale=10.0**e) for e in rng.uniform(-5, 5, 2))
+        pairs += [(witness(MapParams(n, tau(n, 1), n - 1.0, (1.0,) * n)), rho), (h, rho), (h, k)]
+    for w, rho in pairs:
+        want = float(np.trace(w @ rho).real)
+        # relative to the sum of the magnitudes of the terms, which bounds the rounding of either sum
+        assert abs(expectation_value(w, rho) - want) <= 1e-13 * np.sum(np.abs(w * rho.T))
 
 
 def test_expectation_value_contracts():
