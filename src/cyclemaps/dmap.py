@@ -185,10 +185,12 @@ def pair_block_eigenvalues(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np
     with np.errstate(over="ignore", invalid="ignore"):
         hi = (x + y + np.sqrt((x - y) ** 2 + 4.0)) / 2.0
         lo = (x * y - 1.0) / hi  # det / hi: no cancellation when x + y is large
-    wide = ~(np.isfinite(lo) & np.isfinite(hi))
-    x, y = x[wide], y[wide]
-    hi[wide] = h = x / 2.0 + y / 2.0 + np.hypot(x - y, 2.0) / 2.0
-    lo[wide] = np.minimum(x, y) * (np.maximum(x, y) / h) - 1.0 / h
+    finite = np.isfinite(lo) & np.isfinite(hi)
+    if not finite.all():
+        wide = ~finite
+        x, y = x[wide], y[wide]
+        hi[wide] = h = x / 2.0 + y / 2.0 + np.hypot(x - y, 2.0) / 2.0
+        lo[wide] = np.minimum(x, y) * (np.maximum(x, y) / h) - 1.0 / h
     return lo, hi
 
 
@@ -343,16 +345,18 @@ class ChoiStructure:
         moved = np.flatnonzero(self.img != idx)
         if compose_transpose:
             # the 2x2 blocks on {|sigma(k) k>, |k sigma(k)>}, each 2-cycle met twice
-            lo, _ = pair_block_eigenvalues(self.c[moved], self.entry(moved, self.img[moved]))
             related = moved.size - np.count_nonzero(self.img[self.img[moved]] == moved) // 2
-            values = np.concatenate([self.entry(idx, idx) - 1.0, lo])
-            if related < n * (n - 1) // 2:  # a pair sigma does not relate: [[0, -1], [-1, 0]]
-                values = np.append(values, -1.0)
+            if related < n * (n - 1) // 2:
+                # a pair sigma does not relate gives the block [[0, -1], [-1, 0]], and nothing
+                # lies below it: diag(D) >= 0 and the swap's eigenvalues are +-1 (Weyl), and
+                # every other block's computed root is >= -1.0 too.  From n = 4 on, always.
+                return -1.0
+            lo, _ = pair_block_eigenvalues(self.c[moved], self.entry(moved, self.img[moved]))
+            values = [self.entry(idx, idx) - 1.0, lo]
         else:
-            values = np.append(self.c[moved], self.core_min)
-            if moved.size < n * (n - 1):  # an off-diagonal D[i, k] = 0
-                values = np.append(values, 0.0)
-        return float(values.min())
+            # 0 where an off-diagonal D[i, k] is
+            values = [self.c[moved], [self.core_min], [0.0] if moved.size < n * (n - 1) else []]
+        return float(np.concatenate(values).min())
 
     @property
     def negative_norm(self) -> float:

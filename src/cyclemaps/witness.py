@@ -24,13 +24,16 @@ dimension n(n+1)/2 that the deterministic phases already span.  No further
 phase vector, random or not, can raise the span rank.
 
 Nothing here needs the dense n^2 x n^2 witness, nor an object per
-generator.  The generators are two arrays (:class:`SpanningGenerators`): a
-table of phase angles and the index pairs (i, j) of the basis pairs.  With
-n W = diag(D) - F (:class:`cyclemaps.dmap.ChoiStructure`), xi (x) xi has the
-expectation (w . D . w - (sum w)^2) / n with w = |xi|^2, and e_i (x) e_j
-has (D[i, j] - [i = j]) / n.  The angles are 0, pi/2 and pi, where
-|exp(i t)|^2 is 1.0 exactly, so w is all ones on every phase row and one
-evaluation gives every phase expectation; the basis pairs' are 0.0 exactly.
+generator.  The generators (:class:`SpanningGenerators`) are n and the
+index pairs (i, j) of the basis pairs: the phase vectors depend on n alone,
+and their (1 + 2n + n(n-1)/2) x n table of angles is built only when read.
+With n W = diag(D) - F (:class:`cyclemaps.dmap.ChoiStructure`), xi (x) xi
+has the expectation (w . D . w - (sum w)^2) / n with w = |xi|^2, and
+e_i (x) e_j has (D[i, j] - [i = j]) / n.  The angles are 0, pi/2 and pi,
+where |exp(i t)|^2 is 1.0 exactly, so w is all ones on every phase row and
+one sum gives every phase expectation without the table; the basis pairs'
+are 0.0 exactly.  The certificate thus costs O(n^2) time and memory, the
+size of its expectations and pairs.
 
 The span rank has a closed form in sigma.  The basis pairs are distinct
 standard basis vectors, n^2 - n - m of them for m the number of points sigma
@@ -53,30 +56,60 @@ from functools import cached_property
 
 import numpy as np
 
-from .classify import NO, YES, atomic_verdict, on_uniform_family, positivity_verdict
+from .classify import NO, YES, atomic_verdict, cp_verdict, on_uniform_family, positivity_verdict
 from .dmap import MapParams, assemble, choi_structure, require_dense_size
 from .errors import ParameterError
-from .matlin import DEFAULT_PSD_TOL, require_hermitian
+from .matlin import DEFAULT_PSD_TOL, MAX_ENTRIES, require_hermitian
 from .perm import cycle_decompose
 
 # A generator's expectation <W zeta, zeta> counts as zero within this bound.
 EXPECTATION_TOL = 1e-9
 
+# |exp(i t)|^2 is 1.0 exactly at the table's angles 0, pi/2 and pi, which the
+# phase expectation relies on; it depends on no map, so it is evaluated once
+_UNIT_WEIGHTS = bool(np.all(np.abs(np.exp(1j * np.array([0.0, np.pi / 2, np.pi]))) ** 2 == 1.0))
+
+
+def _phase_rows(n: int) -> int:
+    """The number of deterministic phase vectors: 1 + 2n + n(n-1)/2."""
+    return 1 + 2 * n + n * (n - 1) // 2
+
 
 @dataclass(frozen=True, eq=False)
 class SpanningGenerators:
-    """The candidate zero-expectation product vectors as two arrays.
+    """The candidate zero-expectation product vectors on C^n (x) C^n.
 
-    Row r of ``phases`` gives the phase vector xi (x) xi with
-    xi = exp(i * phases[r]); row m of ``pairs`` gives the basis pair
-    e_i (x) e_j for (i, j) = pairs[m], 0-based.  The phase rows come first.
+    The phase vectors come first and depend on n alone: row r of the table
+    ``phases`` gives xi (x) xi with xi = exp(i * phases[r]).  Row m of
+    ``pairs`` gives the basis pair e_i (x) e_j for (i, j) = pairs[m],
+    0-based.  The table is built when first read; the length counts its rows
+    from the closed form.
     """
 
-    phases: np.ndarray
+    n: int
     pairs: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.phases) + len(self.pairs)
+        return _phase_rows(self.n) + len(self.pairs)
+
+    @cached_property
+    def phases(self) -> np.ndarray:
+        """The phase angles: the zero row, pi and then pi/2 at each coordinate,
+        and pi at each pair of coordinates k < l.  Their outer squares span all
+        symmetric matrices, where every xi (x) xi lies, so no other phase vector
+        could add to the span.  ParameterError, before allocating, past
+        ``MAX_ENTRIES`` entries."""
+        n, d = self.n, np.arange(self.n)
+        rows = _phase_rows(n)
+        if rows * n > MAX_ENTRIES:
+            raise ParameterError(f"n = {n} is too large for the phase table: {rows * n:,} entries (limit {MAX_ENTRIES:,})")
+        k, l = np.triu_indices(n, 1)
+        phases = np.zeros((rows, n))
+        phases[1 + d, d] = np.pi
+        phases[1 + n + d, d] = np.pi / 2
+        pair_rows = 1 + 2 * n + np.arange(k.size)
+        phases[pair_rows, k] = phases[pair_rows, l] = np.pi
+        return phases
 
 
 @dataclass(frozen=True)
@@ -116,23 +149,15 @@ def witness(p: MapParams) -> np.ndarray:
 def spanning_generators(p: MapParams) -> SpanningGenerators:
     """The candidate zero-expectation product vectors for the witness of p.
 
-    The deterministic phases are the zero row, pi and then pi/2 at each
-    coordinate, and pi at each pair of coordinates k < l: their outer
-    squares span all symmetric matrices, where every xi (x) xi lies, so no
-    other phase vector could add to the span.  The basis pairs are
-    e_i (x) e_j with j not in {i, sigma^(-1)(i)}, in row-major order.
+    The phase vectors are those of :attr:`SpanningGenerators.phases`.  The
+    basis pairs are e_i (x) e_j with j not in {i, sigma^(-1)(i)}, in
+    row-major order.
     """
-    n, d = p.n, np.arange(p.n)
-    k, l = np.triu_indices(n, 1)
-    phases = np.zeros((1 + 2 * n + k.size, n))
-    phases[1 + d, d] = np.pi
-    phases[1 + n + d, d] = np.pi / 2
-    rows = 1 + 2 * n + np.arange(k.size)
-    phases[rows, k] = phases[rows, l] = np.pi
-    i, j = np.divmod(np.arange(n * n), n)
-    img = choi_structure(p).img
-    keep = (j != i) & (img[j] != i)
-    return SpanningGenerators(phases=phases, pairs=np.stack([i[keep], j[keep]], axis=1))
+    n, img = p.n, choi_structure(p).img
+    d = np.arange(n)
+    keep = np.ones((n, n), dtype=bool)
+    keep[d, d] = keep[img, d] = False
+    return SpanningGenerators(n, np.argwhere(keep))
 
 
 def certify_optimality(p: MapParams) -> OptimalityCertificate:
@@ -148,35 +173,43 @@ def certify_optimality(p: MapParams) -> OptimalityCertificate:
     runs and the verdict simply reports what the numbers show.
 
     Every phase row has w = |xi|^2 all ones (|exp(i t)|^2 is 1.0 exactly at
-    the table's angles 0, pi/2 and pi), so the phase expectation is
-    evaluated once, on a single row of ones, and broadcast: numpy reduces
-    each row of a (rows, n) array alone and in the same order, so one row
-    gives the bits that every row of the table would.  Every
-    basis pair has D[i, j] = 0.0 and i != j, so its expectation is 0.0 and
-    all of them pass.  Either fact failing raises RuntimeError.
+    the table's angles 0, pi/2 and pi), so every product with w is exact
+    and each row's w . D . w is the sum of a + c_k over k, reduced in the
+    order numpy reduces any row of n entries: one sum gives the bits that
+    every row of the table would, and it is broadcast over the
+    1 + 2n + n(n-1)/2 phase rows without building the table.  Every basis
+    pair has D[i, j] = 0.0 and i != j, so its expectation is 0.0 and all of
+    them pass.  Either fact failing raises RuntimeError.  The certificate
+    holds O(n^2) numbers; ParameterError, before allocating, once n^2
+    exceeds ``MAX_ENTRIES``.
     """
     n = p.n
+    if n * n > MAX_ENTRIES:
+        raise ParameterError(
+            f"n = {n} is too large for the optimality certificate: {n * n:,} coordinates (limit {MAX_ENTRIES:,})"
+        )
     structure = choi_structure(p)
     gens = spanning_generators(p)
-    # <xi (x) xi| n W |xi (x) xi> = w . D . w - (sum w)^2, and e_i (x) e_j gives D[i, j] - [i = j]
-    w = np.ones((1, n))
-    phase = np.sum((structure.a * w + structure.c * w[:, structure.img]) * w, axis=1) - w.sum(axis=1) ** 2
+    # e_i (x) e_j gives D[i, j] - [i = j]; xi (x) xi gives w . D . w - (sum w)^2 at w = 1
     i, j = gens.pairs.T
     basis = structure.entry(i, j) - (i == j)
-    unit = np.abs(np.exp(1j * np.array([0.0, np.pi / 2, np.pi]))) ** 2
-    if not (np.all(unit == 1.0) and not basis.any()):
+    if not (_UNIT_WEIGHTS and not basis.any()):
         raise RuntimeError(
             "internal consistency failure: a phase weight |exp(i t)|^2 is not 1.0 "
             "or a basis-pair expectation is not 0.0"
         )
-    expectations = np.concatenate([np.broadcast_to(phase, len(gens.phases)), basis]) / n
+    rows = _phase_rows(n)
+    expectations = np.empty(rows + basis.size)
+    expectations[:rows] = (np.sum(structure.a + structure.c) - n * n) / n
+    np.divide(basis, n, out=expectations[rows:])
     phases_pass = bool(abs(expectations[0]) <= EXPECTATION_TOL)
 
-    pos = positivity_verdict(p)
+    cp = cp_verdict(p)
+    pos = positivity_verdict(p, cp=cp)
     # the certified family: uniform c with a = n - c, and c = 0 (the map
     # n*diag(X) - X) or an atomic map (every cycle of length >= 3, not CP)
     theorem_applies = on_uniform_family(p) and (
-        p.c[0] == 0.0 or atomic_verdict(p, pos=pos).status == YES
+        p.c[0] == 0.0 or atomic_verdict(p, pos=pos, cp=cp).status == YES
     )
     if theorem_applies and not phases_pass:
         raise RuntimeError(

@@ -1,5 +1,6 @@
 """Dense matrices that only the tests use: matrix units, basis vectors,
-tensor and entrywise products, and the dense form of the witness certificate.
+tensor and entrywise products, and the dense form of the witness certificate
+from its generators built eagerly, the dense phase table included.
 
 Tensor products follow the first-factor-major block convention of
 ``numpy.kron``: ``kron(A, B)[(i, p), (j, q)] == A[i, j] * B[p, q]``, i.e.
@@ -8,7 +9,7 @@ i*n + k as in :func:`cyclemaps.dmap.assemble`.
 """
 import numpy as np
 
-from cyclemaps import ParameterError, choi_structure, spanning_generators
+from cyclemaps import ParameterError, choi_structure
 from cyclemaps.matlin import MAX_DIM
 from cyclemaps.witness import EXPECTATION_TOL
 
@@ -66,21 +67,38 @@ def numerical_rank(m: np.ndarray, rtol: float = 1e-8) -> int:
     return int(np.count_nonzero(s > rtol * s[0]))
 
 
+def eager_generators(p) -> tuple[np.ndarray, np.ndarray]:
+    """The witness generators of p built eagerly, as ``(phases, pairs)``: the
+    dense phase table (the zero row, pi and then pi/2 at each coordinate, and
+    pi at each pair of coordinates k < l) and the basis pairs (i, j),
+    j not in {i, sigma^(-1)(i)}, in row-major order."""
+    n, d = p.n, np.arange(p.n)
+    k, l = np.triu_indices(n, 1)
+    phases = np.zeros((1 + 2 * n + k.size, n))
+    phases[1 + d, d] = np.pi
+    phases[1 + n + d, d] = np.pi / 2
+    rows = 1 + 2 * n + np.arange(k.size)
+    phases[rows, k] = phases[rows, l] = np.pi
+    i, j = np.divmod(np.arange(n * n), n)
+    keep = (j != i) & (choi_structure(p).img[j] != i)
+    return phases, np.stack([i[keep], j[keep]], axis=1)
+
+
 def dense_certificate(p) -> tuple[np.ndarray, int]:
     """The expectations and span rank of ``certify_optimality(p)``, from the dense phase table.
 
-    Every phase row goes through ``np.exp``, and the rank is the number of
-    passing basis pairs plus the numerical rank of the passing phase vectors
-    restricted to the coordinates no passing basis pair covers: an
-    (up to n(n+1)/2 + 2n + 1) x (at most 2n) SVD.
+    Every phase row of :func:`eager_generators` goes through ``np.exp``, and
+    the rank is the number of passing basis pairs plus the numerical rank of
+    the passing phase vectors restricted to the coordinates no passing basis
+    pair covers: an (up to n(n+1)/2 + 2n + 1) x (at most 2n) SVD.
     """
     n = p.n
     structure = choi_structure(p)
-    gens = spanning_generators(p)
-    xi = np.exp(1j * gens.phases)
+    phases, pairs = eager_generators(p)
+    xi = np.exp(1j * phases)
     w = np.abs(xi) ** 2
     phase = np.sum((structure.a * w + structure.c * w[:, structure.img]) * w, axis=1) - w.sum(axis=1) ** 2
-    i, j = gens.pairs.T
+    i, j = pairs.T
     basis = structure.entry(i, j) - (i == j)
     expectations = np.concatenate([phase, basis]) / n
     phase_ok, pair_ok = np.split(np.abs(expectations) <= EXPECTATION_TOL, [len(xi)])

@@ -23,6 +23,7 @@ from cyclemaps import (
     theta_apply,
 )
 from cyclemaps.cli import main
+from cyclemaps import dmap as dmap_module
 from cyclemaps.dmap import pair_block_eigenvalues
 from matrix_helpers import matrix_unit
 from conftest import random_hermitian
@@ -229,6 +230,34 @@ def test_pair_block_eigenvalues_stay_finite_where_the_formula_overflows(tmp_path
         assert main([sub, "--map", str(path)]) == 0
         result = json.loads(capsys.readouterr().out)["result"]
     assert result["min_eigenvalue"] == 0.0  # the witness's
+
+
+def test_pair_block_eigenvalues_take_the_overflow_branch_only_past_the_overflow(monkeypatch):
+    calls = []
+    hypot = np.hypot
+    monkeypatch.setattr(np, "hypot", lambda *args: calls.append(args) or hypot(*args))
+    pair_block_eigenvalues(np.array([1.0, 2.0, 0.5]), np.array([0.0, 3.0, 2.0]))
+    assert calls == []
+    lo, hi = pair_block_eigenvalues(np.array([1.0, 1e160]), np.array([0.0, 1e200]))
+    assert len(calls) == 1 and np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))
+
+
+def test_the_witness_minimum_is_minus_one_once_some_pair_is_unrelated(monkeypatch):
+    # diag(D) >= 0 and the swap's eigenvalues +-1 bound every eigenvalue of
+    # Choi(T.Theta) below by -1, which the block of an unrelated pair attains;
+    # from n = 4 on sigma relates at most n of the n(n-1)/2 pairs
+    monkeypatch.setattr(dmap_module, "pair_block_eigenvalues", lambda x, y: pytest.fail("no block solve"))
+    rng = np.random.default_rng(4)
+    for n in range(4, 40):
+        images = tuple(int(i) + 1 for i in rng.permutation(n))
+        p = MapParams(n, Permutation(images), float(rng.uniform(0.1, 2 * n)), tuple(rng.uniform(0.01, 100.0, n).tolist()))
+        assert choi_structure(p).min_eigenvalue(compose_transpose=True) == -1.0
+        if n <= 8:
+            assert np.linalg.eigvalsh(choi(p, compose_transpose=True).matrix)[0] == pytest.approx(-1.0, abs=1e-12)
+    assert choi_structure(delta_n(4)).min_eigenvalue(compose_transpose=True) == -1.0
+    monkeypatch.undo()
+    # at n = 3 a 3-cycle relates all three pairs, and the blocks decide
+    assert choi_structure(MapParams(3, tau(3, 1), 2.0, (1.0,) * 3)).min_eigenvalue(compose_transpose=True) > -1.0
 
 
 def test_pair_block_eigenvalues_keep_the_formula_bits_where_it_is_finite():

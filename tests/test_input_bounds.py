@@ -5,6 +5,7 @@ line, exit 1 or 2) before anything sized by it is allocated.  The large
 cases stay safe under a regression: each is either checked before any
 allocation or has its builder patched to fail the test instead of running.
 """
+import importlib
 import inspect
 import json
 import math
@@ -19,12 +20,14 @@ from cyclemaps import (
     MapParams,
     ParameterError,
     atomic_verdict,
+    certify_optimality,
     choi,
     choi_structure,
     classify_map,
     decompose_involution,
     spa_interpolation,
     spa_state,
+    spanning_generators,
     tau,
     two_positive_verdict,
     verify_positivity_numeric,
@@ -38,6 +41,8 @@ from cyclemaps.classify import _adversarial_amplitudes
 from cyclemaps.cli import main
 from cyclemaps.matlin import MAX_ENTRIES
 from cyclemaps.perm import cycle_decompose, parse_permutation
+
+witness_module = importlib.import_module("cyclemaps.witness")
 
 FLAGSHIP = {"n": 3, "sigma": "tau:3:2", "a": 2.0, "c": [1.0, 1.0, 1.0]}
 # tau(4, 1) with weights whose running products d / c_k overflow a double
@@ -188,6 +193,56 @@ def test_the_p_block_bound_is_n_squared(monkeypatch):
     with pytest.raises(ParameterError, match=r"n = 6 is too large for P's n x n block: 36 entries \(limit 16\)"):
         cert.p_block
     assert 2896**2 <= MAX_ENTRIES < 2897**2
+
+
+# -- the witness certificate and its phase table stop at MAX_ENTRIES ---------
+
+
+def traced_raise(call, message: str) -> int:
+    """The tracemalloc peak while ``call()`` raises ParameterError with ``message``."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_certify_optimality_past_the_entry_bound_raises_before_allocating():
+    n = 3000
+    p = MapParams(n, tau(n, 1), n - 0.7, (0.7,) * n)
+    message = "n = 3000 is too large for the optimality certificate: 9,000,000 coordinates (limit 8,388,608)"
+    assert traced_raise(lambda: certify_optimality(p), message) < 2**20  # the basis pairs alone would take 144 MB
+
+
+def test_the_phase_table_past_the_entry_bound_raises_before_allocating():
+    n = 256
+    gens = spanning_generators(MapParams(n, tau(n, 1), n - 0.7, (0.7,) * n))
+    message = "n = 256 is too large for the phase table: 8,487,168 entries (limit 8,388,608)"
+    assert traced_raise(lambda: gens.phases, message) < 2**20  # the table would take 68 MB
+    assert (1 + 2 * 255 + 255 * 254 // 2) * 255 <= MAX_ENTRIES < (1 + 2 * 256 + 256 * 255 // 2) * 256
+
+
+def test_the_certificate_bound_is_n_squared(monkeypatch):
+    p = MapParams(4, tau(4, 1), 3.3, (0.7,) * 4)
+    monkeypatch.setattr(witness_module, "MAX_ENTRIES", 16)
+    assert certify_optimality(p).span_rank == 16
+    monkeypatch.setattr(witness_module, "MAX_ENTRIES", 15)
+    with pytest.raises(ParameterError, match=r"^n = 4 is too large for the optimality certificate: 16 coordinates \(limit 15\)$"):
+        certify_optimality(p)
+
+
+def test_the_phase_table_bound_is_its_entry_count(monkeypatch):
+    # 1 + 2n + n(n-1)/2 = 15 rows of n = 4 angles
+    p = MapParams(4, tau(4, 1), 3.3, (0.7,) * 4)
+    monkeypatch.setattr(witness_module, "MAX_ENTRIES", 60)
+    assert spanning_generators(p).phases.shape == (15, 4)
+    monkeypatch.setattr(witness_module, "MAX_ENTRIES", 59)
+    gens = spanning_generators(p)
+    with pytest.raises(ParameterError, match=r"^n = 4 is too large for the phase table: 60 entries \(limit 59\)$"):
+        gens.phases
+    assert "phases" not in vars(gens)
 
 
 # -- dense matrices past MAX_DIM raise before their n x n parts are built ----

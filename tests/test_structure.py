@@ -7,6 +7,7 @@ involution split summed from ``kron`` products of matrix units.
 """
 import dataclasses
 import json
+import time
 import tracemalloc
 
 import numpy as np
@@ -34,6 +35,7 @@ from cyclemaps import (
     theta_apply,
     witness,
 )
+from conftest import spaced_involution
 from matrix_helpers import kron, matrix_unit
 import cyclemaps
 from cyclemaps.cli import main
@@ -325,6 +327,27 @@ def test_certify_optimality_at_n_128_stays_under_200_mb():
     cert, peak = traced_peak(lambda: certify_optimality(p))
     assert peak < 200e6
     assert cert.span_rank == 128 * 128 and cert.optimal and cert.theorem_applies
+
+
+def test_certify_optimality_at_n_256_stays_under_8_mb():
+    # the expectations and the basis pairs, O(n^2); the phase table, 68 MB here, is never built
+    p = large_map(256)
+    cert, peak = traced_peak(lambda: certify_optimality(p))
+    assert peak < 8e6
+    assert cert.span_rank == 256 * 256 and cert.optimal and cert.theorem_applies
+    assert "phases" not in vars(cert.generators)
+
+
+@pytest.mark.parametrize("sigma, two_cycles", [(tau(1024, 1), 0), (spaced_involution(1024), 341)], ids=["tau", "involution"])
+def test_certify_optimality_at_n_1024_gives_the_span_rank_in_bounded_memory(sigma, two_cycles):
+    n = 1024
+    p = MapParams(n, sigma, n - 0.7, (0.7,) * n)
+    start = time.perf_counter()
+    certify_optimality(p)
+    assert time.perf_counter() - start < 2.0  # about 0.06 s on a 2-core x86 VM
+    cert, peak = traced_peak(lambda: certify_optimality(p))
+    assert peak < 100e6  # the dense phase table alone would take 4.3 GB
+    assert cert.span_rank == n * n - two_cycles
 
 
 def test_choi_size_guard_names_n_and_bytes():

@@ -1,3 +1,4 @@
+import importlib
 import math
 import time
 
@@ -14,8 +15,9 @@ from cyclemaps import (
     Permutation,
     atomic_verdict,
     certify_optimality,
-    classify_map,
     choi,
+    choi_structure,
+    classify_map,
     cycle_decompose,
     delta_n,
     expectation_value,
@@ -26,8 +28,11 @@ from cyclemaps import (
     tau,
     witness,
 )
-from conftest import random_hermitian
-from matrix_helpers import dense_certificate, matrix_unit
+from conftest import random_hermitian, spaced_involution
+from matrix_helpers import dense_certificate, eager_generators, matrix_unit
+
+classify_module = importlib.import_module("cyclemaps.classify")
+witness_module = importlib.import_module("cyclemaps.witness")
 
 
 def test_witness_is_transposed_choi_over_n(flagship):
@@ -129,6 +134,66 @@ def test_spanning_generators_identity_sigma():
     p = MapParams(3, identity(3), 1.5, (4.0, 4.0, 4.0))
     # At sigma = id only j = i is banned, leaving n - 1 pairs per i.
     assert len(spanning_generators(p).pairs) == 6
+
+
+def test_the_lazy_phase_table_is_the_eager_one_bit_for_bit():
+    for n in range(1, 41):
+        maps = [MapParams(n, sigma, n + 0.5, (1.0,) * n)
+                for sigma in (identity(n), spaced_involution(n), tau(n, 1), tau(n, max(1, n // 2)))]
+        maps += [delta_n(n)] if n >= 2 else []
+        for p in maps:
+            phases, pairs = eager_generators(p)
+            gens = spanning_generators(p)
+            assert gens.n == n and np.array_equal(gens.pairs, pairs)
+            assert len(gens) == len(phases) + len(gens.pairs)
+            assert gens.phases.shape == phases.shape
+            assert np.array_equal(gens.phases.view(np.uint64), phases.view(np.uint64))
+
+
+def test_certify_builds_the_phase_table_only_when_read(flagship):
+    cert = certify_optimality(flagship)
+    assert "phases" not in vars(cert.generators)
+    assert len(cert.generators) == len(cert.expectations) == 13
+    table = cert.generators.phases
+    assert "phases" in vars(cert.generators) and cert.generators.phases is table
+    assert table.shape == (10, 3)
+
+
+def test_certify_keeps_both_consistency_checks(monkeypatch, flagship):
+    # the |exp(i t)|^2 = 1 fact is evaluated once, at import, but still decides
+    assert witness_module._UNIT_WEIGHTS
+    monkeypatch.setattr(witness_module, "_UNIT_WEIGHTS", False)
+    with pytest.raises(RuntimeError, match="phase weight"):
+        certify_optimality(flagship)
+    monkeypatch.undo()
+    certify_optimality(flagship)
+    structure = type(choi_structure(flagship))
+    monkeypatch.setattr(structure, "entry", lambda self, i, k: np.ones(np.shape(i)))
+    with pytest.raises(RuntimeError, match="basis-pair expectation"):
+        certify_optimality(flagship)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        MapParams(6, tau(6, 2), 4.0, (2.0,) * 6),  # the uniform family's cycle bound, atomic
+        MapParams(5, Permutation((2, 1, 4, 5, 3)), 3.5, (0.6, 0.9, 1.2, 0.8, 1.1)),  # positivity falls to CP
+        MapParams(3, tau(3, 1), 3.0 - 5e-10, (5e-10,) * 3),  # completely positive
+        delta_n(4),
+    ],
+)
+def test_certify_decides_complete_positivity_once(monkeypatch, p):
+    calls = []
+    decide = classify_module.cp_verdict
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return decide(*args, **kwargs)
+
+    monkeypatch.setattr(classify_module, "cp_verdict", spy)
+    monkeypatch.setattr(witness_module, "cp_verdict", spy)
+    certify_optimality(p)
+    assert len(calls) == 1
 
 
 @given(witness_maps(max_n=24))
