@@ -110,7 +110,7 @@ class DecomposabilityCertificate:
         n, img, idx = self.params.n, choi_structure(self.params).img, np.arange(self.params.n)
         if n * n > MAX_ENTRIES:
             raise ParameterError(f"n = {n} is too large for P's n x n block: {n * n:,} entries (limit {MAX_ENTRIES:,})")
-        block = -np.ones((n, n), dtype=complex)
+        block = -np.ones((n, n))
         block[idx, img] = 0.0
         block[idx, idx] = _p_diagonal(self.params)
         return block
@@ -139,8 +139,8 @@ class ClassificationReport:
 
 
 def geometric_mean_c(p: MapParams) -> float:
-    c = np.asarray(p.c, dtype=float)
-    if np.any(c == 0.0):
+    c = choi_structure(p).c
+    if not c.all():
         return 0.0
     return float(np.exp(np.mean(np.log(c))))
 
@@ -157,7 +157,7 @@ def _threshold(p: MapParams, geomean: float) -> float:
 def schur_matrix(p: MapParams) -> np.ndarray:
     """The entrywise-multiplier matrix representing the map when sigma = id:
     diagonal a + c_i - 1, off-diagonal -1."""
-    m = -np.ones((p.n, p.n), dtype=complex)
+    m = -np.ones((p.n, p.n))
     for i in range(p.n):
         m[i, i] = p.a + p.c[i] - 1.0
     return m

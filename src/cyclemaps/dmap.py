@@ -131,7 +131,7 @@ def d_matrix(p: MapParams) -> np.ndarray:
     Feeding the row vector of diagonal entries of X through D reproduces the
     diagonal of Delta(X): Delta(X) = diag((x_11, ..., x_nn) . D).
     """
-    return choi_structure(p).entry(*np.indices((p.n, p.n))).astype(complex)
+    return choi_structure(p).entry(*np.indices((p.n, p.n)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,7 +140,8 @@ class ChoiMatrix:
 
     ``transposed_composition`` records whether the blocks went through an
     extra transpose (psi = transposition composed with Theta).  The matrix is
-    Hermitian either way and its trace equals n*(a - 1) + sum(c).
+    real symmetric either way, held as float64, and its trace equals
+    n*(a - 1) + sum(c).
     """
 
     n: int
@@ -153,7 +154,7 @@ def require_dense_size(n: int) -> None:
     if n * n > MAX_DIM:
         raise ParameterError(
             f"n = {n} is too large for a dense n^2 x n^2 matrix: {n * n} x {n * n} "
-            f"complex entries need {16 * n**4:,} bytes (edge length limit {MAX_DIM})"
+            f"float64 entries need {8 * n**4:,} bytes (edge length limit {MAX_DIM})"
         )
 
 
@@ -161,11 +162,13 @@ def assemble(n: int, diag, core, compose_transpose: bool = False) -> np.ndarray:
     """The dense n^2 x n^2 matrix sum_{i != k} diag[i, k] |ik><ik| + sum_{i, j} core[i, j] |ii><jj|,
     indexed |ik> -> i*n + k, or with core[i, j] at |ij><ji| under ``compose_transpose``.
 
-    ``diag`` and ``core`` broadcast to n x n; diag[i, i] is not read, as |ii><ii|
-    is the core's.  Raises ParameterError before allocating when n^2 exceeds ``MAX_DIM``.
+    ``diag`` and ``core`` are real and broadcast to n x n; diag[i, i] is not read,
+    as |ii><ii| is the core's.  Every matrix of the family is real symmetric, so
+    the result is float64, 8 bytes per entry.  Raises ParameterError before
+    allocating when n^2 exceeds ``MAX_DIM``.
     """
     require_dense_size(n)
-    out = np.zeros((n * n, n * n), dtype=complex)
+    out = np.zeros((n * n, n * n))
     np.fill_diagonal(out, diag)
     i, j = np.indices((n, n))
     out[(i * n + j, j * n + i) if compose_transpose else (i * (n + 1), j * (n + 1))] = core
@@ -369,7 +372,7 @@ class ChoiStructure:
 
     def spectrum(self, compose_transpose: bool = False) -> SpectrumResult:
         """Every eigenvalue of Choi(Theta), or of Choi(T.Theta), ascending, read off the blocks above:
-        ``residual`` is that of one complex ``eigh`` of K, or 0.0 under ``compose_transpose``, whose
+        ``residual`` is that of one real ``eigh`` of K, or 0.0 under ``compose_transpose``, whose
         2x2 blocks have closed-form roots.  ParameterError, before the parts, past n^2 = ``MAX_ENTRIES``."""
         n = self.n
         if n * n > MAX_ENTRIES:
@@ -379,7 +382,6 @@ class ChoiStructure:
             i, k = np.triu_indices(n, 1)
             values, residual = [core.diagonal(), *pair_block_eigenvalues(d[i, k], d[k, i])], 0.0
         else:
-            core = core.astype(complex)
             w, v = np.linalg.eigh(core)
             values, residual = [d[~np.eye(n, dtype=bool)], w], float(np.max(np.linalg.norm(core @ v - v * w, axis=0)))
         return SpectrumResult(np.sort(np.concatenate(values), kind="stable"), residual)

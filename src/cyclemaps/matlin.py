@@ -1,13 +1,16 @@
-"""Dense complex matrix helpers used throughout the package.
+"""Dense matrix helpers used throughout the package.
 
-Everything operates on plain numpy arrays with complex128 entries.
+Everything operates on plain numpy arrays in the input's own dtype,
+``np.result_type(M, float)``: a real M stays float64, one float per entry,
+and is solved by the real LAPACK driver; a complex M stays complex128.  Only
+the interchange form writes every entry as a [re, im] pair.
 
 The Hermitian eigen helpers (``min_eigenvalue``, ``is_psd``) never solve more
 than an irreducible block at a time.  They find the connected components of the
 nonzero pattern of M, symmetrised (an edge i - j wherever M[i, j] or M[j, i]
 is nonzero), and run the Hermitian check on them; blocks of equal size b are
 then stacked into one batched LAPACK call.  The components take three passes
-over the N^2 entries: the nonzero test (on the real and imaginary parts, a
+over the N^2 entries: the nonzero test (on each float part of an entry, a
 few rows at a time), the first nonzero of each row, and the list of
 nonzeros, from which every later round reads only the edges that still
 join two trees.  An N x N matrix with blocks of sizes b costs
@@ -32,9 +35,10 @@ DEFAULT_HERMITIAN_TOL = 1e-10
 MAX_DIM = 1024
 
 # Rows per chunk of the nonzero pass (_nonzero): its float comparison goes
-# through a buffer of this many rows, not an N x 2N array.  With 32 rows
-# (64 KB at N = 1024) min_eigenvalue(witness(p)) at n = 32 peaks at the
-# 1.12 MB of tracemalloc that ``M != 0`` gave; 64 rows took it to 1.18 MB.
+# through a buffer of this many rows, not an N x kN array.  With 32 rows
+# (32 KB per float part at N = 1024) min_eigenvalue(witness(p)) at n = 32
+# peaks at the 1.12 MB of tracemalloc that ``M != 0`` gave; 64 rows took
+# the complex W to 1.18 MB.
 # The Hermitian check (_hermitian_defect) compares bands of as many rows.
 _PATTERN_ROWS = 32
 
@@ -45,7 +49,8 @@ MAX_ENTRIES = 2**23
 
 
 def _as_matrix(m: np.ndarray) -> np.ndarray:
-    arr = np.asarray(m, dtype=complex)
+    arr = np.asarray(m)
+    arr = arr.astype(np.result_type(arr, float), copy=False)
     if arr.ndim != 2:
         raise ParameterError(f"matrix must be 2-dimensional (got shape {arr.shape})")
     return arr
@@ -128,23 +133,25 @@ def _roots(label: np.ndarray) -> np.ndarray:
 
 
 def _nonzero(m: np.ndarray) -> np.ndarray:
-    """``M != 0`` for a complex M, ``_PATTERN_ROWS`` rows at a time on its float view.
+    """``M != 0``, ``_PATTERN_ROWS`` rows at a time on M's float view.
 
-    Each chunk compares the real and imaginary parts with 0.0 into one reused
-    bool buffer, whose two bools per entry, read as one uint16, are nonzero iff
-    either part is.  That is the complex ``M != 0`` bit for bit (a nan or inf
-    part is nonzero, so the entry reaches the Hermitian check; -0.0 is zero),
-    without its complex comparison or an N x 2N temporary.
+    Each chunk compares the k float parts of every entry (k = 1 for a real M,
+    k = 2, [re, im], for a complex one) with 0.0 into one reused bool buffer,
+    whose k bools per entry, read as one k-byte unsigned integer, are nonzero
+    iff any part is.  That is ``M != 0`` bit for bit (a nan or inf part is
+    nonzero, so the entry reaches the Hermitian check; -0.0 is zero), without
+    a complex comparison or an N x kN temporary.
     """
     n = m.shape[0]
-    parts = m[..., None].view(float)  # n x n x [re, im], a view whatever the strides of m
-    buf = np.empty((min(n, _PATTERN_ROWS), n, 2), dtype=bool)
+    parts = m[..., None].view(float)  # n x n x k parts, a view whatever the strides of m
+    k = parts.shape[-1]
+    buf = np.empty((min(n, _PATTERN_ROWS), n, k), dtype=bool)
     nz = np.empty((n, n), dtype=bool)
     for start in range(0, n, _PATTERN_ROWS):
         rows = buf[: min(n - start, _PATTERN_ROWS)]
         np.not_equal(parts[start : start + len(rows)], 0.0, out=rows)
-        # an entry is nonzero where either part is: its two bools read as one uint16
-        np.not_equal(rows.view(np.uint16)[..., 0], 0, out=nz[start : start + len(rows)])
+        # an entry is nonzero where any part is: its k bools read as one k-byte integer
+        np.not_equal(rows.view(f"u{k}")[..., 0], 0, out=nz[start : start + len(rows)])
     return nz
 
 
@@ -224,10 +231,11 @@ def matrix_to_json(m: np.ndarray) -> dict:
 def _matrix_form(m: np.ndarray) -> dict:
     """The interchange form with ``entries`` the (rows * cols, 2) float array of [re, im] pairs, row-major.
 
-    The pairs are the float view of M's entries, so a C-ordered M is not copied."""
+    The pairs are the float view of M's entries, so a C-ordered complex M is
+    not copied; a real M is widened to complex here, its imaginary parts +0.0."""
     m = _as_matrix(m)
     rows, cols = m.shape
-    return {"rows": rows, "cols": cols, "entries": np.ascontiguousarray(m).view(float).reshape(-1, 2)}
+    return {"rows": rows, "cols": cols, "entries": np.ascontiguousarray(m, dtype=complex).view(float).reshape(-1, 2)}
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:

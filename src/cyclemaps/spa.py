@@ -112,7 +112,7 @@ def r_matrix() -> np.ndarray:
     """The 4 x 4 seed of the two-level blocks: identity with -1 in the
     (1, 4) / (4, 1) corners.  PSD with spectrum {0, 1, 1, 2}, and so is its
     partial transpose."""
-    r = np.eye(4, dtype=complex)
+    r = np.eye(4)
     r[0, 3] = -1.0
     r[3, 0] = -1.0
     return r

@@ -134,11 +134,12 @@ class OptimalityCertificate:
 def witness(p: MapParams) -> np.ndarray:
     """W = C / n for C the Choi matrix of transposition composed with Theta.
 
-    W is assembled from C's parts scaled by 1 / n, so no second n^2 x n^2
-    array is written.  numpy divides a complex entry by a real n as the
-    product with 1 / n, so the entries are those of
-    ``choi(p, compose_transpose=True).matrix / p.n`` bit for bit.  Raises
-    ParameterError, before building the parts, when n^2 exceeds ``MAX_DIM``.
+    W is real symmetric, float64, and assembled from C's parts scaled by
+    1 / n, so no second n^2 x n^2 array is written: its entries are those of
+    ``choi(p, compose_transpose=True).matrix * (1.0 / p.n)`` bit for bit, the
+    real parts of the complex quotient C / n, which numpy forms as that
+    product.  Raises ParameterError, before building the parts, when n^2
+    exceeds ``MAX_DIM``.
     """
     require_dense_size(p.n)
     diag, core = choi_structure(p).parts()

@@ -7,10 +7,23 @@ Tensor products follow the first-factor-major block convention of
 block (i, j) of the product equals ``A[i, j] * B``, so |ik> sits at index
 i*n + k as in :func:`cyclemaps.dmap.assemble`.
 """
-import numpy as np
+import json
 
-from cyclemaps import ParameterError, choi_structure
-from cyclemaps.matlin import MAX_DIM
+import numpy as np
+import pytest
+
+from cyclemaps import (
+    ContractError,
+    ParameterError,
+    choi_structure,
+    is_hermitian,
+    is_psd,
+    matrix_to_json,
+    min_eigenvalue,
+    partial_transpose,
+    require_hermitian,
+)
+from cyclemaps.matlin import DEFAULT_HERMITIAN_TOL, MAX_DIM, _hermitian_blocks
 from cyclemaps.witness import EXPECTATION_TOL
 
 
@@ -114,3 +127,47 @@ def transposed_copy_defect(m: np.ndarray) -> float:
     form that ``matlin._hermitian_defect`` compares band by band."""
     with np.errstate(invalid="ignore"):  # inf - inf
         return float(np.max(np.abs(m - m.conj().swapaxes(-1, -2))))
+
+
+def real_parts_of(got: np.ndarray, want: np.ndarray) -> bool:
+    """Is the float64 ``got`` the real part of the complex ``want`` bit for bit,
+    signed zeros and nan payloads included, with every imaginary part +0.0?"""
+    return (
+        got.dtype == np.float64
+        and np.array_equal(got.view(np.uint64), want.real.view(np.uint64))
+        and not want.imag.view(np.uint64).any()
+    )
+
+
+def assert_real_matches_complex(m: np.ndarray, factors: tuple[int, int]) -> None:
+    """The dense helpers give a float64 M the results they give M.astype(complex):
+    the same blocks, Hermitian checks, error texts, partial transpose (on C^k (x)
+    C^n for (k, n) = ``factors``) and interchange form, and the same least
+    eigenvalue up to the rounding of the real and the complex LAPACK driver."""
+    assert m.dtype == np.float64
+    z = m.astype(complex)
+    real, cplx = _hermitian_blocks(m, DEFAULT_HERMITIAN_TOL), _hermitian_blocks(z, DEFAULT_HERMITIAN_TOL)
+    assert [b.shape for b in real] == [b.shape for b in cplx]
+    assert all(real_parts_of(r, c) for r, c in zip(real, cplx))
+    scale = max(1.0, float(np.max(np.abs(np.linalg.eigvalsh(z)))))
+    assert abs(min_eigenvalue(m) - min_eigenvalue(z)) <= 1e-12 * scale
+    assert is_psd(m) == is_psd(z)
+    assert is_hermitian(m) and is_hermitian(z)
+    assert real_parts_of(require_hermitian(m), require_hermitian(z))
+    assert real_parts_of(partial_transpose(m, *factors), partial_transpose(z, *factors))
+    assert json.dumps(matrix_to_json(m)) == json.dumps(matrix_to_json(z))
+    k = len(m) // 2
+    for bad in (np.nan, np.inf, 1.0):
+        spoiled = m.copy()
+        if bad == 1.0:  # an asymmetry above the tolerance
+            spoiled[k, -1] += 1.0 if k != len(m) - 1 else np.nan
+        else:
+            spoiled[k, k] = bad
+        assert not is_hermitian(spoiled) and not is_hermitian(spoiled.astype(complex))
+        for helper in (require_hermitian, min_eigenvalue, is_psd):
+            texts = []
+            for x in (spoiled, spoiled.astype(complex)):
+                with pytest.raises(ContractError, match="not Hermitian") as err:
+                    helper(x)
+                texts.append(str(err.value))
+            assert texts[0] == texts[1]

@@ -20,7 +20,16 @@ from cyclemaps import (
 )
 from cyclemaps.matlin import DEFAULT_HERMITIAN_TOL, _hermitian_blocks, _hermitian_defect, _matrix_form, _pattern_components
 from conftest import random_hermitian
-from matrix_helpers import basis_vector, identity_matrix, kron, matrix_unit, schur_product, transposed_copy_defect
+from matrix_helpers import (
+    assert_real_matches_complex,
+    basis_vector,
+    identity_matrix,
+    kron,
+    matrix_unit,
+    real_parts_of,
+    schur_product,
+    transposed_copy_defect,
+)
 
 
 def test_matrix_unit_and_basis_vector():
@@ -199,6 +208,17 @@ def test_block_split_matches_dense_lapack(m):
             assert str(blocked.value) == str(dense.value)
 
 
+@settings(max_examples=100, deadline=None)
+@given(block_matrices())
+@example(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, STRAY, 0.0]]))
+def test_real_block_matrices_solve_as_their_complex_form(m):
+    # the real part of a Hermitian block matrix is real symmetric, with the same blocks
+    m = np.ascontiguousarray(m.real)
+    size = len(m)
+    k = next(d for d in range(1, size + 1) if size % d == 0 and d * d >= size)
+    assert_real_matches_complex(m, (k, size // k))
+
+
 def bfs_components(m: np.ndarray) -> np.ndarray:
     """Oracle: each index labelled by the least index of its connected component
     under the edges i - j with M[i, j] != 0 or M[j, i] != 0, found breadth first."""
@@ -216,16 +236,21 @@ def bfs_components(m: np.ndarray) -> np.ndarray:
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 40), st.floats(0.0, 0.3), st.integers(0, 2**32 - 1))
-def test_pattern_components_match_breadth_first_search(size, density, seed):
-    # entries are nan, inf, -0.0 (a zero: no edge) or numbers, in one triangle
-    # or both; some rows and columns are empty apart from the diagonal
+@given(st.integers(1, 40), st.floats(0.0, 0.3), st.integers(0, 2**32 - 1), st.booleans())
+def test_pattern_components_match_breadth_first_search(size, density, seed, real):
+    # entries are nan, +-inf, -0.0 (a zero: no edge), subnormals or numbers, in
+    # one triangle or both; some rows and columns are empty apart from the
+    # diagonal.  A float64 M is read one part per entry, a complex M two.
     rng = np.random.default_rng(seed)
-    values = np.array([1.0, -2.5 + 1j, 1j, np.nan, np.inf, -0.0, 5e-324])
+    if real:
+        values = np.array([1.0, -2.5, np.nan, np.inf, -np.inf, -0.0, 5e-324, -2.5e-310])
+    else:
+        values = np.array([1.0, -2.5 + 1j, 1j, np.nan, np.inf, -0.0, 5e-324])
     m = np.where(rng.random((size, size)) < density, rng.choice(values, (size, size)), 0.0)
     empty = rng.random(size) < 0.2
     m[empty, :] = m[:, empty] = 0.0
     np.fill_diagonal(m, rng.choice([0.0, -0.0, 1.0], size))
+    assert m.dtype == (np.float64 if real else np.complex128)
     assert np.array_equal(_pattern_components(m), bfs_components(m))
 
 
@@ -237,7 +262,7 @@ def test_pattern_components_in_chunks_and_on_strided_views(size):
     rng = np.random.default_rng(size)
     values = np.array([1.0, 1j, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0), np.nan, complex(0.0, np.inf), 5e-324j])
     big = np.where(rng.random((2 * size, 2 * size)) < 0.01, rng.choice(values, (2 * size, 2 * size)), 0.0)
-    for m in (big[:size, :size].copy(), big[:size, :size].T, big[::2, ::2], big[::-2, 1::2]):
+    for m in (big[:size, :size].copy(), big[:size, :size].T, big[::2, ::2], big[::-2, 1::2], big.real[::-2, 1::2]):
         assert np.array_equal(_pattern_components(m), bfs_components(m))
 
 
@@ -316,6 +341,12 @@ def test_schur_product():
     assert_allclose(schur_product(a, b), np.array([[5.0, 12.0], [21.0, 32.0]]))
     with pytest.raises(ParameterError):
         schur_product(a, np.eye(3))
+
+
+def test_matrix_from_json_stays_complex_on_a_real_matrix():
+    m = np.array([[2.0, -0.0], [-1.0, 5e-324]])
+    z = matrix_from_json(matrix_to_json(m))
+    assert z.dtype == np.complex128 and real_parts_of(m, z)
 
 
 def test_identity_matrix_dtype():

@@ -141,9 +141,13 @@ def test_dense_matrices_check_the_size_before_allocating():
 def test_parts_distance_is_the_dense_distance(n):
     rng = np.random.default_rng(500 + n)
     for compose_transpose in (False, True):
-        x, y = [tuple(rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))) for _ in range(2)]
-        dense = np.max(np.abs(assemble(n, *x, compose_transpose) - assemble(n, *y, compose_transpose)))
-        assert parts_distance(x, y) == dense
+        # [re, im] of (diag, core); assemble builds real matrices, so the
+        # complex oracle is the assembled real parts plus 1j times the imaginary
+        x, y = [rng.standard_normal((2, 2, n, n)) for _ in range(2)]
+        dense = [assemble(n, *re, compose_transpose) + 1j * assemble(n, *im, compose_transpose) for re, im in (x, y)]
+        assert parts_distance(tuple(x[0] + 1j * x[1]), tuple(y[0] + 1j * y[1])) == np.max(np.abs(dense[0] - dense[1]))
+        real = np.max(np.abs(assemble(n, *x[0], compose_transpose) - assemble(n, *y[0], compose_transpose)))
+        assert parts_distance(tuple(x[0]), tuple(y[0])) == real
 
 
 def test_the_split_makes_no_eigensolve_or_svd(monkeypatch):

@@ -25,10 +25,18 @@ from cyclemaps import (
     choi_structure,
     classify_map,
     cp_verdict,
+    d_matrix,
     decompose_involution,
     delta_n,
     identity,
+    matrix_from_json,
+    matrix_to_json,
+    maximally_entangled_state,
     min_eigenvalue,
+    r_matrix,
+    schur_matrix,
+    separable_decomposition,
+    spa_interpolation,
     spa_state,
     spanning_generators,
     tau,
@@ -36,7 +44,7 @@ from cyclemaps import (
     witness,
 )
 from conftest import spaced_involution
-from matrix_helpers import kron, matrix_unit
+from matrix_helpers import assert_real_matches_complex, kron, matrix_unit, real_parts_of
 import cyclemaps
 from cyclemaps.cli import main
 
@@ -196,8 +204,7 @@ def test_choi_equals_theta_apply_assembly_entry_for_entry(n):
         for compose_transpose in (False, True):
             got = choi(p, compose_transpose).matrix
             want = dense_choi(p, compose_transpose)
-            assert np.array_equal(got, want)
-            assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+            assert real_parts_of(got, want)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -351,10 +358,46 @@ def test_certify_optimality_at_n_1024_gives_the_span_rank_in_bounded_memory(sigm
 
 
 def test_choi_size_guard_names_n_and_bytes():
-    with pytest.raises(ParameterError, match=r"n = 64 .*268,435,456 bytes"):
+    with pytest.raises(ParameterError, match=r"n = 64 .*134,217,728 bytes"):
         choi(large_map())
     with pytest.raises(ParameterError, match="n = 64"):
         spa_state(large_map()).matrix
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 6])
+def test_dense_builders_are_float64_and_solve_as_their_complex_form(n):
+    rng = np.random.default_rng(600 + n)
+    # a = n - 1 on an n-cycle decomposes the SPA; an involution with fixed points splits
+    cycle = MapParams(n, tau(n, 1), n - 1.0, tuple(rng.uniform(1.0, 2.0, n)))
+    involution = MapParams(n, spaced_involution(n), n - 0.5, tuple(rng.uniform(1.0, 2.0, n)))
+    dec, split = separable_decomposition(cycle), decompose_involution(involution)
+    built = {
+        "choi": choi(cycle).matrix,
+        "choi of T.Theta": choi(cycle, compose_transpose=True).matrix,
+        "witness": witness(cycle),
+        "SpaState.matrix": dec.state.matrix,
+        "pair SpaTerm.matrix": dec.terms[0].matrix,
+        "diagonal SpaTerm.matrix": dec.terms[-1].matrix,
+        "spa_interpolation": spa_interpolation(cycle, 0.3),
+        "maximally_entangled_state": maximally_entangled_state(n),
+        "P": split.P,
+        **{f"Q{pair}": q for pair, q in split.q_blocks},
+    }
+    assert (dec.terms[0].kind, dec.terms[-1].kind) == ("pair", "diagonal") and split.q_blocks
+    for name, m in built.items():
+        assert m.dtype == np.float64 and m.shape == (n * n, n * n), name
+        assert_real_matches_complex(m, (n, n))
+    for m in (d_matrix(cycle), schur_matrix(cycle), split.p_block, r_matrix()):
+        assert m.dtype == np.float64
+    parsed = matrix_from_json(matrix_to_json(built["witness"]))
+    assert parsed.dtype == np.complex128 and real_parts_of(built["witness"], parsed)
+
+
+def test_witness_at_n_32_holds_one_float_per_entry():
+    p = large_map(32)
+    w, peak = traced_peak(lambda: witness(p))
+    assert w.dtype == np.float64 and w.nbytes == 8 * 32**4
+    assert peak <= 8.5e6  # 8.39 MB of entries; complex ones took 16.8 MB
 
 
 def random_spectrum_maps(count: int, seed: int):

@@ -29,7 +29,7 @@ from cyclemaps import (
     witness,
 )
 from conftest import random_hermitian, spaced_involution
-from matrix_helpers import dense_certificate, eager_generators, matrix_unit
+from matrix_helpers import dense_certificate, eager_generators, matrix_unit, real_parts_of
 
 classify_module = importlib.import_module("cyclemaps.classify")
 witness_module = importlib.import_module("cyclemaps.witness")
@@ -72,8 +72,10 @@ def witness_maps(draw, max_n=32):
 @given(witness_maps())
 @settings(max_examples=60, deadline=None)
 def test_witness_is_bit_identical_to_the_dense_choi_over_n(p):
-    dense = choi(p, compose_transpose=True).matrix / p.n
+    # the bits of the complex quotient C / n, which numpy forms as the product with 1 / n
+    dense = choi(p, compose_transpose=True).matrix * (1.0 / p.n)
     assert np.array_equal(witness(p).view(np.uint64), dense.view(np.uint64))
+    assert real_parts_of(dense, choi(p, compose_transpose=True).matrix.astype(complex) / p.n)
 
 
 def test_witness_block_structure(flagship):
