@@ -19,17 +19,12 @@ from .classify import (
     classify_map,
     cp_verdict,
     decompose_involution,
-    elementary_symmetric,
     geometric_mean_c,
-    positivity_threshold,
     positivity_verdict,
-    schur_matrix,
-    symmetric_F,
     two_positive_verdict,
     verify_positivity_numeric,
 )
 from .dmap import (
-    ChoiMatrix,
     ChoiStructure,
     MapParams,
     choi,
@@ -42,8 +37,6 @@ from .dmap import (
 from .errors import ContractError, ParameterError, PreconditionError
 from .matlin import (
     SpectrumResult,
-    is_hermitian,
-    is_psd,
     matrix_from_json,
     matrix_to_json,
     min_eigenvalue,
@@ -60,17 +53,13 @@ from .perm import (
     identity,
     is_involution,
     is_single_cycle,
-    min_max_cycle_length,
     parse_permutation,
     tau,
 )
 from .spa import (
     SeparableDecomposition,
     SpaState,
-    ppt_check,
-    r_matrix,
     separable_decomposition,
-    spa_interpolation,
     spa_state,
 )
 from .witness import (
@@ -84,7 +73,6 @@ from .witness import (
 
 __all__ = [
     "__version__",
-    "ChoiMatrix",
     "ChoiStructure",
     "ClassificationReport",
     "ContractError",
@@ -111,35 +99,25 @@ __all__ = [
     "decompose_involution",
     "delta_apply",
     "delta_n",
-    "elementary_symmetric",
     "expectation_value",
     "fixed_points",
     "format_permutation",
     "from_cycles",
     "geometric_mean_c",
     "identity",
-    "is_hermitian",
     "is_involution",
-    "is_psd",
     "is_single_cycle",
     "matrix_from_json",
     "matrix_to_json",
     "maximally_entangled_state",
     "min_eigenvalue",
-    "min_max_cycle_length",
     "parse_permutation",
     "partial_transpose",
-    "positivity_threshold",
     "positivity_verdict",
-    "ppt_check",
-    "r_matrix",
     "require_hermitian",
-    "schur_matrix",
     "separable_decomposition",
-    "spa_interpolation",
     "spa_state",
     "spanning_generators",
-    "symmetric_F",
     "tau",
     "theta_apply",
     "two_positive_verdict",

@@ -12,8 +12,9 @@ The decisive criteria, each written once in the function that every caller
 
 * :func:`positivity_verdict`: a >= max(n-1, n - geomean(c)) makes the map
   positive for every sigma, sharply when sigma is one full n-cycle; at
-  sigma = id the map is an entrywise multiplier (one n x n PSD test, on K
-  below); on the uniform family a = n - c it is positive iff c <= n/l_max;
+  sigma = id the map is an entrywise multiplier whose matrix is K below, so
+  it reads the CP verdict, at the caller's tolerance; on the uniform family
+  a = n - c it is positive iff c <= n/l_max;
 * :func:`cp_verdict`: the Choi matrix is PSD, which comes down to the n x n
   core K = diag(a + c_i [sigma(i) = i]) - J; with every cycle of sigma of
   length >= 2 that is a >= n, and 2-positivity coincides with it
@@ -145,56 +146,6 @@ def geometric_mean_c(p: MapParams) -> float:
     return float(np.exp(np.mean(np.log(c))))
 
 
-def positivity_threshold(p: MapParams) -> float:
-    """max(n-1, n - geomean(c)): at or above it the map is positive for any sigma."""
-    return _threshold(p, geometric_mean_c(p))
-
-
-def _threshold(p: MapParams, geomean: float) -> float:
-    return max(p.n - 1.0, p.n - geomean)
-
-
-def schur_matrix(p: MapParams) -> np.ndarray:
-    """The entrywise-multiplier matrix representing the map when sigma = id:
-    diagonal a + c_i - 1, off-diagonal -1."""
-    m = -np.ones((p.n, p.n))
-    for i in range(p.n):
-        m[i, i] = p.a + p.c[i] - 1.0
-    return m
-
-
-def elementary_symmetric(xs) -> list[float]:
-    """e_0, e_1, ..., e_n of the given reals, by the product recurrence."""
-    e = [1.0]
-    for x in xs:
-        x = float(x)
-        e.append(0.0)
-        for k in range(len(e) - 1, 0, -1):
-            e[k] += x * e[k - 1]
-    return e
-
-
-def symmetric_F(a: float, xs) -> float:
-    """The symmetric polynomial sum_m a^(m-1) (a - m) e_{n-m}(xs).
-
-    Its sign characterizes sum_i 1/(a + x_i) <= 1: the two are equivalent for
-    every a > 0 and positive xs (multiply the inequality through by
-    prod_i (a + x_i)).
-    """
-    xs = tuple(float(x) for x in xs)
-    a = float(a)
-    if not np.isfinite(a) or a <= 0:
-        raise ParameterError(f"a must be positive and finite (got {a})")
-    if any(x <= 0 or not np.isfinite(x) for x in xs):
-        raise ParameterError(f"xs entries must be positive and finite (got {xs})")
-    e = elementary_symmetric(xs)
-    n = len(xs)
-    total = e[n]  # the m = 0 term a^(m-1) (a - m) e_n collapses to e_n
-    for m in range(1, n + 1):
-        total += a ** (m - 1) * (a - m) * e[n - m]
-    return float(total)
-
-
 def _adversarial_amplitudes(p: MapParams) -> np.ndarray:
     """Structured |x_i|^2 assignments that press hardest on S(xi).
 
@@ -289,11 +240,12 @@ def on_uniform_family(p: MapParams) -> bool:
 
 def positivity_verdict(p: MapParams, evidence: Optional[PositivityEvidence] = None, cp: Optional[Verdict] = None) -> Verdict:
     """Decide positivity where a criterion exists, complete positivity last;
-    otherwise unknown with evidence.  ``cp`` is computed here, and only when
-    every other criterion is silent, unless the caller has it."""
+    otherwise unknown with evidence.  ``cp`` is computed here, and only at
+    sigma = id or when every other criterion is silent, unless the caller
+    has it."""
     n, a = p.n, p.a
     geomean = geometric_mean_c(p)
-    threshold = _threshold(p, geomean)
+    threshold = max(n - 1.0, n - geomean)
     ev = {"a": a, "threshold": threshold, "geometric_mean_c": geomean}
     if evidence is not None:
         ev.update(
@@ -309,10 +261,12 @@ def positivity_verdict(p: MapParams, evidence: Optional[PositivityEvidence] = No
             NO, "a below max(n-1, n-geomean(c)): that bound is necessary for a full n-cycle", ev
         )
     if p.sigma.is_identity():
-        # at sigma = id the entrywise-multiplier matrix is the Choi core K
+        # at sigma = id the entrywise-multiplier matrix is the Choi core K, and the Choi
+        # matrix adds only zeros to its spectrum: positivity is complete positivity
         ev["schur_min_eigenvalue"] = choi_structure(p).core_min
-        status = YES if ev["schur_min_eigenvalue"] >= -DEFAULT_PSD_TOL else NO
-        return Verdict(status, "entrywise-multiplier matrix PSD test (sigma = id)", ev)
+        if cp is None:
+            cp = cp_verdict(p)
+        return Verdict(cp.status, "entrywise-multiplier matrix PSD test (sigma = id)", ev)
     if on_uniform_family(p):
         l_max = cycle_decompose(p.sigma).l_max
         ev["cycle_bound"] = n / l_max

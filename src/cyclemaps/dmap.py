@@ -134,21 +134,6 @@ def d_matrix(p: MapParams) -> np.ndarray:
     return choi_structure(p).entry(*np.indices((p.n, p.n)))
 
 
-@dataclass(frozen=True, eq=False)
-class ChoiMatrix:
-    """The block matrix sum_ij E_ij (x) psi(E_ij) for psi = Theta or T.Theta.
-
-    ``transposed_composition`` records whether the blocks went through an
-    extra transpose (psi = transposition composed with Theta).  The matrix is
-    real symmetric either way, held as float64, and its trace equals
-    n*(a - 1) + sum(c).
-    """
-
-    n: int
-    matrix: np.ndarray
-    transposed_composition: bool
-
-
 def require_dense_size(n: int) -> None:
     """Raise ParameterError when a dense n^2 x n^2 matrix would exceed ``MAX_DIM``."""
     if n * n > MAX_DIM:
@@ -397,11 +382,12 @@ def choi_structure(p: MapParams) -> ChoiStructure:
     return p._choi_structure
 
 
-def choi(p: MapParams, compose_transpose: bool = False) -> ChoiMatrix:
-    """Assemble the dense Choi matrix of Theta (or of transposition-then-Theta).
+def choi(p: MapParams, compose_transpose: bool = False) -> np.ndarray:
+    """The dense Choi matrix sum_ij E_ij (x) psi(E_ij) of psi = Theta, or of
+    transposition-then-Theta under ``compose_transpose``: real symmetric,
+    float64, with trace n*(a - 1) + sum(c) either way.
 
     Raises ParameterError, before building the parts, when n^2 exceeds ``MAX_DIM``.
     """
     require_dense_size(p.n)
-    matrix = assemble(p.n, *choi_structure(p).parts(), compose_transpose)
-    return ChoiMatrix(n=p.n, matrix=matrix, transposed_composition=compose_transpose)
+    return assemble(p.n, *choi_structure(p).parts(), compose_transpose)

@@ -5,10 +5,10 @@ Everything operates on plain numpy arrays in the input's own dtype,
 and is solved by the real LAPACK driver; a complex M stays complex128.  Only
 the interchange form writes every entry as a [re, im] pair.
 
-The Hermitian eigen helpers (``min_eigenvalue``, ``is_psd``) never solve more
-than an irreducible block at a time.  They find the connected components of the
+The Hermitian eigen helper ``min_eigenvalue`` never solves more than an
+irreducible block at a time.  It finds the connected components of the
 nonzero pattern of M, symmetrised (an edge i - j wherever M[i, j] or M[j, i]
-is nonzero), and run the Hermitian check on them; blocks of equal size b are
+is nonzero), and runs the Hermitian check on them; blocks of equal size b are
 then stacked into one batched LAPACK call.  The components take three passes
 over the N^2 entries: the nonzero test (on each float part of an entry, a
 few rows at a time), the first nonzero of each row, and the list of
@@ -73,16 +73,9 @@ def _hermitian_defect(m: np.ndarray) -> float:
     return float(defect)
 
 
-def is_hermitian(m: np.ndarray, tol: float = DEFAULT_HERMITIAN_TOL) -> bool:
-    m = _as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        return False
-    return _hermitian_defect(m) <= tol
-
-
-def require_hermitian(m: np.ndarray, tol: float = DEFAULT_HERMITIAN_TOL) -> np.ndarray:
+def require_hermitian(m: np.ndarray) -> np.ndarray:
     m = _as_square(m)
-    _check_defect(_hermitian_defect(m), tol)
+    _check_defect(_hermitian_defect(m))
     return m
 
 
@@ -93,10 +86,10 @@ def _as_square(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _check_defect(defect: float, tol: float) -> None:
-    if not defect <= tol:
+def _check_defect(defect: float) -> None:
+    if not defect <= DEFAULT_HERMITIAN_TOL:
         raise ContractError(
-            f"matrix is not Hermitian: max |M - M*| = {defect:.3e} is not within {tol:.1e}"
+            f"matrix is not Hermitian: max |M - M*| = {defect:.3e} is not within {DEFAULT_HERMITIAN_TOL:.1e}"
         )
 
 
@@ -181,7 +174,7 @@ def _pattern_components(m: np.ndarray) -> np.ndarray:
         label = _roots(label)
 
 
-def _hermitian_blocks(m: np.ndarray, tol: float) -> list[np.ndarray]:
+def _hermitian_blocks(m: np.ndarray) -> list[np.ndarray]:
     """Check that M is Hermitian and split it into its irreducible diagonal blocks.
 
     Returns one K x b x b stack per block size b, of the K blocks
@@ -193,7 +186,7 @@ def _hermitian_blocks(m: np.ndarray, tol: float) -> list[np.ndarray]:
     is the dense one.
 
     >>> m = np.array([[2, 0, 1, 0], [0, 3, 0, 1j], [1, 0, 2, 0], [0, -1j, 0, 3]])
-    >>> (sub,) = _hermitian_blocks(m, DEFAULT_HERMITIAN_TOL)  # one block size
+    >>> (sub,) = _hermitian_blocks(m)  # one block size
     >>> sub.shape, np.array_equal(sub[1], m[np.ix_([1, 3], [1, 3])])
     ((2, 2, 2), True)
     """
@@ -209,17 +202,12 @@ def _hermitian_blocks(m: np.ndarray, tol: float) -> list[np.ndarray]:
         sub = m[None] if b == n else m[idx[:, :, None], idx[:, None, :]]
         defects.append(_hermitian_defect(sub))
         groups.append(sub)
-    _check_defect(float(np.max(defects)), tol)
+    _check_defect(float(np.max(defects)))
     return groups
 
 
-def min_eigenvalue(m: np.ndarray, tol: float = DEFAULT_HERMITIAN_TOL) -> float:
-    return min(float(np.min(np.linalg.eigvalsh(sub)[:, 0])) for sub in _hermitian_blocks(m, tol))
-
-
-def is_psd(m: np.ndarray, tol: float = DEFAULT_PSD_TOL) -> bool:
-    """Positive semidefinite up to an absolute eigenvalue tolerance."""
-    return min_eigenvalue(m) >= -tol
+def min_eigenvalue(m: np.ndarray) -> float:
+    return min(float(np.min(np.linalg.eigvalsh(sub)[:, 0])) for sub in _hermitian_blocks(m))
 
 
 def matrix_to_json(m: np.ndarray) -> dict:

@@ -158,12 +158,6 @@ def from_cycles(n: int, cycles: tuple[tuple[int, ...], ...]) -> Permutation:
     return Permutation(tuple(images))
 
 
-def min_max_cycle_length(sigma: Permutation) -> tuple[int, int]:
-    """Shortest and longest cycle length of ``sigma``."""
-    dec = cycle_decompose(sigma)
-    return dec.l_min, dec.l_max
-
-
 def is_involution(sigma: Permutation) -> bool:
     """True when sigma composed with itself is the identity: no cycle is longer than 2."""
     return cycle_decompose(sigma).l_max <= 2

@@ -14,10 +14,12 @@ tests against a dense eigensolve, never assumed.
 At a = n - 1 with every cycle of sigma of length >= 2 the SPA is separable
 outright: n^2 * SPA splits into the two-level blocks sigma_ij plus weighted
 diagonal product terms, and each sigma_ij factors through a 4 x 4 seed R as
-(D_ij (x) D_ij) R (D_ij (x) D_ij)* with R and its partial transpose PSD.
-Each term is held as its kind, indices and weight, and their sum is checked
-against the structured SPA in O(n^2); the SPA matrix, the noisy family and
-each term's matrix are built only when read (:func:`cyclemaps.dmap.assemble`).
+(D_ij (x) D_ij) R (D_ij (x) D_ij)* with R and its partial transpose PSD.  R
+is the identity with -1 at (1, 4) and (4, 1); the tests build it, and the
+dense noisy family W(lam), as oracles (``tests/matrix_helpers.py``).  Each
+term is held as its kind, indices and weight, and their sum is checked
+against the structured SPA in O(n^2); the SPA matrix and each term's matrix
+are built only when read (:func:`cyclemaps.dmap.assemble`).
 """
 from __future__ import annotations
 
@@ -28,8 +30,7 @@ import numpy as np
 
 from .classify import BOUNDARY_TOL, NO, YES, Verdict, positivity_verdict
 from .dmap import ChoiStructure, MapParams, assemble, choi_structure, parts_distance, require_dense_size
-from .errors import ParameterError, PreconditionError
-from .matlin import DEFAULT_PSD_TOL, min_eigenvalue, partial_transpose, require_hermitian
+from .errors import PreconditionError
 from .perm import cycle_decompose
 
 
@@ -108,33 +109,17 @@ class SeparableDecomposition:
         return self.state._scale
 
 
-def r_matrix() -> np.ndarray:
-    """The 4 x 4 seed of the two-level blocks: identity with -1 in the
-    (1, 4) / (4, 1) corners.  PSD with spectrum {0, 1, 1, 2}, and so is its
-    partial transpose."""
-    r = np.eye(4)
-    r[0, 3] = -1.0
-    r[3, 0] = -1.0
-    return r
-
-
-def _positive_trace(p: MapParams) -> float:
-    """Tr C, by which the SPA normalizes; a non-positive trace has no SPA."""
-    trace = choi_structure(p).trace
-    if not trace > 0.0:
-        raise PreconditionError(
-            f"the SPA normalizes by Tr C = n(a - 1) + sum(c), which must be positive (got {trace})"
-        )
-    return trace
-
-
 def spa_state(p: MapParams) -> SpaState:
     """Compute the SPA of the map's witness direction from the Choi spectrum.
 
     Raises PreconditionError when Tr C = n(a - 1) + sum(c) <= 0."""
     positive = positivity_verdict(p)
-    trace = _positive_trace(p)
     structure = choi_structure(p)
+    trace = structure.trace  # the SPA normalizes by it
+    if not trace > 0.0:
+        raise PreconditionError(
+            f"the SPA normalizes by Tr C = n(a - 1) + sum(c), which must be positive (got {trace})"
+        )
     w_minus_norm = structure.negative_norm / trace
     lambda_star = 1.0 / (1.0 + p.n**2 * w_minus_norm)
     return SpaState(
@@ -144,17 +129,6 @@ def spa_state(p: MapParams) -> SpaState:
         trace_choi=trace,
         positive=positive,
     )
-
-
-def spa_interpolation(p: MapParams, lam: float) -> np.ndarray:
-    """The noisy family W(lam) = (1 - lam)/n^2 * I + lam * C/Tr(C)."""
-    if not 0.0 <= lam <= 1.0:
-        raise ParameterError(f"lam must lie in [0, 1] (got {lam})")
-    trace = _positive_trace(p)
-    require_dense_size(p.n)
-    noise = (1.0 - lam) / p.n**2
-    d, k = choi_structure(p).parts()
-    return assemble(p.n, noise + lam * d / trace, noise * np.eye(p.n) + lam * k / trace)
 
 
 def separable_decomposition(p: MapParams) -> SeparableDecomposition:
@@ -194,11 +168,3 @@ def separable_decomposition(p: MapParams) -> SeparableDecomposition:
         t._add_to(diag, core, t.weight)
     residual = parts_distance((diag, core), state.parts())
     return SeparableDecomposition(terms=tuple(terms), state=state, residual=residual)
-
-
-def ppt_check(m: np.ndarray, k: int, n: int, tol: float = DEFAULT_PSD_TOL) -> tuple[bool, float]:
-    """Is the partial transpose of a Hermitian matrix on C^k (x) C^n PSD?
-    Returns the verdict and the minimum eigenvalue of the partial transpose."""
-    m = require_hermitian(m)
-    pt_min = min_eigenvalue(partial_transpose(m, k, n))
-    return pt_min >= -tol, pt_min

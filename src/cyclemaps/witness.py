@@ -136,7 +136,7 @@ def witness(p: MapParams) -> np.ndarray:
 
     W is real symmetric, float64, and assembled from C's parts scaled by
     1 / n, so no second n^2 x n^2 array is written: its entries are those of
-    ``choi(p, compose_transpose=True).matrix * (1.0 / p.n)`` bit for bit, the
+    ``choi(p, compose_transpose=True) * (1.0 / p.n)`` bit for bit, the
     real parts of the complex quotient C / n, which numpy forms as that
     product.  Raises ParameterError, before building the parts, when n^2
     exceeds ``MAX_DIM``.

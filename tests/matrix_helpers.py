@@ -1,6 +1,22 @@
-"""Dense matrices that only the tests use: matrix units, basis vectors,
-tensor and entrywise products, and the dense form of the witness certificate
-from its generators built eagerly, the dense phase table included.
+"""Dense matrices and oracles that only the tests use: matrix units, basis
+vectors, tensor and entrywise products, the dense form of the witness
+certificate from its generators built eagerly (the dense phase table
+included), and the checks the suite holds the package's answers against.
+
+The oracles were public functions of the package until no package code
+called them:
+
+* ``is_psd``, ``is_hermitian``: the dense PSD and Hermitian predicates, on
+  :func:`cyclemaps.min_eigenvalue` and the package's own Hermitian defect;
+* ``ppt_check``: is the partial transpose of a Hermitian matrix PSD;
+* ``spa_interpolation``: the dense noisy family W(lam) of the SPA;
+* ``r_matrix``: the 4 x 4 seed through which every pair term of the
+  separable SPA factors;
+* ``schur_matrix``, ``elementary_symmetric``, ``symmetric_F``,
+  ``positivity_threshold``: the entrywise-multiplier matrix at sigma = id,
+  the symmetric-polynomial lemma and the positivity threshold
+  max(n - 1, n - geomean(c)), which acceptance criteria 8 and 9 check the
+  verdicts against.
 
 Tensor products follow the first-factor-major block convention of
 ``numpy.kron``: ``kron(A, B)[(i, p), (j, q)] == A[i, j] * B[p, q]``, i.e.
@@ -16,15 +32,107 @@ from cyclemaps import (
     ContractError,
     ParameterError,
     choi_structure,
-    is_hermitian,
-    is_psd,
+    geometric_mean_c,
     matrix_to_json,
     min_eigenvalue,
     partial_transpose,
     require_hermitian,
+    spa_state,
 )
-from cyclemaps.matlin import DEFAULT_HERMITIAN_TOL, MAX_DIM, _hermitian_blocks
+from cyclemaps.dmap import assemble, require_dense_size
+from cyclemaps.matlin import DEFAULT_HERMITIAN_TOL, DEFAULT_PSD_TOL, MAX_DIM, _as_matrix, _hermitian_blocks, _hermitian_defect
 from cyclemaps.witness import EXPECTATION_TOL
+
+
+def is_hermitian(m: np.ndarray, tol: float = DEFAULT_HERMITIAN_TOL) -> bool:
+    m = _as_matrix(m)
+    if m.shape[0] != m.shape[1]:
+        return False
+    return _hermitian_defect(m) <= tol
+
+
+def is_psd(m: np.ndarray, tol: float = DEFAULT_PSD_TOL) -> bool:
+    """Positive semidefinite up to an absolute eigenvalue tolerance."""
+    return min_eigenvalue(m) >= -tol
+
+
+def ppt_check(m: np.ndarray, k: int, n: int, tol: float = DEFAULT_PSD_TOL) -> tuple[bool, float]:
+    """Is the partial transpose of a Hermitian matrix on C^k (x) C^n PSD?
+    Returns the verdict and the minimum eigenvalue of the partial transpose."""
+    m = require_hermitian(m)
+    pt_min = min_eigenvalue(partial_transpose(m, k, n))
+    return pt_min >= -tol, pt_min
+
+
+def spa_interpolation(p, lam: float) -> np.ndarray:
+    """The noisy family W(lam) = (1 - lam)/n^2 * I + lam * C/Tr(C), dense.
+
+    ParameterError for lam outside [0, 1], then PreconditionError from
+    :func:`cyclemaps.spa_state` when Tr C <= 0, then ParameterError past
+    ``MAX_DIM``, each before a dense matrix is built."""
+    if not 0.0 <= lam <= 1.0:
+        raise ParameterError(f"lam must lie in [0, 1] (got {lam})")
+    trace = spa_state(p).trace_choi
+    require_dense_size(p.n)
+    noise = (1.0 - lam) / p.n**2
+    d, k = choi_structure(p).parts()
+    return assemble(p.n, noise + lam * d / trace, noise * np.eye(p.n) + lam * k / trace)
+
+
+def r_matrix() -> np.ndarray:
+    """The 4 x 4 seed of the two-level blocks: identity with -1 in the
+    (1, 4) / (4, 1) corners.  PSD with spectrum {0, 1, 1, 2}, and so is its
+    partial transpose."""
+    r = np.eye(4)
+    r[0, 3] = -1.0
+    r[3, 0] = -1.0
+    return r
+
+
+def positivity_threshold(p) -> float:
+    """max(n-1, n - geomean(c)): at or above it the map is positive for any sigma."""
+    return max(p.n - 1.0, p.n - geometric_mean_c(p))
+
+
+def schur_matrix(p) -> np.ndarray:
+    """The entrywise-multiplier matrix representing the map when sigma = id:
+    diagonal a + c_i - 1, off-diagonal -1."""
+    m = -np.ones((p.n, p.n))
+    for i in range(p.n):
+        m[i, i] = p.a + p.c[i] - 1.0
+    return m
+
+
+def elementary_symmetric(xs) -> list[float]:
+    """e_0, e_1, ..., e_n of the given reals, by the product recurrence."""
+    e = [1.0]
+    for x in xs:
+        x = float(x)
+        e.append(0.0)
+        for k in range(len(e) - 1, 0, -1):
+            e[k] += x * e[k - 1]
+    return e
+
+
+def symmetric_F(a: float, xs) -> float:
+    """The symmetric polynomial sum_m a^(m-1) (a - m) e_{n-m}(xs).
+
+    Its sign characterizes sum_i 1/(a + x_i) <= 1: the two are equivalent for
+    every a > 0 and positive xs (multiply the inequality through by
+    prod_i (a + x_i)).
+    """
+    xs = tuple(float(x) for x in xs)
+    a = float(a)
+    if not np.isfinite(a) or a <= 0:
+        raise ParameterError(f"a must be positive and finite (got {a})")
+    if any(x <= 0 or not np.isfinite(x) for x in xs):
+        raise ParameterError(f"xs entries must be positive and finite (got {xs})")
+    e = elementary_symmetric(xs)
+    n = len(xs)
+    total = e[n]  # the m = 0 term a^(m-1) (a - m) e_n collapses to e_n
+    for m in range(1, n + 1):
+        total += a ** (m - 1) * (a - m) * e[n - m]
+    return float(total)
 
 
 def identity_matrix(n: int) -> np.ndarray:
@@ -146,7 +254,7 @@ def assert_real_matches_complex(m: np.ndarray, factors: tuple[int, int]) -> None
     eigenvalue up to the rounding of the real and the complex LAPACK driver."""
     assert m.dtype == np.float64
     z = m.astype(complex)
-    real, cplx = _hermitian_blocks(m, DEFAULT_HERMITIAN_TOL), _hermitian_blocks(z, DEFAULT_HERMITIAN_TOL)
+    real, cplx = _hermitian_blocks(m), _hermitian_blocks(z)
     assert [b.shape for b in real] == [b.shape for b in cplx]
     assert all(real_parts_of(r, c) for r, c in zip(real, cplx))
     scale = max(1.0, float(np.max(np.abs(np.linalg.eigvalsh(z)))))

@@ -17,19 +17,21 @@ from cyclemaps import (
     classify_map,
     decompose_involution,
     delta_n,
-    elementary_symmetric,
     identity,
-    is_psd,
     min_eigenvalue,
-    positivity_threshold,
     positivity_verdict,
-    ppt_check,
-    schur_matrix,
     separable_decomposition,
     spa_state,
-    symmetric_F,
     tau,
     verify_positivity_numeric,
+)
+from matrix_helpers import (
+    elementary_symmetric,
+    is_psd,
+    positivity_threshold,
+    ppt_check,
+    schur_matrix,
+    symmetric_F,
 )
 
 
@@ -48,7 +50,7 @@ def test_criterion_1_choi_spectrum_closed_form():
                 for _ in range(20):
                     c = tuple(rng.uniform(0.2, 3.0, size=n))
                     p = MapParams(n, tau(n, k), a, c)
-                    spectrum = np.linalg.eigvalsh(choi(p).matrix)
+                    spectrum = np.linalg.eigvalsh(choi(p))
                     expect = np.sort(
                         np.concatenate(
                             [np.zeros(n * n - 2 * n), np.full(n - 1, a), [a - n], c]
@@ -87,7 +89,7 @@ def test_criterion_2_positivity_theorem_vs_oracle():
 def test_criterion_3_flagship_classification():
     p = MapParams(3, tau(3, 2), 2.0, (1.0, 1.0, 1.0))
     report = classify_map(p)
-    min_eig = min_eigenvalue(choi(p).matrix)
+    min_eig = min_eigenvalue(choi(p))
     ok = (
         report.positive.status == "yes"
         and report.completely_positive.status == "no"
@@ -255,6 +257,6 @@ def test_criterion_9_entrywise_multiplier_case():
         if abs(schur_min) < 1e-6:
             continue
         checked += 1
-        if is_psd(schur_matrix(p)) != is_psd(choi(p).matrix):
+        if is_psd(schur_matrix(p)) != is_psd(choi(p)):
             problems.append(f"mismatch at n={n}, a={a}, c={c}")
     _gate(9, "entrywise-multiplier-psd-equivalence", not problems, "; ".join(problems[:4]))

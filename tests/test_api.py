@@ -4,6 +4,7 @@ and every import of it along."""
 import ast
 import inspect
 import re
+import types
 from pathlib import Path
 
 import cyclemaps
@@ -93,3 +94,46 @@ def test_readme_python_examples_run():
     namespace = {}
     for number, block in enumerate(blocks, 1):
         exec(compile(block, f"README.md python block {number}", "exec"), namespace)
+
+
+# Exported names that no package module reads and README does not name,
+# kept as library API for a reason of their own.
+KEEP = {
+    "theta_apply",  # the map Theta of the paper
+    "delta_apply",  # its diagonal compression Delta
+    "d_matrix",  # the matrix D through which Theta acts on the diagonal
+    "partial_transpose",  # the Gamma of "decomposable": C = P + Q^Gamma
+    "matrix_to_json",  # writes the --state files that CI and README feed the CLI
+    "maximally_entangled_state",  # the state of a README example
+}
+
+
+def _unexplained_exports(package, modules: list[ast.Module], readme: str, keep: set[str]) -> list[str]:
+    """Functions and classes in ``package.__all__`` that none of ``modules``
+    reads, ``readme`` does not name and ``keep`` does not list."""
+    read = set().union(*map(_names_read, modules))
+    return sorted(
+        name
+        for name in package.__all__
+        if (inspect.isfunction(getattr(package, name)) or inspect.isclass(getattr(package, name)))
+        and name not in read | keep
+        and not re.search(rf"\b{name}\b", readme)
+    )
+
+
+def test_every_exported_function_and_class_is_read_named_or_kept():
+    # the package's own __init__ reads every export through __all__; the other modules must
+    modules = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    assert len(modules) >= 7
+    assert KEEP <= set(cyclemaps.__all__)
+    assert _unexplained_exports(cyclemaps, modules, README.read_text(), KEEP) == []
+
+
+def test_the_export_check_sees_an_unexplained_export():
+    def f():
+        pass
+
+    package = types.SimpleNamespace(__all__=["used", "named", "kept", "stray", "CONSTANT"], CONSTANT=1.0,
+                                    used=f, named=f, kept=f, stray=f)
+    modules = [ast.parse("def f():\n    return used()\n")]
+    assert _unexplained_exports(package, modules, "call `named` here", {"kept"}) == ["stray"]

@@ -21,19 +21,14 @@ from cyclemaps import (
     cp_verdict,
     decompose_involution,
     delta_n,
-    elementary_symmetric,
     geometric_mean_c,
     identity,
     is_involution,
-    is_psd,
     min_eigenvalue,
     partial_transpose,
-    positivity_threshold,
     positivity_verdict,
-    schur_matrix,
     separable_decomposition,
     spa_state,
-    symmetric_F,
     tau,
     two_positive_verdict,
     verify_positivity_numeric,
@@ -42,6 +37,7 @@ from cyclemaps import classify as classify_module
 from cyclemaps import dmap as dmap_module
 from cyclemaps import perm as perm_module
 from cyclemaps.dmap import _theta_min_eigenvalue
+from matrix_helpers import elementary_symmetric, is_psd, positivity_threshold, schur_matrix, symmetric_F
 
 
 def test_positivity_threshold_examples():
@@ -509,6 +505,40 @@ def test_positivity_verdict_identity_branch():
     assert v.evidence["schur_min_eigenvalue"] == pytest.approx(-0.6)
 
 
+STATUS_FIELDS = ("positive", "two_positive", "completely_positive", "atomic", "decomposable")
+
+
+def test_positivity_at_the_identity_reads_the_cp_verdict_at_its_tolerance():
+    # the core K = diag(2.99999) - J has least eigenvalue -1.0e-5: CP, and so
+    # positive, at psd_tol = 1e-3, but not at the default 1e-9
+    p = MapParams(3, identity(3), 2.49999, (0.5, 0.5, 0.5))
+    core_min = choi_structure(p).core_min
+    assert core_min == pytest.approx(-1.0e-5, rel=1e-6)
+    for tol, statuses in ((1e-3, ["yes", "yes", "yes", "no", "yes"]), (1e-9, ["no", "no", "no", "unknown", "unknown"])):
+        report = classify_map(p, samples=0, psd_tol=tol)
+        assert [getattr(report, f).status for f in STATUS_FIELDS] == statuses
+        assert report.positive.criterion == "entrywise-multiplier matrix PSD test (sigma = id)"
+        assert report.positive.evidence["schur_min_eigenvalue"] == core_min
+        assert positivity_verdict(p, cp=cp_verdict(p, tol)) == report.positive
+    # without a CP verdict from the caller it is computed at the default tolerance
+    assert positivity_verdict(p) == classify_map(p, samples=0).positive
+
+
+def test_positivity_at_the_identity_is_the_core_test_at_every_tolerance():
+    # Choi(Theta) at sigma = id is K plus zeros, so min(core_min, 0) >= -tol
+    # decides as core_min >= -tol did for every tol >= 0
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        n = int(rng.integers(2, 8))
+        c = tuple(np.exp(rng.uniform(-3.0, 2.0, n)))
+        p = MapParams(n, identity(n), float(np.exp(rng.uniform(-2.0, np.log(n)))), c)
+        core_min = choi_structure(p).core_min
+        for tol in (0.0, 1e-9, 1e-3, 0.5):
+            v = positivity_verdict(p, cp=cp_verdict(p, tol))
+            if v.criterion.startswith("entrywise"):
+                assert v.status == ("yes" if core_min >= -tol else "no"), (p, tol)
+
+
 def test_positivity_verdict_uniform_family():
     v = positivity_verdict(MapParams(6, tau(6, 2), 4.0, (2.0,) * 6))
     assert v.status == "yes"
@@ -555,10 +585,10 @@ def test_cp_verdict_mixed_cycles_uses_choi():
     for a in (1.2, 2.5, 4.0):
         p = MapParams(3, Permutation((2, 1, 3)), a, (1.0, 1.0, 1.0))
         v = cp_verdict(p)
-        expected = "yes" if is_psd(choi(p).matrix) else "no"
+        expected = "yes" if is_psd(choi(p)) else "no"
         assert v.status == expected
         assert v.evidence["choi_min_eigenvalue"] == pytest.approx(
-            min_eigenvalue(choi(p).matrix), abs=1e-12
+            min_eigenvalue(choi(p)), abs=1e-12
         )
 
 

@@ -74,6 +74,20 @@ def test_classify_config_plumbing(tmp_path, capsys):
     assert report["config"] == {"samples": 100, "tol": 1e-8, "seed": 7}
 
 
+def test_classify_at_the_identity_takes_positivity_from_cp_at_tol(tmp_path, capsys):
+    # core minimum -1.0e-5: --tol 1e-3 makes the map CP, hence positive, where
+    # a fixed PSD tolerance for positivity broke the implication closure
+    path = write_json(tmp_path, "map.json", {"n": 3, "sigma": "id:3", "a": 2.49999, "c": [0.5, 0.5, 0.5]})
+    fields = ("positive", "two_positive", "completely_positive", "atomic", "decomposable")
+    for tol, statuses in ((["--tol", "1e-3"], ["yes", "yes", "yes", "no", "yes"]), ([], ["no", "no", "no", "unknown", "unknown"])):
+        rc, out, err = run_cli(capsys, "classify", "--map", path, "--samples", "0", *tol)
+        assert (rc, err) == (0, "")
+        result = json.loads(out)["result"]
+        assert [result[f]["status"] for f in fields] == statuses
+        assert result["positive"]["criterion"] == "entrywise-multiplier matrix PSD test (sigma = id)"
+        assert result["positive"]["evidence"]["schur_min_eigenvalue"] == pytest.approx(-1.0e-5, rel=1e-6)
+
+
 def test_spectrum(tmp_path, capsys):
     path = write_json(tmp_path, "map.json", FLAGSHIP)
     rc, out, _ = run_cli(capsys, "spectrum", "--map", path)

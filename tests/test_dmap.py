@@ -18,14 +18,13 @@ from cyclemaps import (
     delta_apply,
     delta_n,
     identity,
-    is_psd,
     tau,
     theta_apply,
 )
 from cyclemaps.cli import main
 from cyclemaps import dmap as dmap_module
 from cyclemaps.dmap import pair_block_eigenvalues
-from matrix_helpers import matrix_unit
+from matrix_helpers import is_psd, matrix_unit
 from conftest import random_hermitian
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -149,23 +148,21 @@ def test_theta_is_linear_and_hermiticity_preserving():
 
 def test_choi_flagship_spectrum(flagship):
     cm = choi(flagship)
-    assert cm.n == 3
-    assert not cm.transposed_composition
+    assert cm.shape == (9, 9)
     res = choi_structure(flagship).spectrum()
     assert res.residual <= 1e-10
     expect = [-1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 2.0, 2.0]
     assert_allclose(res.eigenvalues, expect, atol=1e-8)
-    assert np.trace(cm.matrix).real == pytest.approx(6.0)
+    assert np.trace(cm).real == pytest.approx(6.0)
 
 
 def test_choi_transposed_flagship_spectrum(flagship):
     cm = choi(flagship, compose_transpose=True)
-    assert cm.transposed_composition
     res = choi_structure(flagship).spectrum(compose_transpose=True)
     expect = sorted([1.0 - GOLDEN] * 3 + [1.0] * 3 + [GOLDEN] * 3)
     assert_allclose(res.eigenvalues, expect, atol=1e-8)
     # Transposing the blocks preserves the trace but not the spectrum here.
-    assert np.trace(cm.matrix).real == pytest.approx(6.0)
+    assert np.trace(cm).real == pytest.approx(6.0)
     plain = choi_structure(flagship).spectrum().eigenvalues
     assert np.max(np.abs(plain - res.eigenvalues)) > 0.1
 
@@ -186,7 +183,7 @@ def test_choi_trace_formula():
         c = tuple(rng.uniform(0.2, 3.0, size=n))
         a = float(rng.uniform(0.5, n + 1.0))
         p = MapParams(n, tau(n, k), a, c)
-        tr = np.trace(choi(p).matrix).real
+        tr = np.trace(choi(p)).real
         assert tr == pytest.approx(n * (a - 1.0) + sum(c), rel=1e-12)
 
 
@@ -200,7 +197,7 @@ def test_delta_n_map():
     assert_allclose(theta_apply(p, x), 3.0 * np.diag(np.diagonal(x)) - x, atol=1e-12)
     res = choi_structure(p).spectrum()
     assert_allclose(res.eigenvalues, [0.0] * 7 + [3.0, 3.0], atol=1e-8)
-    assert is_psd(choi(p).matrix)
+    assert is_psd(choi(p))
 
 
 def test_delta_n_validation():
@@ -253,7 +250,7 @@ def test_the_witness_minimum_is_minus_one_once_some_pair_is_unrelated(monkeypatc
         p = MapParams(n, Permutation(images), float(rng.uniform(0.1, 2 * n)), tuple(rng.uniform(0.01, 100.0, n).tolist()))
         assert choi_structure(p).min_eigenvalue(compose_transpose=True) == -1.0
         if n <= 8:
-            assert np.linalg.eigvalsh(choi(p, compose_transpose=True).matrix)[0] == pytest.approx(-1.0, abs=1e-12)
+            assert np.linalg.eigvalsh(choi(p, compose_transpose=True))[0] == pytest.approx(-1.0, abs=1e-12)
     assert choi_structure(delta_n(4)).min_eigenvalue(compose_transpose=True) == -1.0
     monkeypatch.undo()
     # at n = 3 a 3-cycle relates all three pairs, and the blocks decide

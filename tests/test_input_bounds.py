@@ -25,7 +25,6 @@ from cyclemaps import (
     choi_structure,
     classify_map,
     decompose_involution,
-    spa_interpolation,
     spa_state,
     spanning_generators,
     tau,
@@ -41,6 +40,7 @@ from cyclemaps.classify import _adversarial_amplitudes
 from cyclemaps.cli import main
 from cyclemaps.matlin import MAX_ENTRIES
 from cyclemaps.perm import cycle_decompose, parse_permutation
+from matrix_helpers import spa_interpolation
 
 witness_module = importlib.import_module("cyclemaps.witness")
 

@@ -10,20 +10,20 @@ from numpy.testing import assert_allclose
 from cyclemaps import (
     ContractError,
     ParameterError,
-    is_hermitian,
-    is_psd,
     matrix_from_json,
     matrix_to_json,
     min_eigenvalue,
     partial_transpose,
     require_hermitian,
 )
-from cyclemaps.matlin import DEFAULT_HERMITIAN_TOL, _hermitian_blocks, _hermitian_defect, _matrix_form, _pattern_components
+from cyclemaps.matlin import _hermitian_blocks, _hermitian_defect, _matrix_form, _pattern_components
 from conftest import random_hermitian
 from matrix_helpers import (
     assert_real_matches_complex,
     basis_vector,
     identity_matrix,
+    is_hermitian,
+    is_psd,
     kron,
     matrix_unit,
     real_parts_of,
@@ -109,7 +109,7 @@ def test_min_eigenvalue_of_dense_random_matrices():
     for n in (9, 25, 144):
         m = random_hermitian(rng, n, scale=3.0)
         w = np.linalg.eigvalsh(m)
-        assert [sub.shape for sub in _hermitian_blocks(m, DEFAULT_HERMITIAN_TOL)] == [(1, n, n)]
+        assert [sub.shape for sub in _hermitian_blocks(m)] == [(1, n, n)]
         assert min_eigenvalue(m) == pytest.approx(w[0], abs=1e-12 * max(1.0, float(np.max(np.abs(w)))))
 
 
@@ -189,7 +189,7 @@ def test_block_split_matches_dense_lapack(m):
     assert abs(min_eigenvalue(m) - w[0]) <= scale
     assert abs(min_eigenvalue(-m) + w[-1]) <= scale
     # every eigenvalue of the blocks is one of M's, with its multiplicity
-    blocks = np.sort(np.concatenate([np.linalg.eigvalsh(sub).ravel() for sub in _hermitian_blocks(m, DEFAULT_HERMITIAN_TOL)]))
+    blocks = np.sort(np.concatenate([np.linalg.eigvalsh(sub).ravel() for sub in _hermitian_blocks(m)]))
     assert np.max(np.abs(blocks - w)) <= scale
 
     for bad in (np.nan, np.inf, 1.0):

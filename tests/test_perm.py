@@ -14,7 +14,6 @@ from cyclemaps import (
     identity,
     is_involution,
     is_single_cycle,
-    min_max_cycle_length,
     parse_permutation,
     tau,
 )
@@ -101,7 +100,7 @@ def test_cycle_decompose_is_built_once_per_permutation(monkeypatch):
     monkeypatch.setattr(perm_module, "CycleDecomposition", lambda **kw: built.append(kw) or CycleDecomposition(**kw))
     s = Permutation((2, 1, 4, 5, 3))
     dec = cycle_decompose(s)
-    assert cycle_decompose(s) is dec and is_single_cycle(s) is False and min_max_cycle_length(s) == (2, 3)
+    assert cycle_decompose(s) is dec and is_single_cycle(s) is False and is_involution(s) is False
     assert len(built) == 1
     # the cached decomposition is no field: equality and hashing see the images only
     t = Permutation(s.images)
@@ -125,8 +124,8 @@ def test_tau_cycle_lengths_divide_evenly(n):
     import math
 
     for k in range(1, n + 1):
-        lo, hi = min_max_cycle_length(tau(n, k))
-        assert lo == hi == n // math.gcd(n, k)
+        dec = cycle_decompose(tau(n, k))
+        assert dec.l_min == dec.l_max == n // math.gcd(n, k)
 
 
 def test_round_trip_exhaustive_small_n():

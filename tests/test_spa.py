@@ -9,19 +9,15 @@ from cyclemaps import (
     PreconditionError,
     choi,
     identity,
-    is_psd,
     maximally_entangled_state,
     min_eigenvalue,
     partial_transpose,
     positivity_verdict,
-    ppt_check,
-    r_matrix,
     separable_decomposition,
-    spa_interpolation,
     spa_state,
     tau,
 )
-from matrix_helpers import kron, matrix_unit
+from matrix_helpers import is_psd, kron, matrix_unit, ppt_check, r_matrix, spa_interpolation
 
 
 def test_r_matrix_and_its_partial_transpose():
@@ -66,7 +62,7 @@ def test_spa_state_flagship(flagship):
     assert state.trace_choi == pytest.approx(6.0)
     assert not state.positivity_warning
 
-    c = choi(flagship).matrix
+    c = choi(flagship)
     assert_allclose(state.matrix, (np.eye(9) + c) / 15.0, atol=1e-12)
     assert np.trace(state.matrix).real == pytest.approx(1.0, abs=1e-12)
     assert is_psd(state.matrix)
@@ -80,7 +76,7 @@ def test_spa_state_already_psd():
     state = spa_state(p)
     assert state.w_minus_norm <= 1e-12
     assert state.lambda_star == pytest.approx(1.0, abs=1e-12)
-    assert_allclose(state.matrix, choi(p).matrix / 9.0, atol=1e-12)
+    assert_allclose(state.matrix, choi(p) / 9.0, atol=1e-12)
 
 
 def test_spa_state_warns_for_non_positive_map():

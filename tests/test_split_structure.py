@@ -1,7 +1,7 @@
 """The involution split and the separable SPA held as structure.
 
 Their residuals are checked here against dense sums of the certificates'
-matrices, taken against ``choi(p).matrix`` and ``spa_state(p).matrix``, and
+matrices, taken against ``choi(p)`` and ``spa_state(p).matrix``, and
 the split's least eigenvalue of P against eigensolves of its n x n block;
 past the dense size limit only the structured answers exist.
 """
@@ -21,13 +21,13 @@ from cyclemaps import (
     decompose_involution,
     maximally_entangled_state,
     separable_decomposition,
-    spa_interpolation,
     spa_state,
     tau,
 )
 from cyclemaps.classify import _p_block_min
 from cyclemaps.cli import main
 from cyclemaps.dmap import assemble, parts_distance
+from matrix_helpers import spa_interpolation
 
 # an involution with fixed points whose weights spread over 30 decades
 WIDE = {"n": 4, "sigma": "images:2,1,3,4", "a": 3, "c": [1, 1, 1e20, 1e30]}
@@ -104,7 +104,7 @@ def test_split_residual_matches_the_dense_sum(n):
         p = random_involution_map(rng, n)
         cert = decompose_involution(p)
         total = cert.P + sum((q for _, q in cert.q_blocks), start=np.zeros((n * n, n * n)))
-        dense = float(np.max(np.abs(total - choi(p).matrix)))
+        dense = float(np.max(np.abs(total - choi(p))))
         assert abs(cert.reconstruction_residual - dense) <= 1e-15
         assert [pair for pair, _ in cert.q_blocks] == list(cert.pairs)
 

@@ -33,10 +33,7 @@ from cyclemaps import (
     matrix_to_json,
     maximally_entangled_state,
     min_eigenvalue,
-    r_matrix,
-    schur_matrix,
     separable_decomposition,
-    spa_interpolation,
     spa_state,
     spanning_generators,
     tau,
@@ -44,7 +41,15 @@ from cyclemaps import (
     witness,
 )
 from conftest import spaced_involution
-from matrix_helpers import assert_real_matches_complex, kron, matrix_unit, real_parts_of
+from matrix_helpers import (
+    assert_real_matches_complex,
+    kron,
+    matrix_unit,
+    r_matrix,
+    real_parts_of,
+    schur_matrix,
+    spa_interpolation,
+)
 import cyclemaps
 from cyclemaps.cli import main
 
@@ -202,7 +207,7 @@ def test_choi_equals_theta_apply_assembly_entry_for_entry(n):
     for sigma in (tau(n, 1), identity(n), Permutation(tuple(int(i) + 1 for i in rng.permutation(n)))):
         p = MapParams(n, sigma, float(rng.uniform(0.1, n + 1.0)), tuple(rng.uniform(0.1, 3.0, size=n)))
         for compose_transpose in (False, True):
-            got = choi(p, compose_transpose).matrix
+            got = choi(p, compose_transpose)
             want = dense_choi(p, compose_transpose)
             assert real_parts_of(got, want)
 
@@ -325,7 +330,7 @@ def test_witness_minimum_solves_only_the_small_blocks(monkeypatch, p):
     assert widths and max(widths) <= 2
     assert got == pytest.approx(expected, abs=TOL * max(1.0, p.a, max(p.c)))
     widths.clear()
-    min_eigenvalue(choi(p).matrix)
+    min_eigenvalue(choi(p))
     assert widths and max(widths) == n
 
 
@@ -372,8 +377,8 @@ def test_dense_builders_are_float64_and_solve_as_their_complex_form(n):
     involution = MapParams(n, spaced_involution(n), n - 0.5, tuple(rng.uniform(1.0, 2.0, n)))
     dec, split = separable_decomposition(cycle), decompose_involution(involution)
     built = {
-        "choi": choi(cycle).matrix,
-        "choi of T.Theta": choi(cycle, compose_transpose=True).matrix,
+        "choi": choi(cycle),
+        "choi of T.Theta": choi(cycle, compose_transpose=True),
         "witness": witness(cycle),
         "SpaState.matrix": dec.state.matrix,
         "pair SpaTerm.matrix": dec.terms[0].matrix,
@@ -423,7 +428,7 @@ def test_spectrum_matches_the_dense_eigensolve_on_random_maps():
         structure = choi_structure(p)
         for compose_transpose in (False, True):
             res = structure.spectrum(compose_transpose)
-            dense = np.linalg.eigvalsh(choi(p, compose_transpose).matrix)
+            dense = np.linalg.eigvalsh(choi(p, compose_transpose))
             scale = TOL * max(1.0, float(np.max(np.abs(dense))))
             assert res.eigenvalues.shape == (p.n * p.n,)
             assert np.max(np.abs(res.eigenvalues - dense)) <= scale, (p, compose_transpose)
@@ -523,7 +528,6 @@ def test_equality_of_every_public_result_type_is_a_bool():
             "Permutation": p.sigma,
             "CycleDecomposition": cyclemaps.cycle_decompose(p.sigma),
             "ChoiStructure": choi_structure(p),
-            "ChoiMatrix": choi(p),
             "SpectrumResult": choi_structure(p).spectrum(),
             "Verdict": report.positive,
             "PositivityEvidence": cyclemaps.verify_positivity_numeric(p, samples=50),

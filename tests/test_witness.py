@@ -37,7 +37,7 @@ witness_module = importlib.import_module("cyclemaps.witness")
 
 def test_witness_is_transposed_choi_over_n(flagship):
     w = witness(flagship)
-    assert_allclose(w, choi(flagship, compose_transpose=True).matrix / 3.0)
+    assert_allclose(w, choi(flagship, compose_transpose=True) / 3.0)
     assert np.trace(w).real == pytest.approx(2.0)
 
 
@@ -73,9 +73,9 @@ def witness_maps(draw, max_n=32):
 @settings(max_examples=60, deadline=None)
 def test_witness_is_bit_identical_to_the_dense_choi_over_n(p):
     # the bits of the complex quotient C / n, which numpy forms as the product with 1 / n
-    dense = choi(p, compose_transpose=True).matrix * (1.0 / p.n)
+    dense = choi(p, compose_transpose=True) * (1.0 / p.n)
     assert np.array_equal(witness(p).view(np.uint64), dense.view(np.uint64))
-    assert real_parts_of(dense, choi(p, compose_transpose=True).matrix.astype(complex) / p.n)
+    assert real_parts_of(dense, choi(p, compose_transpose=True).astype(complex) / p.n)
 
 
 def test_witness_block_structure(flagship):
@@ -102,7 +102,7 @@ def test_maximally_entangled_expectations(flagship):
     assert np.trace(rho).real == pytest.approx(1.0)
     assert expectation_value(witness(flagship), rho) == pytest.approx(1.0 / 3.0, abs=1e-12)
     # Without the transpose the same direction pairs to (a - n)/n instead.
-    plain = choi(flagship).matrix / 3.0
+    plain = choi(flagship) / 3.0
     assert expectation_value(plain, rho) == pytest.approx(-1.0 / 3.0, abs=1e-12)
 
 
