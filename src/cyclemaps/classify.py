@@ -456,7 +456,8 @@ def classify_map(
     """Produce all five verdicts, with sampling evidence and cross-checked closure.
 
     ``samples = 0`` skips the sampler; a negative count, or ``samples * n``
-    past ``MAX_ENTRIES``, raises ParameterError."""
+    past ``MAX_ENTRIES``, raises ParameterError, as does a ``psd_tol`` above
+    ``DEFAULT_PSD_TOL`` under which the verdicts contradict each other."""
     if samples < 0:
         raise ParameterError(f"samples must be >= 0 (got {samples})")
     evidence = verify_positivity_numeric(p, samples=samples, seed=seed) if samples > 0 else None
@@ -464,7 +465,7 @@ def classify_map(
     pos = positivity_verdict(p, evidence, cp=cp)
     two = two_positive_verdict(p, cp=cp)
     atomic, decomposable, decomposition = _atomic_and_decomposable(p, pos, cp, certify=True)
-    _check_closure(pos, two, cp, atomic, decomposable)
+    _check_closure(pos, two, cp, atomic, decomposable, psd_tol)
     return ClassificationReport(
         params=p,
         positive=pos,
@@ -476,8 +477,11 @@ def classify_map(
     )
 
 
-def _check_closure(pos, two, cp, atomic, decomposable) -> None:
-    """Implication closure between verdicts; a violation is an internal bug."""
+def _check_closure(pos, two, cp, atomic, decomposable, psd_tol) -> None:
+    """Implication closure between verdicts.  A ``psd_tol`` above the default
+    can pass a Choi minimum that decides CP "yes" against an exact positivity
+    "no", so there a violation is a ParameterError naming the tolerance; at
+    the default tolerance it is an internal bug."""
     broken = (
         (cp.status == YES and two.status != YES)
         or (two.status == YES and pos.status == NO)
@@ -487,9 +491,12 @@ def _check_closure(pos, two, cp, atomic, decomposable) -> None:
         or (decomposable.status == YES and atomic.status == YES)
         or (atomic.status == YES and pos.status != YES)
     )
-    if broken:
-        raise RuntimeError(
-            "internal consistency failure between verdicts: "
-            f"positive={pos.status}, two_positive={two.status}, cp={cp.status}, "
-            f"atomic={atomic.status}, decomposable={decomposable.status}"
-        )
+    if not broken:
+        return
+    statuses = (
+        f"positive={pos.status}, two_positive={two.status}, cp={cp.status}, "
+        f"atomic={atomic.status}, decomposable={decomposable.status}"
+    )
+    if psd_tol > DEFAULT_PSD_TOL:
+        raise ParameterError(f"PSD tolerance {psd_tol:g} is too loose for this map: the verdicts conflict ({statuses})")
+    raise RuntimeError(f"internal consistency failure between verdicts: {statuses}")

@@ -9,14 +9,14 @@ The Hermitian eigen helper ``min_eigenvalue`` never solves more than an
 irreducible block at a time.  It finds the connected components of the
 nonzero pattern of M, symmetrised (an edge i - j wherever M[i, j] or M[j, i]
 is nonzero), and runs the Hermitian check on them; blocks of equal size b are
-then stacked into one batched LAPACK call.  The components take three passes
-over the N^2 entries: the nonzero test (on each float part of an entry, a
-few rows at a time), the first nonzero of each row, and the list of
-nonzeros, from which every later round reads only the edges that still
-join two trees.  An N x N matrix with blocks of sizes b costs
-O(N^2 + sum b^3) instead of O(N^3): the witness of the package's maps splits
-into 1x1 and 2x2 blocks, its Choi matrix into the n x n core plus 1x1
-blocks, and a fully dense matrix is a single block.
+then stacked into one batched LAPACK call.  The components take two passes
+over the N^2 entries: the nonzero test ``M != 0`` and the row-major list of
+nonzeros, which gives each row's first nonzero and from which every later
+round reads only the edges that still join two trees.  An N x N matrix
+with blocks of sizes b costs O(N^2 + sum b^3) instead of O(N^3): the
+witness of the package's maps splits into 1x1 and 2x2 blocks, its Choi
+matrix into the n x n core plus 1x1 blocks, and a fully dense matrix is a
+single block.
 """
 from __future__ import annotations
 
@@ -34,12 +34,8 @@ DEFAULT_HERMITIAN_TOL = 1e-10
 # turns an out-of-memory surprise into a size error at the call site.
 MAX_DIM = 1024
 
-# Rows per chunk of the nonzero pass (_nonzero): its float comparison goes
-# through a buffer of this many rows, not an N x kN array.  With 32 rows
-# (32 KB per float part at N = 1024) min_eigenvalue(witness(p)) at n = 32
-# peaks at the 1.12 MB of tracemalloc that ``M != 0`` gave; 64 rows took
-# the complex W to 1.18 MB.
-# The Hermitian check (_hermitian_defect) compares bands of as many rows.
+# Rows per band of the Hermitian check (_hermitian_defect): each band is
+# compared with the matching band of columns, so M is never copied whole.
 _PATTERN_ROWS = 32
 
 # The same guard for the arrays sized by inputs rather than by n^2 x n^2: the
@@ -125,45 +121,25 @@ def _roots(label: np.ndarray) -> np.ndarray:
         label = up
 
 
-def _nonzero(m: np.ndarray) -> np.ndarray:
-    """``M != 0``, ``_PATTERN_ROWS`` rows at a time on M's float view.
-
-    Each chunk compares the k float parts of every entry (k = 1 for a real M,
-    k = 2, [re, im], for a complex one) with 0.0 into one reused bool buffer,
-    whose k bools per entry, read as one k-byte unsigned integer, are nonzero
-    iff any part is.  That is ``M != 0`` bit for bit (a nan or inf part is
-    nonzero, so the entry reaches the Hermitian check; -0.0 is zero), without
-    a complex comparison or an N x kN temporary.
-    """
-    n = m.shape[0]
-    parts = m[..., None].view(float)  # n x n x k parts, a view whatever the strides of m
-    k = parts.shape[-1]
-    buf = np.empty((min(n, _PATTERN_ROWS), n, k), dtype=bool)
-    nz = np.empty((n, n), dtype=bool)
-    for start in range(0, n, _PATTERN_ROWS):
-        rows = buf[: min(n - start, _PATTERN_ROWS)]
-        np.not_equal(parts[start : start + len(rows)], 0.0, out=rows)
-        # an entry is nonzero where any part is: its k bools read as one k-byte integer
-        np.not_equal(rows.view(f"u{k}")[..., 0], 0, out=nz[start : start + len(rows)])
-    return nz
-
-
 def _pattern_components(m: np.ndarray) -> np.ndarray:
     """Label each index by the least index of its block: the connected components
     of the graph with an edge i - j wherever M[i, j] != 0 or M[j, i] != 0.
 
     Each row first hooks to its leftmost nonzero, at or left of the diagonal; the
     nonzeros that still join two trees then hook the larger root under the smaller
-    until none is left.  The edges are the flat indices of the nonzeros, in
-    row-major order, filtered by their labels each round: the passes over the
-    N^2 entries are the nonzero test (:func:`_nonzero`), the leftmost nonzeros
-    and that index list, and the rounds after them are O(edges).
+    until none is left.  The edges are the flat indices of ``M != 0`` (a nan or
+    inf is nonzero, so it reaches the Hermitian check; -0.0 is zero) with the
+    diagonal set, in row-major order, filtered by their labels each round.  The
+    diagonal gives every row an entry, so a row's first entry in that list is
+    its leftmost nonzero.  The passes over the N^2 entries are the comparison
+    and the index list; the rounds after them are O(edges).
     """
     n = m.shape[0]
-    nz = _nonzero(m)
+    nz = m != 0
     np.fill_diagonal(nz, True)
-    label = _roots(nz.argmax(axis=1))
-    r, c = np.divmod(np.flatnonzero(nz), n)
+    flat = np.flatnonzero(nz)
+    r, c = np.divmod(flat, n)
+    label = _roots(c[np.searchsorted(flat, np.arange(0, n * n, n))])
     while True:
         keep = label[r] != label[c]
         r, c = r[keep], c[keep]

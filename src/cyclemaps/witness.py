@@ -152,13 +152,18 @@ def spanning_generators(p: MapParams) -> SpanningGenerators:
 
     The phase vectors are those of :attr:`SpanningGenerators.phases`.  The
     basis pairs are e_i (x) e_j with j not in {i, sigma^(-1)(i)}, in
-    row-major order.
+    row-major order: ``np.argwhere`` of that mask, layout included (each
+    column contiguous, as the expectation check reads them), written
+    straight into one array from the mask's flat indices.
     """
     n, img = p.n, choi_structure(p).img
     d = np.arange(n)
     keep = np.ones((n, n), dtype=bool)
     keep[d, d] = keep[img, d] = False
-    return SpanningGenerators(n, np.argwhere(keep))
+    flat = np.flatnonzero(keep)
+    columns = np.empty((2, flat.size), dtype=np.intp)
+    np.divmod(flat, n, out=(columns[0], columns[1]))
+    return SpanningGenerators(n, columns.T)
 
 
 def certify_optimality(p: MapParams) -> OptimalityCertificate:

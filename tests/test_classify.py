@@ -539,6 +539,25 @@ def test_positivity_at_the_identity_is_the_core_test_at_every_tolerance():
                 assert v.status == ("yes" if core_min >= -tol else "no"), (p, tol)
 
 
+def test_a_tolerance_that_breaks_the_closure_is_a_parameter_error():
+    # a = 3.5 is below the 4-cycle's exact threshold max(n - 1, n - geomean(c))
+    # = 3.99, so positivity is no, while psd_tol = 0.6 passes the Choi
+    # minimum a - n = -0.5 and makes the map CP
+    p = MapParams(4, tau(4, 1), 3.5, (0.01,) * 4)
+    with pytest.raises(ParameterError, match=r"^PSD tolerance 0\.6 .*positive=no, two_positive=yes, cp=yes"):
+        classify_map(p, samples=0, psd_tol=0.6)
+    for samples in (0, 100):
+        report = classify_map(p, samples=samples)
+        assert [getattr(report, f).status for f in STATUS_FIELDS] == ["no", "no", "no", "unknown", "unknown"]
+
+
+def test_a_closure_failure_at_the_default_tolerance_stays_internal():
+    yes, no = classify_module.Verdict("yes", "", {}), classify_module.Verdict("no", "", {})
+    with pytest.raises(RuntimeError, match="^internal consistency failure between verdicts: positive=no"):
+        classify_module._check_closure(no, yes, yes, no, yes, classify_module.DEFAULT_PSD_TOL)
+    classify_module._check_closure(no, no, no, no, no, 0.6)  # a closed set passes at any tolerance
+
+
 def test_positivity_verdict_uniform_family():
     v = positivity_verdict(MapParams(6, tau(6, 2), 4.0, (2.0,) * 6))
     assert v.status == "yes"

@@ -88,6 +88,28 @@ def test_classify_at_the_identity_takes_positivity_from_cp_at_tol(tmp_path, caps
         assert result["positive"]["evidence"]["schur_min_eigenvalue"] == pytest.approx(-1.0e-5, rel=1e-6)
 
 
+@pytest.mark.parametrize(
+    "obj, tol",
+    [
+        # a below the 4-cycle's exact threshold 3.99 (positivity no); the
+        # Choi minimum a - n = -0.5 passes --tol 0.6 (CP yes)
+        ({"n": 4, "sigma": "tau:4:1", "a": 3.5, "c": [0.01] * 4}, ["--tol", "0.6", "--samples", "0"]),
+        # n = 1: the single-cycle rule says no, the core minimum -1e-4 passes 1e-3
+        ({"n": 1, "sigma": "id:1", "a": 0.5, "c": [0.4999]}, ["--tol", "1e-3"]),
+    ],
+)
+def test_classify_with_a_tolerance_that_breaks_the_closure_exits_2(tmp_path, capsys, obj, tol):
+    path = write_json(tmp_path, "map.json", obj)
+    rc, out, err = run_cli(capsys, "classify", "--map", path, *tol)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: PSD tolerance ") and "cp=yes" in err and "Traceback" not in err
+    # at the default tolerance the verdicts are the exact ones
+    rc, out, err = run_cli(capsys, "classify", "--map", path, *tol[2:])
+    assert (rc, err) == (0, "")
+    result = json.loads(out)["result"]
+    assert [result[f]["status"] for f in ("positive", "two_positive", "completely_positive")] == ["no"] * 3
+
+
 def test_spectrum(tmp_path, capsys):
     path = write_json(tmp_path, "map.json", FLAGSHIP)
     rc, out, _ = run_cli(capsys, "spectrum", "--map", path)

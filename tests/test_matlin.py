@@ -235,12 +235,10 @@ def bfs_components(m: np.ndarray) -> np.ndarray:
     return label
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(1, 40), st.floats(0.0, 0.3), st.integers(0, 2**32 - 1), st.booleans())
-def test_pattern_components_match_breadth_first_search(size, density, seed, real):
-    # entries are nan, +-inf, -0.0 (a zero: no edge), subnormals or numbers, in
-    # one triangle or both; some rows and columns are empty apart from the
-    # diagonal.  A float64 M is read one part per entry, a complex M two.
+def pattern_matrix(size: int, density: float, seed: int, real: bool) -> np.ndarray:
+    """A random float64 or complex M whose entries are nan, +-inf, -0.0 (a
+    zero: no edge), subnormals or numbers, in one triangle or both; some rows
+    and columns are empty apart from the diagonal, which is 0.0, -0.0 or 1.0."""
     rng = np.random.default_rng(seed)
     if real:
         values = np.array([1.0, -2.5, np.nan, np.inf, -np.inf, -0.0, 5e-324, -2.5e-310])
@@ -251,14 +249,29 @@ def test_pattern_components_match_breadth_first_search(size, density, seed, real
     m[empty, :] = m[:, empty] = 0.0
     np.fill_diagonal(m, rng.choice([0.0, -0.0, 1.0], size))
     assert m.dtype == (np.float64 if real else np.complex128)
+    return m
+
+
+# each row hooks to its first entry in the row-major list of nonzeros, with the
+# diagonal set.  The examples: no nonzero at all; rows whose nonzeros all lie
+# right of a zero diagonal (row 0 of the real 4x4, rows 0 and 1 of the complex
+# one), which hook to the diagonal first; a 1x1 zero and a 1x1 nan
+@settings(max_examples=300, deadline=None)
+@given(st.builds(pattern_matrix, st.integers(1, 40), st.floats(0.0, 0.3), st.integers(0, 2**32 - 1), st.booleans()))
+@example(np.zeros((6, 6)))
+@example(np.array([[-0.0, 0.0, 2.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]))
+@example(np.array([[0.0, 0.0, 0.0, 3.0], [0.0, 0.0, 1j, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]))
+@example(np.array([[0.0]]))
+@example(np.array([[np.nan]]))
+def test_pattern_components_match_breadth_first_search(m):
     assert np.array_equal(_pattern_components(m), bfs_components(m))
 
 
 @pytest.mark.parametrize("size", [63, 64, 65, 200])
 def test_pattern_components_in_chunks_and_on_strided_views(size):
-    # several row chunks, the last one partial; nonzero real or imaginary
-    # parts alone, signed zeros, nan and inf; C-ordered, transposed and
-    # strided inputs, which the nonzero pass reads through their float view
+    # sizes around and past the 32-row bands of the Hermitian check; nonzero
+    # real or imaginary parts alone, signed zeros, nan and inf; C-ordered,
+    # transposed and strided inputs, which ``M != 0`` reads in place
     rng = np.random.default_rng(size)
     values = np.array([1.0, 1j, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0), np.nan, complex(0.0, np.inf), 5e-324j])
     big = np.where(rng.random((2 * size, 2 * size)) < 0.01, rng.choice(values, (2 * size, 2 * size)), 0.0)

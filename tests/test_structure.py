@@ -405,6 +405,16 @@ def test_witness_at_n_32_holds_one_float_per_entry():
     assert peak <= 8.5e6  # 8.39 MB of entries; complex ones took 16.8 MB
 
 
+def test_witness_eigensolve_at_n_32_allocates_about_one_bool_per_entry():
+    # the block split of W reads ``W != 0`` (N^2 bools) and the list of its
+    # nonzeros; an N x N float or a second N^2 temporary would pass 1.25 N^2
+    p = MapParams(32, tau(32, 1), 31.0, (1.0,) * 32)
+    w = witness(p)
+    value, peak = traced_peak(lambda: min_eigenvalue(w))
+    assert value == pytest.approx(choi_structure(p).min_eigenvalue(compose_transpose=True) / 32, abs=TOL)
+    assert peak < 1.25 * w.size  # 1,124,184 B
+
+
 def random_spectrum_maps(count: int, seed: int):
     """Maps at n = 1..6 with any sigma, sigma = id, or fixed points next to a
     cycle, and a and c log-uniform over 1e-20..1e20."""

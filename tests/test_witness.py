@@ -1,6 +1,7 @@
 import importlib
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,6 +137,45 @@ def test_spanning_generators_identity_sigma():
     p = MapParams(3, identity(3), 1.5, (4.0, 4.0, 4.0))
     # At sigma = id only j = i is banned, leaving n - 1 pairs per i.
     assert len(spanning_generators(p).pairs) == 6
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_basis_pairs_are_argwhere_of_their_mask(n, seed):
+    # sigma: f fixed points, t 2-cycles, and one cycle through the rest
+    rng = np.random.default_rng(seed)
+    order = [int(i) for i in rng.permutation(n)]
+    f = int(rng.integers(0, n + 1))
+    t = int(rng.integers(0, (n - f) // 2 + 1))
+    images = list(range(1, n + 1))
+    for u, v in zip(order[f : f + 2 * t : 2], order[f + 1 : f + 2 * t : 2]):
+        images[u], images[v] = v + 1, u + 1
+    rest = order[f + 2 * t :]
+    for pos, i in enumerate(rest):
+        images[i] = rest[(pos + 1) % len(rest)] + 1
+    p = MapParams(n, Permutation(tuple(images)), n + 0.5, (1.0,) * n)
+    inv = p.sigma.inverse()
+    keep = np.ones((n, n), dtype=bool)
+    for i in range(1, n + 1):
+        keep[i - 1, i - 1] = keep[i - 1, inv(i) - 1] = False
+    pairs, expect = spanning_generators(p).pairs, np.argwhere(keep)
+    # the same values and layout: each column contiguous, as the expectation check reads them
+    assert pairs.dtype == expect.dtype == np.intp and pairs.T.flags.c_contiguous
+    assert np.array_equal(pairs, expect)
+
+
+def test_basis_pairs_at_n_1024_are_one_array():
+    # the flat indices of the mask (8 B per pair) and the pairs (16 B per
+    # pair): 26.2 MB; np.argwhere's two index arrays and their stack took 34.5 MB
+    p = MapParams(1024, tau(1024, 1), 1023.0, (1.0,) * 1024)
+    tracemalloc.start()
+    try:
+        pairs = spanning_generators(p).pairs
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pairs.shape == (1024 * 1024 - 2 * 1024, 2)
+    assert peak < 28e6
 
 
 def test_the_lazy_phase_table_is_the_eager_one_bit_for_bit():
