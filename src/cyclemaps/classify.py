@@ -73,20 +73,19 @@ class Verdict:
 class PositivityEvidence:
     """Worst cases found by sampling S(xi) and the spectra of Theta(xi xi*).
 
-    ``max_s <= 1 + tol`` is evidence of positivity (S(xi) <= 1 for every unit
-    vector characterizes it); ``max_s > 1 + tol`` exhibits a concrete witness
-    vector against positivity.
+    ``max_s <= 1 + S_ORACLE_TOL`` is evidence of positivity (S(xi) <= 1 for
+    every unit vector characterizes it); ``max_s > 1 + S_ORACLE_TOL`` exhibits
+    a concrete witness vector against positivity.
     """
 
     max_s: float
     worst_vector: np.ndarray
     min_theta_eig: float
     num_vectors: int
-    tol: float
 
     @property
     def consistent_with_positive(self) -> bool:
-        return self.max_s <= 1.0 + self.tol
+        return self.max_s <= 1.0 + S_ORACLE_TOL
 
 
 @dataclass(frozen=True)
@@ -229,7 +228,6 @@ def verify_positivity_numeric(p: MapParams, samples: int = 2000, seed: int = 0) 
         worst_vector=zs[worst].copy(),
         min_theta_eig=min_eig,
         num_vectors=int(zs.shape[0]),
-        tol=S_ORACLE_TOL,
     )
 
 
@@ -252,7 +250,7 @@ def positivity_verdict(p: MapParams, evidence: Optional[PositivityEvidence] = No
             max_s=evidence.max_s,
             min_theta_eig=evidence.min_theta_eig,
             sampled_vectors=evidence.num_vectors,
-            s_tol=evidence.tol,
+            s_tol=S_ORACLE_TOL,
         )
     if a >= threshold - BOUNDARY_TOL:
         return Verdict(YES, "a >= max(n-1, n-geomean(c)): sufficient for every sigma", ev)

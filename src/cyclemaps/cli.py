@@ -9,7 +9,10 @@ Five subcommands, all driven by a map-parameter JSON file::
     cyclemaps witness   --map params.json [--certify] [--state rho.json]
 
 The parameter file holds ``{"n": 3, "sigma": "tau:3:2", "a": 2.0, "c": [1, 1, 1]}``;
-``sigma`` accepts the formats of :func:`cyclemaps.perm.parse_permutation`.
+``sigma`` accepts the formats of :func:`cyclemaps.perm.parse_permutation`;
+:class:`MapParams` checks the numbers (zero weights with a = n, sigma = id
+give n*diag(X) - X).  Every subcommand echoes ``--samples``, ``--tol`` and
+``--seed`` in the report's ``config``; only ``classify`` reads them.
 Reports are JSON on stdout (or ``--out``), embed the input verbatim, and are
 byte-identical across runs up to the ``timestamp`` field.  The handlers hold
 each matrix's entries, and other number arrays, as float arrays, and
@@ -46,7 +49,7 @@ import numpy as np
 
 from . import __version__
 from .classify import classify_map, decompose_involution
-from .dmap import MapParams, choi_structure, delta_n
+from .dmap import MapParams, choi_structure
 from .errors import ContractError, ParameterError, PreconditionError
 from .matlin import DEFAULT_PSD_TOL, _matrix_form, matrix_from_json
 from .perm import parse_permutation
@@ -58,48 +61,21 @@ _VERDICTS = ("positive", "two_positive", "completely_positive", "atomic", "decom
 
 
 def parse_map_json(obj) -> MapParams:
-    """Validate and build MapParams from a parsed JSON object."""
+    """MapParams from a parsed JSON object holding the four fields, with an
+    integer ``n`` and a list ``c`` of length n; :class:`MapParams` checks the values."""
     if not isinstance(obj, dict):
         raise ParameterError(f"map file must hold a JSON object (got {type(obj).__name__})")
     for field in ("n", "sigma", "a", "c"):
         if field not in obj:
             raise ParameterError(f"map object is missing field '{field}'")
-    n = obj["n"]
+    n, c = obj["n"], obj["c"]
     if not isinstance(n, int) or isinstance(n, bool):
         raise ParameterError(f"field 'n' must be an integer (got {n!r})")
-    a = obj["a"]
-    if isinstance(a, bool) or not isinstance(a, (int, float)):
-        raise ParameterError(f"field 'a' must be a number (got {a!r})")
-    c = obj["c"]
-    if not isinstance(c, list) or any(
-        isinstance(ci, bool) or not isinstance(ci, (int, float)) for ci in c
-    ):
+    if not isinstance(c, list):
         raise ParameterError(f"field 'c' must be a list of numbers (got {c!r})")
-    a_float = _json_float(a, "field 'a'")
-    c_float = tuple(_json_float(ci, f"entry {i} of field 'c'") for i, ci in enumerate(c))
     if len(c) != n:  # bounds n by the file's size before sigma is built
         raise ParameterError(f"field 'c' must have length n={n} (got {len(c)})")
-    sigma = parse_permutation(obj["sigma"], n)
-    if c and all(ci == 0 for ci in c):
-        # the weight-free map: only n*diag(X) - X exists with zero weights
-        if a_float != float(n):
-            raise ParameterError(
-                f"zero weights describe the map n*diag(X) - X and require a = n (got a = {a})"
-            )
-        if not sigma.is_identity():
-            raise ParameterError(
-                "zero weights make sigma irrelevant; use sigma = 'id:n' for this map"
-            )
-        return delta_n(n)
-    return MapParams(n=n, sigma=sigma, a=a_float, c=c_float)
-
-
-def _json_float(x: int | float, what: str) -> float:
-    """float(x) for a JSON number; an integer past the float range is a ParameterError."""
-    try:
-        return float(x)
-    except OverflowError:
-        raise ParameterError(f"{what} is an integer outside the float range") from None
+    return MapParams(n=n, sigma=parse_permutation(obj["sigma"], n), a=obj["a"], c=c)
 
 
 def _load_json_file(path: str, what: str):
@@ -372,11 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--map", required=True, help="path to the map-parameter JSON file")
-    common.add_argument("--samples", type=int, default=2000, help="sampling budget (default 2000)")
-    common.add_argument(
-        "--tol", type=float, default=DEFAULT_PSD_TOL, help=f"PSD/eigenvalue tolerance (default {DEFAULT_PSD_TOL:g})"
-    )
-    common.add_argument("--seed", type=int, default=0, help="seed for the classify sampler (default 0)")
+    common.add_argument("--samples", type=int, default=2000, help="classify only: sampling budget (default 2000)")
+    common.add_argument("--tol", type=float, default=DEFAULT_PSD_TOL, help=f"classify only: PSD tolerance (default {DEFAULT_PSD_TOL:g})")
+    common.add_argument("--seed", type=int, default=0, help="classify only: seed for the sampler (default 0)")
     common.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
 
     sub.add_parser("classify", parents=[common], help="all five verdicts with certificates").set_defaults(run=_run_classify)

@@ -1,7 +1,9 @@
 """Diagonal-compression maps on M_n built from a permutation and coefficients.
 
 The family implemented here is parameterized by a permutation sigma of
-{1, ..., n}, a scalar a > 0 and coefficients c = (c_1, ..., c_n):
+{1, ..., n}, a scalar a > 0 and coefficients c = (c_1, ..., c_n), every
+c_i > 0 except in Delta_n: X -> n*diag(X) - X, where c = 0 (:func:`delta_n`);
+:class:`MapParams` is the one place these inputs are checked.  Each map has
 
 * the diagonal compression  Delta(X) = diag(a*x_ii + c_i * x_{sigma(i), sigma(i)}),
 * the shifted map           Theta(X) = Delta(X) - X.
@@ -21,6 +23,8 @@ n^2 x n^2 matrix here is a diagonal plus a block on span{|ii>}, and
 """
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
@@ -40,11 +44,12 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class MapParams:
-    """Parameters (n, sigma, a, c) of one map in the family.
-
-    The general constructor requires strictly positive a and c entries;
-    the map with c = 0 exists only through :func:`delta_n`.
-    """
+    """Parameters (n, sigma, a, c) of one map in the family, checked here and only here:
+    sigma a :class:`Permutation` of degree n, c a sequence of n entries, a and
+    each c_i real numbers (int, float, numpy integer or floating; no bool),
+    stored as Python floats.  a > 0 and every c_i > 0, except in n*diag(X) - X
+    (:func:`delta_n`): zero weights, n >= 2, a = n and sigma = id.  Each
+    failure is a ParameterError that names the field."""
 
     n: int
     sigma: Permutation
@@ -52,18 +57,34 @@ class MapParams:
     c: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise ParameterError(f"n must be a positive integer (got {self.n!r})")
-        _check_degree(self.sigma.n, self.n)
-        object.__setattr__(self, "a", _real(self.a, "a"))
-        object.__setattr__(self, "c", tuple(_real(ci, f"c[{i}]") for i, ci in enumerate(self.c, start=1)))
-        if not np.isfinite(self.a) or self.a <= 0:
-            raise ParameterError(f"a must be positive and finite (got {self.a})")
-        if len(self.c) != self.n:
-            raise ParameterError(f"c must have length n={self.n} (got {len(self.c)})")
-        for i, ci in enumerate(self.c, start=1):
-            if not np.isfinite(ci) or ci <= 0:
-                raise ParameterError(f"c[{i}] must be positive and finite (got {ci})")
+        n, sigma, raw_a, c = self.n, self.sigma, self.a, self.c
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise ParameterError(f"n must be a positive integer (got {n!r})")
+        if not isinstance(sigma, Permutation):
+            raise ParameterError(f"sigma must be a Permutation (got {type(sigma).__name__})")
+        _check_degree(sigma.n, n)
+        a = _real(raw_a, "a")
+        if not 0.0 < a < math.inf:
+            raise ParameterError(f"a must be positive and finite (got {a})")
+        if isinstance(c, (str, bytes, bytearray)) or not isinstance(c, (Sequence, np.ndarray)) or getattr(c, "ndim", 1) != 1:
+            raise ParameterError(f"c must be a sequence of n={n} numbers (got {type(c).__name__})")
+        if len(c) != n:
+            raise ParameterError(f"c must have length n={n} (got {len(c)})")
+        c = tuple(_real(ci, f"c[{i}]") for i, ci in enumerate(c, start=1))
+        if any(c):
+            for i, ci in enumerate(c, start=1):
+                if not 0.0 < ci < math.inf:
+                    raise ParameterError(f"c[{i}] must be positive and finite (got {ci})")
+        else:  # the weight-free map: only n*diag(X) - X exists with zero weights
+            if a != n:
+                raise ParameterError(f"zero weights describe the map n*diag(X) - X and require a = n (got a = {raw_a})")
+            if not sigma.is_identity():
+                raise ParameterError("zero weights make sigma irrelevant; use sigma = 'id:n' for this map")
+            if n < 2:
+                raise ParameterError(f"zero weights describe the map n*diag(X) - X, which needs n >= 2 (got n = {n})")
+            c = (0.0,) * n
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "c", c)
 
     @property
     def uniform_c(self) -> bool:
@@ -83,26 +104,20 @@ class MapParams:
 
 
 def _real(x, name: str) -> float:
-    """x as a float; a bool is no number here, as in the CLI's map files."""
-    if isinstance(x, (bool, np.bool_)):
+    """x as a Python float: an int, float, numpy integer or numpy floating, but
+    no bool; an int past the float range is refused."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
         raise ParameterError(f"{name} must be a number (got {x!r})")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:
+        raise ParameterError(f"{name} is an integer outside the float range") from None
 
 
 def delta_n(n: int) -> MapParams:
-    """The map X -> n*diag(X) - X, i.e. Theta with a = n and c = 0.
-
-    This is the one member of the family with c = 0; the general constructor
-    rejects c_i = 0, so it is built here through a validated back door.
-    """
-    if not isinstance(n, int) or n < 2:
-        raise ParameterError(f"delta_n needs an integer n >= 2 (got {n!r})")
-    p = object.__new__(MapParams)
-    object.__setattr__(p, "n", n)
-    object.__setattr__(p, "sigma", identity(n))
-    object.__setattr__(p, "a", float(n))
-    object.__setattr__(p, "c", (0.0,) * n)
-    return p
+    """The map X -> n*diag(X) - X, i.e. Theta with sigma = id, a = n and c = 0:
+    the one member of the family with zero weights (n >= 2)."""
+    return MapParams(n, identity(n), float(n), (0.0,) * n)
 
 
 def _require_square_input(p: MapParams, x: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ that element, so equal permutations always decompose identically.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -28,6 +29,8 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if isinstance(self.images, (str, bytes, bytearray)) or not isinstance(self.images, Sequence):
+            raise ParameterError(f"permutation images must be a sequence of integers (got {type(self.images).__name__})")
         images = tuple(self.images)
         object.__setattr__(self, "images", images)
         n = len(images)
@@ -111,6 +114,8 @@ class CycleDecomposition:
 
 def identity(n: int) -> Permutation:
     """The identity permutation of {1, ..., n}."""
+    if not isinstance(n, int):
+        raise ParameterError(f"degree must be an integer (got n={n!r})")
     if n < 1:
         raise ParameterError(f"degree must be >= 1 (got n={n})")
     return Permutation(tuple(range(1, n + 1)))

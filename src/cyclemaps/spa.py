@@ -40,10 +40,21 @@ class SpaState:
     came from (``positive``); the density matrix is built on first access."""
 
     structure: ChoiStructure
-    lambda_star: float
-    w_minus_norm: float
-    trace_choi: float
     positive: Verdict
+
+    @property
+    def trace_choi(self) -> float:
+        return self.structure.trace
+
+    @property
+    def w_minus_norm(self) -> float:
+        """||W^-|| = ||C^-|| / Tr(C)."""
+        return self.structure.negative_norm / self.trace_choi
+
+    @property
+    def lambda_star(self) -> float:
+        """1 / (1 + n^2 ||W^-||), the first PSD point of the noisy family."""
+        return 1.0 / (1.0 + self.structure.n**2 * self.w_minus_norm)
 
     @property
     def positivity_warning(self) -> bool:
@@ -120,15 +131,7 @@ def spa_state(p: MapParams) -> SpaState:
         raise PreconditionError(
             f"the SPA normalizes by Tr C = n(a - 1) + sum(c), which must be positive (got {trace})"
         )
-    w_minus_norm = structure.negative_norm / trace
-    lambda_star = 1.0 / (1.0 + p.n**2 * w_minus_norm)
-    return SpaState(
-        structure=structure,
-        lambda_star=lambda_star,
-        w_minus_norm=w_minus_norm,
-        trace_choi=trace,
-        positive=positive,
-    )
+    return SpaState(structure=structure, positive=positive)
 
 
 def separable_decomposition(p: MapParams) -> SeparableDecomposition:

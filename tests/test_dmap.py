@@ -2,9 +2,12 @@ import copy
 import json
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cyclemaps import (
@@ -66,6 +69,72 @@ def test_params_reject_bool_a_and_c(a, c, name):
     # as the CLI rejects a bool 'a' or 'c' entry in a map file
     with pytest.raises(ParameterError, match=f"^{name} must be a number"):
         MapParams(2, tau(2, 1), a, c)
+
+
+_JUNK = st.one_of(
+    st.none(),
+    st.text(max_size=3),
+    st.binary(max_size=3),
+    st.complex_numbers(),
+    st.booleans(),
+    st.lists(st.lists(st.integers(1, 3), max_size=2), max_size=3),
+    st.dictionaries(st.integers(1, 3), st.floats(0.5, 2.0), max_size=3),
+    st.integers(2**1024, 2**1100) | st.integers(-(2**1100), -(2**1024)),  # past the float range
+)
+_SCALARS = st.integers(-3, 3) | st.floats()  # a lone number where a sequence belongs
+
+
+@given(
+    st.one_of(
+        st.tuples(st.sampled_from(["n", "a", "c entry", "image"]), _JUNK),
+        st.tuples(st.sampled_from(["c", "images"]), _JUNK | _SCALARS),
+        st.tuples(st.just("sigma"), _JUNK | _SCALARS | st.sampled_from(["tau:3:1", "id:3", "images:2,3,1"])),
+    )
+)
+@example(("a", "2"))
+@example(("a", b"2"))
+@example(("c", "111"))
+@example(("a", 1j))
+@example(("a", None))
+@example(("sigma", "tau:3:1"))
+@example(("c", 2.0))
+@example(("a", 10**400))
+def test_junk_in_any_field_is_a_parameter_error(case):
+    """Whatever replaces one field of a valid map, or of its permutation, the
+    constructor raises ParameterError and nothing else."""
+    field, junk = case
+    fields = {"n": 3, "sigma": Permutation((2, 3, 1)), "a": 2.0, "c": (1.0, 1.0, 1.0)}
+    with pytest.raises(ParameterError):
+        if field == "images":
+            Permutation(junk)
+        elif field == "image":
+            Permutation((2, junk, 1))
+        elif field == "c entry":
+            MapParams(**{**fields, "c": (1.0, junk, 1.0)})
+        else:
+            MapParams(**{**fields, field: junk})
+
+
+_REALS = st.one_of(
+    st.integers(1, 2**80),
+    st.floats(min_value=5e-324, max_value=1e308),
+    st.integers(1, 2**63 - 1).map(np.int64),
+    st.integers(1, 2**64 - 1).map(np.uint64),
+    st.floats(min_value=2.0**-149, max_value=2.0**127, width=32).map(np.float32),
+    st.floats(min_value=5e-324, max_value=1e308).map(np.float64),
+)
+
+
+@given(_REALS, st.lists(_REALS, min_size=1, max_size=5))
+def test_real_inputs_are_stored_as_their_python_floats(a, c):
+    n = len(c)
+    p = MapParams(n, identity(n), a, c)
+    assert type(p.a) is float and p.a.hex() == float(a).hex()
+    assert type(p.c) is tuple and all(type(ci) is float for ci in p.c)
+    assert [ci.hex() for ci in p.c] == [float(ci).hex() for ci in c]
+    twin = MapParams(n, identity(n), float(a), tuple(map(float, c)))
+    thawed = pickle.loads(pickle.dumps(p))
+    assert p == twin == thawed and hash(p) == hash(twin) == hash(thawed)
 
 
 def test_kept_choi_structure_is_shared_and_read_only():
@@ -201,13 +270,25 @@ def test_delta_n_map():
 
 
 def test_delta_n_validation():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="needs n >= 2"):
         delta_n(1)
     with pytest.raises(ParameterError):
         delta_n(2.0)
-    # The public constructor refuses zero weights; delta_n is the only route.
-    with pytest.raises(ParameterError):
-        MapParams(3, identity(3), 3.0, (0.0, 0.0, 0.0))
+    # The constructor builds Delta_n itself, from any zero weights and a = n,
+    # and refuses every other zero-weight map.
+    for n in range(2, 6):
+        assert delta_n(n) == MapParams(n, identity(n), float(n), (0.0,) * n)
+    p = MapParams(3, identity(3), 3, [0, -0.0, np.float32(0)])
+    assert p == delta_n(3) and p.a.hex() == "0x1.8000000000000p+1"
+    assert [x.hex() for x in p.c] == ["0x0.0p+0"] * 3
+    for args, message in [
+        ((3, identity(3), 2.5, (0.0,) * 3), "zero weights describe the map n*diag(X) - X and require a = n (got a = 2.5)"),
+        ((3, tau(3, 1), 3.0, (0.0,) * 3), "zero weights make sigma irrelevant; use sigma = 'id:n' for this map"),
+        ((1, identity(1), 1.0, (0.0,)), "zero weights describe the map n*diag(X) - X, which needs n >= 2 (got n = 1)"),
+        ((3, identity(3), 3.0, (0.0, 1.0, 0.0)), "c[1] must be positive and finite (got 0.0)"),
+    ]:
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            MapParams(*args)
 
 
 def test_pair_block_eigenvalues_stay_finite_where_the_formula_overflows(tmp_path, capsys):
