@@ -129,7 +129,6 @@ class DecomposabilityCertificate:
 class ClassificationReport:
     """All five verdicts for one parameter point, plus any split certificate."""
 
-    params: MapParams
     positive: Verdict
     two_positive: Verdict
     completely_positive: Verdict
@@ -465,7 +464,6 @@ def classify_map(
     atomic, decomposable, decomposition = _atomic_and_decomposable(p, pos, cp, certify=True)
     _check_closure(pos, two, cp, atomic, decomposable, psd_tol)
     return ClassificationReport(
-        params=p,
         positive=pos,
         two_positive=two,
         completely_positive=cp,

@@ -13,6 +13,10 @@ The parameter file holds ``{"n": 3, "sigma": "tau:3:2", "a": 2.0, "c": [1, 1, 1]
 :class:`MapParams` checks the numbers (zero weights with a = n, sigma = id
 give n*diag(X) - X).  Every subcommand echoes ``--samples``, ``--tol`` and
 ``--seed`` in the report's ``config``; only ``classify`` reads them.
+``witness --certify`` writes one expectation per generator, in the order of
+:mod:`cyclemaps.witness`, and not the generators, which n and sigma fix.
+``spa`` writes ``positivity_warning`` (positivity "no") beside the SPA, which
+does not read it.
 Reports are JSON on stdout (or ``--out``), embed the input verbatim, and are
 byte-identical across runs up to the ``timestamp`` field.  The handlers hold
 each matrix's entries, and other number arrays, as float arrays, and
@@ -48,7 +52,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .classify import classify_map, decompose_involution
+from .classify import NO, classify_map, decompose_involution, positivity_verdict
 from .dmap import MapParams, choi_structure
 from .errors import ContractError, ParameterError, PreconditionError
 from .matlin import DEFAULT_PSD_TOL, _matrix_form, matrix_from_json
@@ -148,7 +152,7 @@ def _run_spa(args, params: MapParams, state) -> dict:
         "lambda_star": spa.lambda_star,
         "w_minus_norm": spa.w_minus_norm,
         "trace_choi": spa.trace_choi,
-        "positivity_warning": spa.positivity_warning,
+        "positivity_warning": positivity_verdict(params).status == NO,
         "matrix": _matrix_form(spa.matrix),
     }
     if dec is not None:
@@ -177,8 +181,6 @@ def _run_witness(args, params: MapParams, state: Optional[np.ndarray]) -> dict:
     }
     if args.certify:
         cert = certify_optimality(params)
-        vectors = (np.exp(1j * cert.generators.phases), np.eye(params.n, dtype=complex))
-        phase, unit = (v.view(float).reshape(*v.shape, 2) for v in vectors)  # [re, im] pairs
         result["certificate"] = {
             "span_rank": cert.span_rank,
             "optimal": cert.optimal,
@@ -186,13 +188,6 @@ def _run_witness(args, params: MapParams, state: Optional[np.ndarray]) -> dict:
             "note": cert.note,
             "warnings": list(cert.warnings),
             "expectations": cert.expectations,
-            "generators": [
-                {"family": "phase", "left": xi, "right": xi} for xi in phase
-            ]
-            + [
-                {"family": "basis", "left": unit[i], "right": unit[j]}
-                for i, j in cert.generators.pairs
-            ],
         }
     if state is not None:
         result["state_expectation"] = expectation_value(w, state)

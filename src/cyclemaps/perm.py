@@ -36,12 +36,18 @@ class Permutation:
         n = len(images)
         if n == 0:
             raise ParameterError("permutation needs degree >= 1 (got empty images)")
-        if any(not isinstance(i, int) or isinstance(i, bool) for i in images):
-            raise ParameterError(f"permutation images must be integers (got {images!r})")
-        if sorted(images) != list(range(1, n + 1)):
-            raise ParameterError(
-                f"images {images!r} are not a bijection of {{1, ..., {n}}}"
-            )
+        for k, i in enumerate(images, start=1):
+            if not isinstance(i, int) or isinstance(i, bool):
+                raise ParameterError(f"permutation images must be integers (got {i!r} as the image of {k})")
+        if sorted(images) != list(range(1, n + 1)):  # name the first image out of range or repeated
+            bad, first = f"images are not a bijection of {{1, ..., {n}}}", {}
+            for k, i in enumerate(images, start=1):
+                if not 1 <= i <= n:
+                    raise ParameterError(f"{bad}: {i} is the image of {k}, outside the range")
+                if i in first:
+                    missing = min(set(range(1, n + 1)).difference(images))
+                    raise ParameterError(f"{bad}: {i} is the image of both {first[i]} and {k}, and {missing} is missing")
+                first[i] = k
 
     @property
     def n(self) -> int:
@@ -198,23 +204,26 @@ def parse_permutation(text: str, n: Optional[int] = None) -> Permutation:
     if not isinstance(text, str):
         raise ParameterError(f"sigma must be a string (got {type(text).__name__})")
     head, _, rest = text.partition(":")
-    try:
-        if head == "tau":
-            n_text, _, k_text = rest.partition(":")
-            return tau(_check_degree(int(n_text), n), int(k_text))
-        if head == "id":
-            return identity(_check_degree(int(rest), n))
-        if head == "images":
-            images = tuple(int(part) for part in rest.split(","))
-            _check_degree(len(images), n)
-            return Permutation(images)
-    except ValueError as exc:
-        if isinstance(exc, ParameterError):
-            raise
-        raise ParameterError(f"sigma {text!r} has a non-integer component") from exc
+    if head == "tau":
+        n_text, _, k_text = rest.partition(":")
+        return tau(_check_degree(_component(n_text), n), _component(k_text))
+    if head == "id":
+        return identity(_check_degree(_component(rest), n))
+    if head == "images":
+        images = tuple(map(_component, rest.split(",")))
+        _check_degree(len(images), n)
+        return Permutation(images)
     raise ParameterError(
         f"unrecognized sigma format {text!r}: expected 'tau:n:k', 'id:n' or 'images:i1,i2,...'"
     )
+
+
+def _component(part: str) -> int:
+    """One integer field of a sigma text; ParameterError naming the field otherwise."""
+    try:
+        return int(part)
+    except ValueError:
+        raise ParameterError(f"sigma has a non-integer component {part!r}") from None
 
 
 def _check_degree(degree: int, n: Optional[int]) -> int:

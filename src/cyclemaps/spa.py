@@ -6,20 +6,32 @@ The first PSD point is lam* = 1 / (1 + n^2 ||W^-||), equivalently
 SPA = (||C^-|| I + C) / (Tr(C) + n^2 ||C^-||).  ||C^-|| and Tr(C) come from
 the structured Choi matrix that the map keeps (:func:`choi_structure`): the
 negative eigenvalues of C are those of its n x n core, so the core's least
-eigenvalue, one secular-equation root, gives lam* exactly.  :class:`SpaState`
-keeps the positivity verdict, which the separable decomposition reads.  Claimed
-closed-form values (such as ||C^-|| = 1 at a = n - 1) are asserted in the
-tests against a dense eigensolve, never assumed.
+eigenvalue, one secular-equation root, gives lam* exactly; it is solved when
+first read.  Claimed closed-form values (such as ||C^-|| = 1 at a = n - 1)
+are asserted in the tests against a dense eigensolve, never assumed.
 
 At a = n - 1 with every cycle of sigma of length >= 2 the SPA is separable
-outright: n^2 * SPA splits into the two-level blocks sigma_ij plus weighted
-diagonal product terms, and each sigma_ij factors through a 4 x 4 seed R as
-(D_ij (x) D_ij) R (D_ij (x) D_ij)* with R and its partial transpose PSD.  R
-is the identity with -1 at (1, 4) and (4, 1); the tests build it, and the
-dense noisy family W(lam), as oracles (``tests/matrix_helpers.py``).  Each
-term is held as its kind, indices and weight, and their sum is checked
-against the structured SPA in O(n^2); the SPA matrix and each term's matrix
-are built only when read (:func:`cyclemaps.dmap.assemble`).
+for every c > 0, positive map or not.  Proof: C = sum_{i != k} D[i, k]
+|ik><ik| + K on span{|ii>}, with D[i, k] = c_k at k = sigma^(-1)(i) and 0
+elsewhere off the diagonal (no fixed point puts a c_i on the diagonal), and
+core K = (n - 1) I - J, whatever c.  K's eigenvalues are -1 (on the all-ones
+vector) and n - 1, and the rest of C is a non-negative diagonal, so
+nu = ||C^-|| = 1 and nu I + C = sum_{i != k} (1 + D[i, k]) |ik><ik| + n I - J
+on span{|ii>}.  The n(n-1)/2 two-level blocks sigma_ij (i < j) sum to exactly
+that but for the c's: each puts 1 at |ii>, |jj>, |ij> and |ji> and -1 between
+|ii> and |jj>, so together they give n I - J on span{|ii>} (n - 1 pairs
+meet at each |ii>) and 1 at every |ik>, i != k.  What is left is
+c_k |ik><ik| at k = sigma^(-1)(i), a product term with c_k > 0.  Each
+sigma_ij factors through a 4 x 4 seed R as (D_ij (x) D_ij) R (D_ij (x) D_ij)*
+with R and its partial transpose PSD: R is the identity with -1 at (1, 4)
+and (4, 1), whose partial transpose holds -1 at (2, 3) and (3, 2) instead.
+So every term is PSD and PPT, and separable (a PPT state of two qubits is,
+Horodecki et al., Phys. Lett. A 223, 1996); positivity is never read.  The
+tests build R, and the dense noisy family W(lam), as oracles
+(``tests/matrix_helpers.py``).  Each term is held as its kind, indices and
+weight, and their sum is checked against the structured SPA in O(n^2); the
+SPA matrix and each term's matrix are built only when read
+(:func:`cyclemaps.dmap.assemble`).
 """
 from __future__ import annotations
 
@@ -28,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .classify import BOUNDARY_TOL, NO, YES, Verdict, positivity_verdict
+from .classify import BOUNDARY_TOL
 from .dmap import ChoiStructure, MapParams, assemble, choi_structure, parts_distance, require_dense_size
 from .errors import PreconditionError
 from .perm import cycle_decompose
@@ -36,11 +48,10 @@ from .perm import cycle_decompose
 
 @dataclass(frozen=True)
 class SpaState:
-    """The mixing data of the SPA, and the positivity verdict of the map it
-    came from (``positive``); the density matrix is built on first access."""
+    """The mixing data of the SPA, read from the map's Choi structure; the
+    density matrix is built on first access."""
 
     structure: ChoiStructure
-    positive: Verdict
 
     @property
     def trace_choi(self) -> float:
@@ -55,11 +66,6 @@ class SpaState:
     def lambda_star(self) -> float:
         """1 / (1 + n^2 ||W^-||), the first PSD point of the noisy family."""
         return 1.0 / (1.0 + self.structure.n**2 * self.w_minus_norm)
-
-    @property
-    def positivity_warning(self) -> bool:
-        """True when the map's positivity verdict is "no"."""
-        return self.positive.status == NO
 
     @property
     def _scale(self) -> float:
@@ -123,15 +129,16 @@ class SeparableDecomposition:
 def spa_state(p: MapParams) -> SpaState:
     """Compute the SPA of the map's witness direction from the Choi spectrum.
 
-    Raises PreconditionError when Tr C = n(a - 1) + sum(c) <= 0."""
-    positive = positivity_verdict(p)
+    Raises PreconditionError when Tr C = n(a - 1) + sum(c) <= 0.  Nothing is
+    solved here: the core's least eigenvalue is solved when a field that
+    needs it is first read."""
     structure = choi_structure(p)
     trace = structure.trace  # the SPA normalizes by it
     if not trace > 0.0:
         raise PreconditionError(
             f"the SPA normalizes by Tr C = n(a - 1) + sum(c), which must be positive (got {trace})"
         )
-    return SpaState(structure=structure, positive=positive)
+    return SpaState(structure=structure)
 
 
 def separable_decomposition(p: MapParams) -> SeparableDecomposition:
@@ -139,8 +146,8 @@ def separable_decomposition(p: MapParams) -> SeparableDecomposition:
 
     Preconditions, checked in this order: Tr C > 0 (:func:`spa_state`, whose
     result the decomposition keeps), a = n - 1 (within BOUNDARY_TOL, as every
-    boundary), every cycle of sigma of length >= 2, and positivity
-    established by a decisive criterion.  Each two-level term sigma_ij is its
+    boundary) and every cycle of sigma of length >= 2.  Positivity is not
+    needed (module docstring).  Each two-level term sigma_ij is its
     factorization (D_ij (x) D_ij) R (D_ij (x) D_ij)*, with D_ij the n x 2
     isometry onto coordinates i, j: R written onto |ii>, |ij>, |ji>, |jj>.
     Each diagonal term is one unit entry at |i, sigma^(-1)(i)>.  ``residual``
@@ -155,10 +162,6 @@ def separable_decomposition(p: MapParams) -> SeparableDecomposition:
     if l_min < 2:
         raise PreconditionError(
             f"requires every cycle of sigma of length >= 2 (got a cycle of length {l_min})"
-        )
-    if state.positive.status != YES:
-        raise PreconditionError(
-            f"requires established positivity; the verdict here is '{state.positive.status}'"
         )
     normalization = state._scale
 

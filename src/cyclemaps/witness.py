@@ -4,15 +4,19 @@ optimality certificate built from product vectors.
 The witness is W = C / n where C is the Choi matrix of transposition followed
 by Theta.  A witness is optimal when no other witness detects a strictly
 larger set of states; a sufficient certificate is the spanning property: the
-product vectors zeta with <W zeta, zeta> = 0 span the whole of C^n (x) C^n.
+product vectors zeta with <W zeta, zeta> = 0 span the whole of C^n (x) C^n
+(Lewenstein et al., PRA 62, 052310, 2000).  It certifies only a witness: the
+map must be positive and W not PSD.
 
-Two zero-expectation families are generated here:
+Two zero-expectation families are generated here, in this order:
 
-* phase vectors xi (x) xi with xi = (exp(i t_1), ..., exp(i t_n)) -- their
-  expectation is n*a + sum(c) - n^2 times 1/n, which vanishes on the uniform
-  family a = n - c (and more generally whenever n*a + sum(c) = n^2);
-* basis pairs e_i (x) e_j with j != i and j != sigma^(-1)(i), whose
-  expectation vanishes for every parameter choice.
+* phase vectors xi (x) xi with xi = (exp(i t_1), ..., exp(i t_n)), for the
+  1 + 2n + n(n-1)/2 phase rows t: zero, pi at each coordinate, pi/2 at each
+  coordinate, and pi at each pair of coordinates k < l.  Their expectation
+  is n*a + sum(c) - n^2 times 1/n, which vanishes on the uniform family
+  a = n - c (and more generally whenever n*a + sum(c) = n^2);
+* basis pairs e_i (x) e_j with j != i and j != sigma^(-1)(i), in row-major
+  order, whose expectation vanishes for every parameter choice.
 
 Stacked as vectors of length n^2, their rank decides the certificate:
 rank n^2 certifies optimality.
@@ -20,20 +24,20 @@ rank n^2 certifies optimality.
 A fixed set of phases suffices.  Every phase vector shares the one
 expectation above, whatever its phases, so the phase vectors pass or fail
 together; and every xi (x) xi lies in the symmetric tensors, a space of
-dimension n(n+1)/2 that the deterministic phases already span.  No further
-phase vector, random or not, can raise the span rank.
+dimension n(n+1)/2 that the outer squares of the phase rows already span.
+No further phase vector, random or not, can raise the span rank.
 
 Nothing here needs the dense n^2 x n^2 witness, nor an object per
 generator.  The generators (:class:`SpanningGenerators`) are n and the
-index pairs (i, j) of the basis pairs: the phase vectors depend on n alone,
-and their (1 + 2n + n(n-1)/2) x n table of angles is built only when read.
-With n W = diag(D) - F (:class:`cyclemaps.dmap.ChoiStructure`), xi (x) xi
-has the expectation (w . D . w - (sum w)^2) / n with w = |xi|^2, and
-e_i (x) e_j has (D[i, j] - [i = j]) / n.  The angles are 0, pi/2 and pi,
-where |exp(i t)|^2 is 1.0 exactly, so w is all ones on every phase row and
-one sum gives every phase expectation without the table; the basis pairs'
-are 0.0 exactly.  The certificate thus costs O(n^2) time and memory, the
-size of its expectations and pairs.
+index pairs (i, j) of the basis pairs: the phase vectors are the closed form
+above in n alone, and no table of their angles is built.  With
+n W = diag(D) - F (:class:`cyclemaps.dmap.ChoiStructure`), xi (x) xi has the
+expectation (w . D . w - (sum w)^2) / n with w = |xi|^2, and e_i (x) e_j has
+(D[i, j] - [i = j]) / n.  The angles are 0, pi/2 and pi, where
+|exp(i t)|^2 is 1.0 exactly, so w is all ones on every phase row and one sum
+gives every phase expectation; the basis pairs' are 0.0 exactly.  The
+certificate thus costs O(n^2) time and memory, the size of its expectations
+and pairs.
 
 The span rank has a closed form in sigma.  The basis pairs are distinct
 standard basis vectors, n^2 - n - m of them for m the number of points sigma
@@ -47,16 +51,15 @@ it is the number of basis pairs.
 
 The minimum eigenvalue of W, which decides the PSD warning, comes from the
 closed form of its 1x1 and 2x2 blocks (Lewenstein et al., PRA 62, 052310,
-2000).  The certificate builds W itself only when it is read.
+2000).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .classify import NO, YES, atomic_verdict, cp_verdict, on_uniform_family, positivity_verdict
+from .classify import NO, UNKNOWN, YES, atomic_verdict, cp_verdict, on_uniform_family, positivity_verdict
 from .dmap import MapParams, assemble, choi_structure, require_dense_size
 from .errors import ParameterError
 from .matlin import DEFAULT_PSD_TOL, MAX_ENTRIES, require_hermitian
@@ -65,7 +68,7 @@ from .perm import cycle_decompose
 # A generator's expectation <W zeta, zeta> counts as zero within this bound.
 EXPECTATION_TOL = 1e-9
 
-# |exp(i t)|^2 is 1.0 exactly at the table's angles 0, pi/2 and pi, which the
+# |exp(i t)|^2 is 1.0 exactly at the phase rows' angles 0, pi/2 and pi, which the
 # phase expectation relies on; it depends on no map, so it is evaluated once
 _UNIT_WEIGHTS = bool(np.all(np.abs(np.exp(1j * np.array([0.0, np.pi / 2, np.pi]))) ** 2 == 1.0))
 
@@ -79,11 +82,9 @@ def _phase_rows(n: int) -> int:
 class SpanningGenerators:
     """The candidate zero-expectation product vectors on C^n (x) C^n.
 
-    The phase vectors come first and depend on n alone: row r of the table
-    ``phases`` gives xi (x) xi with xi = exp(i * phases[r]).  Row m of
-    ``pairs`` gives the basis pair e_i (x) e_j for (i, j) = pairs[m],
-    0-based.  The table is built when first read; the length counts its rows
-    from the closed form.
+    The phase vectors, the phase rows of the module docstring, come first
+    and are counted from n alone.  Row m of ``pairs`` gives the basis pair
+    e_i (x) e_j for (i, j) = pairs[m], 0-based.
     """
 
     n: int
@@ -92,32 +93,12 @@ class SpanningGenerators:
     def __len__(self) -> int:
         return _phase_rows(self.n) + len(self.pairs)
 
-    @cached_property
-    def phases(self) -> np.ndarray:
-        """The phase angles: the zero row, pi and then pi/2 at each coordinate,
-        and pi at each pair of coordinates k < l.  Their outer squares span all
-        symmetric matrices, where every xi (x) xi lies, so no other phase vector
-        could add to the span.  ParameterError, before allocating, past
-        ``MAX_ENTRIES`` entries."""
-        n, d = self.n, np.arange(self.n)
-        rows = _phase_rows(n)
-        if rows * n > MAX_ENTRIES:
-            raise ParameterError(f"n = {n} is too large for the phase table: {rows * n:,} entries (limit {MAX_ENTRIES:,})")
-        k, l = np.triu_indices(n, 1)
-        phases = np.zeros((rows, n))
-        phases[1 + d, d] = np.pi
-        phases[1 + n + d, d] = np.pi / 2
-        pair_rows = 1 + 2 * n + np.arange(k.size)
-        phases[pair_rows, k] = phases[pair_rows, l] = np.pi
-        return phases
-
 
 @dataclass(frozen=True)
 class OptimalityCertificate:
-    """Generating product vectors, their expectations and the rank; the
-    witness matrix is built on first access."""
+    """Generating product vectors, their expectations and the rank, with
+    the optimality verdict they support."""
 
-    params: MapParams
     generators: SpanningGenerators
     expectations: np.ndarray
     span_rank: int
@@ -125,10 +106,6 @@ class OptimalityCertificate:
     theorem_applies: bool
     note: str
     warnings: tuple[str, ...]
-
-    @cached_property
-    def witness(self) -> np.ndarray:
-        return witness(self.params)
 
 
 def witness(p: MapParams) -> np.ndarray:
@@ -150,7 +127,7 @@ def witness(p: MapParams) -> np.ndarray:
 def spanning_generators(p: MapParams) -> SpanningGenerators:
     """The candidate zero-expectation product vectors for the witness of p.
 
-    The phase vectors are those of :attr:`SpanningGenerators.phases`.  The
+    The phase vectors are the phase rows of the module docstring.  The
     basis pairs are e_i (x) e_j with j not in {i, sigma^(-1)(i)}, in
     row-major order: ``np.argwhere`` of that mask, layout included (each
     column contiguous, as the expectation check reads them), written
@@ -171,23 +148,25 @@ def certify_optimality(p: MapParams) -> OptimalityCertificate:
 
     Every generator's expectation <W zeta, zeta> is recorded; those within
     ``EXPECTATION_TOL`` of zero enter the span, and rank n^2 means the
-    witness is optimal.  The rank is the closed form of the module
-    docstring: n^2 less the number of 2-cycles of sigma when the phase
+    witness is optimal, provided it is a witness: ``optimal`` needs the
+    positivity verdict "yes" and a W that is not PSD.  An undecided
+    positivity gives a warning, and a spanning set then the note "not
+    certified: positivity undecided".  The rank is the closed form of the
+    module docstring: n^2 less the number of 2-cycles of sigma when the phase
     vectors pass, else the number of basis pairs, so no rank is computed
     numerically.  Inside the certified uniform family a nonzero
     expectation is an internal bug and raises; outside it the same machinery
     runs and the verdict simply reports what the numbers show.
 
     Every phase row has w = |xi|^2 all ones (|exp(i t)|^2 is 1.0 exactly at
-    the table's angles 0, pi/2 and pi), so every product with w is exact
+    the phase rows' angles 0, pi/2 and pi), so every product with w is exact
     and each row's w . D . w is the sum of a + c_k over k, reduced in the
     order numpy reduces any row of n entries: one sum gives the bits that
-    every row of the table would, and it is broadcast over the
-    1 + 2n + n(n-1)/2 phase rows without building the table.  Every basis
-    pair has D[i, j] = 0.0 and i != j, so its expectation is 0.0 and all of
-    them pass.  Either fact failing raises RuntimeError.  The certificate
-    holds O(n^2) numbers; ParameterError, before allocating, once n^2
-    exceeds ``MAX_ENTRIES``.
+    every phase row would, and it is broadcast over the 1 + 2n + n(n-1)/2
+    phase rows.  Every basis pair has D[i, j] = 0.0 and i != j, so its
+    expectation is 0.0 and all of them pass.  Either fact failing raises
+    RuntimeError.  The certificate holds O(n^2) numbers; ParameterError,
+    before allocating, once n^2 exceeds ``MAX_ENTRIES``.
     """
     n = p.n
     if n * n > MAX_ENTRIES:
@@ -226,23 +205,31 @@ def certify_optimality(p: MapParams) -> OptimalityCertificate:
     # the basis pairs give one rank each; passing phase vectors fill the rest
     # but for one rank per 2-cycle of sigma
     span_rank = n * n - cycle_decompose(p.sigma).lengths.count(2) if phases_pass else len(gens.pairs)
-    optimal = span_rank == n * n
+    spanning = span_rank == n * n
+    psd = structure.min_eigenvalue(compose_transpose=True) / n >= -DEFAULT_PSD_TOL
 
     warnings: list[str] = []
     if pos.status == NO:
         warnings.append("the underlying map is not positive, so this matrix is not a witness")
-    if structure.min_eigenvalue(compose_transpose=True) / n >= -DEFAULT_PSD_TOL:
+    elif pos.status == UNKNOWN:
+        warnings.append("the positivity of the underlying map is undecided, so this matrix may not be a witness")
+    if psd:
         warnings.append("the matrix is PSD and detects no entanglement")
 
-    if optimal and theorem_applies:
-        note = "optimal: zero-expectation product vectors span C^n (x) C^n (certified family)"
-    elif optimal:
-        note = "optimal: spanning property verified numerically outside the certified family"
-    else:
+    # only a witness can be optimal: the map positive and W not PSD
+    optimal = spanning and pos.status == YES and not psd
+    if not spanning:
         note = "spanning property not established: zero-expectation span is rank deficient"
+    elif pos.status == UNKNOWN:
+        note = "not certified: positivity undecided"
+    elif not optimal:
+        note = "not optimal: the matrix is not an entanglement witness"
+    elif theorem_applies:
+        note = "optimal: zero-expectation product vectors span C^n (x) C^n (certified family)"
+    else:
+        note = "optimal: spanning property verified numerically outside the certified family"
 
     return OptimalityCertificate(
-        params=p,
         generators=gens,
         expectations=expectations,
         span_rank=span_rank,

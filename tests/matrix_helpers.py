@@ -1,7 +1,8 @@
 """Dense matrices and oracles that only the tests use: matrix units, basis
 vectors, tensor and entrywise products, the dense form of the witness
 certificate from its generators built eagerly (the dense phase table
-included), and the checks the suite holds the package's answers against.
+included, which the package never builds), and the checks the suite holds
+the package's answers against.
 
 The oracles were public functions of the package until no package code
 called them:
@@ -40,7 +41,7 @@ from cyclemaps import (
     spa_state,
 )
 from cyclemaps.dmap import assemble, require_dense_size
-from cyclemaps.matlin import DEFAULT_HERMITIAN_TOL, DEFAULT_PSD_TOL, MAX_DIM, _as_matrix, _hermitian_blocks, _hermitian_defect
+from cyclemaps.matlin import DEFAULT_HERMITIAN_TOL, DEFAULT_PSD_TOL, MAX_DIM, MAX_ENTRIES, _as_matrix, _hermitian_blocks, _hermitian_defect
 from cyclemaps.witness import EXPECTATION_TOL
 
 
@@ -188,21 +189,41 @@ def numerical_rank(m: np.ndarray, rtol: float = 1e-8) -> int:
     return int(np.count_nonzero(s > rtol * s[0]))
 
 
-def eager_generators(p) -> tuple[np.ndarray, np.ndarray]:
-    """The witness generators of p built eagerly, as ``(phases, pairs)``: the
-    dense phase table (the zero row, pi and then pi/2 at each coordinate, and
-    pi at each pair of coordinates k < l) and the basis pairs (i, j),
-    j not in {i, sigma^(-1)(i)}, in row-major order."""
-    n, d = p.n, np.arange(p.n)
-    k, l = np.triu_indices(n, 1)
-    phases = np.zeros((1 + 2 * n + k.size, n))
+def phase_table(n: int) -> np.ndarray:
+    """The phase angles of the witness's phase vectors xi (x) xi, xi = exp(i * row):
+    the zero row, pi and then pi/2 at each coordinate, and pi at each pair of
+    coordinates k < l.  Their outer squares span all symmetric matrices, where
+    every xi (x) xi lies, so no other phase vector could add to the span.
+    ParameterError, before allocating, past ``MAX_ENTRIES`` entries."""
+    d, (k, l) = np.arange(n), np.triu_indices(n, 1)
+    rows = 1 + 2 * n + k.size
+    if rows * n > MAX_ENTRIES:
+        raise ParameterError(f"n = {n} is too large for the phase table: {rows * n:,} entries (limit {MAX_ENTRIES:,})")
+    phases = np.zeros((rows, n))
     phases[1 + d, d] = np.pi
     phases[1 + n + d, d] = np.pi / 2
-    rows = 1 + 2 * n + np.arange(k.size)
-    phases[rows, k] = phases[rows, l] = np.pi
+    pair_rows = 1 + 2 * n + np.arange(k.size)
+    phases[pair_rows, k] = phases[pair_rows, l] = np.pi
+    return phases
+
+
+def eager_generators(p) -> tuple[np.ndarray, np.ndarray]:
+    """The witness generators of p built eagerly, as ``(phases, pairs)``: the
+    dense :func:`phase_table` and the basis pairs (i, j), j not in
+    {i, sigma^(-1)(i)}, in row-major order."""
+    n = p.n
     i, j = np.divmod(np.arange(n * n), n)
     keep = (j != i) & (choi_structure(p).img[j] != i)
-    return phases, np.stack([i[keep], j[keep]], axis=1)
+    return phase_table(n), np.stack([i[keep], j[keep]], axis=1)
+
+
+def generator_vectors(p) -> list[np.ndarray]:
+    """The n^2-vectors of the generators of p, in the order of the
+    certificate's expectations: xi (x) xi for each row of the phase table,
+    then e_i (x) e_j for each basis pair."""
+    phases, pairs = eager_generators(p)
+    xis, unit = np.exp(1j * phases), np.eye(p.n)
+    return [np.kron(xi, xi) for xi in xis] + [np.kron(unit[i], unit[j]) for i, j in pairs]
 
 
 def dense_certificate(p) -> tuple[np.ndarray, int]:

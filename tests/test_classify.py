@@ -928,8 +928,8 @@ def test_each_map_solves_the_choi_core_once(monkeypatch):
         (at_id, lambda p: classify_map(p, samples=10), 1),
         (mixed, lambda p: classify_map(p, samples=10), 1),
         (at_id, atomic_verdict, 0),
-        (at_id, spa_state, 0),
-        (mixed, spa_state, 0),
+        (at_id, lambda p: spa_state(p).lambda_star, 0),
+        (mixed, lambda p: spa_state(p).lambda_star, 0),
         (lambda: MapParams(4, tau(4, 1), 3.0, (1.0, 2.0, 0.8, 1.5)), separable_decomposition, 0),
         (lambda: MapParams(6, tau(6, 2), 4.0, (2.0,) * 6), certify_optimality, 0),
     ):
@@ -946,9 +946,10 @@ def test_each_map_solves_the_choi_core_once(monkeypatch):
 
 
 def test_spa_and_witness_take_the_geometric_mean_once(monkeypatch):
+    # the SPA decides no positivity, so it takes no geometric mean at all
     calls = _count_calls(monkeypatch, classify_module, "geometric_mean_c")
     separable_decomposition(MapParams(4, tau(4, 1), 3.0, (1.0, 2.0, 0.8, 1.5)))
-    assert len(calls) == 1
+    assert len(calls) == 0
     calls.clear()
     certify_optimality(MapParams(6, tau(6, 2), 4.0, (2.0,) * 6))
     assert len(calls) == 1

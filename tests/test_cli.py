@@ -20,9 +20,11 @@ from cyclemaps import (
     matrix_to_json,
     maximally_entangled_state,
     parse_permutation,
+    witness,
 )
 from cyclemaps import spa as spa_module
-from cyclemaps.cli import main
+from cyclemaps.cli import main, parse_map_json
+from matrix_helpers import generator_vectors
 
 FLAGSHIP = {"n": 3, "sigma": "tau:3:2", "a": 2.0, "c": [1.0, 1.0, 1.0]}
 INVOLUTION = {"n": 4, "sigma": "images:3,4,1,2", "a": 3.0, "c": [1.0, 1.0, 1.0, 1.0]}
@@ -219,6 +221,18 @@ def test_spa_decides_the_spa_state_once(tmp_path, capsys, monkeypatch, flags):
     assert ("decomposition" in json.loads(out)["result"]) == bool(flags)
 
 
+def test_spa_decompose_needs_no_positivity(tmp_path, capsys):
+    # tau(4, 1) at a = n - 1 with c = 0.5 is not positive (a < n - geomean(c)),
+    # and its SPA is still separable
+    spec = {"n": 4, "sigma": "tau:4:1", "a": 3.0, "c": [0.5, 0.5, 0.5, 0.5]}
+    rc, out, err = run_cli(capsys, "spa", "--map", write_json(tmp_path, "map.json", spec), "--decompose")
+    assert rc == 0, err
+    result = json.loads(out)["result"]
+    assert result["positivity_warning"] is True
+    assert result["decomposition"]["residual"] <= 1e-10
+    assert len(result["decomposition"]["terms"]) == 6 + 4
+
+
 def test_spa_decompose_requires_a_boundary(tmp_path, capsys):
     bad = dict(FLAGSHIP, a=1.9)
     path = write_json(tmp_path, "map.json", bad)
@@ -241,7 +255,55 @@ def test_witness_certify_and_state(tmp_path, capsys):
     assert cert["span_rank"] == 9
     assert cert["theorem_applies"] is True
     assert cert["warnings"] == []
-    assert len(cert["generators"]) == len(cert["expectations"])
+    # one expectation per generator: 1 + 2n + n(n-1)/2 = 10 phase rows and 3 basis pairs
+    assert list(cert) == ["span_rank", "optimal", "theorem_applies", "note", "warnings", "expectations"]
+    assert len(cert["expectations"]) == 13
+
+
+CERTIFY_MAPS = [
+    # (n, images): fixed points, 2-cycles and longer cycles side by side
+    (2, (1, 2)),
+    (2, (2, 1)),
+    (3, (1, 3, 2)),
+    (4, (2, 1, 3, 4)),
+    (4, (1, 3, 4, 2)),
+    (5, (2, 1, 4, 5, 3)),
+    (5, (1, 2, 4, 5, 3)),
+    (6, (2, 1, 3, 5, 6, 4)),
+    (6, (1, 2, 3, 4, 6, 5)),
+    (6, (3, 4, 5, 6, 1, 2)),
+]
+
+
+@pytest.mark.parametrize("n, images", CERTIFY_MAPS)
+def test_certificate_expectations_are_the_dense_ones_in_the_stated_order(tmp_path, capsys, n, images):
+    # the report's expectations against <zeta|W|zeta> of the dense witness, for
+    # zeta the phase vectors of the phase table and then the basis pairs, in order
+    rng = np.random.default_rng(n * 100 + sum(images))
+    c = [float(x) for x in rng.uniform(0.2, 2.0, size=n)]
+    for a in ((n * n - sum(c)) / n, float(rng.uniform(0.5, n + 1.0))):  # the phase vectors pass, then not
+        spec = {"n": n, "sigma": "images:" + ",".join(map(str, images)), "a": a, "c": c}
+        rc, out, err = run_cli(capsys, "witness", "--map", write_json(tmp_path, "map.json", spec), "--certify")
+        assert rc == 0, err
+        got = np.array(json.loads(out)["result"]["certificate"]["expectations"])
+        params = parse_map_json(spec)
+        w = witness(params)
+        want = np.array([np.vdot(z, w @ z).real for z in generator_vectors(params)])
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.max(np.abs(w)))
+
+
+def test_witness_certify_calls_a_non_witness_unproven(tmp_path, capsys):
+    # a fixed point and a 3-cycle with n a + sum(c) = n^2: the vectors span,
+    # but positivity is undecided and the map is in fact not positive
+    spec = {"n": 4, "sigma": "images:1,3,4,2", "a": 3.125, "c": [0.5, 1, 1, 1]}
+    rc, out, _ = run_cli(capsys, "witness", "--map", write_json(tmp_path, "map.json", spec), "--certify")
+    assert rc == 0
+    cert = json.loads(out)["result"]["certificate"]
+    assert cert["span_rank"] == 16
+    assert cert["optimal"] is False
+    assert cert["note"] == "not certified: positivity undecided"
+    assert cert["warnings"] == ["the positivity of the underlying map is undecided, so this matrix may not be a witness"]
 
 
 def test_witness_state_must_be_hermitian(tmp_path, capsys):
@@ -324,6 +386,18 @@ def test_map_integer_past_the_float_range_exits_one(tmp_path, capsys, mutate, wh
     assert rc == 1
     assert out == ""
     assert err == f"error: {what} is an integer outside the float range\n"
+
+
+def test_a_repeated_image_at_n_100000_is_a_short_error(tmp_path, capsys):
+    # the message names the repeated and the missing image, not the 10^5 images
+    n = 100_000
+    images = list(range(1, n + 1))
+    images[n // 2] = 7
+    spec = {"n": n, "sigma": "images:" + ",".join(map(str, images)), "a": n - 1.0, "c": [1.0] * n}
+    rc, out, err = run_cli(capsys, "classify", "--map", write_json(tmp_path, "map.json", spec))
+    assert rc == 1 and out == ""
+    assert err == f"error: images are not a bijection of {{1, ..., {n}}}: 7 is the image of both 7 and {n // 2 + 1}, and {n // 2 + 1} is missing\n"
+    assert len(err.encode()) < 1000
 
 
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])

@@ -26,7 +26,6 @@ from cyclemaps import (
     classify_map,
     decompose_involution,
     spa_state,
-    spanning_generators,
     tau,
     two_positive_verdict,
     verify_positivity_numeric,
@@ -195,7 +194,7 @@ def test_the_p_block_bound_is_n_squared(monkeypatch):
     assert 2896**2 <= MAX_ENTRIES < 2897**2
 
 
-# -- the witness certificate and its phase table stop at MAX_ENTRIES ---------
+# -- the witness certificate stops at MAX_ENTRIES -----------------------------
 
 
 def traced_raise(call, message: str) -> int:
@@ -216,14 +215,6 @@ def test_certify_optimality_past_the_entry_bound_raises_before_allocating():
     assert traced_raise(lambda: certify_optimality(p), message) < 2**20  # the basis pairs alone would take 144 MB
 
 
-def test_the_phase_table_past_the_entry_bound_raises_before_allocating():
-    n = 256
-    gens = spanning_generators(MapParams(n, tau(n, 1), n - 0.7, (0.7,) * n))
-    message = "n = 256 is too large for the phase table: 8,487,168 entries (limit 8,388,608)"
-    assert traced_raise(lambda: gens.phases, message) < 2**20  # the table would take 68 MB
-    assert (1 + 2 * 255 + 255 * 254 // 2) * 255 <= MAX_ENTRIES < (1 + 2 * 256 + 256 * 255 // 2) * 256
-
-
 def test_the_certificate_bound_is_n_squared(monkeypatch):
     p = MapParams(4, tau(4, 1), 3.3, (0.7,) * 4)
     monkeypatch.setattr(witness_module, "MAX_ENTRIES", 16)
@@ -231,18 +222,6 @@ def test_the_certificate_bound_is_n_squared(monkeypatch):
     monkeypatch.setattr(witness_module, "MAX_ENTRIES", 15)
     with pytest.raises(ParameterError, match=r"^n = 4 is too large for the optimality certificate: 16 coordinates \(limit 15\)$"):
         certify_optimality(p)
-
-
-def test_the_phase_table_bound_is_its_entry_count(monkeypatch):
-    # 1 + 2n + n(n-1)/2 = 15 rows of n = 4 angles
-    p = MapParams(4, tau(4, 1), 3.3, (0.7,) * 4)
-    monkeypatch.setattr(witness_module, "MAX_ENTRIES", 60)
-    assert spanning_generators(p).phases.shape == (15, 4)
-    monkeypatch.setattr(witness_module, "MAX_ENTRIES", 59)
-    gens = spanning_generators(p)
-    with pytest.raises(ParameterError, match=r"^n = 4 is too large for the phase table: 60 entries \(limit 59\)$"):
-        gens.phases
-    assert "phases" not in vars(gens)
 
 
 # -- dense matrices past MAX_DIM raise before their n x n parts are built ----

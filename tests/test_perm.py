@@ -49,6 +49,38 @@ def test_permutation_rejects_non_bijections():
         Permutation(())
 
 
+@pytest.mark.parametrize(
+    "images, message",
+    [
+        ((1, 1, 3), "images are not a bijection of {1, ..., 3}: 1 is the image of both 1 and 2, and 2 is missing"),
+        ((0, 1), "images are not a bijection of {1, ..., 2}: 0 is the image of 1, outside the range"),
+        ((2, 3), "images are not a bijection of {1, ..., 2}: 3 is the image of 2, outside the range"),
+        # the first bad image in the order of the points
+        ((2, 2, 9, 1), "images are not a bijection of {1, ..., 4}: 2 is the image of both 1 and 2, and 3 is missing"),
+        ((2, 9, 2, 1), "images are not a bijection of {1, ..., 4}: 9 is the image of 2, outside the range"),
+        ((3, 1, 2, 2), "images are not a bijection of {1, ..., 4}: 2 is the image of both 3 and 4, and 4 is missing"),
+        ((1, 2.0), "permutation images must be integers (got 2.0 as the image of 2)"),
+        ((1, "2", None), "permutation images must be integers (got '2' as the image of 2)"),
+    ],
+    ids=["repeated", "zero", "past n", "repeated first", "past n first", "repeated late", "float", "str"],
+)
+def test_permutation_errors_name_the_first_bad_image(images, message):
+    with pytest.raises(ParameterError) as err:
+        Permutation(images)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, part",
+    [("tau:3:x", "x"), ("id:", ""), ("images:1,2,3.0", "3.0"), ("images:" + ",".join(map(str, range(1, 10**4))) + ",x", "x")],
+    ids=["tau", "id", "images", "long images"],
+)
+def test_sigma_text_errors_name_the_bad_component(text, part):
+    with pytest.raises(ParameterError) as err:
+        parse_permutation(text)
+    assert str(err.value) == f"sigma has a non-integer component {part!r}"
+
+
 def test_permutation_rejects_bool_images():
     # True == 1 passes the bijection check, and format_permutation would then
     # write "images:True,2", which parse_permutation rejects

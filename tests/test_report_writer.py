@@ -304,15 +304,10 @@ def test_every_report_is_what_json_dumps_writes(tmp_path, capsys, monkeypatch, m
         return
     assert out == dumps(reports[0]) + "\n"
     if "--certify" in command:
-        # the generator vectors as the per-element form wrote them
-        gens = certify_optimality(params).generators
-        unit = np.eye(params.n)
-        old = [[float(z.real), float(z.imag)] for xi in np.exp(1j * gens.phases) for z in xi]
-        old += [[float(z), 0.0] for i, j in gens.pairs for z in np.concatenate([unit[i], unit[j]])]
-        got = json.loads(out)["result"]["certificate"]["generators"]
-        new = [p for g in got if g["family"] == "phase" for p in g["left"]]
-        new += [p for g in got if g["family"] == "basis" for p in g["left"] + g["right"]]
-        assert json.dumps(new) == json.dumps(old)
+        # one expectation per generator, and no generator vectors: n and sigma fix them
+        cert = json.loads(out)["result"]["certificate"]
+        assert "generators" not in cert
+        assert len(cert["expectations"]) == len(certify_optimality(params).generators)
 
 
 def test_reports_skip_the_pure_python_encoder(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,12 @@
+import dataclasses
+import importlib
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cyclemaps import (
@@ -7,7 +14,10 @@ from cyclemaps import (
     ParameterError,
     Permutation,
     PreconditionError,
+    SpaState,
     choi,
+    choi_structure,
+    cycle_decompose,
     identity,
     maximally_entangled_state,
     min_eigenvalue,
@@ -17,7 +27,11 @@ from cyclemaps import (
     spa_state,
     tau,
 )
+from cyclemaps.cli import main
 from matrix_helpers import is_psd, kron, matrix_unit, ppt_check, r_matrix, spa_interpolation
+
+classify_module = importlib.import_module("cyclemaps.classify")
+dmap_module = importlib.import_module("cyclemaps.dmap")
 
 
 def test_r_matrix_and_its_partial_transpose():
@@ -60,7 +74,7 @@ def test_spa_state_flagship(flagship):
     assert state.lambda_star == pytest.approx(0.4, abs=1e-12)
     assert state.w_minus_norm == pytest.approx(1.0 / 6.0, abs=1e-12)
     assert state.trace_choi == pytest.approx(6.0)
-    assert not state.positivity_warning
+    assert [f.name for f in dataclasses.fields(state)] == ["structure"]
 
     c = choi(flagship)
     assert_allclose(state.matrix, (np.eye(9) + c) / 15.0, atol=1e-12)
@@ -79,9 +93,47 @@ def test_spa_state_already_psd():
     assert_allclose(state.matrix, choi(p) / 9.0, atol=1e-12)
 
 
-def test_spa_state_warns_for_non_positive_map():
-    state = spa_state(MapParams(3, tau(3, 1), 1.5, (1.0, 1.0, 1.0)))
-    assert state.positivity_warning
+def test_spa_state_warns_for_non_positive_map(tmp_path, capsys):
+    # the SPA does not depend on positivity: the state holds the structure
+    # only, and the spa report takes its warning from the positivity verdict
+    p = MapParams(3, tau(3, 1), 1.5, (1.0, 1.0, 1.0))
+    assert positivity_verdict(p).status == "no"
+    state = spa_state(p)
+    assert state == SpaState(choi_structure(p))
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"n": 3, "sigma": "tau:3:1", "a": 1.5, "c": [1.0, 1.0, 1.0]}))
+    assert main(["spa", "--map", str(path)]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["positivity_warning"] is True and result["lambda_star"] == state.lambda_star
+
+
+def test_spa_state_decides_no_verdict_and_solves_the_core_when_read(monkeypatch):
+    calls = []
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in dir(classify_module):
+        if name.endswith("_verdict") or name == "geometric_mean_c":
+            count(classify_module, name)
+    count(dmap_module, "_theta_min_eigenvalue")  # the core solve
+    solve = ["_theta_min_eigenvalue"]
+    # positivity "no", then "unknown"
+    for p in (MapParams(4, tau(4, 1), 3.0, (0.5,) * 4), MapParams(4, tau(4, 2), 3.0, (0.5, 0.6, 0.7, 0.8))):
+        state = spa_state(p)
+        assert calls == []
+        state.lambda_star
+        assert calls == solve
+        state.matrix
+        separable_decomposition(p)
+        assert calls == solve
+        calls.clear()
 
 
 def test_spa_interpolation_threshold(flagship):
@@ -145,10 +197,53 @@ def test_separable_decomposition_preconditions():
         separable_decomposition(MapParams(3, Permutation((2, 1, 3)), 2.0, (1.0,) * 3))
     assert "length" in str(err.value)
 
-    # Positivity stays unknown here, so no separability claim is made.
-    with pytest.raises(PreconditionError) as err:
-        separable_decomposition(MapParams(4, tau(4, 2), 3.0, (0.5, 0.6, 0.7, 0.8)))
-    assert "positivity" in str(err.value)
+    # Positivity stays unknown here, and the SPA is separable all the same.
+    p = MapParams(4, tau(4, 2), 3.0, (0.5, 0.6, 0.7, 0.8))
+    assert positivity_verdict(p).status == "unknown"
+    check_separable(p)
+
+
+def check_separable(p) -> None:
+    """Every term of the SPA's decomposition PSD and PPT, checked densely, and
+    their weighted sum the dense SPA within 1e-10."""
+    dec = separable_decomposition(p)
+    for term in dec.terms:
+        assert term.weight > 0.0
+        assert np.linalg.eigvalsh(term.matrix)[0] >= -1e-12
+        assert np.linalg.eigvalsh(partial_transpose(term.matrix, p.n, p.n))[0] >= -1e-12
+    assert dec.residual <= 1e-10
+    c = choi(p)
+    neg = max(0.0, -np.linalg.eigvalsh(c)[0])
+    spa = (neg * np.eye(p.n**2) + c) / (np.trace(c) + p.n**2 * neg)
+    assert np.max(np.abs(sum(t.weight * t.matrix for t in dec.terms) - spa)) <= 1e-10
+
+
+# the cycle lengths of sigma with every cycle >= 2, for n <= 5
+CYCLE_TYPES = {2: [(2,)], 3: [(3,)], 4: [(4,), (2, 2)], 5: [(5,), (2, 3)]}
+
+
+@st.composite
+def cycle_maps_at_the_boundary(draw):
+    """a = n - 1, every cycle of sigma of length >= 2, c log-uniform in [e^-4, e^2]."""
+    n = draw(st.integers(2, 5))
+    order = draw(st.permutations(range(1, n + 1)))
+    images, start = [0] * n, 0
+    for length in draw(st.sampled_from(CYCLE_TYPES[n])):
+        cycle = order[start : start + length]
+        for k, i in enumerate(cycle):
+            images[i - 1] = cycle[(k + 1) % length]
+        start += length
+    c = tuple(math.exp(draw(st.floats(-4.0, 2.0))) for _ in range(n))
+    return MapParams(n, Permutation(tuple(images)), n - 1.0, c)
+
+
+@given(cycle_maps_at_the_boundary())
+@settings(max_examples=60, deadline=None)
+@example(MapParams(4, tau(4, 1), 3.0, (0.5,) * 4))  # not positive
+@example(MapParams(2, tau(2, 1), 1.0, (math.exp(-4.0), math.exp(-4.0))))  # Tr C = 2e^-4
+def test_separable_decomposition_at_the_boundary_whatever_positivity_says(p):
+    assert cycle_decompose(p.sigma).l_min >= 2
+    check_separable(p)
 
 
 NON_POSITIVE_TRACE = [
@@ -178,7 +273,6 @@ def test_separable_decomposition_keeps_its_spa_state(flagship):
     dec, state = separable_decomposition(flagship), spa_state(flagship)
     for field in ("lambda_star", "w_minus_norm", "trace_choi"):
         assert getattr(dec.state, field) == getattr(state, field)
-    assert dec.state.positive == state.positive
     assert dec.normalization == 1.0 / (state.trace_choi + 9 * state.structure.negative_norm)
     assert all(t.weight == dec.normalization for t in dec.terms if t.kind == "pair")
 

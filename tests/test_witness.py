@@ -25,12 +25,14 @@ from cyclemaps import (
     identity,
     maximally_entangled_state,
     min_eigenvalue,
+    positivity_verdict,
     spanning_generators,
     tau,
+    verify_positivity_numeric,
     witness,
 )
-from conftest import random_hermitian, spaced_involution
-from matrix_helpers import dense_certificate, eager_generators, matrix_unit, real_parts_of
+from conftest import random_hermitian
+from matrix_helpers import dense_certificate, matrix_unit, phase_table, real_parts_of
 
 classify_module = importlib.import_module("cyclemaps.classify")
 witness_module = importlib.import_module("cyclemaps.witness")
@@ -123,14 +125,15 @@ def test_witness_detects_a_state(flagship):
 def test_spanning_generators_families(flagship):
     gens = spanning_generators(flagship)
     # 1 + n + n + n(n-1)/2 deterministic phase rows for n = 3.
-    assert gens.phases.shape == (10, 3)
+    phases = phase_table(3)
+    assert phases.shape == (10, 3)
     assert gens.pairs.shape == (3, 2)
     assert len(gens) == 13
     inv = flagship.sigma.inverse()
     for i, j in gens.pairs + 1:
         assert j != i and j != inv(i)
-    assert_allclose(np.exp(1j * gens.phases[4]), [1j, 1.0, 1.0], atol=1e-12)  # pi/2 at the first coordinate
-    assert_allclose(np.exp(1j * gens.phases[7]), [-1.0, -1.0, 1.0], atol=1e-12)  # pi at the pair (1, 2)
+    assert_allclose(np.exp(1j * phases[4]), [1j, 1.0, 1.0], atol=1e-12)  # pi/2 at the first coordinate
+    assert_allclose(np.exp(1j * phases[7]), [-1.0, -1.0, 1.0], atol=1e-12)  # pi at the pair (1, 2)
 
 
 def test_spanning_generators_identity_sigma():
@@ -178,29 +181,6 @@ def test_basis_pairs_at_n_1024_are_one_array():
     assert peak < 28e6
 
 
-def test_the_lazy_phase_table_is_the_eager_one_bit_for_bit():
-    for n in range(1, 41):
-        maps = [MapParams(n, sigma, n + 0.5, (1.0,) * n)
-                for sigma in (identity(n), spaced_involution(n), tau(n, 1), tau(n, max(1, n // 2)))]
-        maps += [delta_n(n)] if n >= 2 else []
-        for p in maps:
-            phases, pairs = eager_generators(p)
-            gens = spanning_generators(p)
-            assert gens.n == n and np.array_equal(gens.pairs, pairs)
-            assert len(gens) == len(phases) + len(gens.pairs)
-            assert gens.phases.shape == phases.shape
-            assert np.array_equal(gens.phases.view(np.uint64), phases.view(np.uint64))
-
-
-def test_certify_builds_the_phase_table_only_when_read(flagship):
-    cert = certify_optimality(flagship)
-    assert "phases" not in vars(cert.generators)
-    assert len(cert.generators) == len(cert.expectations) == 13
-    table = cert.generators.phases
-    assert "phases" in vars(cert.generators) and cert.generators.phases is table
-    assert table.shape == (10, 3)
-
-
 def test_certify_keeps_both_consistency_checks(monkeypatch, flagship):
     # the |exp(i t)|^2 = 1 fact is evaluated once, at import, but still decides
     assert witness_module._UNIT_WEIGHTS
@@ -246,7 +226,9 @@ def test_certificate_matches_the_dense_phase_table(p):
     expectations, rank = dense_certificate(p)
     cert = certify_optimality(p)
     assert cert.span_rank == rank
-    assert cert.optimal == (rank == p.n**2)
+    # only a witness is optimal: a positive map and a W that is not PSD
+    psd = "the matrix is PSD and detects no entanglement" in cert.warnings
+    assert cert.optimal == (rank == p.n**2 and positivity_verdict(p).status == "yes" and not psd)
     assert np.array_equal(cert.expectations.view(np.uint64), expectations.view(np.uint64))
 
 
@@ -360,7 +342,7 @@ def test_certify_outside_family_filters_nonzero_expectations(flagship):
     p = MapParams(3, tau(3, 2), 2.5, (1.0, 1.0, 1.0))
     cert = certify_optimality(p)
     assert not cert.theorem_applies
-    phase_expect = cert.expectations[: len(cert.generators.phases)]
+    phase_expect = cert.expectations[: len(phase_table(3))]
     # n a + sum(c) - n^2 = 1.5, so every phase vector pairs to 1.5/3 = 0.5.
     assert_allclose(phase_expect, [0.5] * len(phase_expect), atol=1e-12)
     assert cert.span_rank == 3  # only the basis pairs survive
@@ -368,15 +350,47 @@ def test_certify_outside_family_filters_nonzero_expectations(flagship):
 
 
 def test_certify_numeric_verdict_outside_family():
-    # Non-uniform weights with n a + sum(c) = n^2 still give a spanning set;
-    # the verdict is then numeric, without the theorem flag.
-    p = MapParams(6, tau(6, 2), 5.0, (1.3, 0.9, 1.1, 0.8, 1.05, 0.85))
-    cert = certify_optimality(p)
+    # A fixed point next to a 3-cycle on the uniform family: positive, not
+    # atomic, so the spanning set certifies optimality numerically, without
+    # the theorem flag.
+    cert = certify_optimality(MapParams(4, Permutation((1, 3, 4, 2)), 3.0, (1.0,) * 4))
     assert not cert.theorem_applies
     assert np.max(np.abs(cert.expectations)) <= 1e-9
-    assert cert.span_rank == 36
-    assert cert.optimal
+    assert cert.span_rank == 16
+    assert cert.optimal and cert.warnings == ()
     assert "numerically" in cert.note
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        # a fixed point and a 3-cycle with n a + sum(c) = n^2: the sampler's
+        # balanced row gives S = 1/3.625 + 3/4.125 = 1.00313 > 1
+        MapParams(4, Permutation((1, 3, 4, 2)), 3.125, (0.5, 1, 1, 1)),
+        # two 3-cycles with n a + sum(c) = n^2: sampled S reaches 1.0011
+        MapParams(6, tau(6, 2), 5.0, (1.3, 0.9, 1.1, 0.8, 1.05, 0.85)),
+    ],
+)
+def test_a_spanning_set_is_no_certificate_while_positivity_is_undecided(p):
+    # neither map is positive, so W is no witness, though its
+    # zero-expectation product vectors span
+    assert positivity_verdict(p).status == "unknown"
+    assert verify_positivity_numeric(p, samples=2000).max_s > 1.0 + 1e-4
+    cert = certify_optimality(p)
+    assert np.max(np.abs(cert.expectations)) <= 1e-9 and cert.span_rank == p.n**2
+    assert not cert.optimal and not cert.theorem_applies
+    assert cert.note == "not certified: positivity undecided"
+    assert cert.warnings == ("the positivity of the underlying map is undecided, so this matrix may not be a witness",)
+
+
+def test_a_spanning_set_is_no_certificate_for_a_non_positive_map():
+    # tau(3, 1) at a = 1.5 with c = 1.5 has n a + sum(c) = n^2 and positivity "no"
+    p = MapParams(3, tau(3, 1), 1.5, (1.5,) * 3)
+    assert positivity_verdict(p).status == "no"
+    cert = certify_optimality(p)
+    assert cert.span_rank == 9 and not cert.optimal
+    assert cert.note == "not optimal: the matrix is not an entanglement witness"
+    assert any("not positive" in w for w in cert.warnings)
 
 
 def test_certify_warnings():
