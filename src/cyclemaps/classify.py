@@ -42,7 +42,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dmap import MapParams, _theta_min_eigenvalue, assemble, choi_structure, pair_block_eigenvalues
+from .dmap import MapParams, _row_reduce, _theta_min_eigenvalue, assemble, choi_structure, pair_block_eigenvalues
 from .errors import ParameterError, PreconditionError
 from .matlin import DEFAULT_PSD_TOL, MAX_ENTRIES
 from .perm import cycle_decompose, fixed_points, is_involution, is_single_cycle
@@ -208,15 +208,32 @@ def verify_positivity_numeric(p: MapParams, samples: int = 2000, seed: int = 0) 
             f"{samples * n:,} entries (limit {MAX_ENTRIES:,})"
         )
     rng = np.random.Generator(np.random.Philox(key=seed))
-    z = rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n))
-    zs = np.concatenate([z, np.sqrt(_adversarial_amplitudes(p)).astype(complex)], axis=0)
-    zs = zs / np.linalg.norm(zs, axis=1, keepdims=True)
+    adversarial = _adversarial_amplitudes(p)
+    # One block for the samples re + 1j * im and the adversarial rows, each
+    # row then scaled in place to the bits of zs / np.linalg.norm(zs, axis=1,
+    # keepdims=True).  numpy's norm is the square root of the row sums of
+    # (conj(z) * z).real, and numpy divides x + iy by the real r as by r + 0j,
+    # to (x + y*0) * (1/r) and (y - x*0) * (1/r).  Those are x * (1/r) and
+    # y * (1/r): no y here is -0.0 (each is +0.0 + im, or +0.0), and x is
+    # -0.0 only for re = -0.0, which comes with y < 0 unless im is -0.0 too
+    # (odds 2^-106 per entry).
+    zs = np.empty((samples + len(adversarial), n), dtype=complex)
+    re = rng.standard_normal((samples, n))
+    np.multiply(1j, rng.standard_normal((samples, n)), out=zs[:samples])
+    np.add(re, zs[:samples], out=zs[:samples])
+    np.sqrt(adversarial, out=zs.real[samples:])
+    zs.imag[samples:] = 0.0
+    norm_sq = np.conjugate(zs)
+    norm_sq *= zs
+    re_im = zs.view(float)
+    re_im *= 1.0 / np.sqrt(_row_reduce(np.add, norm_sq.real))[:, None]
 
-    amps = np.abs(zs) ** 2
+    amps = np.abs(zs)
+    np.square(amps, out=amps)
     structure = choi_structure(p)
     den = p.a * amps + structure.c[None, :] * amps[:, structure.img]
     terms = np.divide(amps, den, out=np.zeros_like(amps), where=den > 0)
-    s_vals = terms.sum(axis=1)
+    s_vals = _row_reduce(np.add, terms)
     worst = int(np.argmax(s_vals))
 
     # den holds exactly the diagonal of Delta(xi xi*)

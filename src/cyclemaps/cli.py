@@ -89,7 +89,7 @@ def _load_json_file(path: str, what: str):
         raise ParameterError(f"cannot read {what} file '{path}': {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past Python's digit limit
         raise ParameterError(f"{what} file '{path}' is not valid JSON: {exc}") from exc
 
 

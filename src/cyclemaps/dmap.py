@@ -200,8 +200,29 @@ def pair_block_eigenvalues(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np
 def _row_reduce(ufunc: np.ufunc, x: np.ndarray) -> np.ndarray:
     """``ufunc`` reduced along each row of x.  Over many short rows this is a
     fold over the columns, a few vectorised calls, where numpy's reduction
-    along a row pays a fixed cost per row; otherwise it is that reduction."""
-    return reduce(ufunc, x.T) if 32 * x.shape[1] <= x.shape[0] else ufunc.reduce(x, axis=1)
+    along a row pays a fixed cost per row; otherwise it is that reduction.
+
+    A minimum does not depend on the order of its fold.  A sum does, so
+    ``np.add`` folds in the order of numpy's pairwise summation of a row of
+    up to 128 entries, and its result is bit-identical to ``x.sum(axis=1)``
+    on the row-major arrays the callers pass: a plain running sum below 8
+    columns; else eight running sums over the columns congruent mod 8 of
+    the whole blocks of 8, added as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) +
+    (r6 + r7)), then the columns past those blocks one by one.  numpy adds
+    that to its identity +0.0, as the leading 0.0 below does (it turns a
+    -0.0 sum into +0.0).  Past 128 columns numpy splits the row in halves
+    recursively, and this is numpy's reduction."""
+    rows, n = x.shape
+    if 32 * n > rows or (ufunc is np.add and n > 128):
+        return ufunc.reduce(x, axis=1)
+    cols = x.T
+    if ufunc is not np.add:
+        return reduce(ufunc, cols)
+    if n >= 8:
+        whole = n - n % 8
+        r = [reduce(np.add, cols[j:whole:8]) for j in range(8)]
+        cols = [((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])), *cols[whole:]]
+    return reduce(np.add, cols, 0.0)
 
 
 def _secular_step(lo: np.ndarray, hi: np.ndarray, delta: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -209,8 +230,8 @@ def _secular_step(lo: np.ndarray, hi: np.ndarray, delta: np.ndarray, w: np.ndarr
     x = np.where(hi > 2.0 * lo, np.sqrt(lo * hi), lo)
     r = x[:, None] / (delta + x[:, None])
     wr = w * r
-    big_a = wr.sum(axis=1)
-    rho = (big_a - x) / (wr * r).sum(axis=1)
+    big_a = _row_reduce(np.add, wr)
+    rho = (big_a - x) / _row_reduce(np.add, wr * r)
     lo = np.maximum(lo, x + big_a * rho)
     hi = np.divide(x, 1.0 - rho, out=hi.copy(), where=x < hi * (1.0 - rho))
     return lo, hi
@@ -258,14 +279,16 @@ def _theta_min_eigenvalue(amps: np.ndarray, den: np.ndarray) -> float:
     ``slack``; so its value d_min - lo, rounded monotonically, would end at
     or above ``best``, and dropping the row cannot change the result.
 
-    Rows iterate independently, and every sum that feeds an iterate is the
-    row-wise ``.sum(axis=1)``, whose association order is fixed per row, so
-    the result is bit-identical to solving every row to convergence and
-    taking the least value.  The row minima are folds over the columns
-    (:func:`_row_reduce`), in whatever order: a minimum does not depend on
-    it as long as den holds no -0.0: the callers' den are sums of products
-    >= 0, or a - 1 (+0.0 at a = 1).  Rows still live after ``_SECULAR_MAX_ITER``
-    steps raise RuntimeError.
+    Rows iterate independently, and every sum that feeds an iterate is an
+    exact row sum (:func:`_row_reduce`): a fold over the columns in numpy's
+    pairwise order, or numpy's reduction itself, bit-identical to
+    ``.sum(axis=1)`` either way, so its association order is fixed per row
+    whichever rows share the batch, and the result is bit-identical to
+    solving every row to convergence and taking the least value.  The row
+    minima are folds over the columns as well, in whatever order: a minimum
+    does not depend on it as long as den holds no -0.0: the callers' den
+    are sums of products >= 0, or a - 1 (+0.0 at a = 1).  Rows still live
+    after ``_SECULAR_MAX_ITER`` steps raise RuntimeError.
     """
     # entries of w below eps^2 deflate as well: dropping them moves each
     # eigenvalue by at most 2 sqrt(n) eps (Weyl), and it keeps every
@@ -274,8 +297,8 @@ def _theta_min_eigenvalue(amps: np.ndarray, den: np.ndarray) -> float:
     w = np.where(support, amps, 0.0)
     on_support = np.where(support, den, np.inf)
     d_min = _row_reduce(np.minimum, on_support)
-    lo = np.where(on_support == d_min[:, None], w, 0.0).sum(axis=1)  # delta_i = 0
-    hi = w.sum(axis=1)
+    lo = _row_reduce(np.add, np.where(on_support == d_min[:, None], w, 0.0))  # delta_i = 0
+    hi = _row_reduce(np.add, w)
     deflated = _row_reduce(np.minimum, np.where(support, np.inf, den))
     # rounding can leave the final lo above an earlier hi, by about
     # n eps A^2 / B <= n eps sum_i w_i (Cauchy-Schwarz); the allowance

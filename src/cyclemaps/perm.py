@@ -43,7 +43,7 @@ class Permutation:
             bad, first = f"images are not a bijection of {{1, ..., {n}}}", {}
             for k, i in enumerate(images, start=1):
                 if not 1 <= i <= n:
-                    raise ParameterError(f"{bad}: {i} is the image of {k}, outside the range")
+                    raise ParameterError(f"{bad}: {_int_text(i)} is the image of {k}, outside the range")
                 if i in first:
                     missing = min(set(range(1, n + 1)).difference(images))
                     raise ParameterError(f"{bad}: {i} is the image of both {first[i]} and {k}, and {missing} is missing")
@@ -214,7 +214,7 @@ def parse_permutation(text: str, n: Optional[int] = None) -> Permutation:
         _check_degree(len(images), n)
         return Permutation(images)
     raise ParameterError(
-        f"unrecognized sigma format {text!r}: expected 'tau:n:k', 'id:n' or 'images:i1,i2,...'"
+        f"unrecognized sigma format {_clip(head)}: expected 'tau:n:k', 'id:n' or 'images:i1,i2,...'"
     )
 
 
@@ -222,8 +222,18 @@ def _component(part: str) -> int:
     """One integer field of a sigma text; ParameterError naming the field otherwise."""
     try:
         return int(part)
-    except ValueError:
-        raise ParameterError(f"sigma has a non-integer component {part!r}") from None
+    except ValueError:  # not an integer, or one past Python's digit limit
+        raise ParameterError(f"sigma has a non-integer component {_clip(part)}") from None
+
+
+def _clip(text: str) -> str:
+    """repr of a piece of a sigma text: its first 40 characters and '...' when longer."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}..."
+
+
+def _int_text(i: int) -> str:
+    """An image for a message: its digits while it fits 64 bits, else its size."""
+    return str(i) if i.bit_length() <= 64 else f"an integer of {i.bit_length()} bits"
 
 
 def _check_degree(degree: int, n: Optional[int]) -> int:

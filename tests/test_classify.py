@@ -386,11 +386,22 @@ def test_pruning_allows_for_rounding_between_steps():
     assert batch.hex() == value.hex()
 
 
+def _spread_c(n):
+    return tuple(round(0.5 + (0.37 * i) % 1.5, 2) for i in range(1, n + 1))
+
+
+def _cycle_and_two_fixed_points(n):
+    return Permutation(tuple(range(2, n - 1)) + (1, n - 1, n))
+
+
 # (map, seed) -> float.hex of (max_s, min_theta_eig) at the default 2000
 # samples, recorded with a solver that took every row to convergence: a
 # tau(n, 1) cycle, two 3-cycles, sigma = id at a + c = n, an involution, a
 # positive map at its threshold (min_theta_eig exactly 0) and an 8-cycle with
-# two fixed points
+# two fixed points.  The rows at n = 8, 9, 16, 17 and 129 (tau(n, 1), and an
+# (n-2)-cycle with two fixed points) were recorded with numpy's row-wise
+# .sum(axis=1): they pin the eight-lane and tail branches of the row sums,
+# and the reduction past 128 columns
 SAMPLER_GOLDEN = [
     (MapParams(3, tau(3, 1), 1.5, (1.5,) * 3), 0, "0x1.5555551c112dcp+0", "-0x1.9765249181760p-4"),
     (MapParams(6, tau(6, 2), 4.0, (0.5, 1.0, 2.0, 0.7, 1.3, 3.0)), 5, "0x1.284809dba3289p+0", "-0x1.f4c93376185f0p-4"),
@@ -408,10 +419,24 @@ SAMPLER_GOLDEN = [
         "0x1.08d3dffacf4fbp+0",
         "-0x1.fb4aac56bb240p-6",
     ),
+    (MapParams(8, tau(8, 1), 6.8, _spread_c(8)), 8, "0x1.0787877dd2b0cp+0", "-0x1.27d01a7dcc4a0p-30"),
+    (MapParams(8, _cycle_and_two_fixed_points(8), 6.5, _spread_c(8)), 9, "0x1.04747ebe1b8b5p+0", "-0x1.0b583eb6545e0p-6"),
+    (MapParams(9, tau(9, 1), 7.8, _spread_c(9)), 9, "0x1.069068fe99de4p+0", "-0x1.5677a00f7d63cp-35"),
+    (MapParams(9, _cycle_and_two_fixed_points(9), 7.5, _spread_c(9)), 10, "0x1.0697f66300364p+0", "-0x1.60e597fbc15e0p-6"),
+    (MapParams(16, tau(16, 1), 14.8, _spread_c(16)), 16, "0x1.03759f1e637e8p+0", "-0x1.44b6900d9c9d4p-69"),
+    (MapParams(16, _cycle_and_two_fixed_points(16), 14.5, _spread_c(16)), 17, "0x1.050ee241fedf3p+0", "-0x1.3a98232e73c40p-7"),
+    (MapParams(17, tau(17, 1), 15.8, _spread_c(17)), 17, "0x1.033d91cece7d4p+0", "-0x1.5c3c719150e50p-74"),
+    (MapParams(17, _cycle_and_two_fixed_points(17), 15.5, _spread_c(17)), 18, "0x1.05a300248f854p+0", "-0x1.6af07db195400p-7"),
+    (MapParams(129, tau(129, 1), 127.8, _spread_c(129)), 129, "0x1.00640116d48f6p+0", "-0x1.4ca0cc729d000p-16"),
+    (MapParams(129, _cycle_and_two_fixed_points(129), 127.5, _spread_c(129)), 130, "0x1.00f22dbb7d974p+0", "-0x1.d4649d4abd000p-10"),
 ]
 
 
-@pytest.mark.parametrize("p, seed, max_s, min_theta_eig", SAMPLER_GOLDEN, ids=["tau3", "tau6_2", "id6", "invol6", "tau10", "fixed10"])
+@pytest.mark.parametrize(
+    "p, seed, max_s, min_theta_eig",
+    SAMPLER_GOLDEN,
+    ids=["tau3", "tau6_2", "id6", "invol6", "tau10", "fixed10", *(f"{kind}{n}" for n in (8, 9, 16, 17, 129) for kind in ("tau", "fixed"))],
+)
 def test_sampler_evidence_keeps_its_recorded_bits(p, seed, max_s, min_theta_eig):
     # the pins hold for numpy's float kernels as built; an exp or power that
     # rounds differently would move the last bits of the adversarial rows

@@ -388,6 +388,16 @@ def test_map_integer_past_the_float_range_exits_one(tmp_path, capsys, mutate, wh
     assert err == f"error: {what} is an integer outside the float range\n"
 
 
+def test_a_5000_digit_integer_in_the_map_file_exits_one(tmp_path, capsys):
+    # json.loads refuses an integer past Python's 4300-digit limit with a
+    # ValueError that is no JSONDecodeError
+    path = tmp_path / "map.json"
+    path.write_text('{"n": 3, "sigma": "tau:3:1", "a": 2.0, "c": [1, 1, ' + "1" * 5000 + "]}")
+    rc, out, err = run_cli(capsys, "classify", "--map", str(path))
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) < 1000
+
+
 def test_a_repeated_image_at_n_100000_is_a_short_error(tmp_path, capsys):
     # the message names the repeated and the missing image, not the 10^5 images
     n = 100_000

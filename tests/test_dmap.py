@@ -26,7 +26,7 @@ from cyclemaps import (
 )
 from cyclemaps.cli import main
 from cyclemaps import dmap as dmap_module
-from cyclemaps.dmap import pair_block_eigenvalues
+from cyclemaps.dmap import _row_reduce, pair_block_eigenvalues
 from matrix_helpers import is_psd, matrix_unit
 from conftest import random_hermitian
 
@@ -352,3 +352,30 @@ def test_pair_block_eigenvalues_keep_the_formula_bits_where_it_is_finite():
     big, small = np.maximum(x, y)[~finite], np.minimum(x, y)[~finite]
     assert np.all(np.abs(got_hi[~finite] - big) <= 1e-15 * big)
     assert np.all(np.abs(got_lo[~finite] - (small - 1.0 / big)) <= 1e-15 * (small + 1.0 / big))
+
+
+_EDGE_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.5e-308, -1e-310, np.inf, -np.inf, np.nan, 1e308, -1e308, 1.0, -3.0])
+
+
+@pytest.mark.parametrize("n", [*range(1, 18), 63, 64, 127, 128, 129, 256, 300])
+@pytest.mark.parametrize("extra", [-1, 0, 5], ids=["below 32n", "at 32n", "past 32n"])
+@pytest.mark.parametrize("kind", ["spread", "edge", "zeros"])
+def test_row_sums_are_numpys_row_sums_bit_for_bit(n, extra, kind):
+    # the column folds take effect at 32 n <= rows and at most 128 columns;
+    # either way every bit of x.sum(axis=1) comes back, signed zeros included
+    rng = np.random.default_rng(n * 100 + extra + 7)
+    shape = (32 * n + extra, n)
+    if kind == "spread":
+        x = rng.standard_normal(shape) * np.exp(rng.uniform(-300, 300, shape))
+    elif kind == "edge":
+        x = rng.choice(_EDGE_VALUES, shape)
+    else:
+        x = np.where(rng.random(shape) < 0.05, 0.0, -0.0)
+    with np.errstate(all="ignore"):
+        want, got = x.sum(axis=1), _row_reduce(np.add, x)
+    # a NaN's sign and payload follow the operand order the compiled loop
+    # happens to use, so NaNs are compared as NaNs
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+    assert got.shape == want.shape and got.dtype == want.dtype

@@ -61,8 +61,10 @@ def test_permutation_rejects_non_bijections():
         ((3, 1, 2, 2), "images are not a bijection of {1, ..., 4}: 2 is the image of both 3 and 4, and 4 is missing"),
         ((1, 2.0), "permutation images must be integers (got 2.0 as the image of 2)"),
         ((1, "2", None), "permutation images must be integers (got '2' as the image of 2)"),
+        # str(10**5000) itself raises ValueError: the message gives the image's size
+        ((10**5000,), "images are not a bijection of {1, ..., 1}: an integer of 16610 bits is the image of 1, outside the range"),
     ],
-    ids=["repeated", "zero", "past n", "repeated first", "past n first", "repeated late", "float", "str"],
+    ids=["repeated", "zero", "past n", "repeated first", "past n first", "repeated late", "float", "str", "past the digit limit"],
 )
 def test_permutation_errors_name_the_first_bad_image(images, message):
     with pytest.raises(ParameterError) as err:
@@ -79,6 +81,19 @@ def test_sigma_text_errors_name_the_bad_component(text, part):
     with pytest.raises(ParameterError) as err:
         parse_permutation(text)
     assert str(err.value) == f"sigma has a non-integer component {part!r}"
+
+
+def test_an_unknown_sigma_format_is_named_by_its_head():
+    n = 10**5
+    with pytest.raises(ParameterError) as err:
+        parse_permutation("img:" + ",".join(map(str, range(1, n + 1))), n)
+    assert str(err.value) == "unrecognized sigma format 'img': expected 'tau:n:k', 'id:n' or 'images:i1,i2,...'"
+    with pytest.raises(ParameterError) as err:
+        parse_permutation("x" * n)
+    assert str(err.value).startswith("unrecognized sigma format " + repr("x" * 40) + "...:")
+    with pytest.raises(ParameterError) as err:
+        parse_permutation("images:" + "9" * 5000)
+    assert str(err.value) == "sigma has a non-integer component " + repr("9" * 40) + "..."
 
 
 def test_permutation_rejects_bool_images():

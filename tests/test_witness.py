@@ -181,6 +181,29 @@ def test_basis_pairs_at_n_1024_are_one_array():
     assert peak < 28e6
 
 
+def test_certify_at_n_1024_checks_the_basis_pairs_in_pieces():
+    # the pairs (16.7 MB) and the expectations of the 525,825 phase rows and
+    # 1,046,528 pairs (12.6 MB) are the floor; the check over all pairs at
+    # once added 8 MB temporaries, for a peak of 43 MB
+    n = 1024
+    p = MapParams(n, tau(n, 1), n - 0.7, (0.7,) * n)
+    tracemalloc.start()
+    try:
+        cert = certify_optimality(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.optimal and cert.span_rank == n * n
+    assert peak < 30e6
+
+
+def test_basis_pair_pieces_write_the_expectations_of_one_piece(monkeypatch):
+    p = MapParams(13, Permutation((2, 1, 4, 5, 3, 6, 8, 9, 10, 11, 12, 13, 7)), 11.0, tuple(np.linspace(0.5, 2.0, 13)))
+    whole = certify_optimality(p).expectations
+    monkeypatch.setattr(witness_module, "_PAIR_PIECE", 7)  # 144 pairs: 20 full pieces and one of 4
+    assert certify_optimality(p).expectations.tobytes() == whole.tobytes()
+
+
 def test_certify_keeps_both_consistency_checks(monkeypatch, flagship):
     # the |exp(i t)|^2 = 1 fact is evaluated once, at import, but still decides
     assert witness_module._UNIT_WEIGHTS
