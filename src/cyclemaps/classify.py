@@ -291,6 +291,14 @@ def positivity_verdict(p: MapParams, evidence: Optional[PositivityEvidence] = No
     return _implied_by_cp(cp, ev, "no positivity criterion applies below the threshold for this sigma")
 
 
+def check_psd_tol(psd_tol: float, name: str = "psd_tol") -> None:
+    """ParameterError naming the tolerance unless it is finite and >= 0: a
+    negative or NaN tolerance decides CP "no" for a CP map, an infinite one CP
+    "yes" for every map."""
+    if not (math.isfinite(psd_tol) and psd_tol >= 0.0):
+        raise ParameterError(f"{name} must be finite and >= 0 (got {psd_tol})")
+
+
 def cp_verdict(p: MapParams, psd_tol: float = DEFAULT_PSD_TOL) -> Verdict:
     """Complete positivity: the Choi matrix is PSD (Choi, Linear Algebra
     Appl. 10, 1975).
@@ -299,7 +307,8 @@ def cp_verdict(p: MapParams, psd_tol: float = DEFAULT_PSD_TOL) -> Verdict:
     n x n core's eigenvalues, the weights c_i at non-fixed i, and 0 when the
     Choi matrix has a kernel.  The weights are non-negative, so the core
     decides; with every cycle of length >= 2 the core is a*I - J and the
-    test reads a >= n."""
+    test reads a >= n.  ``psd_tol`` must be finite and >= 0."""
+    check_psd_tol(psd_tol)
     choi_min = choi_structure(p).min_eigenvalue()
     ev = {"a": p.a, "l_min": cycle_decompose(p.sigma).l_min, "choi_min_eigenvalue": choi_min}
     status = YES if choi_min >= -psd_tol else NO
@@ -470,10 +479,12 @@ def classify_map(
     """Produce all five verdicts, with sampling evidence and cross-checked closure.
 
     ``samples = 0`` skips the sampler; a negative count, or ``samples * n``
-    past ``MAX_ENTRIES``, raises ParameterError, as does a ``psd_tol`` above
-    ``DEFAULT_PSD_TOL`` under which the verdicts contradict each other."""
+    past ``MAX_ENTRIES``, raises ParameterError, as does a ``psd_tol`` that
+    is not finite and >= 0, or one above ``DEFAULT_PSD_TOL`` under which the
+    verdicts contradict each other."""
     if samples < 0:
         raise ParameterError(f"samples must be >= 0 (got {samples})")
+    check_psd_tol(psd_tol)
     evidence = verify_positivity_numeric(p, samples=samples, seed=seed) if samples > 0 else None
     cp = cp_verdict(p, psd_tol)
     pos = positivity_verdict(p, evidence, cp=cp)

@@ -21,12 +21,12 @@ Reports are JSON on stdout (or ``--out``), embed the input verbatim, and are
 byte-identical across runs up to the ``timestamp`` field.  The handlers hold
 each matrix's entries, and other number arrays, as float arrays, and
 ``_report_text`` writes the text ``json.dumps(report, indent=2,
-default=np.ndarray.tolist)`` would.  It walks the report once, noting where
-each float array goes, then makes one numeric pass over all arrays of an
-entry shape: every nonzero number is formatted once, and a run of all-zero
-entries is a few references to shared blocks of its text.  The chunks are
-written in order once every number is known to be finite, so the writer holds
-one copy of the numbers and the nonzero text, not the report's text.
+default=np.ndarray.tolist)`` would.  It walks the report once and writes each
+float array where it meets it: every nonzero number is formatted once, and a
+run of all-zero entries is a few references to blocks of its text that the
+report's arrays share.  A non-finite number raises where the walk meets it,
+before any chunk is written, so the writer holds the nonzero text and one
+array's nonzero numbers, not the report's text.
 
 Each subparser names its handler, ``_run_<subcommand>(args, params, state)``,
 and :func:`main` calls it between reading the inputs and writing the report.
@@ -52,7 +52,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .classify import NO, classify_map, decompose_involution, positivity_verdict
+from .classify import NO, check_psd_tol, classify_map, decompose_involution, positivity_verdict
 from .dmap import MapParams, choi_structure
 from .errors import ContractError, ParameterError, PreconditionError
 from .matlin import DEFAULT_PSD_TOL, _matrix_form, matrix_from_json
@@ -89,7 +89,7 @@ def _load_json_file(path: str, what: str):
         raise ParameterError(f"cannot read {what} file '{path}': {exc}") from exc
     try:
         return json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an integer past Python's digit limit
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError, an integer past Python's digit limit, or deep nesting
         raise ParameterError(f"{what} file '{path}' is not valid JSON: {exc}") from exc
 
 
@@ -201,35 +201,19 @@ def _report_text(obj, pad: str = "") -> list[str]:
     """The text of ``json.dumps(obj, indent=2, allow_nan=False,
     default=np.ndarray.tolist)`` as chunks, to be joined or written in order.
 
-    The walk writes everything but the float arrays, whose places it notes;
-    :func:`_array_texts` then lays out all of them at once.  A non-finite
-    number raises the ``ValueError`` json.dumps raises for the first one in
-    document order, before any text is returned."""
+    A non-finite number raises the ``ValueError`` json.dumps raises for the
+    first one in document order, before any text is returned."""
     chunks: list[str] = []
-    arrays: list[tuple[int, np.ndarray, str]] = []  # (place in chunks, entries, pad)
-    try:
-        _append_text(obj, pad, chunks, arrays)
-    except (TypeError, ValueError):  # json.dumps stops at a non-finite entry of an earlier array first
-        _require_finite(arrays)
-        raise
-    out: list[str] = []
-    start = 0
-    for (place, _, _), text in zip(arrays, _array_texts(arrays)):
-        out += chunks[start:place]
-        out += text
-        start = place
-    out += chunks[start:]
-    return out
+    _append_text(obj, pad, chunks, {})
+    return chunks
 
 
-def _append_text(obj, pad: str, chunks: list[str], arrays: list) -> None:
+def _append_text(obj, pad: str, chunks: list[str], blocks: dict) -> None:
     if isinstance(obj, np.ndarray):  # written as its tolist() would be
         if obj.ndim > 2:
             obj = list(obj)
         elif obj.dtype == float and obj.ndim and obj.size:
-            chunks.append(f"[\n{pad}  ")
-            arrays.append((len(chunks), obj, pad))
-            chunks.append(f"\n{pad}]")
+            _append_array(obj, pad, chunks, blocks)
             return
         else:
             obj = obj.tolist()
@@ -238,12 +222,12 @@ def _append_text(obj, pad: str, chunks: list[str], arrays: list) -> None:
         for k, (key, value) in enumerate(obj.items()):
             key = _encode(key if isinstance(key, str) else _scalar_text(key))
             chunks.append(f"{',' if k else '{'}\n{inner}{key}: ")
-            _append_text(value, inner, chunks, arrays)
+            _append_text(value, inner, chunks, blocks)
         chunks.append(f"\n{pad}}}")
     elif isinstance(obj, (list, tuple)) and obj:
         for k, value in enumerate(obj):
             chunks.append(f"{',' if k else '['}\n{inner}")
-            _append_text(value, inner, chunks, arrays)
+            _append_text(value, inner, chunks, blocks)
         chunks.append(f"\n{pad}]")
     else:
         chunks.append(_scalar_text(obj))
@@ -257,79 +241,54 @@ def _scalar_text(obj) -> str:
     return _encode(obj)  # empty containers, and a TypeError for what JSON cannot hold
 
 
-def _require_finite(arrays: list) -> None:
-    """Raise json.dumps's ValueError for the first non-finite entry, in document order."""
-    for _, values, _ in arrays:
-        finite = np.isfinite(values)
-        if not finite.all():
-            raise ValueError(f"Out of range float values are not JSON compliant: {float(values[~finite][0])!r}")
+def _append_array(values: np.ndarray, pad: str, chunks: list[str], blocks: dict) -> None:
+    """The text of a float array of shape (k,) or (k, m): k entries, numbers
+    or rows of m numbers.
 
-
-def _array_texts(arrays: list) -> list[list[str]]:
-    """The text between the brackets of each float array, as chunks.
-
-    An array of shape (k,) or (k, m) lists k entries: numbers, or rows of m
-    numbers.  The arrays of one entry shape and pad are taken together: one
-    nonzero test per entry on their concatenated uint64 view (only +0.0 has
-    no bit set), one finiteness check and one ``float.__repr__`` pass over
-    the nonzero entries, so that an array's nonzero runs are slices of one
-    list.  A run of n all-zero entries is written as references to shared
-    blocks of 2**k copies of the zero entry's text, one per set bit of n,
-    each made on first use."""
-    groups: dict = {}
-    for k, (_, values, pad) in enumerate(arrays):
-        groups.setdefault((values.shape[1:], pad), []).append(k)
-    texts: list = [None] * len(arrays)
-    for (shape, pad), members in groups.items():
-        lengths = [len(arrays[k][1]) for k in members]
-        nonzero, chosen = _nonzero_entries([arrays[k][1] for k in members])
-        if not np.isfinite(chosen).all():  # nan and the infinities have bits set, so they are chosen
-            _require_finite(arrays)
-        numbers = map(float.__repr__, chosen.ravel().tolist())
-        inner = pad + "  "
-        deep = inner + "  "
-        # an entry's text is open + its numbers joined by sep + close
-        open_, sep, close = ("", "", "") if not shape else (f"[\n{deep}", f",\n{deep}", f"\n{inner}]")
-        item_sep = f",\n{inner}"
-        between = close + item_sep + open_
-        width = shape[0] if shape else 1
-        rows = list(map(sep.join, zip(*[numbers] * width)))
-        zero = open_ + sep.join(["0.0"] * width) + close
-        blocks = [zero + item_sep]
-        ends = np.cumsum(lengths)
-        cuts = np.union1d(np.flatnonzero(np.diff(nonzero)) + 1, ends).tolist()
-        runs = nonzero[[0, *cuts[:-1]]].tolist()
-        start = row = c = 0
-        for k, end in zip(members, ends.tolist()):
-            text = []
-            while start < end:
-                stop = cuts[c]
-                last = stop == end
-                if runs[c]:
-                    text.append(open_ + between.join(rows[row : row + stop - start]) + (close if last else close + item_sep))
-                    row += stop - start
-                else:
-                    count = stop - start - last  # entries followed by item_sep
-                    while len(blocks) < count.bit_length():
-                        blocks.append(blocks[-1] * 2)
-                    text += [blocks[bit] for bit in range(count.bit_length()) if count >> bit & 1]
-                    if last:
-                        text.append(zero)
-                start = stop
-                c += 1
-            texts[k] = text
-    return texts
-
-
-def _nonzero_entries(parts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Which entries of the concatenated parts have a bit set, and those entries."""
-    values = np.concatenate(parts)
-    values = values.reshape(len(values), -1)
-    bits = values.view(np.uint64)
+    One nonzero test per entry on the array's uint64 view (only +0.0 has no
+    bit set), then one finiteness check and one ``float.__repr__`` pass over
+    the nonzero entries.  A run of n all-zero entries is written as
+    references to blocks of 2**k copies of the zero entry's text, one per
+    set bit of n; ``blocks`` holds them per entry shape and pad, each made on
+    first use, so that every array of a report shares them."""
+    shape, inner = values.shape[1:], pad + "  "
+    deep = inner + "  "
+    # an entry's text is open + its numbers joined by sep + close
+    open_, sep, close = ("", "", "") if not shape else (f"[\n{deep}", f",\n{deep}", f"\n{inner}]")
+    item_sep = f",\n{inner}"
+    between = close + item_sep + open_
+    width = shape[0] if shape else 1
+    entries = values.reshape(len(values), width)
+    bits = entries.view(np.uint64)
     nonzero = bits[:, 0] != 0
     for column in bits.T[1:]:
         np.logical_or(nonzero, column, out=nonzero)
-    return nonzero, values[np.flatnonzero(nonzero)]
+    chosen = entries.compress(nonzero, axis=0)
+    finite = np.isfinite(chosen)  # nan and the infinities have bits set, so they are chosen
+    if not finite.all():
+        raise ValueError(f"Out of range float values are not JSON compliant: {float(chosen[~finite][0])!r}")
+    numbers = map(float.__repr__, chosen.ravel().tolist())
+    rows = list(map(sep.join, zip(*[numbers] * width)))
+    zero = open_ + sep.join(["0.0"] * width) + close
+    shared = blocks.setdefault((shape, pad), [zero + item_sep])
+    chunks.append(f"[\n{inner}")
+    end = len(values)
+    start = row = 0
+    in_nonzero = bool(nonzero[0])  # the runs alternate
+    for stop in [*(np.flatnonzero(nonzero[1:] != nonzero[:-1]) + 1).tolist(), end]:
+        last = stop == end
+        if in_nonzero:
+            chunks.append(open_ + between.join(rows[row : row + stop - start]) + (close if last else close + item_sep))
+            row += stop - start
+        else:
+            count = stop - start - last  # entries followed by item_sep
+            while len(shared) < count.bit_length():
+                shared.append(shared[-1] * 2)
+            chunks += [shared[bit] for bit in range(count.bit_length()) if count >> bit & 1]
+            if last:
+                chunks.append(zero)
+        start, in_nonzero = stop, not in_nonzero
+    chunks.append(f"\n{pad}]")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -380,8 +339,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     # input phase: unreadable or malformed inputs exit 1
     try:
-        if not (np.isfinite(args.tol) and args.tol >= 0.0):
-            raise ParameterError(f"--tol must be finite and >= 0 (got {args.tol})")
+        check_psd_tol(args.tol, "--tol")
         if args.samples < 0:
             raise ParameterError(f"--samples must be >= 0 (got {args.samples})")
         if not 0 <= args.seed < 2**128:

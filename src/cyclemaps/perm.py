@@ -7,6 +7,7 @@ that element, so equal permutations always decompose identically.
 """
 from __future__ import annotations
 
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -222,7 +223,9 @@ def _component(part: str) -> int:
     """One integer field of a sigma text; ParameterError naming the field otherwise."""
     try:
         return int(part)
-    except ValueError:  # not an integer, or one past Python's digit limit
+    except ValueError:
+        if re.fullmatch(r"\s*[+-]?\d+(?:_\d+)*\s*", part):  # int's own syntax: only the digit limit refused it
+            raise ParameterError(f"sigma has an integer component past Python's digit limit {_clip(part)}") from None
         raise ParameterError(f"sigma has a non-integer component {_clip(part)}") from None
 
 

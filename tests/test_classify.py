@@ -490,6 +490,20 @@ def test_classify_map_rejects_negative_samples(flagship):
         classify_map(flagship, samples=-5)
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, -math.inf])
+def test_a_psd_tolerance_that_is_not_finite_and_non_negative_is_refused(tol):
+    # a = n makes the map CP: NaN and -1 would read CP "no" and atomic "yes",
+    # and inf would make every map CP
+    p = MapParams(3, tau(3, 1), 3.0, (1.0,) * 3)
+    message = rf"^psd_tol must be finite and >= 0 \(got {tol}\)$"
+    with pytest.raises(ParameterError, match=message):
+        cp_verdict(p, tol)
+    for samples in (0, 10):
+        with pytest.raises(ParameterError, match=message):
+            classify_map(p, samples=samples, psd_tol=tol)
+    assert cp_verdict(p, 0.0).status == "yes"
+
+
 def test_positivity_verdict_threshold_and_converse(flagship):
     v = positivity_verdict(flagship)
     assert v.status == "yes"

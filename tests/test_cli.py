@@ -398,6 +398,19 @@ def test_a_5000_digit_integer_in_the_map_file_exits_one(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) < 1000
 
 
+@pytest.mark.parametrize("flag", ["--map", "--state"])
+def test_a_deeply_nested_json_file_exits_one(tmp_path, capsys, flag):
+    # json.loads runs out of recursion depth on 100,000 "[" and raises RecursionError
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    map_path = str(deep) if flag == "--map" else write_json(tmp_path, "map.json", FLAGSHIP)
+    extra = ["--state", str(deep)] if flag == "--state" else []
+    rc, out, err = run_cli(capsys, "witness", "--map", map_path, *extra)
+    assert rc == 1 and out == ""
+    assert err.startswith(f"error: {flag[2:]} file '{deep}' is not valid JSON: ")
+    assert err.count("\n") == 1 and len(err.encode()) < 1000
+
+
 def test_a_repeated_image_at_n_100000_is_a_short_error(tmp_path, capsys):
     # the message names the repeated and the missing image, not the 10^5 images
     n = 100_000

@@ -91,9 +91,20 @@ def test_an_unknown_sigma_format_is_named_by_its_head():
     with pytest.raises(ParameterError) as err:
         parse_permutation("x" * n)
     assert str(err.value).startswith("unrecognized sigma format " + repr("x" * 40) + "...:")
+
+
+@pytest.mark.parametrize(
+    "text", ["9" * 5000, " +" + "9_9" * 2500 + "\n", "-" + "٩" * 5000], ids=["digits", "spaces sign underscores", "arabic-indic"]
+)
+@pytest.mark.parametrize("head", ["images:", "images:1,", "tau:3:", "id:"])
+def test_an_integer_past_the_digit_limit_is_named_as_one(head, text):
+    # int() refuses it only for its length; the message says so, clipped
     with pytest.raises(ParameterError) as err:
-        parse_permutation("images:" + "9" * 5000)
-    assert str(err.value) == "sigma has a non-integer component " + repr("9" * 40) + "..."
+        parse_permutation(head + text)
+    assert str(err.value) == f"sigma has an integer component past Python's digit limit {text[:40]!r}..."
+    with pytest.raises(ParameterError) as err:
+        parse_permutation(head + text + "x")
+    assert str(err.value) == f"sigma has a non-integer component {text[:40]!r}..."
 
 
 def test_permutation_rejects_bool_images():
