@@ -8,15 +8,17 @@ the interchange form writes every entry as a [re, im] pair.
 The Hermitian eigen helper ``min_eigenvalue`` never solves more than an
 irreducible block at a time.  It finds the connected components of the
 nonzero pattern of M, symmetrised (an edge i - j wherever M[i, j] or M[j, i]
-is nonzero), and runs the Hermitian check on them; blocks of equal size b are
-then stacked into one batched LAPACK call.  The components take two passes
+is nonzero), and runs the Hermitian check on them.  A 1x1 block is its real
+diagonal entry and a 2x2 block is solved in closed form from M's own
+entries, with no copy and no LAPACK call; blocks of equal size b >= 3 are
+stacked into one batched LAPACK call.  The components take two passes
 over the N^2 entries: the nonzero test ``M != 0`` and the row-major list of
 nonzeros, which gives each row's first nonzero and from which every later
 round reads only the edges that still join two trees.  An N x N matrix
 with blocks of sizes b costs O(N^2 + sum b^3) instead of O(N^3): the
-witness of the package's maps splits into 1x1 and 2x2 blocks, its Choi
-matrix into the n x n core plus 1x1 blocks, and a fully dense matrix is a
-single block.
+witness of the package's maps splits into 1x1 and 2x2 blocks, so no
+eigensolver runs on it, its Choi matrix into the n x n core plus 1x1
+blocks, and a fully dense matrix is a single block.
 """
 from __future__ import annotations
 
@@ -44,8 +46,19 @@ _PATTERN_ROWS = 32
 MAX_ENTRIES = 2**23
 
 
+# The input dtypes the helpers take, each widened to float64 or complex128:
+# bool and integers by kind, and these.  Anything else (object, str, long
+# double, datetime) is refused: LAPACK takes none of them, and the closed
+# forms of min_eigenvalue would compute an object array by Python's rules.
+_FLOATS = tuple(map(np.dtype, (np.float16, np.float32, np.float64, np.complex64, np.complex128)))
+
+
 def _as_matrix(m: np.ndarray) -> np.ndarray:
     arr = np.asarray(m)
+    if not (arr.dtype.kind in "biu" or arr.dtype in _FLOATS):
+        raise ParameterError(
+            f"matrix dtype {arr.dtype} is not bool, integer, float64/32/16 or complex128/64"
+        )
     arr = arr.astype(np.result_type(arr, float), copy=False)
     if arr.ndim != 2:
         raise ParameterError(f"matrix must be 2-dimensional (got shape {arr.shape})")
@@ -150,40 +163,64 @@ def _pattern_components(m: np.ndarray) -> np.ndarray:
         label = _roots(label)
 
 
-def _hermitian_blocks(m: np.ndarray) -> list[np.ndarray]:
-    """Check that M is Hermitian and split it into its irreducible diagonal blocks.
+def _hermitian_blocks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Check that the square float64 or complex128 M is Hermitian and split it
+    into its irreducible diagonal blocks.
 
-    Returns one K x b x b stack per block size b, of the K blocks
-    ``M[idx][:, idx]`` of that size, each ``idx`` the ascending indices of one
-    block.  Ascending indices keep each block's lower triangle inside M's
-    lower triangle, the one ``eigvalsh`` reads.  A block that spans M is M
-    itself, not a copy.  The Hermitian check runs block by block; entries
-    outside every block are zero in M and in M*, so its value max |M - M*|
-    is the dense one.
+    Returns ``(ones, pairs, stacks)``: the index i of each 1x1 block, the
+    ascending indices (u, v) of each 2x2 block as a K x 2 array, and one
+    K x b x b stack per block size b >= 3, of the K blocks ``M[idx][:, idx]``
+    of that size, each ``idx`` the ascending indices of one block.  Ascending
+    indices keep each block's lower triangle inside M's lower triangle, the
+    one ``eigvalsh`` reads.  A block that spans M is M itself, not a copy.
+    The Hermitian check reads the diagonal of M, both entries (u, v) and
+    (v, u) of each pair and every entry of the stacks, all before returning;
+    entries outside every block are zero in M and in M*, so its value
+    max |M - M*| is the dense one.  An empty M has no blocks and no
+    eigenvalues: ParameterError.
 
     >>> m = np.array([[2, 0, 1, 0], [0, 3, 0, 1j], [1, 0, 2, 0], [0, -1j, 0, 3]])
-    >>> (sub,) = _hermitian_blocks(m)  # one block size
-    >>> sub.shape, np.array_equal(sub[1], m[np.ix_([1, 3], [1, 3])])
-    ((2, 2, 2), True)
+    >>> ones, pairs, stacks = _hermitian_blocks(m)  # two 2x2 blocks
+    >>> ones.size, pairs.tolist(), stacks
+    (0, [[0, 2], [1, 3]], [])
     """
-    m = _as_square(m)
     n = m.shape[0]
+    if not n:
+        raise ParameterError(f"matrix is empty (shape {m.shape}): it has no eigenvalues")
     label = _pattern_components(m)
     order = np.argsort(label, kind="stable")  # block by block, ascending within each
     size = np.bincount(label, minlength=n)[label == np.arange(n)]  # in the same order
     first = np.cumsum(size) - size
-    groups, defects = [], []
-    for b in np.flatnonzero(np.bincount(size)):
-        idx = order[first[size == b, None] + np.arange(b)]
-        sub = m[None] if b == n else m[idx[:, :, None], idx[:, None, :]]
-        defects.append(_hermitian_defect(sub))
-        groups.append(sub)
-    _check_defect(float(np.max(defects)))
-    return groups
+    idx = {b: order[first[size == b, None] + np.arange(b)] for b in np.flatnonzero(np.bincount(size))}
+    ones = idx.pop(1, np.empty((0, 1), int))[:, 0]
+    pairs = idx.pop(2, np.empty((0, 2), int))
+    stacks = [m[None] if b == n else m[i[:, :, None], i[:, None, :]] for b, i in idx.items()]
+    diag, (u, v) = m.diagonal(), pairs.T
+    with np.errstate(invalid="ignore"):  # inf - inf
+        defect = np.maximum(np.max(np.abs(diag - diag.conj())), np.max(np.abs(m[u, v] - m[v, u].conj()), initial=0.0))
+    for sub in stacks:
+        defect = np.maximum(defect, _hermitian_defect(sub))  # a nan stays
+    _check_defect(float(defect))
+    return ones, pairs, stacks
 
 
 def min_eigenvalue(m: np.ndarray) -> float:
-    return min(float(np.min(np.linalg.eigvalsh(sub)[:, 0])) for sub in _hermitian_blocks(m))
+    """The least eigenvalue of the Hermitian M, block by block (:func:`_hermitian_blocks`).
+
+    A 1x1 block is its real diagonal entry.  A 2x2 block [[a, b], [b*, d]]
+    gives a/2 + d/2 - hypot(a/2 - d/2, |b|), with b read at (v, u), u < v,
+    in the lower triangle that ``eigvalsh`` reads; halving first keeps the
+    sum and the difference of the diagonal in range wherever its entries
+    are, and the value is within a few eps of the block's largest entry of
+    LAPACK's.  Larger blocks go through ``eigvalsh``, one batched call per size.
+    """
+    m = _as_square(m)
+    ones, pairs, stacks = _hermitian_blocks(m)
+    u, v = pairs.T
+    half_u, half_v = m[u, u].real / 2, m[v, v].real / 2
+    lows = [m[ones, ones].real, half_u + half_v - np.hypot(half_u - half_v, np.abs(m[v, u]))]
+    lows += [np.linalg.eigvalsh(sub)[:, 0] for sub in stacks]
+    return min(float(np.min(low)) for low in lows if low.size)
 
 
 def matrix_to_json(m: np.ndarray) -> dict:

@@ -268,6 +268,15 @@ def real_parts_of(got: np.ndarray, want: np.ndarray) -> bool:
     )
 
 
+def block_stacks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """``_hermitian_blocks(m)`` with every block as a stack: the indices of the
+    1x1 and of the 2x2 blocks, then one K x b x b stack per block size, the
+    1x1 and 2x2 blocks gathered from M here, the larger ones the splitter's."""
+    ones, pairs, stacks = _hermitian_blocks(m)
+    small = [m[i[:, :, None], i[:, None, :]] for i in (ones[:, None], pairs) if i.size]
+    return ones, pairs, small + stacks
+
+
 def assert_real_matches_complex(m: np.ndarray, factors: tuple[int, int]) -> None:
     """The dense helpers give a float64 M the results they give M.astype(complex):
     the same blocks, Hermitian checks, error texts, partial transpose (on C^k (x)
@@ -275,7 +284,8 @@ def assert_real_matches_complex(m: np.ndarray, factors: tuple[int, int]) -> None
     eigenvalue up to the rounding of the real and the complex LAPACK driver."""
     assert m.dtype == np.float64
     z = m.astype(complex)
-    real, cplx = _hermitian_blocks(m), _hermitian_blocks(z)
+    (*real_idx, real), (*cplx_idx, cplx) = block_stacks(m), block_stacks(z)
+    assert all(np.array_equal(r, c) for r, c in zip(real_idx, cplx_idx))
     assert [b.shape for b in real] == [b.shape for b in cplx]
     assert all(real_parts_of(r, c) for r, c in zip(real, cplx))
     scale = max(1.0, float(np.max(np.abs(np.linalg.eigvalsh(z)))))

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,18 +10,22 @@ from numpy.testing import assert_allclose
 
 from cyclemaps import (
     ContractError,
+    MapParams,
     ParameterError,
+    Permutation,
     matrix_from_json,
     matrix_to_json,
     min_eigenvalue,
     partial_transpose,
     require_hermitian,
+    witness,
 )
-from cyclemaps.matlin import _hermitian_blocks, _hermitian_defect, _matrix_form, _pattern_components
+from cyclemaps.matlin import _hermitian_defect, _matrix_form, _pattern_components
 from conftest import random_hermitian
 from matrix_helpers import (
     assert_real_matches_complex,
     basis_vector,
+    block_stacks,
     identity_matrix,
     is_hermitian,
     is_psd,
@@ -109,7 +114,7 @@ def test_min_eigenvalue_of_dense_random_matrices():
     for n in (9, 25, 144):
         m = random_hermitian(rng, n, scale=3.0)
         w = np.linalg.eigvalsh(m)
-        assert [sub.shape for sub in _hermitian_blocks(m)] == [(1, n, n)]
+        assert [sub.shape for sub in block_stacks(m)[2]] == [(1, n, n)]
         assert min_eigenvalue(m) == pytest.approx(w[0], abs=1e-12 * max(1.0, float(np.max(np.abs(w)))))
 
 
@@ -189,7 +194,7 @@ def test_block_split_matches_dense_lapack(m):
     assert abs(min_eigenvalue(m) - w[0]) <= scale
     assert abs(min_eigenvalue(-m) + w[-1]) <= scale
     # every eigenvalue of the blocks is one of M's, with its multiplicity
-    blocks = np.sort(np.concatenate([np.linalg.eigvalsh(sub).ravel() for sub in _hermitian_blocks(m)]))
+    blocks = np.sort(np.concatenate([np.linalg.eigvalsh(sub).ravel() for sub in block_stacks(m)[2]]))
     assert np.max(np.abs(blocks - w)) <= scale
 
     for bad in (np.nan, np.inf, 1.0):
@@ -217,6 +222,137 @@ def test_real_block_matrices_solve_as_their_complex_form(m):
     size = len(m)
     k = next(d for d in range(1, size + 1) if size % d == 0 and d * d >= size)
     assert_real_matches_complex(m, (k, size // k))
+
+
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def scaled_block_matrices(draw):
+    """A permuted block-diagonal Hermitian matrix, real or complex, and the
+    ascending indices of each of its blocks: sizes 1, 2 and 3..5, each block scaled by 10^k, |k| <= 300, and
+    each a random Hermitian, a rank-one +-x x* (a singular 2x2 block) or
+    negative definite."""
+    real = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = []
+    for b in draw(st.lists(st.sampled_from([1, 2, 2, 3, 5]), min_size=1, max_size=8)):
+        g = rng.standard_normal((b, b)) + (0.0 if real else 1j * rng.standard_normal((b, b)))
+        kind = draw(st.sampled_from(["hermitian", "rank one", "negative"]))
+        if kind == "hermitian":
+            h = g
+        elif kind == "rank one":
+            h = rng.choice([-1.0, 1.0]) * np.outer(g[0], g[0].conj())
+        else:
+            h = -g @ g.conj().T
+        blocks.append((h + h.conj().T) / 2 * 10.0 ** draw(st.integers(-300, 300)))  # Hermitian to the bit
+    n = sum(len(h) for h in blocks)
+    m = np.zeros((n, n), dtype=float if real else complex)
+    at = np.cumsum([0] + [len(h) for h in blocks])
+    for h, lo, hi in zip(blocks, at, at[1:]):
+        m[lo:hi, lo:hi] = h
+    perm = rng.permutation(n)
+    place = np.argsort(perm)  # where each row of the unpermuted m lands
+    return m[np.ix_(perm, perm)], [np.sort(place[lo:hi]) for lo, hi in zip(at, at[1:])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(scaled_block_matrices())
+# 2x2 blocks whose a - d passes the float range, while every eigenvalue is finite
+@example((np.array([[1e308, 5e307], [5e307, -1e308]]), [np.array([0, 1])]))
+@example((np.array([[-1.2e308, 8e307j], [-8e307j, 1.2e308]]), [np.array([0, 1])]))
+def test_min_eigenvalue_matches_lapack_on_every_block_at_any_scale(drawn):
+    m, blocks = drawn
+    # each block on its own, read from M in ascending order as the split reads
+    # it: the closed forms within 8 eps of its largest entry of LAPACK's, and
+    # a block of size 3 or more LAPACK's value itself
+    bounds = []
+    for idx in blocks:
+        h = m[np.ix_(idx, idx)]
+        tol = 8 * EPS * float(np.max(np.abs(h)))
+        w = np.linalg.eigvalsh(h)
+        low, high = min_eigenvalue(h), -min_eigenvalue(-h)
+        if len(h) >= 3:
+            assert (low.hex(), high.hex()) == (w[0].hex(), (-np.linalg.eigvalsh(-h)[0]).hex())
+        assert abs(low - w[0]) <= tol and abs(high - w[-1]) <= tol, (h, low, high, w)
+        bounds.append((w[0] - tol, w[0] + tol, w[-1] - tol, w[-1] + tol))
+    # the permuted sum of the blocks: the least of the block minima
+    lo, hi, top_lo, top_hi = np.array(bounds).T
+    assert lo.min() <= min_eigenvalue(m) <= hi.min()
+    assert top_lo.max() <= -min_eigenvalue(-m) <= top_hi.max()
+
+
+def test_witness_and_small_blocks_make_no_linalg_call(monkeypatch):
+    rng = np.random.default_rng(29)
+    cases = []
+    for n in range(2, 9):
+        sigma = Permutation(tuple(int(i) + 1 for i in rng.permutation(n)))
+        p = MapParams(n, sigma, float(rng.uniform(0.5, 2 * n)), tuple(rng.uniform(0.1, 3.0, n)))
+        cases.append(witness(p))
+    # 1x1 and 2x2 blocks only, real and complex
+    small = np.diag([3.0, -1.0, 2.0, 0.5]).astype(complex)
+    small[0, 2], small[2, 0] = 1 - 2j, 1 + 2j
+    cases += [small, small.real.copy()]
+    want = [np.linalg.eigvalsh(m)[0] for m in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg was called")
+
+    for name in ("eigvalsh", "eigh", "eigvals", "eig", "svd"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    for m, w in zip(cases, want):
+        assert abs(min_eigenvalue(m) - w) <= 8 * EPS * float(np.max(np.abs(m)))
+    with pytest.raises(AssertionError, match="numpy.linalg was called"):
+        min_eigenvalue(random_hermitian(rng, 3))  # a 3x3 block is LAPACK's
+
+
+@pytest.mark.parametrize("size", [2, 3])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_a_non_finite_entry_off_the_diagonal_is_not_hermitian(size, dtype):
+    # one block with a finite diagonal, after a 1x1 block: a nan defect off
+    # the diagonal must survive the maximum over the blocks' defects
+    for at, bad in (((1, size), np.nan), ((size, 1), np.nan), ((1, size), np.inf), ((size, 1), -np.inf)):
+        m = np.diag(np.arange(1.0, size + 2)).astype(dtype)
+        m[1, 2:] = m[2:, 1] = 0.5
+        m[at] = bad
+        if np.isinf(bad):  # inf - inf in both triangles
+            m[at[::-1]] = bad
+        with pytest.raises(ContractError) as dense:
+            require_hermitian(m)
+        with pytest.raises(ContractError, match="not Hermitian") as blocked:
+            min_eigenvalue(m)
+        assert str(blocked.value) == str(dense.value)
+
+
+def test_an_empty_matrix_has_no_least_eigenvalue():
+    for empty in (np.zeros((0, 0)), np.zeros((0, 0), dtype=complex)):
+        with pytest.raises(ParameterError, match="empty"):
+            min_eigenvalue(empty)
+
+
+OTHER_DTYPES = {
+    "object": np.array([[1.0]], dtype=object),
+    "str": np.array([["a"]]),
+    "bytes": np.array([[b"a"]]),
+    "datetime64": np.array([[np.datetime64("2000-01-01")]]),
+    # long double, where it is not double
+    **{t.__name__: np.eye(2, dtype=t) for t in (np.longdouble, np.clongdouble) if t not in (np.float64, np.complex128)},
+}
+
+
+@pytest.mark.parametrize("m", OTHER_DTYPES.values(), ids=OTHER_DTYPES.keys())
+def test_a_matrix_of_another_dtype_is_a_parameter_error(m):
+    for helper in (min_eigenvalue, require_hermitian, matrix_to_json, lambda x: partial_transpose(x, 1, 1)):
+        with pytest.raises(ParameterError, match=re.escape(f"matrix dtype {m.dtype} is not")):
+            helper(m)
+
+
+@pytest.mark.parametrize("dtype", [bool, np.int8, np.uint64, np.float16, np.float32, np.float64, np.complex64, np.complex128])
+def test_numeric_dtypes_are_widened_to_float64_or_complex128(dtype):
+    m = np.array([[2, 1], [1, 2]], dtype=dtype)
+    want = np.complex128 if np.dtype(dtype).kind == "c" else np.float64
+    assert require_hermitian(m).dtype == want
+    assert min_eigenvalue(m) == (0.0 if dtype is bool else 1.0)
 
 
 def bfs_components(m: np.ndarray) -> np.ndarray:

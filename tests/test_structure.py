@@ -311,8 +311,9 @@ def test_scalar_answers_run_past_the_dense_size_limit():
     ids=["tau", "involution"],
 )
 def test_witness_minimum_solves_only_the_small_blocks(monkeypatch, p):
-    # W splits into 1x1 and 2x2 blocks and Choi(Theta) into the n x n core
-    # plus 1x1 blocks, so no eigensolve needs the n^2 x n^2 matrix
+    # W splits into 1x1 and 2x2 blocks, solved in closed form with no
+    # eigensolve, and Choi(Theta) into the n x n core plus 1x1 blocks, so no
+    # eigensolve needs the n^2 x n^2 matrix
     n = p.n
     expected = choi_structure(p).min_eigenvalue(compose_transpose=True) / n
     widths = []
@@ -324,7 +325,7 @@ def test_witness_minimum_solves_only_the_small_blocks(monkeypatch, p):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
     got = min_eigenvalue(witness(p))
-    assert widths and max(widths) <= 2
+    assert widths == []
     assert got == pytest.approx(expected, abs=TOL * max(1.0, p.a, max(p.c)))
     widths.clear()
     min_eigenvalue(choi(p))
