@@ -230,9 +230,9 @@ EPS = np.finfo(float).eps
 @st.composite
 def scaled_block_matrices(draw):
     """A permuted block-diagonal Hermitian matrix, real or complex, and the
-    ascending indices of each of its blocks: sizes 1, 2 and 3..5, each block scaled by 10^k, |k| <= 300, and
-    each a random Hermitian, a rank-one +-x x* (a singular 2x2 block) or
-    negative definite."""
+    ascending indices of each of its blocks: sizes 1, 2, 3 and 5, each
+    scaled by 10^k, |k| <= 300, and each a random Hermitian, a rank-one
+    +-x x* (a singular 2x2 block) or negative definite."""
     real = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     blocks = []
