@@ -75,7 +75,9 @@ class PositivityEvidence:
 
     ``max_s <= 1 + S_ORACLE_TOL`` is evidence of positivity (S(xi) <= 1 for
     every unit vector characterizes it); ``max_s > 1 + S_ORACLE_TOL`` exhibits
-    a concrete witness vector against positivity.
+    a concrete witness vector against positivity.  ``worst_vector`` is the
+    real unit vector sqrt(w) of the row w = |xi|^2 with the largest S; every
+    xi with |xi|^2 = w has that S and the same spectrum of Theta(xi xi*).
     """
 
     max_s: float
@@ -193,6 +195,15 @@ def verify_positivity_numeric(p: MapParams, samples: int = 2000, seed: int = 0) 
     (:func:`cyclemaps.dmap._theta_min_eigenvalue`), bit-identical to
     solving every vector to convergence.
 
+    Only w is drawn: S, den and the spectrum depend on xi through w alone,
+    as xi = U sqrt(w) for a diagonal phase unitary U, which commutes with
+    diag(den), so Theta(xi xi*) = U (diag(den) - sqrt(w) sqrt(w)^T) U*.  A
+    uniform unit vector of C^n is g / |g| for i.i.d. standard complex normals
+    g_i, whose |g_i|^2 / 2 are i.i.d. Exp(1), so its w is E / sum E for
+    i.i.d. Exp(1) variables E: the uniform law on the simplex (Devroye,
+    Non-Uniform Random Variate Generation, 1986, ch. V).  Each row, n such
+    draws or adversarial weights, is divided by its exact row sum.
+
     Counter-based (Philox) seeding keeps runs reproducible for a given seed,
     which must lie in Philox's key range 0 <= seed < 2**128.  ``samples * n``
     may not exceed ``MAX_ENTRIES`` (2000 samples reach n = 4194).
@@ -209,27 +220,11 @@ def verify_positivity_numeric(p: MapParams, samples: int = 2000, seed: int = 0) 
         )
     rng = np.random.Generator(np.random.Philox(key=seed))
     adversarial = _adversarial_amplitudes(p)
-    # One block for the samples re + 1j * im and the adversarial rows, each
-    # row then scaled in place to the bits of zs / np.linalg.norm(zs, axis=1,
-    # keepdims=True).  numpy's norm is the square root of the row sums of
-    # (conj(z) * z).real, and numpy divides x + iy by the real r as by r + 0j,
-    # to (x + y*0) * (1/r) and (y - x*0) * (1/r).  Those are x * (1/r) and
-    # y * (1/r): no y here is -0.0 (each is +0.0 + im, or +0.0), and x is
-    # -0.0 only for re = -0.0, which comes with y < 0 unless im is -0.0 too
-    # (odds 2^-106 per entry).
-    zs = np.empty((samples + len(adversarial), n), dtype=complex)
-    re = rng.standard_normal((samples, n))
-    np.multiply(1j, rng.standard_normal((samples, n)), out=zs[:samples])
-    np.add(re, zs[:samples], out=zs[:samples])
-    np.sqrt(adversarial, out=zs.real[samples:])
-    zs.imag[samples:] = 0.0
-    norm_sq = np.conjugate(zs)
-    norm_sq *= zs
-    re_im = zs.view(float)
-    re_im *= 1.0 / np.sqrt(_row_reduce(np.add, norm_sq.real))[:, None]
+    amps = np.empty((samples + len(adversarial), n))
+    rng.standard_exponential(out=amps[:samples])
+    amps[samples:] = adversarial
+    amps /= _row_reduce(np.add, amps)[:, None]
 
-    amps = np.abs(zs)
-    np.square(amps, out=amps)
     structure = choi_structure(p)
     den = p.a * amps + structure.c[None, :] * amps[:, structure.img]
     terms = np.divide(amps, den, out=np.zeros_like(amps), where=den > 0)
@@ -241,9 +236,9 @@ def verify_positivity_numeric(p: MapParams, samples: int = 2000, seed: int = 0) 
 
     return PositivityEvidence(
         max_s=float(s_vals[worst]),
-        worst_vector=zs[worst].copy(),
+        worst_vector=np.sqrt(amps[worst]),
         min_theta_eig=min_eig,
-        num_vectors=int(zs.shape[0]),
+        num_vectors=int(amps.shape[0]),
     )
 
 

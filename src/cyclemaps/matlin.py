@@ -41,8 +41,8 @@ MAX_DIM = 1024
 _PATTERN_ROWS = 32
 
 # The same guard for the arrays sized by inputs rather than by n^2 x n^2: the
-# classify sampler's samples x n block (about 100 bytes per entry, so about
-# 1 GB here) and the n x n block ``p_block`` of an involution split, if read.
+# classify sampler's samples x n block (about 60 bytes per entry with its
+# working arrays, 500 MB here) and the n x n block ``p_block`` of a split.
 MAX_ENTRIES = 2**23
 
 
@@ -54,7 +54,10 @@ _FLOATS = tuple(map(np.dtype, (np.float16, np.float32, np.float64, np.complex64,
 
 
 def _as_matrix(m: np.ndarray) -> np.ndarray:
-    arr = np.asarray(m)
+    try:
+        arr = np.asarray(m)
+    except ValueError as exc:  # a ragged nested list: numpy's "inhomogeneous shape"
+        raise ParameterError("matrix is not a rectangular array of numbers") from exc
     if not (arr.dtype.kind in "biu" or arr.dtype in _FLOATS):
         raise ParameterError(
             f"matrix dtype {arr.dtype} is not bool, integer, float64/32/16 or complex128/64"

@@ -36,6 +36,7 @@ from cyclemaps import (
 from cyclemaps import classify as classify_module
 from cyclemaps import dmap as dmap_module
 from cyclemaps import perm as perm_module
+from cyclemaps.classify import _adversarial_amplitudes
 from cyclemaps.dmap import _theta_min_eigenvalue
 from matrix_helpers import elementary_symmetric, is_psd, positivity_threshold, schur_matrix, symmetric_F
 
@@ -179,8 +180,14 @@ def dense_theta_min_eigenvalues(zs: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(mats)[:, 0]
 
 
+def theta_den(p: MapParams, w: np.ndarray) -> np.ndarray:
+    """den = a w + c w_sigma for each row of weights w = |xi|^2."""
+    perm = np.array([p.sigma(i) - 1 for i in range(1, p.n + 1)])
+    return p.a * w + np.asarray(p.c)[None, :] * w[:, perm]
+
+
 def theta_rows(p: MapParams, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unit rows, their weights |xi|^2 and den = a w + c w_sigma, as the sampler forms them."""
+    """Unit rows, their weights |xi|^2 and den = a w + c w_sigma."""
     # scaling by the largest modulus keeps the norm from underflowing; it divides
     # the real and imaginary parts apart, because numpy's complex division
     # overflows to inf + nan j on a subnormal divisor
@@ -188,9 +195,7 @@ def theta_rows(p: MapParams, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     zs = zs.real / big + 1j * (zs.imag / big)
     zs = zs / np.linalg.norm(zs, axis=1, keepdims=True)
     amps = np.abs(zs) ** 2
-    perm = np.array([p.sigma(i) - 1 for i in range(1, p.n + 1)])
-    den = p.a * amps + np.asarray(p.c)[None, :] * amps[:, perm]
-    return zs, amps, den
+    return zs, amps, theta_den(p, amps)
 
 
 def row_minima(amps: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -394,23 +399,33 @@ def _cycle_and_two_fixed_points(n):
     return Permutation(tuple(range(2, n - 1)) + (1, n - 1, n))
 
 
+def sampler_rows(p: MapParams, samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sampler's weights rebuilt (w, den): ``samples`` rows of n Exp(1)
+    draws from the Philox key, then the adversarial rows, each over its row sum."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    rows = np.concatenate([rng.standard_exponential((samples, p.n)), _adversarial_amplitudes(p)])
+    w = rows / rows.sum(axis=1, keepdims=True)
+    return w, theta_den(p, w)
+
+
 # (map, seed) -> float.hex of (max_s, min_theta_eig) at the default 2000
-# samples, recorded with a solver that took every row to convergence: a
-# tau(n, 1) cycle, two 3-cycles, sigma = id at a + c = n, an involution, a
-# positive map at its threshold (min_theta_eig exactly 0) and an 8-cycle with
-# two fixed points.  The rows at n = 8, 9, 16, 17 and 129 (tau(n, 1), and an
-# (n-2)-cycle with two fixed points) were recorded with numpy's row-wise
-# .sum(axis=1): they pin the eight-lane and tail branches of the row sums,
+# samples, derived from the rows that sampler_rows rebuilds: max_s from S
+# with numpy's own row sums, min_theta_eig from row_minima, which takes
+# every row to convergence on its own.  The maps: a tau(n, 1) cycle, two
+# 3-cycles, sigma = id at a + c = n, an involution, a positive map at its
+# threshold (min_theta_eig exactly 0) and an 8-cycle with two fixed points.  The rows
+# at n = 8, 9, 16, 17 and 129 (tau(n, 1), and an (n-2)-cycle with two fixed
+# points) pin the eight-lane and tail branches of the sampler's row sums,
 # and the reduction past 128 columns
 SAMPLER_GOLDEN = [
-    (MapParams(3, tau(3, 1), 1.5, (1.5,) * 3), 0, "0x1.5555551c112dcp+0", "-0x1.9765249181760p-4"),
-    (MapParams(6, tau(6, 2), 4.0, (0.5, 1.0, 2.0, 0.7, 1.3, 3.0)), 5, "0x1.284809dba3289p+0", "-0x1.f4c93376185f0p-4"),
+    (MapParams(3, tau(3, 1), 1.5, (1.5,) * 3), 0, "0x1.5555551c112dbp+0", "-0x1.908f485537c10p-4"),
+    (MapParams(6, tau(6, 2), 4.0, (0.5, 1.0, 2.0, 0.7, 1.3, 3.0)), 5, "0x1.284809dba328ap+0", "-0x1.f699a88e63808p-4"),
     (MapParams(6, identity(6), 5.0, (1.0,) * 6), 1, "0x1.0000000000001p+0", "-0x1.0000000000000p-52"),
     (
         MapParams(6, Permutation((2, 1, 4, 3, 6, 5)), 4.5, (1.2, 0.9, 2.0, 0.6, 1.0, 1.5)),
         2,
-        "0x1.115ef3e395c37p+0",
-        "-0x1.ea2df24e33e90p-5",
+        "0x1.115ef3e395c36p+0",
+        "-0x1.ea2df24e33e70p-5",
     ),
     (MapParams(10, tau(10, 1), 9.2, (0.8,) * 10), 4, "0x1.0000000000000p+0", "0x0.0p+0"),
     (
@@ -419,15 +434,15 @@ SAMPLER_GOLDEN = [
         "0x1.08d3dffacf4fbp+0",
         "-0x1.fb4aac56bb240p-6",
     ),
-    (MapParams(8, tau(8, 1), 6.8, _spread_c(8)), 8, "0x1.0787877dd2b0cp+0", "-0x1.27d01a7dcc4a0p-30"),
-    (MapParams(8, _cycle_and_two_fixed_points(8), 6.5, _spread_c(8)), 9, "0x1.04747ebe1b8b5p+0", "-0x1.0b583eb6545e0p-6"),
-    (MapParams(9, tau(9, 1), 7.8, _spread_c(9)), 9, "0x1.069068fe99de4p+0", "-0x1.5677a00f7d63cp-35"),
+    (MapParams(8, tau(8, 1), 6.8, _spread_c(8)), 8, "0x1.0787877dd2b0cp+0", "-0x1.27d01a7dcc4a4p-30"),
+    (MapParams(8, _cycle_and_two_fixed_points(8), 6.5, _spread_c(8)), 9, "0x1.04747ebe1b8b4p+0", "-0x1.0b583eb654600p-6"),
+    (MapParams(9, tau(9, 1), 7.8, _spread_c(9)), 9, "0x1.069068fe99de4p+0", "-0x1.5677a00f7d630p-35"),
     (MapParams(9, _cycle_and_two_fixed_points(9), 7.5, _spread_c(9)), 10, "0x1.0697f66300364p+0", "-0x1.60e597fbc15e0p-6"),
-    (MapParams(16, tau(16, 1), 14.8, _spread_c(16)), 16, "0x1.03759f1e637e8p+0", "-0x1.44b6900d9c9d4p-69"),
-    (MapParams(16, _cycle_and_two_fixed_points(16), 14.5, _spread_c(16)), 17, "0x1.050ee241fedf3p+0", "-0x1.3a98232e73c40p-7"),
-    (MapParams(17, tau(17, 1), 15.8, _spread_c(17)), 17, "0x1.033d91cece7d4p+0", "-0x1.5c3c719150e50p-74"),
-    (MapParams(17, _cycle_and_two_fixed_points(17), 15.5, _spread_c(17)), 18, "0x1.05a300248f854p+0", "-0x1.6af07db195400p-7"),
-    (MapParams(129, tau(129, 1), 127.8, _spread_c(129)), 129, "0x1.00640116d48f6p+0", "-0x1.4ca0cc729d000p-16"),
+    (MapParams(16, tau(16, 1), 14.8, _spread_c(16)), 16, "0x1.03759f1e637e8p+0", "-0x1.44b6900d9c98cp-69"),
+    (MapParams(16, _cycle_and_two_fixed_points(16), 14.5, _spread_c(16)), 17, "0x1.050ee241fedf3p+0", "-0x1.3a98232e73bc0p-7"),
+    (MapParams(17, tau(17, 1), 15.8, _spread_c(17)), 17, "0x1.033d91cece7d4p+0", "-0x1.5c3c719150e70p-74"),
+    (MapParams(17, _cycle_and_two_fixed_points(17), 15.5, _spread_c(17)), 18, "0x1.05a300248f854p+0", "-0x1.6af07db195380p-7"),
+    (MapParams(129, tau(129, 1), 127.8, _spread_c(129)), 129, "0x1.00640116d48f6p+0", "-0x1.4ca0cc729c000p-16"),
     (MapParams(129, _cycle_and_two_fixed_points(129), 127.5, _spread_c(129)), 130, "0x1.00f22dbb7d974p+0", "-0x1.d4649d4abd000p-10"),
 ]
 
@@ -442,6 +457,30 @@ def test_sampler_evidence_keeps_its_recorded_bits(p, seed, max_s, min_theta_eig)
     # rounds differently would move the last bits of the adversarial rows
     ev = verify_positivity_numeric(p, seed=seed)
     assert (ev.max_s.hex(), ev.min_theta_eig.hex()) == (max_s, min_theta_eig)
+    # the pins follow from the rebuilt rows; the batched solve on them is
+    # the least row minimum (test_pruned_minimum_is_bit_identical_to_the_least_row_minimum)
+    w, den = sampler_rows(p, 2000, seed)
+    with np.errstate(invalid="ignore", divide="ignore"):  # a term with den_i = 0 counts 0
+        s = np.where(den > 0, w / den, 0.0).sum(axis=1)
+    assert (s.max().hex(), _theta_min_eigenvalue(w, den).hex()) == (max_s, min_theta_eig)
+    assert np.array_equal(ev.worst_vector, np.sqrt(w[np.argmax(s)]))
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_sampled_rows_are_uniform_on_the_simplex(monkeypatch, n):
+    # w = |xi|^2 of a uniform unit vector of C^n is uniform on the simplex,
+    # so w_1 follows Beta(1, n - 1), whose CDF is 1 - (1 - x)^(n - 1)
+    seen = []
+    monkeypatch.setattr(classify_module, "_theta_min_eigenvalue", lambda amps, den: seen.append(amps) or 0.0)
+    m = 2000
+    verify_positivity_numeric(MapParams(n, tau(n, 1), n - 1.0, (1.0,) * n), samples=m, seed=23)
+    w = seen[0][:m]
+    assert np.all(np.abs(w.sum(axis=1) - 1.0) <= 4 * np.finfo(float).eps)
+    x = np.sort(w[:, 0])
+    cdf = 1.0 - (1.0 - x) ** (n - 1)
+    ks = max(np.max(np.arange(1, m + 1) / m - cdf), np.max(cdf - np.arange(m) / m))
+    # the Dvoretzky-Kiefer-Wolfowitz bound at alpha = 1e-6: 0.060 at m = 2000
+    assert ks < math.sqrt(math.log(2 / 1e-6) / (2 * m))
 
 
 def test_secular_root_past_the_iteration_cap_is_an_internal_failure(monkeypatch, flagship):
@@ -481,8 +520,9 @@ def test_oracle_at_large_n_runs_warning_free_in_bounded_memory(n):
     # a = n - 1 is the threshold, so the map is positive and Theta(xi xi*) is PSD
     assert ev.consistent_with_positive
     assert ev.min_theta_eig >= -1e-9
-    # the 2000 outer products alone would take 2000 n^2 16 B (2.1 GB at n = 256)
-    assert peak < 100e6
+    # the 2000 outer products alone would take 2000 n^2 16 B (2.1 GB at n = 256);
+    # the sampler's working set is about 58 B per sample entry (29.4 MB at n = 256)
+    assert peak < 40e6
 
 
 def test_classify_map_rejects_negative_samples(flagship):

@@ -347,6 +347,13 @@ def test_a_matrix_of_another_dtype_is_a_parameter_error(m):
             helper(m)
 
 
+@pytest.mark.parametrize("m", [[[1.0, 0.0], [0.0]], [[1.0], [0.0, 1.0]], [[[1.0, 0.0]], [0.0, 1.0]]])
+def test_a_ragged_nested_list_is_a_parameter_error(m):
+    for helper in (min_eigenvalue, require_hermitian, matrix_to_json, lambda x: partial_transpose(x, 1, 1)):
+        with pytest.raises(ParameterError, match="^matrix is not a rectangular array of numbers$"):
+            helper(m)
+
+
 @pytest.mark.parametrize("dtype", [bool, np.int8, np.uint64, np.float16, np.float32, np.float64, np.complex64, np.complex128])
 def test_numeric_dtypes_are_widened_to_float64_or_complex128(dtype):
     m = np.array([[2, 1], [1, 2]], dtype=dtype)
