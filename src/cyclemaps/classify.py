@@ -227,8 +227,7 @@ def verify_positivity_numeric(p: MapParams, samples: int = 2000, seed: int = 0) 
 
     structure = choi_structure(p)
     den = p.a * amps + structure.c[None, :] * amps[:, structure.img]
-    terms = np.divide(amps, den, out=np.zeros_like(amps), where=den > 0)
-    s_vals = _row_reduce(np.add, terms)
+    s_vals = _row_reduce(np.add, np.divide(amps, den, out=np.zeros_like(amps), where=den > 0))  # its terms freed here
     worst = int(np.argmax(s_vals))
 
     # den holds exactly the diagonal of Delta(xi xi*)

@@ -11,22 +11,18 @@ Five subcommands, all driven by a map-parameter JSON file::
 The parameter file holds ``{"n": 3, "sigma": "tau:3:2", "a": 2.0, "c": [1, 1, 1]}``;
 ``sigma`` accepts the formats of :func:`cyclemaps.perm.parse_permutation`;
 :class:`MapParams` checks the numbers (zero weights with a = n, sigma = id
-give n*diag(X) - X).  Every subcommand echoes ``--samples``, ``--tol`` and
-``--seed`` in the report's ``config``; only ``classify`` reads them.
+give n*diag(X) - X).  Only ``classify`` takes ``--samples`` and ``--tol``,
+and only it reads ``--seed``, which every subcommand accepts; only its
+report echoes the three, in ``config``.
 ``witness --certify`` writes one expectation per generator, in the order of
 :mod:`cyclemaps.witness`, and not the generators, which n and sigma fix.
 ``spa`` writes ``positivity_warning`` (positivity "no") beside the SPA, which
 does not read it.
 Reports are JSON on stdout (or ``--out``), embed the input verbatim, and are
 byte-identical across runs up to the ``timestamp`` field.  The handlers hold
-each matrix's entries, and other number arrays, as float arrays, and
-``_report_text`` writes the text ``json.dumps(report, indent=2,
-default=np.ndarray.tolist)`` would.  It walks the report once and writes each
-float array where it meets it: every nonzero number is formatted once, and a
-run of all-zero entries is a few references to blocks of its text that the
-report's arrays share.  A non-finite number raises where the walk meets it,
-before any chunk is written, so the writer holds the nonzero text and one
-array's nonzero numbers, not the report's text.
+number arrays as float arrays, and ``_report_text`` writes the text
+``json.dumps(report, indent=2, default=np.ndarray.tolist)`` would, holding
+the nonzero text and one array's nonzero numbers, not the report's text.
 
 Each subparser names its handler, ``_run_<subcommand>(args, params, state)``,
 and :func:`main` calls it between reading the inputs and writing the report.
@@ -55,7 +51,7 @@ from . import __version__
 from .classify import NO, check_psd_tol, classify_map, decompose_involution, positivity_verdict
 from .dmap import MapParams, choi_structure
 from .errors import ContractError, ParameterError, PreconditionError
-from .matlin import DEFAULT_PSD_TOL, _matrix_form, matrix_from_json
+from .matlin import DEFAULT_PSD_TOL, MAX_ENTRIES, _matrix_form, matrix_from_json
 from .perm import parse_permutation
 from .spa import separable_decomposition, spa_state
 from .witness import certify_optimality, expectation_value, witness
@@ -108,7 +104,7 @@ def _run_classify(args, params: MapParams, state) -> dict:
             "p_min_eigenvalue": cert.p_min_eigenvalue,
             "q_pt_min_eigenvalues": list(cert.q_pt_min_eigenvalues),
         }
-    return {"result": result, "certificates": {name: result[name]["criterion"] for name in _VERDICTS}}
+    return {"config": {"samples": args.samples, "tol": args.tol, "seed": args.seed}, "result": result}
 
 
 def _run_spectrum(args, params: MapParams, state) -> dict:
@@ -145,6 +141,9 @@ def _run_decompose(args, params: MapParams, state) -> dict:
 
 
 def _run_spa(args, params: MapParams, state) -> dict:
+    entries = (1 + params.n * (params.n + 1) // 2) * params.n**4  # the SPA matrix and its n(n+1)/2 terms, dense
+    if args.decompose and entries > MAX_ENTRIES:  # before any term is built
+        raise ParameterError(f"n = {params.n} is too large for spa --decompose: {entries:,} entries (limit {MAX_ENTRIES:,})")
     # the decomposition decides the SPA state first and keeps it
     dec = separable_decomposition(params) if args.decompose else None
     spa = spa_state(params) if dec is None else dec.state
@@ -302,12 +301,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--map", required=True, help="path to the map-parameter JSON file")
-    common.add_argument("--samples", type=int, default=2000, help="classify only: sampling budget (default 2000)")
-    common.add_argument("--tol", type=float, default=DEFAULT_PSD_TOL, help=f"classify only: PSD tolerance (default {DEFAULT_PSD_TOL:g})")
-    common.add_argument("--seed", type=int, default=0, help="classify only: seed for the sampler (default 0)")
+    common.add_argument("--seed", type=int, default=0, help="seed for classify's sampler, which only classify reads (default 0)")
     common.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
 
-    sub.add_parser("classify", parents=[common], help="all five verdicts with certificates").set_defaults(run=_run_classify)
+    p_cls = sub.add_parser("classify", parents=[common], help="all five verdicts with certificates")
+    p_cls.add_argument("--samples", type=int, default=2000, help="sampling budget (default 2000)")
+    p_cls.add_argument("--tol", type=float, default=DEFAULT_PSD_TOL, help=f"PSD tolerance (default {DEFAULT_PSD_TOL:g})")
+    p_cls.set_defaults(run=_run_classify)
     p_spec = sub.add_parser("spectrum", parents=[common], help="Choi matrix spectrum")
     p_spec.add_argument(
         "--compose-transpose",
@@ -339,11 +339,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     # input phase: unreadable or malformed inputs exit 1
     try:
-        check_psd_tol(args.tol, "--tol")
-        if args.samples < 0:
-            raise ParameterError(f"--samples must be >= 0 (got {args.samples})")
-        if not 0 <= args.seed < 2**128:
-            raise ParameterError(f"--seed must satisfy 0 <= seed < 2**128 (got {args.seed})")
+        if args.run is _run_classify:
+            check_psd_tol(args.tol, "--tol")
+            if args.samples < 0:
+                raise ParameterError(f"--samples must be >= 0 (got {args.samples})")
+            if not 0 <= args.seed < 2**128:
+                raise ParameterError(f"--seed must satisfy 0 <= seed < 2**128 (got {args.seed})")
         raw_map = _load_json_file(args.map, "map")
         params = parse_map_json(raw_map)
         state_path = getattr(args, "state", None)  # only witness takes --state
@@ -367,9 +368,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "subcommand": args.subcommand,
         "map": raw_map,
-        "config": {"samples": args.samples, "tol": args.tol, "seed": args.seed},
+        **body,
     }
-    report.update(body)
     try:  # the whole report, before a byte of it is written
         chunks = _report_text(report)
     except ValueError as exc:  # a result overflowed or lost its meaning

@@ -521,8 +521,8 @@ def test_oracle_at_large_n_runs_warning_free_in_bounded_memory(n):
     assert ev.consistent_with_positive
     assert ev.min_theta_eig >= -1e-9
     # the 2000 outer products alone would take 2000 n^2 16 B (2.1 GB at n = 256);
-    # the sampler's working set is about 58 B per sample entry (29.4 MB at n = 256)
-    assert peak < 40e6
+    # the sampler's working set is about 49 B per sample entry (25.3 MB at n = 256)
+    assert peak < 30e6
 
 
 def test_classify_map_rejects_negative_samples(flagship):

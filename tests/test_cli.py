@@ -57,13 +57,9 @@ def test_classify_flagship(tmp_path, capsys):
     assert result["completely_positive"]["status"] == "no"
     assert result["atomic"]["status"] == "yes"
     assert result["decomposable"]["status"] == "no"
-    assert set(report["certificates"]) == {
-        "positive",
-        "two_positive",
-        "completely_positive",
-        "atomic",
-        "decomposable",
-    }
+    # each verdict names the rule that decided it; no second map repeats those names
+    assert list(report) == ["tool", "version", "timestamp", "subcommand", "map", "config", "result"]
+    assert all(result[name]["criterion"] for name in ("positive", "two_positive", "completely_positive", "atomic", "decomposable"))
 
 
 def test_classify_config_plumbing(tmp_path, capsys):
@@ -231,6 +227,33 @@ def test_spa_decompose_needs_no_positivity(tmp_path, capsys):
     assert result["positivity_warning"] is True
     assert result["decomposition"]["residual"] <= 1e-10
     assert len(result["decomposition"]["terms"]) == 6 + 4
+
+
+def test_spa_decompose_past_the_entry_bound_exits_two_before_building_a_term(tmp_path, capsys, monkeypatch):
+    # n = 32: (1 + 528) dense 1024 x 1024 matrices, 554,696,704 entries
+    calls = []
+
+    def refuse(p):
+        calls.append(p)
+        raise AssertionError("separable_decomposition ran")
+
+    monkeypatch.setattr(cli, "separable_decomposition", refuse)
+    spec = {"n": 32, "sigma": "tau:32:1", "a": 31.0, "c": [1.0] * 32}
+    rc, out, err = run_cli(capsys, "spa", "--map", write_json(tmp_path, "map.json", spec), "--decompose")
+    assert (rc, out, calls) == (2, "", [])
+    assert err == "error: n = 32 is too large for spa --decompose: 554,696,704 entries (limit 8,388,608)\n"
+
+
+@pytest.mark.parametrize("limit, rc", [(151_552, 0), (151_551, 2)])
+def test_spa_decompose_entry_bound_at_its_edge(tmp_path, capsys, monkeypatch, limit, rc):
+    # n = 8: the SPA matrix and 36 terms, each 64 x 64, are 37 * 4096 = 151,552 entries
+    monkeypatch.setattr(cli, "MAX_ENTRIES", limit)
+    spec = {"n": 8, "sigma": "tau:8:1", "a": 7.0, "c": [1.0] * 8}
+    dest = tmp_path / "report.json"
+    got, out, err = run_cli(capsys, "spa", "--map", write_json(tmp_path, "map.json", spec), "--decompose", "--out", str(dest))
+    assert (got, out) == (rc, "")
+    assert err == ("" if rc == 0 else f"error: n = 8 is too large for spa --decompose: 151,552 entries (limit {limit:,})\n")
+    assert dest.exists() == (rc == 0)
 
 
 def test_spa_decompose_requires_a_boundary(tmp_path, capsys):
@@ -556,11 +579,14 @@ def test_one_parser_serves_every_call_and_no_option_leaks(tmp_path, capsys, monk
     reports = {}
     calls = (
         ["spa", "--map", path],
-        ["spa", "--map", path, "--decompose", *tuned],
+        ["classify", "--map", path],
+        ["spa", "--map", path, "--decompose", "--seed", "5"],
+        ["classify", "--map", path, *tuned],
         ["spa", "--map", path],
         ["witness", "--map", path],
-        ["witness", "--map", path, "--certify", "--state", state, *tuned],
+        ["witness", "--map", path, "--certify", "--state", state, "--seed", "5"],
         ["witness", "--map", path],
+        ["classify", "--map", path],
         ["spa", "--map", path],
     )
     for argv in calls:
@@ -572,13 +598,39 @@ def test_one_parser_serves_every_call_and_no_option_leaks(tmp_path, capsys, monk
     assert parsed == [vars(cli.build_parser().parse_args(argv)) for argv in calls]
     for argv, outs in reports.items():
         report = json.loads(outs[0])
-        flagged = "--decompose" in argv or "--certify" in argv
-        assert report["config"] == ({"samples": 7, "tol": 1e-6, "seed": 5} if flagged else
-                                    {"samples": 2000, "tol": 1e-9, "seed": 0})
+        if argv.startswith("classify"):  # only classify reads, and echoes, --samples, --tol and --seed
+            assert report["config"] == ({"samples": 7, "tol": 1e-6, "seed": 5} if "--samples" in argv else
+                                        {"samples": 2000, "tol": 1e-9, "seed": 0})
+        else:
+            assert "config" not in report
         assert ("decomposition" in report["result"]) == ("--decompose" in argv)
         assert ("certificate" in report["result"]) == ("--certify" in argv)
         assert ("state_expectation" in report["result"]) == ("--state" in argv)
         assert outs == [outs[0]] * len(outs)  # before and after a call with flags
+
+
+@pytest.mark.parametrize("option", [["--samples", "5"], ["--tol", "1e-3"]])
+@pytest.mark.parametrize("sub", ["spectrum", "decompose", "spa", "witness"])
+def test_only_classify_takes_samples_and_tol(tmp_path, capsys, sub, option):
+    path = write_json(tmp_path, "map.json", FLAGSHIP)
+    with pytest.raises(SystemExit) as exc:
+        main([sub, "--map", path, *option])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"error: unrecognized arguments: {' '.join(option)}" in captured.err
+
+
+@pytest.mark.parametrize("sub", ["spectrum", "spa", "witness"])
+def test_other_subcommands_accept_any_seed_and_ignore_it(tmp_path, capsys, sub):
+    # only classify checks --seed, as only its sampler reads it
+    path = write_json(tmp_path, "map.json", FLAGSHIP)
+    stamp = re.compile(r'"timestamp": "[^"]*"')
+    outs = []
+    for seed in ([], ["--seed", "-1"], ["--seed", str(2**128)]):
+        rc, out, err = run_cli(capsys, sub, "--map", path, *seed)
+        assert (rc, err) == (0, "")
+        outs.append(stamp.sub("", out))
+    assert outs == [outs[0]] * 3
 
 
 def test_importing_the_cli_builds_no_parser():
