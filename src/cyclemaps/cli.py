@@ -301,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--map", required=True, help="path to the map-parameter JSON file")
-    common.add_argument("--seed", type=int, default=0, help="seed for classify's sampler, which only classify reads (default 0)")
+    common.add_argument("--seed", type=int, default=0, help="classify only: seed for the sampler; the other subcommands ignore it (default 0)")
     common.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
 
     p_cls = sub.add_parser("classify", parents=[common], help="all five verdicts with certificates")
