@@ -13,8 +13,8 @@ The decisive criteria, each written once in the function that every caller
 * :func:`positivity_verdict`: a >= max(n-1, n - geomean(c)) makes the map
   positive for every sigma, sharply when sigma is one full n-cycle; at
   sigma = id the map is an entrywise multiplier whose matrix is K below, so
-  it reads the CP verdict, at the caller's tolerance; on the uniform family
-  a = n - c it is positive iff c <= n/l_max;
+  it reads the CP verdict; on the uniform family a = n - c it is positive
+  iff c <= n/l_max;
 * :func:`cp_verdict`: the Choi matrix is PSD, which comes down to the n x n
   core K = diag(a + c_i [sigma(i) = i]) - J; with every cycle of sigma of
   length >= 2 that is a >= n, and 2-positivity coincides with it
@@ -25,8 +25,9 @@ The decisive criteria, each written once in the function that every caller
   with every cycle of length >= 3 makes it atomic (no split into a 2-positive
   part plus a transposed 2-positive part), not decomposable;
 * ``_involution_split_failure``: when sigma is an involution and a >= n-1,
-  c_i >= 1 at fixed points, c_i * c_sigma(i) >= 1 on the 2-cycles, the Choi
-  matrix splits explicitly (:func:`decompose_involution`) into a PSD block
+  c_i >= 1 at fixed points, c_i * c_sigma(i) >= 1 on the 2-cycles (and P's
+  block is PSD, as they imply up to their tolerances), the Choi matrix
+  splits explicitly (:func:`decompose_involution`) into a PSD block
   plus blocks whose partial transposes are PSD.
 
 Every verdict reads the map's O(n) Choi structure (:func:`cyclemaps.dmap.choi_structure`)
@@ -44,11 +45,8 @@ import numpy as np
 
 from .dmap import MapParams, _row_reduce, _theta_min_eigenvalue, assemble, choi_structure, pair_block_eigenvalues
 from .errors import ParameterError, PreconditionError
-from .matlin import DEFAULT_PSD_TOL, MAX_ENTRIES
+from .matlin import DECISION_TOL, MAX_ENTRIES
 from .perm import cycle_decompose, fixed_points, is_involution, is_single_cycle
-
-# Boundary cases a == threshold are resolved inclusively at this tolerance.
-BOUNDARY_TOL = 1e-9
 
 # Tolerance for the sampled quantity S(xi) when used as positivity evidence.
 S_ORACLE_TOL = 1e-7
@@ -205,13 +203,10 @@ def verify_positivity_numeric(p: MapParams, samples: int = 2000, seed: int = 0) 
     draws or adversarial weights, is divided by its exact row sum.
 
     Counter-based (Philox) seeding keeps runs reproducible for a given seed,
-    which must lie in Philox's key range 0 <= seed < 2**128.  ``samples * n``
-    may not exceed ``MAX_ENTRIES`` (2000 samples reach n = 4194).
+    which must lie in Philox's key range (:func:`check_sampling`).
+    ``samples * n`` may not exceed ``MAX_ENTRIES`` (2000 samples reach n = 4194).
     """
-    if samples < 0:
-        raise ParameterError(f"samples must be >= 0 (got {samples})")
-    if not 0 <= seed < 2**128:
-        raise ParameterError(f"seed must satisfy 0 <= seed < 2**128 (got {seed})")
+    check_sampling(samples, seed)
     n = p.n
     if samples * n > MAX_ENTRIES:
         raise ParameterError(
@@ -242,15 +237,15 @@ def verify_positivity_numeric(p: MapParams, samples: int = 2000, seed: int = 0) 
 
 
 def on_uniform_family(p: MapParams) -> bool:
-    """Uniform weights c with a = n - c (to within BOUNDARY_TOL)."""
-    return p.uniform_c and abs(p.a - (p.n - p.c[0])) <= BOUNDARY_TOL
+    """Uniform weights c with a = n - c (to within DECISION_TOL)."""
+    return p.uniform_c and abs(p.a - (p.n - p.c[0])) <= DECISION_TOL
 
 
 def positivity_verdict(p: MapParams, evidence: Optional[PositivityEvidence] = None, cp: Optional[Verdict] = None) -> Verdict:
     """Decide positivity where a criterion exists, complete positivity last;
-    otherwise unknown with evidence.  ``cp`` is computed here, and only at
-    sigma = id or when every other criterion is silent, unless the caller
-    has it."""
+    otherwise unknown with evidence.  ``cp`` shares a CP verdict the caller
+    already has; without it the verdict is computed here, and only at
+    sigma = id or when every other criterion is silent."""
     n, a = p.n, p.a
     geomean = geometric_mean_c(p)
     threshold = max(n - 1.0, n - geomean)
@@ -262,7 +257,7 @@ def positivity_verdict(p: MapParams, evidence: Optional[PositivityEvidence] = No
             sampled_vectors=evidence.num_vectors,
             s_tol=S_ORACLE_TOL,
         )
-    if a >= threshold - BOUNDARY_TOL:
+    if a >= threshold - DECISION_TOL:
         return Verdict(YES, "a >= max(n-1, n-geomean(c)): sufficient for every sigma", ev)
     if is_single_cycle(p.sigma):
         return Verdict(
@@ -278,22 +273,27 @@ def positivity_verdict(p: MapParams, evidence: Optional[PositivityEvidence] = No
     if on_uniform_family(p):
         l_max = cycle_decompose(p.sigma).l_max
         ev["cycle_bound"] = n / l_max
-        status = YES if p.c[0] <= n / l_max + BOUNDARY_TOL else NO
+        status = YES if p.c[0] <= n / l_max + DECISION_TOL else NO
         return Verdict(status, "uniform family a = n - c: positive iff c <= n/l_max(sigma)", ev)
     if cp is None:
         cp = cp_verdict(p)
     return _implied_by_cp(cp, ev, "no positivity criterion applies below the threshold for this sigma")
 
 
-def check_psd_tol(psd_tol: float, name: str = "psd_tol") -> None:
-    """ParameterError naming the tolerance unless it is finite and >= 0: a
-    negative or NaN tolerance decides CP "no" for a CP map, an infinite one CP
-    "yes" for every map."""
-    if not (math.isfinite(psd_tol) and psd_tol >= 0.0):
-        raise ParameterError(f"{name} must be finite and >= 0 (got {psd_tol})")
+def check_sampling(samples, seed, names: tuple[str, str] = ("samples", "seed")) -> None:
+    """ParameterError naming the argument unless ``samples`` and ``seed`` are
+    integers (an int or a numpy integer, not a bool), ``samples >= 0`` and
+    ``seed`` in Philox's key range 0 <= seed < 2**128."""
+    for value, name in zip((samples, seed), names):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ParameterError(f"{name} must be an integer (got {value!r})")
+    if samples < 0:
+        raise ParameterError(f"{names[0]} must be >= 0 (got {samples})")
+    if not 0 <= int(seed) < 2**128:
+        raise ParameterError(f"{names[1]} must satisfy 0 <= seed < 2**128 (got {seed})")
 
 
-def cp_verdict(p: MapParams, psd_tol: float = DEFAULT_PSD_TOL) -> Verdict:
+def cp_verdict(p: MapParams) -> Verdict:
     """Complete positivity: the Choi matrix is PSD (Choi, Linear Algebra
     Appl. 10, 1975).
 
@@ -301,11 +301,10 @@ def cp_verdict(p: MapParams, psd_tol: float = DEFAULT_PSD_TOL) -> Verdict:
     n x n core's eigenvalues, the weights c_i at non-fixed i, and 0 when the
     Choi matrix has a kernel.  The weights are non-negative, so the core
     decides; with every cycle of length >= 2 the core is a*I - J and the
-    test reads a >= n.  ``psd_tol`` must be finite and >= 0."""
-    check_psd_tol(psd_tol)
+    test reads a >= n.  A minimum of at least -``DECISION_TOL`` reads "yes"."""
     choi_min = choi_structure(p).min_eigenvalue()
     ev = {"a": p.a, "l_min": cycle_decompose(p.sigma).l_min, "choi_min_eigenvalue": choi_min}
-    status = YES if choi_min >= -psd_tol else NO
+    status = YES if choi_min >= -DECISION_TOL else NO
     return Verdict(status, "Choi matrix PSD (numeric eigenvalue check)", ev)
 
 
@@ -339,15 +338,20 @@ def _involution_split_failure(p: MapParams) -> Optional[str]:
     """The first violated precondition of the involution split, or None."""
     if not is_involution(p.sigma):
         return "sigma is not an involution: sigma(sigma(i)) != i for some i"
-    if p.a < p.n - 1 - BOUNDARY_TOL:
+    if p.a < p.n - 1 - DECISION_TOL:
         return f"requires a >= n - 1 = {p.n - 1} (got a = {p.a})"
     for i in sorted(fixed_points(p.sigma)):
-        if p.c[i - 1] < 1.0 - BOUNDARY_TOL:
+        if p.c[i - 1] < 1.0 - DECISION_TOL:
             return f"requires c[{i}] >= 1 at the fixed point {i} (got c[{i}] = {p.c[i - 1]})"
     for u, v in zip(*(x.tolist() for x in _two_cycles(p))):
         product = p.c[u] * p.c[v]
-        if product < 1.0 - BOUNDARY_TOL:
+        if product < 1.0 - DECISION_TOL:
             return f"requires c[{u + 1}]*c[{v + 1}] >= 1 for the 2-cycle ({u + 1}, {v + 1}) (got {product})"
+    # a and the c_i at fixed points each within DECISION_TOL of their bounds can
+    # still leave P's block, shifted down by both, short of PSD at DECISION_TOL
+    p_min = _p_block_min(p)
+    if p_min < -DECISION_TOL:
+        return f"requires P's least eigenvalue >= -{DECISION_TOL:g} (got {p_min})"
     return None
 
 
@@ -369,7 +373,8 @@ def decompose_involution(p: MapParams) -> DecomposabilityCertificate:
     one block per 2-cycle whose partial transpose is PSD.
 
     Preconditions (each failure is reported by name): sigma an involution,
-    a >= n-1, c_i >= 1 at fixed points, c_i * c_sigma(i) >= 1 on 2-cycles.
+    a >= n-1, c_i >= 1 at fixed points, c_i * c_sigma(i) >= 1 on 2-cycles,
+    and P's block PSD, which the others imply but for their tolerances.
     """
     failure = _involution_split_failure(p)
     if failure is not None:
@@ -405,7 +410,7 @@ def _split(p: MapParams) -> DecomposabilityCertificate:
     p_min = min(_p_block_min(p), 0.0 if p.n >= 2 else math.inf)
     q_lo, _ = pair_block_eigenvalues(c[v], c[u])
     q_pt_mins = tuple(float(m) for m in np.minimum(q_lo, 0.0))
-    if not (residual <= 1e-10 and p_min >= -DEFAULT_PSD_TOL and all(m >= -DEFAULT_PSD_TOL for m in q_pt_mins)):
+    if not (residual <= 1e-10 and p_min >= -DECISION_TOL and all(m >= -DECISION_TOL for m in q_pt_mins)):
         raise RuntimeError(
             "internal consistency failure: involution split does not certify "
             f"(residual {residual:.3e}, min eig P {p_min:.3e}, min eig Q^PT {min(q_pt_mins, default=0.0):.3e})"
@@ -467,24 +472,20 @@ def atomic_verdict(p: MapParams, pos: Optional[Verdict] = None, cp: Optional[Ver
 def classify_map(
     p: MapParams,
     samples: int = 2000,
-    psd_tol: float = DEFAULT_PSD_TOL,
     seed: int = 0,
 ) -> ClassificationReport:
     """Produce all five verdicts, with sampling evidence and cross-checked closure.
 
-    ``samples = 0`` skips the sampler; a negative count, or ``samples * n``
-    past ``MAX_ENTRIES``, raises ParameterError, as does a ``psd_tol`` that
-    is not finite and >= 0, or one above ``DEFAULT_PSD_TOL`` under which the
-    verdicts contradict each other."""
-    if samples < 0:
-        raise ParameterError(f"samples must be >= 0 (got {samples})")
-    check_psd_tol(psd_tol)
+    ``samples = 0`` skips the sampler; ``samples`` and ``seed`` that
+    :func:`check_sampling` refuses, or ``samples * n`` past ``MAX_ENTRIES``,
+    raise ParameterError, the seed whether or not the sampler runs."""
+    check_sampling(samples, seed)
     evidence = verify_positivity_numeric(p, samples=samples, seed=seed) if samples > 0 else None
-    cp = cp_verdict(p, psd_tol)
+    cp = cp_verdict(p)
     pos = positivity_verdict(p, evidence, cp=cp)
     two = two_positive_verdict(p, cp=cp)
     atomic, decomposable, decomposition = _atomic_and_decomposable(p, pos, cp, certify=True)
-    _check_closure(pos, two, cp, atomic, decomposable, psd_tol)
+    _check_closure(pos, two, cp, atomic, decomposable)
     return ClassificationReport(
         positive=pos,
         two_positive=two,
@@ -495,11 +496,8 @@ def classify_map(
     )
 
 
-def _check_closure(pos, two, cp, atomic, decomposable, psd_tol) -> None:
-    """Implication closure between verdicts.  A ``psd_tol`` above the default
-    can pass a Choi minimum that decides CP "yes" against an exact positivity
-    "no", so there a violation is a ParameterError naming the tolerance; at
-    the default tolerance it is an internal bug."""
+def _check_closure(pos, two, cp, atomic, decomposable) -> None:
+    """Implication closure between verdicts; a violation is an internal bug."""
     broken = (
         (cp.status == YES and two.status != YES)
         or (two.status == YES and pos.status == NO)
@@ -511,10 +509,8 @@ def _check_closure(pos, two, cp, atomic, decomposable, psd_tol) -> None:
     )
     if not broken:
         return
-    statuses = (
+    raise RuntimeError(
+        "internal consistency failure between verdicts: "
         f"positive={pos.status}, two_positive={two.status}, cp={cp.status}, "
         f"atomic={atomic.status}, decomposable={decomposable.status}"
     )
-    if psd_tol > DEFAULT_PSD_TOL:
-        raise ParameterError(f"PSD tolerance {psd_tol:g} is too loose for this map: the verdicts conflict ({statuses})")
-    raise RuntimeError(f"internal consistency failure between verdicts: {statuses}")

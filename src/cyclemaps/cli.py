@@ -2,7 +2,7 @@
 
 Five subcommands, all driven by a map-parameter JSON file::
 
-    cyclemaps classify  --map params.json [--samples N] [--tol T] [--seed S]
+    cyclemaps classify  --map params.json [--samples N] [--seed S]
     cyclemaps spectrum  --map params.json [--compose-transpose]
     cyclemaps decompose --map params.json
     cyclemaps spa       --map params.json [--decompose]
@@ -11,9 +11,9 @@ Five subcommands, all driven by a map-parameter JSON file::
 The parameter file holds ``{"n": 3, "sigma": "tau:3:2", "a": 2.0, "c": [1, 1, 1]}``;
 ``sigma`` accepts the formats of :func:`cyclemaps.perm.parse_permutation`;
 :class:`MapParams` checks the numbers (zero weights with a = n, sigma = id
-give n*diag(X) - X).  Only ``classify`` takes ``--samples`` and ``--tol``,
-and only it reads ``--seed``, which every subcommand accepts; only its
-report echoes the three, in ``config``.
+give n*diag(X) - X).  Only ``classify`` takes ``--samples``, and only it
+reads ``--seed``, which every subcommand accepts; only its report echoes
+the two, in ``config``.
 ``witness --certify`` writes one expectation per generator, in the order of
 :mod:`cyclemaps.witness`, and not the generators, which n and sigma fix.
 ``spa`` writes ``positivity_warning`` (positivity "no") beside the SPA, which
@@ -48,10 +48,10 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .classify import NO, check_psd_tol, classify_map, decompose_involution, positivity_verdict
+from .classify import NO, check_sampling, classify_map, decompose_involution, positivity_verdict
 from .dmap import MapParams, choi_structure
 from .errors import ContractError, ParameterError, PreconditionError
-from .matlin import DEFAULT_PSD_TOL, MAX_ENTRIES, _matrix_form, matrix_from_json
+from .matlin import MAX_ENTRIES, _matrix_form, matrix_from_json
 from .perm import parse_permutation
 from .spa import separable_decomposition, spa_state
 from .witness import certify_optimality, expectation_value, witness
@@ -94,7 +94,7 @@ def _verdict_json(v) -> dict:
 
 
 def _run_classify(args, params: MapParams, state) -> dict:
-    report = classify_map(params, samples=args.samples, psd_tol=args.tol, seed=args.seed)
+    report = classify_map(params, samples=args.samples, seed=args.seed)
     result = {name: _verdict_json(getattr(report, name)) for name in _VERDICTS}
     if report.decomposition is not None:
         cert = report.decomposition
@@ -104,7 +104,7 @@ def _run_classify(args, params: MapParams, state) -> dict:
             "p_min_eigenvalue": cert.p_min_eigenvalue,
             "q_pt_min_eigenvalues": list(cert.q_pt_min_eigenvalues),
         }
-    return {"config": {"samples": args.samples, "tol": args.tol, "seed": args.seed}, "result": result}
+    return {"config": {"samples": args.samples, "seed": args.seed}, "result": result}
 
 
 def _run_spectrum(args, params: MapParams, state) -> dict:
@@ -306,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cls = sub.add_parser("classify", parents=[common], help="all five verdicts with certificates")
     p_cls.add_argument("--samples", type=int, default=2000, help="sampling budget (default 2000)")
-    p_cls.add_argument("--tol", type=float, default=DEFAULT_PSD_TOL, help=f"PSD tolerance (default {DEFAULT_PSD_TOL:g})")
     p_cls.set_defaults(run=_run_classify)
     p_spec = sub.add_parser("spectrum", parents=[common], help="Choi matrix spectrum")
     p_spec.add_argument(
@@ -340,11 +339,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     # input phase: unreadable or malformed inputs exit 1
     try:
         if args.run is _run_classify:
-            check_psd_tol(args.tol, "--tol")
-            if args.samples < 0:
-                raise ParameterError(f"--samples must be >= 0 (got {args.samples})")
-            if not 0 <= args.seed < 2**128:
-                raise ParameterError(f"--seed must satisfy 0 <= seed < 2**128 (got {args.seed})")
+            check_sampling(args.samples, args.seed, ("--samples", "--seed"))
         raw_map = _load_json_file(args.map, "map")
         params = parse_map_json(raw_map)
         state_path = getattr(args, "state", None)  # only witness takes --state

@@ -29,7 +29,9 @@ import numpy as np
 
 from .errors import ContractError, ParameterError
 
-DEFAULT_PSD_TOL = 1e-9
+# Every verdict decides membership of a closed set (the PSD cone, a >= a
+# threshold, a zero expectation) inclusively at this tolerance.
+DECISION_TOL = 1e-9
 DEFAULT_HERMITIAN_TOL = 1e-10
 
 # Matrices past this edge length are outside the supported regime; the guard

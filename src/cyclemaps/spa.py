@@ -40,9 +40,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .classify import BOUNDARY_TOL
 from .dmap import ChoiStructure, MapParams, assemble, choi_structure, parts_distance, require_dense_size
 from .errors import PreconditionError
+from .matlin import DECISION_TOL
 from .perm import cycle_decompose
 
 
@@ -145,7 +145,7 @@ def separable_decomposition(p: MapParams) -> SeparableDecomposition:
     """Write the SPA at a = n - 1 as an explicit convex mix of separable terms.
 
     Preconditions, checked in this order: Tr C > 0 (:func:`spa_state`, whose
-    result the decomposition keeps), a = n - 1 (within BOUNDARY_TOL, as every
+    result the decomposition keeps), a = n - 1 (within DECISION_TOL, as every
     boundary) and every cycle of sigma of length >= 2.  Positivity is not
     needed (module docstring).  Each two-level term sigma_ij is its
     factorization (D_ij (x) D_ij) R (D_ij (x) D_ij)*, with D_ij the n x 2
@@ -156,7 +156,7 @@ def separable_decomposition(p: MapParams) -> SeparableDecomposition:
     """
     state = spa_state(p)
     n = p.n
-    if abs(p.a - (n - 1.0)) > BOUNDARY_TOL:
+    if abs(p.a - (n - 1.0)) > DECISION_TOL:
         raise PreconditionError(f"requires a = n - 1 = {n - 1} (got a = {p.a})")
     l_min = cycle_decompose(p.sigma).l_min
     if l_min < 2:

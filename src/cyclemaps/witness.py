@@ -62,11 +62,8 @@ import numpy as np
 from .classify import NO, UNKNOWN, YES, atomic_verdict, cp_verdict, on_uniform_family, positivity_verdict
 from .dmap import MapParams, assemble, choi_structure, require_dense_size
 from .errors import ParameterError
-from .matlin import DEFAULT_PSD_TOL, MAX_ENTRIES, require_hermitian
+from .matlin import DECISION_TOL, MAX_ENTRIES, require_hermitian
 from .perm import cycle_decompose
-
-# A generator's expectation <W zeta, zeta> counts as zero within this bound.
-EXPECTATION_TOL = 1e-9
 
 # |exp(i t)|^2 is 1.0 exactly at the phase rows' angles 0, pi/2 and pi, which the
 # phase expectation relies on; it depends on no map, so it is evaluated once
@@ -151,7 +148,7 @@ def certify_optimality(p: MapParams) -> OptimalityCertificate:
     """Check the spanning property of the witness of p.
 
     Every generator's expectation <W zeta, zeta> is recorded; those within
-    ``EXPECTATION_TOL`` of zero enter the span, and rank n^2 means the
+    ``DECISION_TOL`` of zero enter the span, and rank n^2 means the
     witness is optimal, provided it is a witness: ``optimal`` needs the
     positivity verdict "yes" and a W that is not PSD.  An undecided
     positivity gives a warning, and a spanning set then the note "not
@@ -195,7 +192,7 @@ def certify_optimality(p: MapParams) -> OptimalityCertificate:
             "internal consistency failure: a phase weight |exp(i t)|^2 is not 1.0 "
             "or a basis-pair expectation is not 0.0"
         )
-    phases_pass = bool(abs(expectations[0]) <= EXPECTATION_TOL)
+    phases_pass = bool(abs(expectations[0]) <= DECISION_TOL)
 
     cp = cp_verdict(p)
     pos = positivity_verdict(p, cp=cp)
@@ -214,7 +211,7 @@ def certify_optimality(p: MapParams) -> OptimalityCertificate:
     # but for one rank per 2-cycle of sigma
     span_rank = n * n - cycle_decompose(p.sigma).lengths.count(2) if phases_pass else len(gens.pairs)
     spanning = span_rank == n * n
-    psd = structure.min_eigenvalue(compose_transpose=True) / n >= -DEFAULT_PSD_TOL
+    psd = structure.min_eigenvalue(compose_transpose=True) / n >= -DECISION_TOL
 
     warnings: list[str] = []
     if pos.status == NO:

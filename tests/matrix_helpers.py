@@ -41,8 +41,7 @@ from cyclemaps import (
     spa_state,
 )
 from cyclemaps.dmap import assemble, require_dense_size
-from cyclemaps.matlin import DEFAULT_HERMITIAN_TOL, DEFAULT_PSD_TOL, MAX_DIM, MAX_ENTRIES, _as_matrix, _hermitian_blocks, _hermitian_defect
-from cyclemaps.witness import EXPECTATION_TOL
+from cyclemaps.matlin import DECISION_TOL, DEFAULT_HERMITIAN_TOL, MAX_DIM, MAX_ENTRIES, _as_matrix, _hermitian_blocks, _hermitian_defect
 
 
 def is_hermitian(m: np.ndarray, tol: float = DEFAULT_HERMITIAN_TOL) -> bool:
@@ -52,12 +51,12 @@ def is_hermitian(m: np.ndarray, tol: float = DEFAULT_HERMITIAN_TOL) -> bool:
     return _hermitian_defect(m) <= tol
 
 
-def is_psd(m: np.ndarray, tol: float = DEFAULT_PSD_TOL) -> bool:
+def is_psd(m: np.ndarray, tol: float = DECISION_TOL) -> bool:
     """Positive semidefinite up to an absolute eigenvalue tolerance."""
     return min_eigenvalue(m) >= -tol
 
 
-def ppt_check(m: np.ndarray, k: int, n: int, tol: float = DEFAULT_PSD_TOL) -> tuple[bool, float]:
+def ppt_check(m: np.ndarray, k: int, n: int, tol: float = DECISION_TOL) -> tuple[bool, float]:
     """Is the partial transpose of a Hermitian matrix on C^k (x) C^n PSD?
     Returns the verdict and the minimum eigenvalue of the partial transpose."""
     m = require_hermitian(m)
@@ -243,7 +242,7 @@ def dense_certificate(p) -> tuple[np.ndarray, int]:
     i, j = pairs.T
     basis = structure.entry(i, j) - (i == j)
     expectations = np.concatenate([phase, basis]) / n
-    phase_ok, pair_ok = np.split(np.abs(expectations) <= EXPECTATION_TOL, [len(xi)])
+    phase_ok, pair_ok = np.split(np.abs(expectations) <= DECISION_TOL, [len(xi)])
     covered = np.zeros((n, n), dtype=bool)
     covered[i[pair_ok], j[pair_ok]] = True
     k, l = np.nonzero(~covered)

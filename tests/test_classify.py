@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -38,6 +38,7 @@ from cyclemaps import dmap as dmap_module
 from cyclemaps import perm as perm_module
 from cyclemaps.classify import _adversarial_amplitudes
 from cyclemaps.dmap import _theta_min_eigenvalue
+from cyclemaps.matlin import DECISION_TOL
 from matrix_helpers import elementary_symmetric, is_psd, positivity_threshold, schur_matrix, symmetric_F
 
 
@@ -521,8 +522,9 @@ def test_oracle_at_large_n_runs_warning_free_in_bounded_memory(n):
     assert ev.consistent_with_positive
     assert ev.min_theta_eig >= -1e-9
     # the 2000 outer products alone would take 2000 n^2 16 B (2.1 GB at n = 256);
-    # the sampler's working set is about 49 B per sample entry (25.3 MB at n = 256)
-    assert peak < 30e6
+    # the sampler's working set is about 51 B per sample entry (26.1 MB at n = 256);
+    # one that holds the S terms through the solve reads 30.2 MB
+    assert peak < 28e6
 
 
 def test_classify_map_rejects_negative_samples(flagship):
@@ -530,18 +532,42 @@ def test_classify_map_rejects_negative_samples(flagship):
         classify_map(flagship, samples=-5)
 
 
-@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, -math.inf])
-def test_a_psd_tolerance_that_is_not_finite_and_non_negative_is_refused(tol):
-    # a = n makes the map CP: NaN and -1 would read CP "no" and atomic "yes",
-    # and inf would make every map CP
-    p = MapParams(3, tau(3, 1), 3.0, (1.0,) * 3)
-    message = rf"^psd_tol must be finite and >= 0 \(got {tol}\)$"
-    with pytest.raises(ParameterError, match=message):
-        cp_verdict(p, tol)
-    for samples in (0, 10):
-        with pytest.raises(ParameterError, match=message):
-            classify_map(p, samples=samples, psd_tol=tol)
-    assert cp_verdict(p, 0.0).status == "yes"
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"samples": 2.5}, "samples must be an integer (got 2.5)"),
+        ({"samples": 10.0}, "samples must be an integer (got 10.0)"),
+        ({"samples": True}, "samples must be an integer (got True)"),
+        ({"samples": np.True_}, "samples must be an integer (got np.True_)"),
+        ({"samples": "10"}, "samples must be an integer (got '10')"),
+        ({"seed": "3"}, "seed must be an integer (got '3')"),
+        ({"seed": None}, "seed must be an integer (got None)"),
+        ({"seed": 1.5}, "seed must be an integer (got 1.5)"),
+        ({"seed": False}, "seed must be an integer (got False)"),
+        ({"samples": 0, "seed": 1.5}, "seed must be an integer (got 1.5)"),
+        ({"samples": 0, "seed": -1}, "seed must satisfy 0 <= seed < 2**128 (got -1)"),
+        ({"samples": 0, "seed": "x"}, "seed must be an integer (got 'x')"),
+        ({"samples": 0, "seed": 2**200}, f"seed must satisfy 0 <= seed < 2**128 (got {2**200})"),
+        ({"samples": np.int64(-1)}, "samples must be >= 0 (got -1)"),
+    ],
+)
+def test_samples_and_seed_that_are_not_integers_in_range_are_a_parameter_error(flagship, kwargs, message):
+    # one validator for the library and the CLI; the seed is checked even when
+    # no sample is drawn, as classify --samples 0 --seed -1 checks it
+    with pytest.raises(ParameterError) as exc:
+        classify_map(flagship, **kwargs)
+    assert str(exc.value) == message
+    if kwargs.get("samples", 1) != 0:  # the sampler's own calls take the same rule
+        with pytest.raises(ParameterError) as exc:
+            verify_positivity_numeric(flagship, **{"samples": 10, **kwargs})
+        assert str(exc.value) == message
+
+
+def test_numpy_integer_samples_and_seed_draw_what_ints_draw(flagship):
+    want = classify_map(flagship, samples=50, seed=3).positive.evidence
+    for samples, seed in ((np.int64(50), np.uint64(3)), (np.uint8(50), np.int32(3))):
+        assert classify_map(flagship, samples=samples, seed=seed).positive.evidence == want
+    assert classify_map(flagship, samples=0, seed=np.uint64(2**64 - 1)).positive.status == "yes"
 
 
 def test_positivity_verdict_threshold_and_converse(flagship):
@@ -588,53 +614,51 @@ STATUS_FIELDS = ("positive", "two_positive", "completely_positive", "atomic", "d
 
 
 def test_positivity_at_the_identity_reads_the_cp_verdict_at_its_tolerance():
-    # the core K = diag(2.99999) - J has least eigenvalue -1.0e-5: CP, and so
-    # positive, at psd_tol = 1e-3, but not at the default 1e-9
+    # the core K = diag(2.99999) - J has least eigenvalue -1.0e-5, past
+    # -DECISION_TOL: not CP, and so not positive
     p = MapParams(3, identity(3), 2.49999, (0.5, 0.5, 0.5))
     core_min = choi_structure(p).core_min
     assert core_min == pytest.approx(-1.0e-5, rel=1e-6)
-    for tol, statuses in ((1e-3, ["yes", "yes", "yes", "no", "yes"]), (1e-9, ["no", "no", "no", "unknown", "unknown"])):
-        report = classify_map(p, samples=0, psd_tol=tol)
-        assert [getattr(report, f).status for f in STATUS_FIELDS] == statuses
-        assert report.positive.criterion == "entrywise-multiplier matrix PSD test (sigma = id)"
-        assert report.positive.evidence["schur_min_eigenvalue"] == core_min
-        assert positivity_verdict(p, cp=cp_verdict(p, tol)) == report.positive
-    # without a CP verdict from the caller it is computed at the default tolerance
-    assert positivity_verdict(p) == classify_map(p, samples=0).positive
+    report = classify_map(p, samples=0)
+    assert [getattr(report, f).status for f in STATUS_FIELDS] == ["no", "no", "no", "unknown", "unknown"]
+    assert report.positive.criterion == "entrywise-multiplier matrix PSD test (sigma = id)"
+    assert report.positive.evidence["schur_min_eigenvalue"] == core_min
+    assert positivity_verdict(p, cp=cp_verdict(p)) == report.positive
+    # without a CP verdict from the caller it is computed the same way
+    assert positivity_verdict(p) == report.positive
 
 
-def test_positivity_at_the_identity_is_the_core_test_at_every_tolerance():
+def test_positivity_at_the_identity_is_the_core_test():
     # Choi(Theta) at sigma = id is K plus zeros, so min(core_min, 0) >= -tol
-    # decides as core_min >= -tol did for every tol >= 0
+    # decides as core_min >= -tol does
     rng = np.random.default_rng(23)
     for _ in range(200):
         n = int(rng.integers(2, 8))
         c = tuple(np.exp(rng.uniform(-3.0, 2.0, n)))
         p = MapParams(n, identity(n), float(np.exp(rng.uniform(-2.0, np.log(n)))), c)
         core_min = choi_structure(p).core_min
-        for tol in (0.0, 1e-9, 1e-3, 0.5):
-            v = positivity_verdict(p, cp=cp_verdict(p, tol))
-            if v.criterion.startswith("entrywise"):
-                assert v.status == ("yes" if core_min >= -tol else "no"), (p, tol)
+        v = positivity_verdict(p)
+        if v.criterion.startswith("entrywise"):
+            assert v.status == ("yes" if core_min >= -DECISION_TOL else "no"), p
 
 
 def test_a_tolerance_that_breaks_the_closure_is_a_parameter_error():
     # a = 3.5 is below the 4-cycle's exact threshold max(n - 1, n - geomean(c))
-    # = 3.99, so positivity is no, while psd_tol = 0.6 passes the Choi
-    # minimum a - n = -0.5 and makes the map CP
+    # = 3.99 and the Choi minimum a - n = -0.5 is negative: at the one
+    # tolerance positivity and CP agree, and no tolerance can be passed
     p = MapParams(4, tau(4, 1), 3.5, (0.01,) * 4)
-    with pytest.raises(ParameterError, match=r"^PSD tolerance 0\.6 .*positive=no, two_positive=yes, cp=yes"):
-        classify_map(p, samples=0, psd_tol=0.6)
     for samples in (0, 100):
         report = classify_map(p, samples=samples)
         assert [getattr(report, f).status for f in STATUS_FIELDS] == ["no", "no", "no", "unknown", "unknown"]
+    with pytest.raises(TypeError, match="psd_tol"):
+        classify_map(p, samples=0, psd_tol=0.6)
 
 
 def test_a_closure_failure_at_the_default_tolerance_stays_internal():
     yes, no = classify_module.Verdict("yes", "", {}), classify_module.Verdict("no", "", {})
     with pytest.raises(RuntimeError, match="^internal consistency failure between verdicts: positive=no"):
-        classify_module._check_closure(no, yes, yes, no, yes, classify_module.DEFAULT_PSD_TOL)
-    classify_module._check_closure(no, no, no, no, no, 0.6)  # a closed set passes at any tolerance
+        classify_module._check_closure(no, yes, yes, no, yes)
+    classify_module._check_closure(no, no, no, no, no)  # a closed set passes
 
 
 def test_positivity_verdict_uniform_family():
@@ -789,12 +813,28 @@ def test_decompose_involution_closed_forms_match_dense_oracle():
         (MapParams(3, Permutation((2, 1, 3)), 1.5, (1.0,) * 3), "a >= n - 1"),
         (MapParams(3, Permutation((2, 1, 3)), 2.0, (1.2, 0.9, 0.8)), "c[3]"),
         (MapParams(4, tau(4, 2), 3.0, (0.5, 0.5, 1.0, 1.0)), "c[1]*c[3]"),
+        (MapParams(3, identity(3), 2.0 - 0.9e-9, (1.0 - 0.9e-9, 1.0, 1.0)), "P's least eigenvalue"),
     ],
 )
 def test_decompose_involution_preconditions(params, fragment):
     with pytest.raises(PreconditionError) as err:
         decompose_involution(params)
     assert fragment in str(err.value)
+
+
+def test_a_split_short_of_psd_at_the_tolerance_leaves_decomposability_undecided():
+    for p in (
+        # a and c_1 each 0.9e-9 short of their bounds, each within DECISION_TOL,
+        # shift P's block down by -1.2e-9 together
+        MapParams(3, identity(3), 2.0 - 0.9e-9, (1.0 - 0.9e-9, 1.0, 1.0)),
+        # a = n - 1 - DECISION_TOL alone: P's least eigenvalue (a + 1) - 2 rounds below it
+        MapParams(2, Permutation((2, 1)), 1.0 - 1e-9, (1.0, 1.0)),
+    ):
+        report = classify_map(p, samples=0)
+        assert (report.atomic.status, report.decomposable.status, report.decomposition) == ("unknown", "unknown", None)
+        assert atomic_verdict(p) == report.atomic
+        with pytest.raises(PreconditionError, match=r"^requires P's least eigenvalue >= -1e-09 \(got -1\.\d+e-09\)$"):
+            decompose_involution(p)
 
 
 def test_classify_flagship(flagship):
@@ -851,6 +891,50 @@ def test_classify_closure_over_parameter_sweep():
                     assert report.positive.status in {"yes", "no", "unknown"}
 
 
+@st.composite
+def maps_at_the_thresholds(draw):
+    """Maps at n <= 7 whose sigma has fixed points, 2-cycles or longer cycles,
+    with uniform or spread c, and a within 2e-9 of the CP threshold, the
+    positivity threshold max(n - 1, n - geomean(c)) or the uniform family's
+    n - c_1."""
+    n = draw(st.integers(1, 7))
+    points = draw(st.permutations(range(1, n + 1)))
+    images = list(range(1, n + 1))
+    kind = draw(st.sampled_from(("involution", "one cycle and fixed points", "any")))
+    if kind == "involution":
+        pairs = draw(st.integers(0, n // 2))
+        for u, v in zip(points[0 : 2 * pairs : 2], points[1 : 2 * pairs : 2]):
+            images[u - 1], images[v - 1] = v, u
+    elif kind == "one cycle and fixed points":
+        cycle = points[: draw(st.integers(1, n))]
+        for k, i in enumerate(cycle):
+            images[i - 1] = cycle[(k + 1) % len(cycle)]
+    else:
+        images = list(draw(st.permutations(range(1, n + 1))))
+    sigma = Permutation(tuple(images))
+    exponents = st.floats(-4.0, 4.0)
+    if draw(st.booleans()):
+        c = (math.exp(draw(exponents)),) * n
+    else:
+        c = tuple(math.exp(x) for x in draw(st.lists(exponents, min_size=n, max_size=n)))
+    geomean = math.exp(sum(map(math.log, c)) / n)
+    base = draw(st.sampled_from((_cp_threshold(MapParams(n, sigma, 1.0, c)), max(n - 1.0, n - geomean), n - c[0])))
+    a = base + draw(st.sampled_from((0.0, 1e-10, 5e-10, 20e-10, -1e-10, -5e-10, -20e-10)))
+    assume(a > 0.0)
+    return MapParams(n, sigma, a, c)
+
+
+@given(maps_at_the_thresholds())
+@settings(max_examples=500, deadline=None)
+@example(MapParams(4, tau(4, 1), 3.5, (0.01,) * 4))
+@example(MapParams(1, identity(1), 0.5, (0.4999,)))
+@example(MapParams(1, identity(1), 0.5 - 2e-9, (0.5,)))  # 2e-9 below the CP threshold 1 - c
+def test_classify_closure_at_the_thresholds(p):
+    # the verdicts decide at one tolerance, so no input reaches the closure's
+    # internal error, however near a threshold a lies
+    classify_map(p, samples=0)
+
+
 def test_classify_delta_n():
     report = classify_map(delta_n(3), samples=100)
     assert report.positive.status == "yes"
@@ -867,12 +951,13 @@ def test_positivity_verdict_takes_the_upgrade_from_complete_positivity():
     assert v.criterion == "implied by complete positivity"
     assert v == classify_map(p, samples=0).positive
 
-    # just below the CP threshold, within the PSD tolerance: a tolerance of 0
-    # given through cp (as --tol gives it) withholds the upgrade
+    # just below the CP threshold, within DECISION_TOL, the upgrade holds;
+    # past it, positivity is undecided
     p = MapParams(4, p.sigma, _cp_threshold(p) - 2e-10, p.c)
     assert positivity_verdict(p).status == "yes"
-    assert positivity_verdict(p, cp=cp_verdict(p, psd_tol=0.0)).status == "unknown"
-    assert classify_map(p, samples=0, psd_tol=0.0).positive.status == "unknown"
+    assert positivity_verdict(p, cp=cp_verdict(p)) == classify_map(p, samples=0).positive == positivity_verdict(p)
+    p = MapParams(4, p.sigma, _cp_threshold(p) - 2e-9, p.c)
+    assert positivity_verdict(p).status == classify_map(p, samples=0).positive.status == "unknown"
 
 
 def _cp_threshold(p: MapParams) -> float:

@@ -50,7 +50,7 @@ def test_classify_flagship(tmp_path, capsys):
     assert report["tool"] == "cyclemaps"
     assert report["subcommand"] == "classify"
     assert report["map"] == FLAGSHIP
-    assert report["config"] == {"samples": 2000, "tol": 1e-9, "seed": 0}
+    assert report["config"] == {"samples": 2000, "seed": 0}
     result = report["result"]
     assert result["positive"]["status"] == "yes"
     assert result["two_positive"]["status"] == "no"
@@ -65,43 +65,44 @@ def test_classify_flagship(tmp_path, capsys):
 def test_classify_config_plumbing(tmp_path, capsys):
     path = write_json(tmp_path, "map.json", FLAGSHIP)
     rc, out, _ = run_cli(
-        capsys, "classify", "--map", path, "--samples", "100", "--seed", "7", "--tol", "1e-8"
+        capsys, "classify", "--map", path, "--samples", "100", "--seed", "7"
     )
     assert rc == 0
     report = json.loads(out)
-    assert report["config"] == {"samples": 100, "tol": 1e-8, "seed": 7}
+    assert report["config"] == {"samples": 100, "seed": 7}
 
 
 def test_classify_at_the_identity_takes_positivity_from_cp_at_tol(tmp_path, capsys):
-    # core minimum -1.0e-5: --tol 1e-3 makes the map CP, hence positive, where
-    # a fixed PSD tolerance for positivity broke the implication closure
+    # core minimum -1.0e-5, past the one tolerance: not CP, hence not positive
     path = write_json(tmp_path, "map.json", {"n": 3, "sigma": "id:3", "a": 2.49999, "c": [0.5, 0.5, 0.5]})
     fields = ("positive", "two_positive", "completely_positive", "atomic", "decomposable")
-    for tol, statuses in ((["--tol", "1e-3"], ["yes", "yes", "yes", "no", "yes"]), ([], ["no", "no", "no", "unknown", "unknown"])):
-        rc, out, err = run_cli(capsys, "classify", "--map", path, "--samples", "0", *tol)
-        assert (rc, err) == (0, "")
-        result = json.loads(out)["result"]
-        assert [result[f]["status"] for f in fields] == statuses
-        assert result["positive"]["criterion"] == "entrywise-multiplier matrix PSD test (sigma = id)"
-        assert result["positive"]["evidence"]["schur_min_eigenvalue"] == pytest.approx(-1.0e-5, rel=1e-6)
+    rc, out, err = run_cli(capsys, "classify", "--map", path, "--samples", "0")
+    assert (rc, err) == (0, "")
+    result = json.loads(out)["result"]
+    assert [result[f]["status"] for f in fields] == ["no", "no", "no", "unknown", "unknown"]
+    assert result["positive"]["criterion"] == "entrywise-multiplier matrix PSD test (sigma = id)"
+    assert result["positive"]["evidence"]["schur_min_eigenvalue"] == pytest.approx(-1.0e-5, rel=1e-6)
 
 
 @pytest.mark.parametrize(
     "obj, tol",
     [
         # a below the 4-cycle's exact threshold 3.99 (positivity no); the
-        # Choi minimum a - n = -0.5 passes --tol 0.6 (CP yes)
+        # Choi minimum a - n = -0.5 passed --tol 0.6 (CP yes)
         ({"n": 4, "sigma": "tau:4:1", "a": 3.5, "c": [0.01] * 4}, ["--tol", "0.6", "--samples", "0"]),
-        # n = 1: the single-cycle rule says no, the core minimum -1e-4 passes 1e-3
+        # n = 1: the single-cycle rule says no, the core minimum -1e-4 passed 1e-3
         ({"n": 1, "sigma": "id:1", "a": 0.5, "c": [0.4999]}, ["--tol", "1e-3"]),
     ],
 )
 def test_classify_with_a_tolerance_that_breaks_the_closure_exits_2(tmp_path, capsys, obj, tol):
+    # classify takes no tolerance: argparse refuses --tol with exit 2
     path = write_json(tmp_path, "map.json", obj)
-    rc, out, err = run_cli(capsys, "classify", "--map", path, *tol)
-    assert (rc, out) == (2, "")
-    assert err.startswith("error: PSD tolerance ") and "cp=yes" in err and "Traceback" not in err
-    # at the default tolerance the verdicts are the exact ones
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--map", path, *tol])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert f"error: unrecognized arguments: {' '.join(tol[:2])}" in captured.err and "Traceback" not in captured.err
+    # at the one tolerance the verdicts are the exact ones
     rc, out, err = run_cli(capsys, "classify", "--map", path, *tol[2:])
     assert (rc, err) == (0, "")
     result = json.loads(out)["result"]
@@ -446,17 +447,6 @@ def test_a_repeated_image_at_n_100000_is_a_short_error(tmp_path, capsys):
     assert len(err.encode()) < 1000
 
 
-@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
-def test_invalid_tol_exits_one(tmp_path, capsys, tol):
-    # --tol decides the complete-positivity verdict, so a negative or
-    # non-finite value would report wrong verdicts instead of failing
-    path = write_json(tmp_path, "map.json", {"n": 3, "sigma": "tau:3:1", "a": 3.0, "c": [1.0] * 3})
-    rc, out, err = run_cli(capsys, "classify", "--map", path, "--tol", tol)
-    assert rc == 1
-    assert out == ""
-    assert err.startswith("error: --tol must be finite and >= 0")
-
-
 @pytest.mark.parametrize("seed", [str(-1), str(2**128)])
 def test_seed_outside_the_philox_key_range_exits_one(tmp_path, capsys, seed):
     path = write_json(tmp_path, "map.json", FLAGSHIP)
@@ -564,7 +554,7 @@ def test_out_flag_writes_file(tmp_path, capsys):
 def test_one_parser_serves_every_call_and_no_option_leaks(tmp_path, capsys, monkeypatch):
     path = write_json(tmp_path, "map.json", FLAGSHIP)
     state = write_json(tmp_path, "state.json", matrix_to_json(maximally_entangled_state(3)))
-    tuned = ["--samples", "7", "--tol", "1e-6", "--seed", "5"]
+    tuned = ["--samples", "7", "--seed", "5"]
     stamp = re.compile(r'"timestamp": "[^"]*"')
     parser = cli._parser()
     parsed = []
@@ -598,9 +588,8 @@ def test_one_parser_serves_every_call_and_no_option_leaks(tmp_path, capsys, monk
     assert parsed == [vars(cli.build_parser().parse_args(argv)) for argv in calls]
     for argv, outs in reports.items():
         report = json.loads(outs[0])
-        if argv.startswith("classify"):  # only classify reads, and echoes, --samples, --tol and --seed
-            assert report["config"] == ({"samples": 7, "tol": 1e-6, "seed": 5} if "--samples" in argv else
-                                        {"samples": 2000, "tol": 1e-9, "seed": 0})
+        if argv.startswith("classify"):  # only classify reads, and echoes, --samples and --seed
+            assert report["config"] == ({"samples": 7, "seed": 5} if "--samples" in argv else {"samples": 2000, "seed": 0})
         else:
             assert "config" not in report
         assert ("decomposition" in report["result"]) == ("--decompose" in argv)

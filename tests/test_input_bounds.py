@@ -24,7 +24,9 @@ from cyclemaps import (
     choi,
     choi_structure,
     classify_map,
+    cp_verdict,
     decompose_involution,
+    positivity_verdict,
     spa_state,
     tau,
     two_positive_verdict,
@@ -274,24 +276,19 @@ def test_the_spectrum_bound_is_n_squared(monkeypatch):
         choi_structure(MapParams(5, tau(5, 1), 4.0, (1.0,) * 5)).spectrum(compose_transpose=True)
 
 
-# -- complete positivity keeps reading --tol and psd_tol alone ---------------
+# -- every verdict decides at the one tolerance -----------------------------
 
 
-def test_only_cp_verdict_and_classify_map_take_a_psd_tolerance():
-    assert "psd_tol" not in inspect.signature(two_positive_verdict).parameters
-    assert "psd_tol" not in inspect.signature(atomic_verdict).parameters
-
-
-def test_psd_tol_still_decides_complete_positivity(tmp_path, capsys):
-    p = MapParams(3, tau(3, 2), 3.0 - 1e-6, (1.0,) * 3)  # Choi core least eigenvalue about -1e-6
+def test_no_verdict_takes_a_tolerance(tmp_path, capsys):
+    for fn in (cp_verdict, positivity_verdict, two_positive_verdict, atomic_verdict, classify_map):
+        assert not any("tol" in name for name in inspect.signature(fn).parameters), fn
+    # a Choi core least eigenvalue of about -1e-6 is past the one tolerance
+    p = MapParams(3, tau(3, 2), 3.0 - 1e-6, (1.0,) * 3)
     assert classify_map(p, samples=0).completely_positive.status == "no"
-    loose = classify_map(p, samples=0, psd_tol=1e-5)
-    assert (loose.completely_positive.status, loose.two_positive.status) == ("yes", "yes")
     spec = {"n": 3, "sigma": "tau:3:2", "a": 3.0 - 1e-6, "c": [1.0, 1.0, 1.0]}
-    for tol, status in (("1e-9", "no"), ("1e-5", "yes")):
-        rc, out, _ = run_cli(tmp_path, capsys, spec, "classify", "--samples", "0", "--tol", tol)
-        assert rc == 0
-        assert json.loads(out)["result"]["completely_positive"]["status"] == status
+    rc, out, _ = run_cli(tmp_path, capsys, spec, "classify", "--samples", "0")
+    assert rc == 0
+    assert json.loads(out)["result"]["completely_positive"]["status"] == "no"
 
 
 # -- the CLI dispatches from its parser --------------------------------------
