@@ -208,10 +208,11 @@ def verify_positivity_numeric(p: MapParams, samples: int = 2000, seed: int = 0) 
     """
     check_sampling(samples, seed)
     n = p.n
-    if samples * n > MAX_ENTRIES:
+    entries = int(samples) * n  # a numpy integer's product would wrap past its width
+    if entries > MAX_ENTRIES:
         raise ParameterError(
             f"samples * n = {samples} * {n} is too large for the sampler: "
-            f"{samples * n:,} entries (limit {MAX_ENTRIES:,})"
+            f"{entries:,} entries (limit {MAX_ENTRIES:,})"
         )
     rng = np.random.Generator(np.random.Philox(key=seed))
     adversarial = _adversarial_amplitudes(p)

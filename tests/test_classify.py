@@ -522,8 +522,8 @@ def test_oracle_at_large_n_runs_warning_free_in_bounded_memory(n):
     assert ev.consistent_with_positive
     assert ev.min_theta_eig >= -1e-9
     # the 2000 outer products alone would take 2000 n^2 16 B (2.1 GB at n = 256);
-    # the sampler's working set is about 51 B per sample entry (26.1 MB at n = 256);
-    # one that holds the S terms through the solve reads 30.2 MB
+    # the sampler's working set is about 49 B per sample entry (25.3 MB at n = 256);
+    # one that holds the S terms through the solve reads 29.4 MB
     assert peak < 28e6
 
 
@@ -825,7 +825,7 @@ def test_decompose_involution_preconditions(params, fragment):
 def test_a_split_short_of_psd_at_the_tolerance_leaves_decomposability_undecided():
     for p in (
         # a and c_1 each 0.9e-9 short of their bounds, each within DECISION_TOL,
-        # shift P's block down by -1.2e-9 together
+        # take P's least eigenvalue to -1.2e-9 together
         MapParams(3, identity(3), 2.0 - 0.9e-9, (1.0 - 0.9e-9, 1.0, 1.0)),
         # a = n - 1 - DECISION_TOL alone: P's least eigenvalue (a + 1) - 2 rounds below it
         MapParams(2, Permutation((2, 1)), 1.0 - 1e-9, (1.0, 1.0)),
@@ -930,8 +930,8 @@ def maps_at_the_thresholds(draw):
 @example(MapParams(1, identity(1), 0.5, (0.4999,)))
 @example(MapParams(1, identity(1), 0.5 - 2e-9, (0.5,)))  # 2e-9 below the CP threshold 1 - c
 def test_classify_closure_at_the_thresholds(p):
-    # the verdicts decide at one tolerance, so no input reaches the closure's
-    # internal error, however near a threshold a lies
+    # the verdicts and the split decide at one tolerance, so no input reaches
+    # an internal error, however near a threshold a lies
     classify_map(p, samples=0)
 
 

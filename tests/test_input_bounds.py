@@ -164,6 +164,9 @@ def test_the_sampler_bound_is_samples_times_n(monkeypatch):
     assert verify_positivity_numeric(p, samples=10).num_vectors > 10
     with pytest.raises(ParameterError, match=r"11 \* 4 is too large for the sampler: 44 entries \(limit 40\)"):
         verify_positivity_numeric(p, samples=11)
+    # a numpy integer's product 2**62 * 4 wraps to 0, which passed the bound
+    with pytest.raises(ParameterError, match=r"4611686018427387904 \* 4 is too large for the sampler: 18,446,744,073,709,551,616 entries"):
+        verify_positivity_numeric(p, samples=np.int64(2**62))
     assert classify_map(p, samples=0).positive.status == "yes"  # no sampler, no bound
 
 
