@@ -282,9 +282,17 @@ def test_the_spectrum_bound_is_n_squared(monkeypatch):
 # -- every verdict decides at the one tolerance -----------------------------
 
 
-def test_no_verdict_takes_a_tolerance(tmp_path, capsys):
+def test_only_cp_verdict_and_classify_map_take_a_psd_tolerance():
+    assert "psd_tol" not in inspect.signature(two_positive_verdict).parameters
+    assert "psd_tol" not in inspect.signature(atomic_verdict).parameters
+
+
+def test_no_verdict_takes_a_tolerance():
     for fn in (cp_verdict, positivity_verdict, two_positive_verdict, atomic_verdict, classify_map):
         assert not any("tol" in name for name in inspect.signature(fn).parameters), fn
+
+
+def test_psd_tol_still_decides_complete_positivity(tmp_path, capsys):
     # a Choi core least eigenvalue of about -1e-6 is past the one tolerance
     p = MapParams(3, tau(3, 2), 3.0 - 1e-6, (1.0,) * 3)
     assert classify_map(p, samples=0).completely_positive.status == "no"
