@@ -47,7 +47,6 @@ from .perm import (
     CycleDecomposition,
     Permutation,
     cycle_decompose,
-    fixed_points,
     format_permutation,
     from_cycles,
     identity,
@@ -100,7 +99,6 @@ __all__ = [
     "delta_apply",
     "delta_n",
     "expectation_value",
-    "fixed_points",
     "format_permutation",
     "from_cycles",
     "geometric_mean_c",

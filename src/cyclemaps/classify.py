@@ -24,7 +24,7 @@ The decisive criteria, each written once in the function that every caller
   makes the map decomposable, not atomic; positive, not completely positive
   with every cycle of length >= 3 makes it atomic (no split into a 2-positive
   part plus a transposed 2-positive part), not decomposable;
-* ``_involution_split_failure``: when sigma is an involution and a >= n-1,
+* ``_involution_split``: when sigma is an involution and a >= n-1,
   c_i >= 1 at fixed points, c_i * c_sigma(i) >= 1 on the 2-cycles (and P's
   block is PSD, as they imply up to their tolerances), the Choi matrix
   splits explicitly (:func:`decompose_involution`) into a PSD block
@@ -46,7 +46,7 @@ import numpy as np
 from .dmap import MapParams, _row_reduce, _theta_min_eigenvalue, assemble, choi_structure, pair_block_eigenvalues
 from .errors import ParameterError, PreconditionError
 from .matlin import DECISION_TOL, MAX_ENTRIES
-from .perm import cycle_decompose, fixed_points, is_involution, is_single_cycle
+from .perm import cycle_decompose, is_involution, is_single_cycle
 
 # Tolerance for the sampled quantity S(xi) when used as positivity evidence.
 S_ORACLE_TOL = 1e-7
@@ -88,21 +88,22 @@ class PositivityEvidence:
         return self.max_s <= 1.0 + S_ORACLE_TOL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecomposabilityCertificate:
     """Explicit Choi split C = P + sum_i Q_i for involutions.
 
     P is PSD and vanishes off span{|ii>}; each 2-cycle (i, sigma(i)) with
-    i < sigma(i) in ``pairs`` has a Q block with a PSD partial transpose, and
-    the sum reproduces the Choi matrix up to ``reconstruction_residual``.
+    i < sigma(i), a row of ``pairs``, has a Q block with a PSD partial transpose
+    (least eigenvalue in ``q_pt_min_eigenvalues``), and the sum reproduces the
+    Choi matrix up to ``reconstruction_residual``.  Both arrays are read-only;
     ``p_block`` (P on span{|ii>}), ``P`` and ``q_blocks`` are built when read.
     """
 
     params: MapParams
-    pairs: tuple[tuple[int, int], ...]
+    pairs: np.ndarray
     reconstruction_residual: float
     p_min_eigenvalue: float
-    q_pt_min_eigenvalues: tuple[float, ...]
+    q_pt_min_eigenvalues: np.ndarray
 
     @cached_property
     def p_block(self) -> np.ndarray:
@@ -122,7 +123,7 @@ class DecomposabilityCertificate:
     @cached_property
     def q_blocks(self) -> tuple[tuple[tuple[int, int], np.ndarray], ...]:
         n, c = self.params.n, choi_structure(self.params).c
-        return tuple((pair, assemble(n, *_q_parts(n, c, pair[0] - 1, pair[1] - 1))) for pair in self.pairs)
+        return tuple(((u, v), assemble(n, *_q_parts(n, c, u - 1, v - 1))) for u, v in self.pairs.tolist())
 
 
 @dataclass(frozen=True)
@@ -335,27 +336,6 @@ def _implied_by_cp(cp: Verdict, ev: dict, otherwise: str) -> Verdict:
     return Verdict(UNKNOWN, otherwise, ev)
 
 
-def _involution_split_failure(p: MapParams) -> Optional[str]:
-    """The first violated precondition of the involution split, or None."""
-    if not is_involution(p.sigma):
-        return "sigma is not an involution: sigma(sigma(i)) != i for some i"
-    if p.a < p.n - 1 - DECISION_TOL:
-        return f"requires a >= n - 1 = {p.n - 1} (got a = {p.a})"
-    for i in sorted(fixed_points(p.sigma)):
-        if p.c[i - 1] < 1.0 - DECISION_TOL:
-            return f"requires c[{i}] >= 1 at the fixed point {i} (got c[{i}] = {p.c[i - 1]})"
-    for u, v in zip(*(x.tolist() for x in _two_cycles(p))):
-        product = p.c[u] * p.c[v]
-        if product < 1.0 - DECISION_TOL:
-            return f"requires c[{u + 1}]*c[{v + 1}] >= 1 for the 2-cycle ({u + 1}, {v + 1}) (got {product})"
-    # a and the c_i at fixed points each within DECISION_TOL of their bounds can
-    # still leave P's block, shifted down by both, short of PSD at DECISION_TOL
-    p_min = _p_block_min(p)
-    if p_min < -DECISION_TOL:
-        return f"requires P's least eigenvalue >= -{DECISION_TOL:g} (got {p_min})"
-    return None
-
-
 def _two_cycles(p: MapParams) -> tuple[np.ndarray, np.ndarray]:
     """The 2-cycles (u, v) of an involution sigma, 0-based, with u < v = sigma(u), in the order of u."""
     img = choi_structure(p).img
@@ -377,10 +357,10 @@ def decompose_involution(p: MapParams) -> DecomposabilityCertificate:
     a >= n-1, c_i >= 1 at fixed points, c_i * c_sigma(i) >= 1 on 2-cycles,
     and P's block PSD, which the others imply but for their tolerances.
     """
-    failure = _involution_split_failure(p)
-    if failure is not None:
-        raise PreconditionError(failure)
-    return _split(p)
+    split = _involution_split(p)
+    if isinstance(split, str):
+        raise PreconditionError(split)
+    return split
 
 
 def _p_block_min(p: MapParams) -> float:
@@ -397,26 +377,47 @@ def _p_block_min(p: MapParams) -> float:
     return _theta_min_eigenvalue(w[None, :], d[None, :])
 
 
-def _split(p: MapParams) -> DecomposabilityCertificate:
-    """The involution split of a map that meets its preconditions, in O(n)."""
+def _involution_split(p: MapParams) -> DecomposabilityCertificate | str:
+    """The involution split's certificate, in O(n), or the first precondition
+    it fails: each test reads whole arrays and names its first failure in
+    index order, and P's least eigenvalue is solved once."""
+    if not is_involution(p.sigma):
+        return "sigma is not an involution: sigma(sigma(i)) != i for some i"
+    if p.a < p.n - 1 - DECISION_TOL:
+        return f"requires a >= n - 1 = {p.n - 1} (got a = {p.a})"
     structure = choi_structure(p)
     c, idx = structure.c, np.arange(p.n)
+    short = np.flatnonzero((structure.img == idx) & (c < 1.0 - DECISION_TOL))
+    if short.size:
+        i = int(short[0]) + 1
+        return f"requires c[{i}] >= 1 at the fixed point {i} (got c[{i}] = {p.c[i - 1]})"
     u, v = _two_cycles(p)
+    products = c[u] * c[v]
+    short = np.flatnonzero(products < 1.0 - DECISION_TOL)
+    if short.size:
+        i, j = int(u[short[0]]) + 1, int(v[short[0]]) + 1
+        return f"requires c[{i}]*c[{j}] >= 1 for the 2-cycle ({i}, {j}) (got {float(products[short[0]])})"
+    # a and the c_i at fixed points each within DECISION_TOL of their bounds can
+    # still leave P's block, shifted down by both, short of PSD at DECISION_TOL
+    block_min = _p_block_min(p)
+    if block_min < -DECISION_TOL:
+        return f"requires P's least eigenvalue >= -{DECISION_TOL:g} (got {block_min})"
     # P + sum Q against C where the split sets entries: P's diagonal against K's, P's 0 plus Q's -1
     # at |uu><vv| against K's -1, Q's c_v, c_u against D; equal entries match, overflowed ones too
     got = np.concatenate([_p_diagonal(p), np.full(u.size, 0.0 + -1.0), c[v], c[u]])
     want = np.concatenate([structure.entry(idx, idx) - 1.0, np.full(u.size, -1.0), structure.entry(u, v), structure.entry(v, u)])
     residual = float(np.max(np.abs(np.subtract(got, want, out=np.zeros(got.size), where=got != want))))
     # P adds n^2 - n zeros off span{|ii>}; Q^PT is [[c_v, -1], [-1, c_u]] on {|uv>, |vu>}, else 0
-    p_min = min(_p_block_min(p), 0.0 if p.n >= 2 else math.inf)
     q_lo, _ = pair_block_eigenvalues(c[v], c[u])
-    q_pt_mins = tuple(float(m) for m in np.minimum(q_lo, 0.0))
-    if not (residual <= 1e-10 and p_min >= -DECISION_TOL and all(m >= -DECISION_TOL for m in q_pt_mins)):
+    q_pt_mins = np.minimum(q_lo, 0.0)
+    if not (residual <= 1e-10 and (q_pt_mins >= -DECISION_TOL).all()):
         raise RuntimeError(
             "internal consistency failure: involution split does not certify "
-            f"(residual {residual:.3e}, min eig P {p_min:.3e}, min eig Q^PT {min(q_pt_mins, default=0.0):.3e})"
+            f"(residual {residual:.3e}, min eig Q^PT {q_pt_mins.min(initial=0.0):.3e})"
         )
-    return DecomposabilityCertificate(p, tuple(zip((u + 1).tolist(), (v + 1).tolist())), residual, p_min, q_pt_mins)
+    pairs = np.stack([u + 1, v + 1], axis=1)
+    pairs.flags.writeable = q_pt_mins.flags.writeable = False
+    return DecomposabilityCertificate(p, pairs, residual, min(block_min, 0.0 if p.n >= 2 else math.inf), q_pt_mins)
 
 
 def _q_parts(n: int, c: np.ndarray, u, v) -> tuple[np.ndarray, np.ndarray]:
@@ -428,14 +429,13 @@ def _q_parts(n: int, c: np.ndarray, u, v) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _atomic_and_decomposable(
-    p: MapParams, pos: Verdict, cp: Verdict, certify: bool
+    p: MapParams, pos: Verdict, cp: Verdict
 ) -> tuple[Verdict, Verdict, Optional[DecomposabilityCertificate]]:
     """The atomic and the decomposable verdict from one rule: complete
     positivity or the involution split gives decomposable, not atomic;
     positive, not completely positive with every cycle of length >= 3 gives
-    atomic, not decomposable; anything else leaves both unknown.  With
-    ``certify``, the involution split's certificate is built when the split
-    decides."""
+    atomic, not decomposable; anything else leaves both unknown.  The
+    involution split's certificate comes with them when the split decides."""
     l_min = cycle_decompose(p.sigma).l_min
     cert = None
     if cp.status == YES:
@@ -444,10 +444,10 @@ def _atomic_and_decomposable(
     elif l_min >= 3 and pos.status == YES and cp.status == NO:
         atomic = (YES, "positive, not completely positive, every cycle of length >= 3")
         decomposable = (NO, "atomic maps are not decomposable")
-    elif _involution_split_failure(p) is None:
+    elif isinstance(split := _involution_split(p), DecomposabilityCertificate):
         atomic = (NO, "decomposable by the involution splitting")
         decomposable = (YES, "involution splitting into a PSD block plus 2-cycle blocks with PSD partial transposes")
-        cert = _split(p) if certify else None
+        cert = split
     else:
         atomic = (UNKNOWN, "no atomicity criterion applies")
         decomposable = (UNKNOWN, "no decomposability criterion applies")
@@ -467,7 +467,7 @@ def atomic_verdict(p: MapParams, pos: Optional[Verdict] = None, cp: Optional[Ver
         cp = cp_verdict(p)
     if pos is None:
         pos = positivity_verdict(p, cp=cp)
-    return _atomic_and_decomposable(p, pos, cp, certify=False)[0]
+    return _atomic_and_decomposable(p, pos, cp)[0]
 
 
 def classify_map(
@@ -485,7 +485,7 @@ def classify_map(
     cp = cp_verdict(p)
     pos = positivity_verdict(p, evidence, cp=cp)
     two = two_positive_verdict(p, cp=cp)
-    atomic, decomposable, decomposition = _atomic_and_decomposable(p, pos, cp, certify=True)
+    atomic, decomposable, decomposition = _atomic_and_decomposable(p, pos, cp)
     _check_closure(pos, two, cp, atomic, decomposable)
     return ClassificationReport(
         positive=pos,

@@ -99,10 +99,10 @@ def _run_classify(args, params: MapParams, state) -> dict:
     if report.decomposition is not None:
         cert = report.decomposition
         result["decomposition"] = {
-            "pairs": [list(pair) for pair in cert.pairs],
+            "pairs": cert.pairs,
             "reconstruction_residual": cert.reconstruction_residual,
             "p_min_eigenvalue": cert.p_min_eigenvalue,
-            "q_pt_min_eigenvalues": list(cert.q_pt_min_eigenvalues),
+            "q_pt_min_eigenvalues": cert.q_pt_min_eigenvalues,
         }
     return {"config": {"samples": args.samples, "seed": args.seed}, "result": result}
 
@@ -124,7 +124,7 @@ def _run_decompose(args, params: MapParams, state) -> dict:
     cert = decompose_involution(params)
     return {
         "result": {
-            "pairs": [list(pair) for pair in cert.pairs],
+            "pairs": cert.pairs,
             "P": _matrix_form(cert.P),
             "p_min_eigenvalue": cert.p_min_eigenvalue,
             "q_blocks": [

@@ -120,12 +120,8 @@ class CycleDecomposition:
 
 
 def identity(n: int) -> Permutation:
-    """The identity permutation of {1, ..., n}."""
-    if not isinstance(n, int):
-        raise ParameterError(f"degree must be an integer (got n={n!r})")
-    if n < 1:
-        raise ParameterError(f"degree must be >= 1 (got n={n})")
-    return Permutation(tuple(range(1, n + 1)))
+    """The identity permutation of {1, ..., n}: the full shift tau(n, n)."""
+    return tau(n, n)
 
 
 def tau(n: int, k: int) -> Permutation:
@@ -135,7 +131,12 @@ def tau(n: int, k: int) -> Permutation:
     (3, 1, 2)
     >>> tau(6, 4).images
     (5, 6, 1, 2, 3, 4)
+
+    n and k must be Python ints, not bools or numpy integers.
     """
+    for value, name in ((n, "n"), (k, "k")):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ParameterError(f"{name} must be an int, not {type(value).__name__} (got {name}={value!r})")
     if n < 1:
         raise ParameterError(f"degree must be >= 1 (got n={n})")
     if not 1 <= k <= n:
@@ -178,11 +179,6 @@ def is_involution(sigma: Permutation) -> bool:
 def is_single_cycle(sigma: Permutation) -> bool:
     """True when sigma is one cycle through all n points."""
     return len(cycle_decompose(sigma).cycles) == 1
-
-
-def fixed_points(sigma: Permutation) -> frozenset[int]:
-    """The set {i : sigma(i) = i}, the 1-cycles."""
-    return frozenset(cycle[0] for cycle in cycle_decompose(sigma).cycles if len(cycle) == 1)
 
 
 def parse_permutation(text: str, n: Optional[int] = None) -> Permutation:

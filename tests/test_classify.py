@@ -613,7 +613,7 @@ def test_positivity_verdict_identity_branch():
 STATUS_FIELDS = ("positive", "two_positive", "completely_positive", "atomic", "decomposable")
 
 
-def test_positivity_at_the_identity_reads_the_cp_verdict_at_its_tolerance():
+def test_positivity_at_the_identity_reads_the_cp_verdict_past_the_decision_tolerance():
     # the core K = diag(2.99999) - J has least eigenvalue -1.0e-5, past
     # -DECISION_TOL: not CP, and so not positive
     p = MapParams(3, identity(3), 2.49999, (0.5, 0.5, 0.5))
@@ -642,7 +642,7 @@ def test_positivity_at_the_identity_is_the_core_test():
             assert v.status == ("yes" if core_min >= -DECISION_TOL else "no"), p
 
 
-def test_a_tolerance_that_breaks_the_closure_is_a_parameter_error():
+def test_classify_map_takes_no_tolerance_and_reads_no_below_the_threshold():
     # a = 3.5 is below the 4-cycle's exact threshold max(n - 1, n - geomean(c))
     # = 3.99 and the Choi minimum a - n = -0.5 is negative: at the one
     # tolerance positivity and CP agree, and no tolerance can be passed
@@ -814,6 +814,15 @@ def test_decompose_involution_closed_forms_match_dense_oracle():
         (MapParams(3, Permutation((2, 1, 3)), 2.0, (1.2, 0.9, 0.8)), "c[3]"),
         (MapParams(4, tau(4, 2), 3.0, (0.5, 0.5, 1.0, 1.0)), "c[1]*c[3]"),
         (MapParams(3, identity(3), 2.0 - 0.9e-9, (1.0 - 0.9e-9, 1.0, 1.0)), "P's least eigenvalue"),
+        # several failures of one check: the whole message names the first in index order
+        (
+            MapParams(5, Permutation((1, 3, 2, 4, 5)), 4.0, (1.2, 1.0, 1.0, 0.9, 0.5)),
+            "requires c[4] >= 1 at the fixed point 4 (got c[4] = 0.9)",
+        ),
+        (
+            MapParams(6, tau(6, 3), 5.0, (1.0, 0.5, 0.5, 1.0, 0.5, 1.5)),
+            "requires c[2]*c[5] >= 1 for the 2-cycle (2, 5) (got 0.25)",
+        ),
     ],
 )
 def test_decompose_involution_preconditions(params, fragment):
@@ -1054,16 +1063,19 @@ def _count_calls(monkeypatch, module, name) -> list:
 
 
 def test_classify_map_checks_the_split_precondition_once(monkeypatch):
-    calls = _count_calls(monkeypatch, classify_module, "_involution_split_failure")
+    calls = _count_calls(monkeypatch, classify_module, "_involution_split")
+    solves = _count_calls(monkeypatch, classify_module, "_p_block_min")
     for p, expected in (
-        (MapParams(4, tau(4, 2), 3.0, (1.0,) * 4), 1),  # the split decides
-        (MapParams(3, Permutation((2, 1, 3)), 2.0, (1.2, 0.9, 1.1)), 1),  # with a fixed point
-        (MapParams(4, tau(4, 2), 3.0, (0.5,) * 4), 1),  # the split fails
-        (MapParams(3, tau(3, 2), 3.0, (1.0,) * 3), 0),  # completely positive
+        (MapParams(4, tau(4, 2), 3.0, (1.0,) * 4), (1, 1)),  # the split decides
+        (MapParams(3, Permutation((2, 1, 3)), 2.0, (1.2, 0.9, 1.1)), (1, 1)),  # with a fixed point
+        (MapParams(3, identity(3), 2.0 - 0.9e-9, (1.0 - 0.9e-9, 1.0, 1.0)), (1, 1)),  # the split fails at P
+        (MapParams(4, tau(4, 2), 3.0, (0.5,) * 4), (1, 0)),  # the split fails before P
+        (MapParams(3, tau(3, 2), 3.0, (1.0,) * 3), (0, 0)),  # completely positive
     ):
         calls.clear()
+        solves.clear()
         report = classify_map(p, samples=0)
-        assert len(calls) == expected
+        assert (len(calls), len(solves)) == expected
         assert (report.decomposition is not None) == (report.decomposable.criterion.startswith("involution"))
 
 

@@ -72,7 +72,7 @@ def test_classify_config_plumbing(tmp_path, capsys):
     assert report["config"] == {"samples": 100, "seed": 7}
 
 
-def test_classify_at_the_identity_takes_positivity_from_cp_at_tol(tmp_path, capsys):
+def test_classify_at_the_identity_takes_positivity_from_cp_past_the_decision_tolerance(tmp_path, capsys):
     # core minimum -1.0e-5, past the one tolerance: not CP, hence not positive
     path = write_json(tmp_path, "map.json", {"n": 3, "sigma": "id:3", "a": 2.49999, "c": [0.5, 0.5, 0.5]})
     fields = ("positive", "two_positive", "completely_positive", "atomic", "decomposable")
@@ -94,7 +94,7 @@ def test_classify_at_the_identity_takes_positivity_from_cp_at_tol(tmp_path, caps
         ({"n": 1, "sigma": "id:1", "a": 0.5, "c": [0.4999]}, ["--tol", "1e-3"]),
     ],
 )
-def test_classify_with_a_tolerance_that_breaks_the_closure_exits_2(tmp_path, capsys, obj, tol):
+def test_classify_refuses_tol_with_exit_2_and_decides_without_it(tmp_path, capsys, obj, tol):
     # classify takes no tolerance: argparse refuses --tol with exit 2
     path = write_json(tmp_path, "map.json", obj)
     with pytest.raises(SystemExit) as exc:

