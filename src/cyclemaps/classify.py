@@ -30,9 +30,11 @@ The decisive criteria, each written once in the function that every caller
   splits explicitly (:func:`decompose_involution`) into a PSD block
   plus blocks whose partial transposes are PSD.
 
-Every verdict reads the map's O(n) Choi structure (:func:`cyclemaps.dmap.choi_structure`)
-and shares its core's secular solve, the split's P one more row of it: none
-builds an n x n array or runs a dense eigensolve.
+Every verdict is a function of the map alone; none is passed into another.
+They read the map's O(n) Choi structure (:func:`cyclemaps.dmap.choi_structure`)
+and sigma's cycle lengths, which keep their minima once computed, and the
+split's P is one more secular row: none builds an n x n array or runs a
+dense eigensolve.
 """
 from __future__ import annotations
 
@@ -43,7 +45,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dmap import MapParams, _row_reduce, _theta_min_eigenvalue, assemble, choi_structure, pair_block_eigenvalues
+from .dmap import MapParams, _row_reduce, _theta_min_eigenvalue, assemble, choi_structure, pair_block_eigenvalues, require_dense_size
 from .errors import ParameterError, PreconditionError
 from .matlin import DECISION_TOL, MAX_ENTRIES
 from .perm import cycle_decompose, is_involution, is_single_cycle
@@ -96,7 +98,8 @@ class DecomposabilityCertificate:
     i < sigma(i), a row of ``pairs``, has a Q block with a PSD partial transpose
     (least eigenvalue in ``q_pt_min_eigenvalues``), and the sum reproduces the
     Choi matrix up to ``reconstruction_residual``.  Both arrays are read-only;
-    ``p_block`` (P on span{|ii>}), ``P`` and ``q_blocks`` are built when read.
+    ``p_block`` (P on span{|ii>}), ``P`` and ``q_blocks`` are built when read,
+    the dense two only once their size passes (:func:`cyclemaps.dmap.require_dense_size`).
     """
 
     params: MapParams
@@ -118,11 +121,15 @@ class DecomposabilityCertificate:
 
     @cached_property
     def P(self) -> np.ndarray:
-        return assemble(self.params.n, 0.0, self.p_block)
+        n = self.params.n
+        if n * n <= MAX_ENTRIES:  # past it, p_block refuses first with its own bound
+            require_dense_size(n)
+        return assemble(n, 0.0, self.p_block)
 
     @cached_property
     def q_blocks(self) -> tuple[tuple[tuple[int, int], np.ndarray], ...]:
         n, c = self.params.n, choi_structure(self.params).c
+        require_dense_size(n)
         return tuple(((u, v), assemble(n, *_q_parts(n, c, u - 1, v - 1))) for u, v in self.pairs.tolist())
 
 
@@ -243,11 +250,11 @@ def on_uniform_family(p: MapParams) -> bool:
     return p.uniform_c and abs(p.a - (p.n - p.c[0])) <= DECISION_TOL
 
 
-def positivity_verdict(p: MapParams, evidence: Optional[PositivityEvidence] = None, cp: Optional[Verdict] = None) -> Verdict:
-    """Decide positivity where a criterion exists, complete positivity last;
-    otherwise unknown with evidence.  ``cp`` shares a CP verdict the caller
-    already has; without it the verdict is computed here, and only at
-    sigma = id or when every other criterion is silent."""
+def positivity_verdict(p: MapParams, evidence: Optional[PositivityEvidence] = None) -> Verdict:
+    """Decide positivity where a criterion exists, complete positivity last
+    (read only at sigma = id or when every other criterion is silent);
+    otherwise unknown.  ``evidence``, the sampler's output, is reported and
+    never decides."""
     n, a = p.n, p.a
     geomean = geometric_mean_c(p)
     threshold = max(n - 1.0, n - geomean)
@@ -269,17 +276,13 @@ def positivity_verdict(p: MapParams, evidence: Optional[PositivityEvidence] = No
         # at sigma = id the entrywise-multiplier matrix is the Choi core K, and the Choi
         # matrix adds only zeros to its spectrum: positivity is complete positivity
         ev["schur_min_eigenvalue"] = choi_structure(p).core_min
-        if cp is None:
-            cp = cp_verdict(p)
-        return Verdict(cp.status, "entrywise-multiplier matrix PSD test (sigma = id)", ev)
+        return Verdict(cp_verdict(p).status, "entrywise-multiplier matrix PSD test (sigma = id)", ev)
     if on_uniform_family(p):
         l_max = cycle_decompose(p.sigma).l_max
         ev["cycle_bound"] = n / l_max
         status = YES if p.c[0] <= n / l_max + DECISION_TOL else NO
         return Verdict(status, "uniform family a = n - c: positive iff c <= n/l_max(sigma)", ev)
-    if cp is None:
-        cp = cp_verdict(p)
-    return _implied_by_cp(cp, ev, "no positivity criterion applies below the threshold for this sigma")
+    return _implied_by_cp(cp_verdict(p), ev, "no positivity criterion applies below the threshold for this sigma")
 
 
 def check_sampling(samples, seed, names: tuple[str, str] = ("samples", "seed")) -> None:
@@ -310,14 +313,12 @@ def cp_verdict(p: MapParams) -> Verdict:
     return Verdict(status, "Choi matrix PSD (numeric eigenvalue check)", ev)
 
 
-def two_positive_verdict(p: MapParams, cp: Optional[Verdict] = None) -> Verdict:
+def two_positive_verdict(p: MapParams) -> Verdict:
     """2-positivity; it collapses onto complete positivity except in the mixed
     fixed-point cases, which stay unknown unless complete positivity holds."""
-    if cp is None:
-        cp = cp_verdict(p)
-    dec = cycle_decompose(p.sigma)
+    cp = cp_verdict(p)
     ev = dict(cp.evidence)
-    if dec.l_min >= 2:
+    if cycle_decompose(p.sigma).l_min >= 2:
         return Verdict(
             cp.status, "2-positivity and complete positivity coincide when every cycle has length >= 2", ev
         )
@@ -459,15 +460,9 @@ def _atomic_and_decomposable(
     return Verdict(*atomic, atomic_ev), Verdict(*decomposable, split_ev), cert
 
 
-def atomic_verdict(p: MapParams, pos: Optional[Verdict] = None, cp: Optional[Verdict] = None) -> Verdict:
-    """Atomicity by the rule it shares with decomposability in
-    :func:`classify_map`.  ``pos`` and ``cp`` are computed here unless the
-    caller has them."""
-    if cp is None:
-        cp = cp_verdict(p)
-    if pos is None:
-        pos = positivity_verdict(p, cp=cp)
-    return _atomic_and_decomposable(p, pos, cp)[0]
+def atomic_verdict(p: MapParams) -> Verdict:
+    """Atomicity by the rule it shares with decomposability in :func:`classify_map`."""
+    return _atomic_and_decomposable(p, positivity_verdict(p), cp_verdict(p))[0]
 
 
 def classify_map(
@@ -483,8 +478,8 @@ def classify_map(
     check_sampling(samples, seed)
     evidence = verify_positivity_numeric(p, samples=samples, seed=seed) if samples > 0 else None
     cp = cp_verdict(p)
-    pos = positivity_verdict(p, evidence, cp=cp)
-    two = two_positive_verdict(p, cp=cp)
+    pos = positivity_verdict(p, evidence)
+    two = two_positive_verdict(p)
     atomic, decomposable, decomposition = _atomic_and_decomposable(p, pos, cp)
     _check_closure(pos, two, cp, atomic, decomposable)
     return ClassificationReport(

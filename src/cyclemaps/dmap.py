@@ -16,10 +16,10 @@ determines the Choi matrix exactly, and :class:`ChoiStructure` holds it as
 the O(n) arrays (a, c, sigma): every scalar of it (trace, minimum
 eigenvalues, ||C^-||) costs O(n), the core's through the one rank-one
 secular solver the positivity sampler and the involution split use as
-well (:func:`_theta_min_eigenvalue`).  Each map keeps its structure, so the
-verdicts on one map share one core solve.  Every dense
-n^2 x n^2 matrix here is a diagonal plus a block on span{|ii>}, and
-:func:`assemble` builds it only when a caller asks for the matrix itself.
+well (:func:`_theta_min_eigenvalue`).  Each map keeps its structure, which
+keeps each scalar once computed, so the verdicts on one map share them.
+Every dense n^2 x n^2 matrix here is a diagonal plus a block on span{|ii>},
+and :func:`assemble` builds it only when a caller asks for the matrix itself.
 """
 from __future__ import annotations
 
@@ -347,8 +347,9 @@ class ChoiStructure:
     the positivity sampler too.  Choi(T.Theta) splits into 1x1 blocks
     k_i - 1 on |ii> and 2x2 blocks [[D[i, k], -1], [-1, D[k, i]]] on
     {|ik>, |ki>}, which are [[0, -1], [-1, 0]] unless k = sigma(i) or
-    i = sigma(k).  Every scalar therefore costs O(n); :func:`choi` builds
-    the n^2 x n^2 matrix.
+    i = sigma(k).  Every scalar therefore costs O(n), and ``core_min``, the
+    two least eigenvalues (:meth:`min_eigenvalue`) and ``trace`` are
+    computed on first read and kept; :func:`choi` builds the n^2 x n^2 matrix.
     """
 
     n: int
@@ -367,29 +368,34 @@ class ChoiStructure:
         return _theta_min_eigenvalue(np.ones((1, self.n)), k[None, :])
 
     def min_eigenvalue(self, compose_transpose: bool = False) -> float:
+        """The least eigenvalue of Choi(Theta), or of Choi(T.Theta) under ``compose_transpose``."""
+        return self._transposed_min if compose_transpose else self._choi_min
+
+    @cached_property
+    def _choi_min(self) -> float:
+        moved = self.c[self.img != np.arange(self.n)]  # c_k at |sigma(k) k>, and 0 at the other |ik>, i != k
+        return float(np.concatenate([moved, [self.core_min], [0.0] if moved.size < self.n * (self.n - 1) else []]).min())
+
+    @cached_property
+    def _transposed_min(self) -> float:
         n, idx = self.n, np.arange(self.n)
         moved = np.flatnonzero(self.img != idx)
-        if compose_transpose:
-            # the 2x2 blocks on {|sigma(k) k>, |k sigma(k)>}, each 2-cycle met twice
-            related = moved.size - np.count_nonzero(self.img[self.img[moved]] == moved) // 2
-            if related < n * (n - 1) // 2:
-                # a pair sigma does not relate gives the block [[0, -1], [-1, 0]], and nothing
-                # lies below it: diag(D) >= 0 and the swap's eigenvalues are +-1 (Weyl), and
-                # every other block's computed root is >= -1.0 too.  From n = 4 on, always.
-                return -1.0
-            lo, _ = pair_block_eigenvalues(self.c[moved], self.entry(moved, self.img[moved]))
-            values = [self.entry(idx, idx) - 1.0, lo]
-        else:
-            # 0 where an off-diagonal D[i, k] is
-            values = [self.c[moved], [self.core_min], [0.0] if moved.size < n * (n - 1) else []]
-        return float(np.concatenate(values).min())
+        # the 2x2 blocks on {|sigma(k) k>, |k sigma(k)>}, each 2-cycle met twice
+        related = moved.size - np.count_nonzero(self.img[self.img[moved]] == moved) // 2
+        if related < n * (n - 1) // 2:
+            # a pair sigma does not relate gives the block [[0, -1], [-1, 0]], and nothing
+            # lies below it: diag(D) >= 0 and the swap's eigenvalues are +-1 (Weyl), and
+            # every other block's computed root is >= -1.0 too.  From n = 4 on, always.
+            return -1.0
+        lo, _ = pair_block_eigenvalues(self.c[moved], self.entry(moved, self.img[moved]))
+        return float(np.concatenate([self.entry(idx, idx) - 1.0, lo]).min())
 
     @property
     def negative_norm(self) -> float:
         """||C^-||: the largest magnitude among negative eigenvalues of Choi(Theta), else 0."""
         return max(0.0, -self.min_eigenvalue())
 
-    @property
+    @cached_property
     def trace(self) -> float:
         return float(self.n * self.a + self.c.sum() - self.n)
 

@@ -100,7 +100,7 @@ class CycleDecomposition:
     """Disjoint cycles of a permutation, in canonical order.
 
     ``cycles`` includes fixed points as 1-cycles, so the lengths always sum
-    to ``n``.
+    to ``n``; they and their least and greatest are kept once computed.
     """
 
     n: int
@@ -110,11 +110,11 @@ class CycleDecomposition:
     def lengths(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.cycles)
 
-    @property
+    @cached_property
     def l_min(self) -> int:
         return min(self.lengths)
 
-    @property
+    @cached_property
     def l_max(self) -> int:
         return max(self.lengths)
 

@@ -97,6 +97,7 @@ class SpaTerm:
 
     @cached_property
     def matrix(self) -> np.ndarray:
+        require_dense_size(self.n)
         diag, core = np.zeros((self.n, self.n)), np.zeros((self.n, self.n))
         self._add_to(diag, core, 1.0)
         return assemble(self.n, diag, core)

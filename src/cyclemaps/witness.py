@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import NO, UNKNOWN, YES, atomic_verdict, cp_verdict, on_uniform_family, positivity_verdict
+from .classify import NO, UNKNOWN, YES, classify_map, on_uniform_family
 from .dmap import MapParams, assemble, choi_structure, require_dense_size
 from .errors import ParameterError
 from .matlin import DECISION_TOL, MAX_ENTRIES, require_hermitian
@@ -150,7 +150,8 @@ def certify_optimality(p: MapParams) -> OptimalityCertificate:
     Every generator's expectation <W zeta, zeta> is recorded; those within
     ``DECISION_TOL`` of zero enter the span, and rank n^2 means the
     witness is optimal, provided it is a witness: ``optimal`` needs the
-    positivity verdict "yes" and a W that is not PSD.  An undecided
+    positivity verdict "yes" and a W that is not PSD.  Positivity and
+    atomicity come from one ``classify_map(p, samples=0)``.  An undecided
     positivity gives a warning, and a spanning set then the note "not
     certified: positivity undecided".  The rank is the closed form of the
     module docstring: n^2 less the number of 2-cycles of sigma when the phase
@@ -194,13 +195,11 @@ def certify_optimality(p: MapParams) -> OptimalityCertificate:
         )
     phases_pass = bool(abs(expectations[0]) <= DECISION_TOL)
 
-    cp = cp_verdict(p)
-    pos = positivity_verdict(p, cp=cp)
+    report = classify_map(p, samples=0)
+    pos = report.positive
     # the certified family: uniform c with a = n - c, and c = 0 (the map
     # n*diag(X) - X) or an atomic map (every cycle of length >= 3, not CP)
-    theorem_applies = on_uniform_family(p) and (
-        p.c[0] == 0.0 or atomic_verdict(p, pos=pos, cp=cp).status == YES
-    )
+    theorem_applies = on_uniform_family(p) and (p.c[0] == 0.0 or report.atomic.status == YES)
     if theorem_applies and not phases_pass:
         raise RuntimeError(
             "internal consistency failure: generator expectation "
@@ -258,4 +257,5 @@ def maximally_entangled_state(n: int) -> np.ndarray:
     """The projector onto sum_i e_i (x) e_i, normalized to trace one."""
     if n < 2:
         raise ParameterError(f"needs n >= 2 (got {n})")
+    require_dense_size(n)
     return assemble(n, 0.0, np.full((n, n), 1.0 / n))

@@ -1,3 +1,5 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 
@@ -21,3 +23,20 @@ def spaced_involution(n: int) -> Permutation:
     for k in range(0, n - 1, 3):
         images[k], images[k + 1] = k + 2, k + 1
     return Permutation(tuple(images))
+
+
+def count_computations(monkeypatch, cls, name: str) -> list:
+    """Count the computations of the property ``cls.name``, kept (a cached_property)
+    or not, as the length of the returned list; the spy is a property of the same kind."""
+    prop, calls = cls.__dict__[name], []
+    compute = prop.func if isinstance(prop, cached_property) else prop.fget
+
+    def spy(self):
+        calls.append(self)
+        return compute(self)
+
+    spy_prop = type(prop)(spy)
+    if isinstance(spy_prop, cached_property):
+        spy_prop.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, spy_prop)
+    return calls

@@ -1,11 +1,15 @@
 """The package's public names and its modules' imports, checked with the
 standard library only: a rule deleted from a module must take its export
-and every import of it along."""
+and every import of it along.  README's Python examples run here too, with
+the values their comments state."""
 import ast
 import inspect
 import re
 import types
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import cyclemaps
 
@@ -86,14 +90,46 @@ def test_the_unused_import_check_sees_an_unused_import():
     assert set(_imported_names(tree)) - _names_read(tree) == {"c"}
 
 
+def _quick_start(ns):
+    report = ns["report"]
+    statuses = [getattr(report, f).status for f in ("positive", "completely_positive", "atomic", "decomposable")]
+    assert statuses == ["yes", "no", "yes", "no"]
+    assert cyclemaps.min_eigenvalue(ns["choi"](ns["p"])) == pytest.approx(-1.0, abs=1e-12)
+
+
+def _spa(ns):
+    state, dec = ns["state"], ns["dec"]
+    assert state.lambda_star == pytest.approx(0.4, abs=1e-15)
+    assert state.matrix.shape == (9, 9) and np.trace(state.matrix) == pytest.approx(1.0, abs=1e-15)
+    assert cyclemaps.min_eigenvalue(state.matrix) == pytest.approx(0.0, abs=1e-12)
+    assert dec.normalization == pytest.approx(1 / 15, abs=1e-15) and dec.residual <= 1e-10
+    assert all(t.kind in ("pair", "diagonal") for t in dec.terms)
+
+
+def _witness(ns):
+    cert = ns["cert"]
+    assert (cert.span_rank, cert.optimal) == (9, True)
+    assert max(abs(e) for e in cert.expectations) <= 1e-9
+
+
+def _involution_split(ns):
+    cert = ns["cert"]
+    assert cert.pairs.tolist() == [[1, 3], [2, 4]]
+    assert cert.p_min_eigenvalue >= -1e-9 and (cert.q_pt_min_eigenvalues >= -1e-9).all()
+    assert cert.reconstruction_residual <= 1e-10
+
+
 def test_readme_python_examples_run():
     # in order and in one namespace, as a reader pastes them: a removed or
-    # renamed name fails here instead of leaving the README stale
+    # renamed name fails here instead of leaving the README stale.  Each block's
+    # comments state values, checked before the next block runs (two bind cert)
     blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.DOTALL | re.MULTILINE)
-    assert blocks
+    checks = [_quick_start, _spa, _witness, _involution_split]
+    assert len(blocks) == len(checks)
     namespace = {}
-    for number, block in enumerate(blocks, 1):
+    for number, (block, check) in enumerate(zip(blocks, checks), 1):
         exec(compile(block, f"README.md python block {number}", "exec"), namespace)
+        check(namespace)
 
 
 # Exported names that no package module reads and README does not name,

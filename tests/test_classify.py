@@ -623,8 +623,6 @@ def test_positivity_at_the_identity_reads_the_cp_verdict_past_the_decision_toler
     assert [getattr(report, f).status for f in STATUS_FIELDS] == ["no", "no", "no", "unknown", "unknown"]
     assert report.positive.criterion == "entrywise-multiplier matrix PSD test (sigma = id)"
     assert report.positive.evidence["schur_min_eigenvalue"] == core_min
-    assert positivity_verdict(p, cp=cp_verdict(p)) == report.positive
-    # without a CP verdict from the caller it is computed the same way
     assert positivity_verdict(p) == report.positive
 
 
@@ -964,7 +962,7 @@ def test_positivity_verdict_takes_the_upgrade_from_complete_positivity():
     # past it, positivity is undecided
     p = MapParams(4, p.sigma, _cp_threshold(p) - 2e-10, p.c)
     assert positivity_verdict(p).status == "yes"
-    assert positivity_verdict(p, cp=cp_verdict(p)) == classify_map(p, samples=0).positive == positivity_verdict(p)
+    assert classify_map(p, samples=0).positive == positivity_verdict(p)
     p = MapParams(4, p.sigma, _cp_threshold(p) - 2e-9, p.c)
     assert positivity_verdict(p).status == classify_map(p, samples=0).positive.status == "unknown"
 

@@ -15,6 +15,8 @@ import cyclemaps
 from cyclemaps import (
     MapParams,
     ParameterError,
+    Permutation,
+    classify_map,
     cli,
     matrix_from_json,
     matrix_to_json,
@@ -24,6 +26,9 @@ from cyclemaps import (
 )
 from cyclemaps import spa as spa_module
 from cyclemaps.cli import main, parse_map_json
+from cyclemaps.dmap import ChoiStructure
+from cyclemaps.perm import CycleDecomposition
+from conftest import count_computations
 from matrix_helpers import generator_vectors
 
 FLAGSHIP = {"n": 3, "sigma": "tau:3:2", "a": 2.0, "c": [1.0, 1.0, 1.0]}
@@ -216,6 +221,25 @@ def test_spa_decides_the_spa_state_once(tmp_path, capsys, monkeypatch, flags):
     rc, out, _ = run_cli(capsys, "spa", "--map", path, *flags)
     assert rc == 0 and len(calls) == 1
     assert ("decomposition" in json.loads(out)["result"]) == bool(flags)
+
+
+def test_each_fact_of_a_map_is_computed_once(tmp_path, capsys, monkeypatch):
+    # every map here is fresh (a new file or a new sigma), so nothing is kept before the call
+    transposed = count_computations(monkeypatch, ChoiStructure, "_transposed_min")
+    plain = count_computations(monkeypatch, ChoiStructure, "_choi_min")
+    l_min = count_computations(monkeypatch, CycleDecomposition, "l_min")
+    # the witness reports the Choi(T.Theta) minimum, and its certificate decides PSD from it
+    rc, _, _ = run_cli(capsys, "witness", "--map", write_json(tmp_path, "w.json", FLAGSHIP), "--certify")
+    assert rc == 0 and len(transposed) == 1
+    # lambda_star, w_minus_norm, the matrix and the positivity warning all read ||C^-||
+    mixed = {"n": 5, "sigma": "images:2,3,1,4,5", "a": 2.5, "c": [1.0, 2.0, 0.5, 1.5, 1.0]}
+    plain.clear()
+    rc, _, _ = run_cli(capsys, "spa", "--map", write_json(tmp_path, "s.json", mixed))
+    assert rc == 0 and len(plain) == 1
+    # complete positivity, 2-positivity and atomicity each read the shortest cycle
+    l_min.clear()
+    classify_map(MapParams(5, Permutation((2, 3, 1, 4, 5)), 2.5, (1.0, 2.0, 0.5, 1.5, 1.0)), samples=0)
+    assert len(l_min) == 1
 
 
 def test_spa_decompose_needs_no_positivity(tmp_path, capsys):
@@ -433,6 +457,32 @@ def test_a_deeply_nested_json_file_exits_one(tmp_path, capsys, flag):
     assert rc == 1 and out == ""
     assert err.startswith(f"error: {flag[2:]} file '{deep}' is not valid JSON: ")
     assert err.count("\n") == 1 and len(err.encode()) < 1000
+
+
+@pytest.mark.parametrize("flag", ["--map", "--state"])
+def test_a_file_that_is_not_utf8_exits_one(tmp_path, capsys, flag):
+    # the flagship saved in Latin-1: "café" ends in the byte 0xE9, which no UTF-8 text holds
+    latin = tmp_path / "latin1.json"
+    latin.write_bytes(json.dumps({**FLAGSHIP, "note": "café"}, ensure_ascii=False).encode("latin-1"))
+    args = ["classify", "--map", str(latin), "--samples", "0"]
+    if flag == "--state":
+        args = ["witness", "--map", write_json(tmp_path, "map.json", FLAGSHIP), "--state", str(latin)]
+    rc, out, err = run_cli(capsys, *args)
+    assert rc == 1 and out == ""
+    assert err.startswith(f"error: {flag[2:]} file '{latin}' is not valid JSON: 'utf-8' codec can't decode byte 0xe9")
+    assert err.count("\n") == 1
+
+
+def test_map_files_are_read_as_utf8(tmp_path, capsys):
+    # the same map in UTF-8 is read whatever the locale; a leading byte-order mark is no JSON
+    utf8 = tmp_path / "utf8.json"
+    utf8.write_bytes(json.dumps({**FLAGSHIP, "note": "café"}, ensure_ascii=False).encode("utf-8"))
+    rc, out, _ = run_cli(capsys, "classify", "--map", str(utf8), "--samples", "0")
+    assert rc == 0 and json.loads(out)["map"]["note"] == "café"
+    utf8.write_bytes(b"\xef\xbb\xbf" + utf8.read_bytes())
+    rc, out, err = run_cli(capsys, "classify", "--map", str(utf8), "--samples", "0")
+    assert rc == 1 and out == ""
+    assert err.startswith(f"error: map file '{utf8}' is not valid JSON: Unexpected UTF-8 BOM")
 
 
 def test_a_repeated_image_at_n_100000_is_a_short_error(tmp_path, capsys):

@@ -26,6 +26,7 @@ from cyclemaps import (
     classify_map,
     cp_verdict,
     decompose_involution,
+    maximally_entangled_state,
     positivity_verdict,
     spa_state,
     tau,
@@ -41,6 +42,7 @@ from cyclemaps.classify import _adversarial_amplitudes
 from cyclemaps.cli import main
 from cyclemaps.matlin import MAX_ENTRIES
 from cyclemaps.perm import cycle_decompose, parse_permutation
+from cyclemaps.spa import SpaTerm
 from matrix_helpers import spa_interpolation
 
 witness_module = importlib.import_module("cyclemaps.witness")
@@ -261,6 +263,26 @@ def test_a_dense_matrix_past_the_edge_limit_raises_before_allocating(build):
     assert peak < 2**20  # the n x n parts alone would take 64 MB
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda cert: cert.P, lambda cert: cert.q_blocks, lambda cert: SpaTerm("pair", (1, 2), 1.0, cert.params.n).matrix,
+     lambda cert: maximally_entangled_state(cert.params.n)],
+    ids=["split P", "split q_blocks", "spa term", "maximally entangled state"],
+)
+def test_a_dense_view_past_the_edge_limit_raises_before_its_parts(build):
+    # P's n x n block has its own bound, MAX_ENTRIES, which n = 2000 passes: the dense size refuses first
+    n = 2000
+    cert = decompose_involution(MapParams(n, tau(n, n // 2), n - 1.0, (1.0,) * n))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match=r"^n = 2000 is too large for a dense n\^2 x n\^2 matrix"):
+            build(cert)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # one n x n part alone would take 32 MB
+
+
 @pytest.mark.parametrize("compose_transpose", [False, True], ids=["plain", "transposed"])
 def test_the_spectrum_past_the_entry_bound_raises_before_allocating(tmp_path, capsys, compose_transpose):
     n = 3000
@@ -300,6 +322,10 @@ def test_only_cp_verdict_and_classify_map_take_a_psd_tolerance():
 def test_no_verdict_takes_a_tolerance():
     for fn in (cp_verdict, positivity_verdict, two_positive_verdict, atomic_verdict, classify_map):
         assert not any("tol" in name for name in inspect.signature(fn).parameters), fn
+    # each verdict is a function of the map; positivity also reports the sampler's evidence
+    for fn in (cp_verdict, two_positive_verdict, atomic_verdict):
+        assert list(inspect.signature(fn).parameters) == ["p"], fn
+    assert list(inspect.signature(positivity_verdict).parameters) == ["p", "evidence"]
 
 
 def test_psd_tol_still_decides_complete_positivity(tmp_path, capsys):

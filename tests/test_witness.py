@@ -31,10 +31,10 @@ from cyclemaps import (
     verify_positivity_numeric,
     witness,
 )
-from conftest import random_hermitian
+from conftest import count_computations, random_hermitian
+from cyclemaps.dmap import ChoiStructure
 from matrix_helpers import dense_certificate, matrix_unit, phase_table, real_parts_of
 
-classify_module = importlib.import_module("cyclemaps.classify")
 witness_module = importlib.import_module("cyclemaps.witness")
 
 
@@ -228,16 +228,9 @@ def test_certify_keeps_both_consistency_checks(monkeypatch, flagship):
     ],
 )
 def test_certify_decides_complete_positivity_once(monkeypatch, p):
-    calls = []
-    decide = classify_module.cp_verdict
-
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return decide(*args, **kwargs)
-
-    monkeypatch.setattr(classify_module, "cp_verdict", spy)
-    monkeypatch.setattr(witness_module, "cp_verdict", spy)
-    certify_optimality(p)
+    # every verdict that reads complete positivity reads the one Choi(Theta) minimum the map keeps
+    calls = count_computations(monkeypatch, ChoiStructure, "_choi_min")
+    certify_optimality(MapParams(p.n, p.sigma, p.a, p.c))  # a fresh map, with nothing kept yet
     assert len(calls) == 1
 
 
