@@ -30,11 +30,9 @@ The decisive criteria, each written once in the function that every caller
   splits explicitly (:func:`decompose_involution`) into a PSD block
   plus blocks whose partial transposes are PSD.
 
-Every verdict is a function of the map alone; none is passed into another.
-They read the map's O(n) Choi structure (:func:`cyclemaps.dmap.choi_structure`)
-and sigma's cycle lengths, which keep their minima once computed, and the
-split's P is one more secular row: none builds an n x n array or runs a
-dense eigensolve.
+Every verdict is a function of the map alone: it reads the O(n) Choi structure
+and cycle lengths the map keeps (:func:`cyclemaps.dmap.choi_structure`), and with
+P one more secular row none builds an n x n array or runs a dense eigensolve.
 """
 from __future__ import annotations
 
@@ -98,8 +96,7 @@ class DecomposabilityCertificate:
     i < sigma(i), a row of ``pairs``, has a Q block with a PSD partial transpose
     (least eigenvalue in ``q_pt_min_eigenvalues``), and the sum reproduces the
     Choi matrix up to ``reconstruction_residual``.  Both arrays are read-only;
-    ``p_block`` (P on span{|ii>}), ``P`` and ``q_blocks`` are built when read,
-    the dense two only once their size passes (:func:`cyclemaps.dmap.require_dense_size`).
+    ``p_block`` (P on span{|ii>}), ``P`` and ``q_blocks`` are built when read.
     """
 
     params: MapParams

@@ -79,11 +79,15 @@ def parse_map_json(obj) -> MapParams:
 
 
 def _load_json_file(path: str, what: str):
-    try:  # JSON is UTF-8 (RFC 8259), whatever the locale's encoding
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")  # JSON is UTF-8 (RFC 8259), whatever the locale's encoding
     except OSError as exc:
         raise ParameterError(f"cannot read {what} file '{path}': {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # not UTF-8, a JSONDecodeError, an integer past Python's digit limit, or deep nesting
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{what} file '{path}' is not valid JSON: {exc}") from exc
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError, an integer past Python's digit limit, or deep nesting
         raise ParameterError(f"{what} file '{path}' is not valid JSON: {exc}") from exc
 
 

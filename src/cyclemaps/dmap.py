@@ -347,9 +347,8 @@ class ChoiStructure:
     the positivity sampler too.  Choi(T.Theta) splits into 1x1 blocks
     k_i - 1 on |ii> and 2x2 blocks [[D[i, k], -1], [-1, D[k, i]]] on
     {|ik>, |ki>}, which are [[0, -1], [-1, 0]] unless k = sigma(i) or
-    i = sigma(k).  Every scalar therefore costs O(n), and ``core_min``, the
-    two least eigenvalues (:meth:`min_eigenvalue`) and ``trace`` are
-    computed on first read and kept; :func:`choi` builds the n^2 x n^2 matrix.
+    i = sigma(k).  Every scalar therefore costs O(n) and is kept once computed
+    (``core_min``, :meth:`min_eigenvalue`, ``trace``); :func:`choi` builds the matrix.
     """
 
     n: int

@@ -474,7 +474,7 @@ def test_a_file_that_is_not_utf8_exits_one(tmp_path, capsys, flag):
 
 
 def test_map_files_are_read_as_utf8(tmp_path, capsys):
-    # the same map in UTF-8 is read whatever the locale; a leading byte-order mark is no JSON
+    # the same map in UTF-8 is read, and with a leading byte-order mark it is no JSON
     utf8 = tmp_path / "utf8.json"
     utf8.write_bytes(json.dumps({**FLAGSHIP, "note": "café"}, ensure_ascii=False).encode("utf-8"))
     rc, out, _ = run_cli(capsys, "classify", "--map", str(utf8), "--samples", "0")
