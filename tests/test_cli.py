@@ -13,6 +13,8 @@ from numpy.testing import assert_allclose
 
 import cyclemaps
 from cyclemaps import (
+    ChoiStructure,
+    CycleDecomposition,
     MapParams,
     ParameterError,
     Permutation,
@@ -26,8 +28,6 @@ from cyclemaps import (
 )
 from cyclemaps import spa as spa_module
 from cyclemaps.cli import main, parse_map_json
-from cyclemaps.dmap import ChoiStructure
-from cyclemaps.perm import CycleDecomposition
 from conftest import count_computations
 from matrix_helpers import generator_vectors
 

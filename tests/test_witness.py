@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cyclemaps import (
+    ChoiStructure,
     ContractError,
     MapParams,
     ParameterError,
@@ -32,7 +33,6 @@ from cyclemaps import (
     witness,
 )
 from conftest import count_computations, random_hermitian
-from cyclemaps.dmap import ChoiStructure
 from matrix_helpers import dense_certificate, matrix_unit, phase_table, real_parts_of
 
 witness_module = importlib.import_module("cyclemaps.witness")
