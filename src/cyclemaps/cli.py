@@ -81,10 +81,10 @@ def parse_map_json(obj) -> MapParams:
 def _load_json_file(path: str, what: str):
     try:
         text = Path(path).read_text(encoding="utf-8")  # JSON is UTF-8 (RFC 8259), whatever the locale's encoding
-    except OSError as exc:
-        raise ParameterError(f"cannot read {what} file '{path}': {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParameterError(f"{what} file '{path}' is not valid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:  # open refuses a path with a NUL byte by ValueError
+        raise ParameterError(f"cannot read {what} file '{path}': {exc}") from exc
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:  # a JSONDecodeError, an integer past Python's digit limit, or deep nesting
@@ -382,7 +382,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             f.writelines(chunks)
             if Path(args.out).is_file():  # pipes and devices cannot be truncated
                 f.truncate()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         print(f"error: cannot write output file '{args.out}': {exc}", file=sys.stderr)
         return 1
     return 0

@@ -198,23 +198,30 @@ def pair_block_eigenvalues(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np
 
 
 def _row_reduce(ufunc: np.ufunc, x: np.ndarray) -> np.ndarray:
-    """``ufunc`` reduced along each row of x.  Over many short rows this is a
-    fold over the columns, a few vectorised calls, where numpy's reduction
-    along a row pays a fixed cost per row; otherwise it is that reduction.
+    """``ufunc`` reduced along each row of x.  numpy's own reduction takes
+    x's rows only when they are C-contiguous and few, or, for a sum, longer
+    than 128: it pays a fixed cost per row, and over an F-ordered x, such as
+    the ``.T`` of the sampler's block, it adds column by column, not
+    pairwise.  Otherwise this is a fold over the columns, a few vectorised
+    calls over whole columns, which such a transposed block holds contiguously.
 
     A minimum does not depend on the order of its fold.  A sum does, so
-    ``np.add`` folds in the order of numpy's pairwise summation of a row of
-    up to 128 entries, and its result is bit-identical to ``x.sum(axis=1)``
-    on the row-major arrays the callers pass: a plain running sum below 8
-    columns; else eight running sums over the columns congruent mod 8 of
-    the whole blocks of 8, added as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) +
-    (r6 + r7)), then the columns past those blocks one by one.  numpy adds
-    that to its identity +0.0, as the leading 0.0 below does (it turns a
-    -0.0 sum into +0.0).  Past 128 columns numpy splits the row in halves
-    recursively, and this is numpy's reduction."""
+    ``np.add`` folds in the order of numpy's pairwise summation of a
+    contiguous row, and its result is bit-identical to
+    ``np.ascontiguousarray(x).sum(axis=1)``: a plain running sum below 8
+    columns; up to 128, eight running sums over the columns congruent mod 8
+    of the whole blocks of 8, added as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) +
+    (r6 + r7)), then the columns past those blocks one by one; past 128, the
+    sum of the first n2 = n // 2 - (n // 2) % 8 columns plus that of the
+    rest, each halved the same way while past 128.  numpy adds that to its identity +0.0, as
+    the leading 0.0 below does (it turns a -0.0 sum into +0.0; a sum of the
+    two halves, each from +0.0, has the same bits)."""
     rows, n = x.shape
-    if 32 * n > rows or (ufunc is np.add and n > 128):
+    if x.flags.c_contiguous and (32 * n > rows or (ufunc is np.add and n > 128)):
         return ufunc.reduce(x, axis=1)
+    if ufunc is np.add and n > 128:
+        n2 = n // 2 - (n // 2) % 8
+        return _row_reduce(np.add, x[:, :n2]) + _row_reduce(np.add, x[:, n2:])
     cols = x.T
     if ufunc is not np.add:
         return reduce(ufunc, cols)
@@ -237,7 +244,7 @@ def _secular_step(lo: np.ndarray, hi: np.ndarray, delta: np.ndarray, w: np.ndarr
     return lo, hi
 
 
-def _theta_min_eigenvalue(amps: np.ndarray, den: np.ndarray) -> float:
+def _theta_min_eigenvalue(w: np.ndarray, den: np.ndarray) -> float:
     """The least eigenvalue of diag(den) - xi xi* over the rows w = |xi|^2.
 
     Each i with w_i = 0 deflates: den_i is an eigenvalue of its own.  On the
@@ -280,26 +287,30 @@ def _theta_min_eigenvalue(amps: np.ndarray, den: np.ndarray) -> float:
     or above ``best``, and dropping the row cannot change the result.
 
     Rows iterate independently, and every sum that feeds an iterate is an
-    exact row sum (:func:`_row_reduce`): a fold over the columns in numpy's
-    pairwise order, or numpy's reduction itself, bit-identical to
-    ``.sum(axis=1)`` either way, so its association order is fixed per row
+    exact row sum (:func:`_row_reduce`), bit-identical to the C-ordered
+    ``.sum(axis=1)`` in either layout the callers pass (row-major, or the
+    sampler's transposed block), so its association order is fixed per row
     whichever rows share the batch, and the result is bit-identical to
     solving every row to convergence and taking the least value.  The row
-    minima are folds over the columns as well, in whatever order: a minimum
-    does not depend on it as long as den holds no -0.0: the callers' den
-    are sums of products >= 0, or a - 1 (+0.0 at a = 1).  Rows still live
-    after ``_SECULAR_MAX_ITER`` steps raise RuntimeError.
+    minima are folds in whatever order: a minimum does not depend on it as
+    long as den holds no -0.0: the callers' den are sums of products >= 0,
+    or a - 1 (+0.0 at a = 1).  The solve deflates in place, on the rows that
+    hold a w_i <= eps^2 only: it overwrites that w_i with 0 and den_i with
+    inf.  Rows still live after ``_SECULAR_MAX_ITER`` steps raise RuntimeError.
     """
     # entries of w below eps^2 deflate as well: dropping them moves each
     # eigenvalue by at most 2 sqrt(n) eps (Weyl), and it keeps every
-    # quantity below far from underflow
-    support = amps > _EPS**2
-    w = np.where(support, amps, 0.0)
-    on_support = np.where(support, den, np.inf)
-    d_min = _row_reduce(np.minimum, on_support)
-    lo = _row_reduce(np.add, np.where(on_support == d_min[:, None], w, 0.0))  # delta_i = 0
+    # quantity below far from underflow; w and den then hold the support
+    small = w <= _EPS**2
+    held = np.flatnonzero(small.any(axis=1))
+    deflated = np.full(len(w), np.inf)
+    d, s = den[held], small[held]
+    deflated[held] = np.where(s, d, np.inf).min(axis=1)
+    den[held], w[held] = np.where(s, np.inf, d), np.where(s, 0.0, w[held])
+    d_min = _row_reduce(np.minimum, den)
+    scratch = np.empty_like(w)  # each block temporary below in turn
+    lo = _row_reduce(np.add, np.multiply(w, den == d_min[:, None], out=scratch))  # delta_i = 0
     hi = _row_reduce(np.add, w)
-    deflated = _row_reduce(np.minimum, np.where(support, np.inf, den))
     # rounding can leave the final lo above an earlier hi, by about
     # n eps A^2 / B <= n eps sum_i w_i (Cauchy-Schwarz); the allowance
     # sqrt(eps) sum_i w_i covers that many times over
@@ -307,10 +318,10 @@ def _theta_min_eigenvalue(amps: np.ndarray, den: np.ndarray) -> float:
     best = np.minimum(d_min - lo, deflated).min()
     t = best + (slack + _EPS * abs(best))
     with np.errstate(all="ignore"):  # g counts only where d_min > t
-        g = _row_reduce(np.add, w / (on_support - t[:, None]))
-    live = (hi > lo * (1.0 + 4.0 * _EPS)) & ((d_min <= t) | (g >= 1.0 - (amps.shape[1] + 1) * _EPS))
+        g = _row_reduce(np.add, np.divide(w, np.subtract(den, t[:, None], out=scratch), out=scratch))
+    live = (hi > lo * (1.0 + 4.0 * _EPS)) & ((d_min <= t) | (g >= 1.0 - (w.shape[1] + 1) * _EPS))
     d_min, lo, hi, slack, w = d_min[live], lo[live], hi[live], slack[live], w[live]
-    delta = on_support[live] - d_min[:, None]
+    delta = den[live] - d_min[:, None]
     for step in range(_SECULAR_MAX_ITER + 1):
         if lo.size == 0:
             break

@@ -43,8 +43,8 @@ MAX_DIM = 1024
 _PATTERN_ROWS = 32
 
 # The same guard for the arrays sized by inputs rather than by n^2 x n^2: the
-# classify sampler's samples x n block (about 60 bytes per entry with its
-# working arrays, 500 MB here) and the n x n block ``p_block`` of a split.
+# classify sampler's samples x n block (about 26 bytes per entry with its
+# working arrays, 220 MB here) and the n x n block ``p_block`` of a split.
 MAX_ENTRIES = 2**23
 
 

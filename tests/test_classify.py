@@ -199,9 +199,16 @@ def theta_rows(p: MapParams, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     return zs, amps, theta_den(p, amps)
 
 
+def theta_min(amps: np.ndarray, den: np.ndarray, order: str = "C") -> float:
+    """The solver on copies of amps and den, which it overwrites where it
+    deflates: C-ordered, or under order="F" the .T of a C-ordered block, as
+    the sampler passes them."""
+    return _theta_min_eigenvalue(np.array(amps, order=order), np.array(den, order=order))
+
+
 def row_minima(amps: np.ndarray, den: np.ndarray) -> np.ndarray:
     """The solver on each one-row slice: every row's own least eigenvalue."""
-    return np.array([_theta_min_eigenvalue(amps[i : i + 1], den[i : i + 1]) for i in range(len(amps))])
+    return np.array([theta_min(amps[i : i + 1], den[i : i + 1]) for i in range(len(amps))])
 
 
 def assert_root_matches_oracle(zs: np.ndarray, amps: np.ndarray, den: np.ndarray) -> None:
@@ -294,7 +301,8 @@ def row_batches(draw):
 def test_pruned_minimum_is_bit_identical_to_the_least_row_minimum(args):
     p, rows = args
     _, amps, den = theta_rows(p, rows)
-    assert _theta_min_eigenvalue(amps, den).hex() == row_minima(amps, den).min().hex()
+    want = row_minima(amps, den).min().hex()
+    assert [theta_min(amps, den, order).hex() for order in "CF"] == [want, want]
 
 
 @st.composite
@@ -310,7 +318,7 @@ def rows_at_the_screen_threshold(draw):
     scale = draw(st.sampled_from([1e-6, 1.0, 1e6]))
     unit = rng.uniform(0.05, 1.0, (1, n))
     amps, den = [unit / unit.sum()], [np.full((1, n), scale * rng.uniform(-2.0, 2.0))]
-    best = _theta_min_eigenvalue(amps[0], den[0])
+    best = theta_min(amps[0], den[0])
     for _ in range(draw(st.integers(1, 40))):
         w = rng.uniform(0.05, 1.0, n)
         w *= draw(st.sampled_from([1.0, 1e-3, 1e3])) / w.sum()
@@ -332,7 +340,8 @@ def rows_at_the_screen_threshold(draw):
 @settings(max_examples=200, deadline=None)
 def test_screen_near_its_threshold_keeps_the_least_row_minimum(args):
     amps, den = args
-    assert _theta_min_eigenvalue(amps, den).hex() == row_minima(amps, den).min().hex()
+    want = row_minima(amps, den).min().hex()
+    assert [theta_min(amps, den, order).hex() for order in "CF"] == [want, want]
 
 
 def test_first_bracket_step_runs_on_few_rows(monkeypatch):
@@ -380,15 +389,15 @@ ROUNDING_ROW_DEN = (
 def test_pruning_allows_for_rounding_between_steps():
     w = np.array([[float.fromhex(x) for x in ROUNDING_ROW_W.split(",")]])
     den = np.array([[float.fromhex(x) for x in ROUNDING_ROW_DEN.split(",")]])
-    value = _theta_min_eigenvalue(w, den)
+    value = theta_min(w, den)
     # a second row that converges at once (one weight) to a value inside that
     # window: without an allowance the first row would be dropped for it
     other = np.zeros_like(w)
     other[0, 0] = float.fromhex("0x1.4fa2b43514e0cp-100")
     other_den = np.ones_like(den)
     other_den[0, 0] = float.fromhex("0x1.4484bfeebc2a0p-100")
-    assert value < _theta_min_eigenvalue(other, other_den) < value * (1 - 2000 * np.finfo(float).eps)
-    batch = _theta_min_eigenvalue(np.concatenate([w, other]), np.concatenate([den, other_den]))
+    assert value < theta_min(other, other_den) < value * (1 - 2000 * np.finfo(float).eps)
+    batch = theta_min(np.concatenate([w, other]), np.concatenate([den, other_den]))
     assert batch.hex() == value.hex()
 
 
@@ -463,8 +472,40 @@ def test_sampler_evidence_keeps_its_recorded_bits(p, seed, max_s, min_theta_eig)
     w, den = sampler_rows(p, 2000, seed)
     with np.errstate(invalid="ignore", divide="ignore"):  # a term with den_i = 0 counts 0
         s = np.where(den > 0, w / den, 0.0).sum(axis=1)
-    assert (s.max().hex(), _theta_min_eigenvalue(w, den).hex()) == (max_s, min_theta_eig)
+    assert (s.max().hex(), theta_min(w, den).hex()) == (max_s, min_theta_eig)
     assert np.array_equal(ev.worst_vector, np.sqrt(w[np.argmax(s)]))
+
+
+@st.composite
+def sampler_maps(draw):
+    """A map with any sigma (fixed points included), c log-uniform over
+    e^-30..e^30 and a over (0, 2n], with a sample count and a seed.  Cycles
+    of length 5 and more, and c spread wide along a cycle, give adversarial
+    rows with weights below eps^2."""
+    n = draw(st.integers(1, 40))
+    images = draw(st.permutations(range(1, n + 1)))
+    c = [math.exp(draw(st.floats(-30.0, 30.0))) for _ in range(n)]
+    a = draw(st.floats(0.05, 2.0 * n))
+    return MapParams(n, Permutation(tuple(images)), a, tuple(c)), draw(st.integers(0, 300)), draw(st.integers(0, 2**64))
+
+
+@given(sampler_maps())
+@settings(max_examples=100, deadline=None)
+@example((MapParams(4, tau(4, 1), 2.5, (1e-300, 1e-300, 1e300, 1e300)), 2000, 0))  # c spans the double range
+@example((delta_n(5), 2000, 0))  # zero weights
+@example((MapParams(40, tau(40, 1), 39.0, (1.0,) * 40), 300, 1))
+def test_sampler_evidence_is_the_row_major_pipelines(args):
+    # the sampler folds its transposed block and deflates it in place; its
+    # evidence keeps every bit of the row-major pipeline rebuilt here: the
+    # same draw in a C-ordered block, numpy's row sums and the solve on copies
+    p, samples, seed = args
+    ev = verify_positivity_numeric(p, samples=samples, seed=seed)
+    w, den = sampler_rows(p, samples, seed)
+    with np.errstate(invalid="ignore", divide="ignore"):  # a term with den_i = 0 counts 0
+        s = np.where(den > 0, w / den, 0.0).sum(axis=1)
+    worst = int(np.argmax(s))
+    assert (ev.max_s.hex(), ev.min_theta_eig.hex(), ev.num_vectors) == (s[worst].hex(), theta_min(w, den).hex(), len(w))
+    assert ev.worst_vector.tobytes() == np.sqrt(w[worst]).tobytes()
 
 
 @pytest.mark.parametrize("n", [3, 8])
@@ -493,11 +534,11 @@ def test_secular_root_past_the_iteration_cap_is_an_internal_failure(monkeypatch,
 def test_secular_iteration_cap_binds_live_rows_only(monkeypatch, flagship):
     rng = np.random.default_rng(5)
     _, amps, den = theta_rows(flagship, rng.standard_normal((300, 3)) + 1j * rng.standard_normal((300, 3)))
-    want = _theta_min_eigenvalue(amps, den)
+    want = theta_min(amps, den)
     for cap in range(dmap_module._SECULAR_MAX_ITER + 1):
         monkeypatch.setattr(dmap_module, "_SECULAR_MAX_ITER", cap)
         try:
-            got = _theta_min_eigenvalue(amps, den)
+            got = theta_min(amps, den)
             break
         except RuntimeError:
             pass
@@ -522,9 +563,11 @@ def test_oracle_at_large_n_runs_warning_free_in_bounded_memory(n):
     assert ev.consistent_with_positive
     assert ev.min_theta_eig >= -1e-9
     # the 2000 outer products alone would take 2000 n^2 16 B (2.1 GB at n = 256);
-    # the sampler's working set is about 49 B per sample entry (25.3 MB at n = 256);
-    # one that holds the S terms through the solve reads 29.4 MB
-    assert peak < 28e6
+    # the sampler's working set is about 26 B per sample entry (13.5 MB at n = 256):
+    # the block and den, one scratch block and two boolean masks in the solve.
+    # The bound allows 3.5 MB more; one that holds the S terms through the
+    # solve reads 17.6 MB, and the row-major block with its copies 25.3 MB
+    assert peak < 17e6
 
 
 def test_classify_map_rejects_negative_samples(flagship):

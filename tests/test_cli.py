@@ -473,6 +473,23 @@ def test_a_file_that_is_not_utf8_exits_one(tmp_path, capsys, flag):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flag", ["--map", "--state", "--out"])
+def test_a_path_with_a_nul_byte_exits_one(tmp_path, capsys, flag):
+    # open refuses such a path with ValueError, not OSError; the command line
+    # cannot pass a NUL, but an in-process caller of main can
+    bad, good = str(tmp_path / "a\x00b.json"), write_json(tmp_path, "map.json", FLAGSHIP)
+    args = {
+        "--map": ["classify", "--map", bad, "--samples", "0"],
+        "--state": ["witness", "--map", good, "--state", bad],
+        "--out": ["classify", "--map", good, "--samples", "0", "--out", bad],
+    }[flag]
+    rc, out, err = run_cli(capsys, *args)
+    what = "cannot write output file" if flag == "--out" else f"cannot read {flag[2:]} file"
+    assert rc == 1 and out == ""
+    assert err == f"error: {what} '{bad}': embedded null byte\n"
+    assert not any(p.name.startswith("a") for p in tmp_path.iterdir())
+
+
 def test_map_files_are_read_as_utf8(tmp_path, capsys):
     # the same map in UTF-8 is read, and with a leading byte-order mark it is no JSON
     utf8 = tmp_path / "utf8.json"

@@ -357,22 +357,36 @@ def test_pair_block_eigenvalues_keep_the_formula_bits_where_it_is_finite():
 _EDGE_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.5e-308, -1e-310, np.inf, -np.inf, np.nan, 1e308, -1e308, 1.0, -3.0])
 
 
-@pytest.mark.parametrize("n", [*range(1, 18), 63, 64, 127, 128, 129, 256, 300])
+_ROW_SUM_N = [*range(1, 18), 63, 64, 127, 128, 129, 256, 300]
+_TRANSPOSED_N = [*_ROW_SUM_N, 1000, 4194]
+
+
+@pytest.mark.parametrize(
+    "n, transposed",
+    [(n, False) for n in _ROW_SUM_N] + [(n, True) for n in _TRANSPOSED_N],
+    ids=[*map(str, _ROW_SUM_N), *(f"transposed {n}" for n in _TRANSPOSED_N)],
+)
 @pytest.mark.parametrize("extra", [-1, 0, 5], ids=["below 32n", "at 32n", "past 32n"])
 @pytest.mark.parametrize("kind", ["spread", "edge", "zeros"])
-def test_row_sums_are_numpys_row_sums_bit_for_bit(n, extra, kind):
-    # the column folds take effect at 32 n <= rows and at most 128 columns;
-    # either way every bit of x.sum(axis=1) comes back, signed zeros included
+def test_row_sums_are_numpys_row_sums_bit_for_bit(n, transposed, extra, kind):
+    # the column folds take effect at 32 n <= rows and at most 128 columns of
+    # a C-ordered x, and on every .T of a C-ordered (n, rows) block, as the
+    # sampler passes its weights (past 128 columns in numpy's recursive
+    # halves); either way every bit of the C-ordered x.sum(axis=1) comes
+    # back, signed zeros included.  A transposed block folds whatever its
+    # row count, so past n = 300 it takes 200 + extra rows
     rng = np.random.default_rng(n * 100 + extra + 7)
-    shape = (32 * n + extra, n)
+    rows = 32 * n + extra if n <= 300 else 200 + extra
+    shape = (n, rows) if transposed else (rows, n)
     if kind == "spread":
         x = rng.standard_normal(shape) * np.exp(rng.uniform(-300, 300, shape))
     elif kind == "edge":
         x = rng.choice(_EDGE_VALUES, shape)
     else:
         x = np.where(rng.random(shape) < 0.05, 0.0, -0.0)
+    x = x.T if transposed else x
     with np.errstate(all="ignore"):
-        want, got = x.sum(axis=1), _row_reduce(np.add, x)
+        want, got = np.ascontiguousarray(x).sum(axis=1), _row_reduce(np.add, x)
     # a NaN's sign and payload follow the operand order the compiled loop
     # happens to use, so NaNs are compared as NaNs
     nan = np.isnan(want)
