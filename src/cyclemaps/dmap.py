@@ -203,7 +203,8 @@ def _row_reduce(ufunc: np.ufunc, x: np.ndarray) -> np.ndarray:
     than 128: it pays a fixed cost per row, and over an F-ordered x, such as
     the ``.T`` of the sampler's block, it adds column by column, not
     pairwise.  Otherwise this is a fold over the columns, a few vectorised
-    calls over whole columns, which such a transposed block holds contiguously.
+    calls over whole columns, which such a transposed block holds
+    contiguously; below 256 rows a C-ordered copy of it costs less.
 
     A minimum does not depend on the order of its fold.  A sum does, so
     ``np.add`` folds in the order of numpy's pairwise summation of a
@@ -217,6 +218,8 @@ def _row_reduce(ufunc: np.ufunc, x: np.ndarray) -> np.ndarray:
     the leading 0.0 below does (it turns a -0.0 sum into +0.0; a sum of the
     two halves, each from +0.0, has the same bits)."""
     rows, n = x.shape
+    if rows < 256 and not x.flags.c_contiguous:  # a fold's n calls would cost more than a C-ordered copy
+        x = np.ascontiguousarray(x)
     if x.flags.c_contiguous and (32 * n > rows or (ufunc is np.add and n > 128)):
         return ufunc.reduce(x, axis=1)
     if ufunc is np.add and n > 128:

@@ -372,11 +372,11 @@ def test_row_sums_are_numpys_row_sums_bit_for_bit(n, transposed, extra, kind):
     # the column folds take effect at 32 n <= rows and at most 128 columns of
     # a C-ordered x, and on every .T of a C-ordered (n, rows) block, as the
     # sampler passes its weights (past 128 columns in numpy's recursive
-    # halves); either way every bit of the C-ordered x.sum(axis=1) comes
-    # back, signed zeros included.  A transposed block folds whatever its
-    # row count, so past n = 300 it takes 200 + extra rows
+    # halves) from 256 rows on, below which it is copied; either way every
+    # bit of the C-ordered x.sum(axis=1) comes back, signed zeros included.
+    # Past n = 300 a transposed block takes 256 + extra rows
     rng = np.random.default_rng(n * 100 + extra + 7)
-    rows = 32 * n + extra if n <= 300 else 200 + extra
+    rows = 32 * n + extra if n <= 300 else 256 + extra
     shape = (n, rows) if transposed else (rows, n)
     if kind == "spread":
         x = rng.standard_normal(shape) * np.exp(rng.uniform(-300, 300, shape))
