@@ -297,19 +297,17 @@ def _theta_min_eigenvalue(w: np.ndarray, den: np.ndarray) -> float:
     solving every row to convergence and taking the least value.  The row
     minima are folds in whatever order: a minimum does not depend on it as
     long as den holds no -0.0: the callers' den are sums of products >= 0,
-    or a - 1 (+0.0 at a = 1).  The solve deflates in place, on the rows that
-    hold a w_i <= eps^2 only: it overwrites that w_i with 0 and den_i with
-    inf.  Rows still live after ``_SECULAR_MAX_ITER`` steps raise RuntimeError.
+    or a - 1 (+0.0 at a = 1).  The solve deflates in place, without a copy:
+    it overwrites each w_i <= eps^2 with 0 and its den_i with inf.  Rows
+    still live after ``_SECULAR_MAX_ITER`` steps raise RuntimeError.
     """
     # entries of w below eps^2 deflate as well: dropping them moves each
     # eigenvalue by at most 2 sqrt(n) eps (Weyl), and it keeps every
     # quantity below far from underflow; w and den then hold the support
     small = w <= _EPS**2
-    held = np.flatnonzero(small.any(axis=1))
-    deflated = np.full(len(w), np.inf)
-    d, s = den[held], small[held]
-    deflated[held] = np.where(s, d, np.inf).min(axis=1)
-    den[held], w[held] = np.where(s, np.inf, d), np.where(s, 0.0, w[held])
+    deflated = np.minimum.reduce(den, axis=1, where=small, initial=np.inf)
+    np.copyto(den, np.inf, where=small)
+    np.copyto(w, 0.0, where=small)
     d_min = _row_reduce(np.minimum, den)
     scratch = np.empty_like(w)  # each block temporary below in turn
     lo = _row_reduce(np.add, np.multiply(w, den == d_min[:, None], out=scratch))  # delta_i = 0

@@ -494,8 +494,8 @@ def sampler_maps(draw):
 @example((MapParams(4, tau(4, 1), 2.5, (1e-300, 1e-300, 1e300, 1e300)), 2000, 0))  # c spans the double range
 @example((delta_n(5), 2000, 0))  # zero weights
 @example((MapParams(40, tau(40, 1), 39.0, (1.0,) * 40), 300, 1))
-def test_sampler_evidence_is_the_row_major_pipelines(args):
-    # the sampler folds its transposed block and deflates it in place; its
+def test_sampler_evidence_matches_the_row_major_pipeline(args):
+    # the sampler sums over its transposed block and deflates it in place; its
     # evidence keeps every bit of the row-major pipeline rebuilt here: the
     # same draw in a C-ordered block, numpy's row sums and the solve on copies
     p, samples, seed = args
