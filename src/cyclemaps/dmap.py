@@ -214,9 +214,9 @@ def _row_reduce(ufunc: np.ufunc, x: np.ndarray) -> np.ndarray:
     of the whole blocks of 8, added as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) +
     (r6 + r7)), then the columns past those blocks one by one; past 128, the
     sum of the first n2 = n // 2 - (n // 2) % 8 columns plus that of the
-    rest, each halved the same way while past 128.  numpy adds that to its identity +0.0, as
-    the leading 0.0 below does (it turns a -0.0 sum into +0.0; a sum of the
-    two halves, each from +0.0, has the same bits)."""
+    rest, each halved the same way while past 128.  numpy adds that to its
+    identity +0.0, as the leading 0.0 below does (it turns a -0.0 sum into
+    +0.0; a sum of the two halves, each from +0.0, has the same bits)."""
     rows, n = x.shape
     if rows < 256 and not x.flags.c_contiguous:  # a fold's n calls would cost more than a C-ordered copy
         x = np.ascontiguousarray(x)
